@@ -196,6 +196,17 @@ class Document:
             for key, feats in self.pair_features.items():
                 if len(feats) != d_p:
                     raise InputError(f"document {self.id}: inconsistent d_p at pair {key}")
+        bad = ~np.isfinite(self.mention_feature_matrix).all(axis=1)
+        if bad.any():
+            raise InputError(f"document {self.id}: non-finite features at mention "
+                             f"{int(np.argmax(bad)) + 1}")
+        if n > 1:
+            bad = ~np.isfinite(self.pair_feature_matrix).all(axis=1)
+            if bad.any():
+                k = int(np.argmax(bad))
+                rows_i, cols_j = self.tril_pairs
+                raise InputError(f"document {self.id}: non-finite features at pair "
+                                 f"({int(cols_j[k]) + 1}, {int(rows_i[k]) + 1})")
         if self.gold_clusters.num_mentions != n:
             raise InputError(f"document {self.id}: gold clusters do not cover 1..n")
         firsts = self.gold_clusters.entity_ids()

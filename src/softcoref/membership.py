@@ -12,6 +12,16 @@ entity opened by mention ``u``.  It obeys the recursion
 so each row is again a distribution, and anchors can only lose mass as
 the document proceeds (``q[i][u] <= q[u][u]`` for ``i > u``).
 
+In matrix form the recursion is the unit-lower-triangular system
+
+    (I - L) q = diag(p),   L = strict lower part of p
+
+so ``q = (I - L)^{-1} diag(p)`` is one triangular solve.  For a scalar
+with gradient ``G`` wrt ``q`` the reverse pass is another solve,
+``Y = (I - L)^{-T} G``, and then ``dp = diag(Y) + strict_tril(Y q^T)``.
+The temperature softmax is one masked log-space softmax over the whole
+matrix.
+
 All public containers use 1-based mention indices; the underlying numpy
 arrays are 0-based and lower-triangular, with structural zeros above the
 diagonal.
@@ -20,6 +30,7 @@ diagonal.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .errors import InputError
 
@@ -100,39 +111,35 @@ class MembershipMatrix:
         return f"MembershipMatrix(n={self.n})"
 
 
+def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Row softmax of ``logits`` over the entries where ``mask`` holds;
+    every other entry gets exactly zero mass.  Each row needs at least
+    one masked entry."""
+    masked = np.where(mask, logits, -np.inf)
+    weights = np.exp(masked - masked.max(axis=1, keepdims=True))
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
 def membership_array(p: np.ndarray) -> np.ndarray:
-    """Forward membership recursion on a raw lower-triangular array."""
-    n = p.shape[0]
-    q = np.zeros_like(p)
-    for i in range(n):
-        q[i, i] = p[i, i]
-        if i > 0:
-            # q[i, u] = sum_{j=u}^{i-1} p[i, j] q[j, u]; each column u of
-            # q[:i] already zeroes out j < u, so a plain matvec works.
-            q[i, :i] = p[i, :i] @ q[:i, :i]
-    return q
+    """Membership of a raw lower-triangular link array: solves
+    ``(I - L) q = diag(p)`` with ``L`` the strict lower part of ``p``."""
+    # unit_diagonal ignores the diagonal of -p, so the matrix is I - L.
+    return solve_triangular(-p, np.diag(np.diagonal(p)), lower=True, unit_diagonal=True)
 
 
 def membership_backward(p: np.ndarray, q: np.ndarray, dq: np.ndarray) -> np.ndarray:
     """Gradient of a scalar wrt p given its gradient wrt q = membership(p).
 
-    Reverse sweep of the recursion: row i of q depends on row i of p and
-    on rows j < i of q, so accumulated row gradients flow downward.
+    With ``Y = (I - L)^{-T} tril(dq)``, ``dp = diag(Y) + strict_tril(Y q^T)``.
     """
-    n = p.shape[0]
-    gbar = np.tril(dq).astype(float, copy=True)
-    dp = np.zeros_like(p)
-    for i in range(n - 1, -1, -1):
-        dp[i, i] += gbar[i, i]
-        if i > 0:
-            dp[i, :i] += q[:i, :] @ gbar[i, :]
-            gbar[:i, :] += np.outer(p[i, :i], gbar[i, :])
+    y = solve_triangular(-p, np.tril(dq), lower=True, trans="T", unit_diagonal=True)
+    dp = np.tril(y @ q.T, k=-1)
+    dp[np.diag_indices_from(dp)] = np.diagonal(y)
     return dp
 
 
 def membership(links: LinkDistribution) -> MembershipMatrix:
     """Entity membership probabilities implied by a link distribution."""
-    _check_lower_triangular_rows(links.probs, "link distribution", ROW_SUM_TOL)
     return MembershipMatrix(membership_array(links.probs))
 
 
@@ -173,20 +180,11 @@ def temper_array(q: np.ndarray, temperature: float) -> np.ndarray:
     """
     if temperature <= 0:
         raise InputError(f"temperature must be positive, got {temperature}")
-    n = q.shape[0]
-    out = np.zeros_like(q)
-    for i in range(n):
-        row = q[i, : i + 1]
-        mask = row > 0.0
-        if not np.any(mask):
-            raise InputError(f"membership row {i + 1} has no positive mass")
-        logs = np.log(row[mask]) / temperature
-        logs -= logs.max()
-        w = np.exp(logs)
-        vals = np.zeros(i + 1)
-        vals[mask] = w / w.sum()
-        out[i, : i + 1] = vals
-    return out
+    support = np.tril(q > 0.0)
+    empty = ~support.any(axis=1)
+    if np.any(empty):
+        raise InputError(f"membership row {int(np.argmax(empty)) + 1} has no positive mass")
+    return masked_softmax(np.log(np.where(support, q, 1.0)) / temperature, support)
 
 
 def temper_backward(q: np.ndarray, qt: np.ndarray, temperature: float,
@@ -197,16 +195,11 @@ def temper_backward(q: np.ndarray, qt: np.ndarray, temperature: float,
     the positive support, ds/dlogq = (s * (ds - s . ds)) and
     dlogq/dq = 1/q, giving dq = (1/T) * (s/q) * (ds - sum(s * ds)).
     """
-    n = q.shape[0]
-    dq = np.zeros_like(q)
-    for i in range(n):
-        row_q = q[i, : i + 1]
-        row_s = qt[i, : i + 1]
-        row_ds = dqt[i, : i + 1]
-        rowdot = float(row_s @ row_ds)
-        ratio = np.where(row_q > 0.0, row_s / np.where(row_q > 0.0, row_q, 1.0), 0.0)
-        dq[i, : i + 1] = ratio * (row_ds - rowdot) / temperature
-    return dq
+    s = np.tril(qt)
+    support = np.tril(q > 0.0)
+    ratio = np.where(support, s / np.where(support, q, 1.0), 0.0)
+    rowdot = (s * dqt).sum(axis=1, keepdims=True)
+    return ratio * (dqt - rowdot) / temperature
 
 
 def tempered_membership(memberships: MembershipMatrix, temperature: float) -> MembershipMatrix:

@@ -35,7 +35,7 @@ import numpy as np
 from .clustering import decode_argmax
 from .corpus import Document
 from .errors import ConfigError, FormatError, InputError
-from .membership import (LinkDistribution, membership_array,
+from .membership import (LinkDistribution, masked_softmax, membership_array,
                          membership_backward, temper_array, temper_backward)
 from .relaxed import b3_soft_grad, gold_index_arrays, lea_soft_grad
 
@@ -260,7 +260,7 @@ def _forward_scores(doc: Document, params: ModelParams) -> _ScoreCache:
         h_p = np.zeros((0, params.hidden_p))
     scores = np.zeros((n, n))
     if n > 1:
-        scores[rows_i, cols_j] = h_a[rows_i] @ params.u[:ha] + h_p @ params.u[ha:] + params.u_0
+        scores[rows_i, cols_j] = (h_a @ params.u[:ha])[rows_i] + h_p @ params.u[ha:] + params.u_0
     np.fill_diagonal(scores, h_a @ params.v + params.v_0)
     return _ScoreCache(phi_a, phi_p, h_a, h_p, scores)
 
@@ -278,10 +278,7 @@ def link_probabilities(scores: np.ndarray) -> LinkDistribution:
     if not np.all(np.isfinite(np.tril(scores))):
         raise InputError("scores contain non-finite values")
     n = scores.shape[0]
-    masked = np.where(np.tril(np.ones((n, n), dtype=bool)), scores, -np.inf)
-    shifted = masked - masked.max(axis=1, keepdims=True)
-    weights = np.exp(shifted)
-    return LinkDistribution(weights / weights.sum(axis=1, keepdims=True))
+    return LinkDistribution(masked_softmax(scores, np.tri(n, dtype=bool)))
 
 
 def predict_antecedents(doc: Document, params: ModelParams) -> tuple[int, ...]:
@@ -303,10 +300,11 @@ def _score_backward(params: ModelParams, cache: _ScoreCache,
     d_pair = d_scores[rows_i, cols_j]
     d_self = np.diagonal(d_scores).copy()
 
+    # Every pair term of row i shares h_a[i], so its gradient is the row sum.
+    d_row = np.tril(d_scores, k=-1).sum(axis=1)
     u_a, u_p = params.u[:ha], params.u[ha:]
-    d_h_a = np.outer(d_self, params.v)
-    np.add.at(d_h_a, rows_i, np.outer(d_pair, u_a))
-    d_u = np.concatenate([cache.h_a[rows_i].T @ d_pair, cache.h_p.T @ d_pair])
+    d_h_a = np.outer(d_self, params.v) + np.outer(d_row, u_a)
+    d_u = np.concatenate([cache.h_a.T @ d_row, cache.h_p.T @ d_pair])
     d_v = cache.h_a.T @ d_self
     d_h_p = np.outer(d_pair, u_p)
 
@@ -353,24 +351,34 @@ def gamma_cost(u: int, i: int, gold_entity: int,
     return 0.0
 
 
+def correct_set_mask(ids: np.ndarray) -> np.ndarray:
+    """mask[i - 1, j - 1] = (j in C(m_i)) for gold entity ids e(m_i)."""
+    mask = np.tril(ids[:, None] == ids[None, :], k=-1)
+    mask[np.diag_indices_from(mask)] = ~mask.any(axis=1)
+    return mask
+
+
+def _cost_matrix(hit: np.ndarray, triple: tuple[float, float, float]) -> np.ndarray:
+    """The three-case costs of delta_cost / gamma_cost over a whole document.
+
+    ``hit[i, j]`` marks j as a correct target of i, and its diagonal marks
+    the mentions that open their entity.  Below the diagonal: c1 when i
+    opens, 0 on a hit, c3 otherwise; on it: c2 unless i opens.
+    """
+    c1, c2, c3 = triple
+    opens = np.diagonal(hit)
+    costs = np.tril(np.where(opens[:, None], c1, np.where(hit, 0.0, c3)), k=-1)
+    costs[np.diag_indices_from(costs)] = np.where(opens, 0.0, c2)
+    return costs
+
+
 def delta_matrix(doc: Document, costs: CostConfig) -> np.ndarray:
-    n = doc.n
-    delta = np.zeros((n, n))
-    for i in range(1, n + 1):
-        cand = doc.correct_antecedents(i)
-        for j in range(1, i + 1):
-            delta[i - 1, j - 1] = delta_cost(j, i, cand, costs)
-    return delta
+    return _cost_matrix(correct_set_mask(doc.gold_entity_array), costs.alphas)
 
 
 def gamma_matrix(doc: Document, costs: CostConfig) -> np.ndarray:
-    n = doc.n
     ids = doc.gold_entity_array
-    gamma = np.zeros((n, n))
-    for i in range(1, n + 1):
-        for u in range(1, i + 1):
-            gamma[i - 1, u - 1] = gamma_cost(u, i, int(ids[i - 1]), costs)
-    return gamma
+    return _cost_matrix(ids[:, None] == np.arange(1, doc.n + 1), costs.gammas)
 
 
 # ---------------------------------------------------------------------------
@@ -379,13 +387,9 @@ def gamma_matrix(doc: Document, costs: CostConfig) -> np.ndarray:
 
 def _mr_forward(doc: Document, params: ModelParams, costs: CostConfig):
     cache = _forward_scores(doc, params)
-    augmented = cache.scores + delta_matrix(doc, costs)
+    mask = correct_set_mask(doc.gold_entity_array)
+    augmented = cache.scores + _cost_matrix(mask, costs.alphas)
     probs = link_probabilities(augmented).probs
-    n = doc.n
-    mask = np.zeros((n, n), dtype=bool)
-    for i in range(1, n + 1):
-        for j in doc.correct_antecedents(i):
-            mask[i - 1, j - 1] = True
     correct_mass = (probs * mask).sum(axis=1)
     loss = float(-np.log(correct_mass).sum())
     return cache, probs, mask, correct_mass, loss

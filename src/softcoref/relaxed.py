@@ -90,9 +90,8 @@ def gold_index_arrays(gold: Clustering, n: int) -> tuple[np.ndarray, np.ndarray]
 
 def _soft_intersections(q: np.ndarray, gold_of: np.ndarray, num_clusters: int) -> np.ndarray:
     """x[v, u] = sum of q[i, u] over mentions i in gold cluster v."""
-    x = np.zeros((num_clusters, q.shape[1]))
-    np.add.at(x, gold_of, q)
-    return x
+    one_hot = np.arange(num_clusters)[:, None] == gold_of[None, :]
+    return one_hot.astype(float) @ q
 
 
 def _guarded_inverse(values: np.ndarray) -> np.ndarray:

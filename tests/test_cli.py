@@ -1,6 +1,7 @@
 """End-to-end command-line runs through ``run()`` (no subprocesses)."""
 
 import filecmp
+import json
 
 import pytest
 
@@ -92,6 +93,16 @@ class TestTrain:
     def test_missing_corpus_exit_1(self, tmp_path):
         assert cli("train", "--corpus", tmp_path / "nope.jsonl",
                    "--out", tmp_path / "m.json") == 1
+
+    def test_non_finite_features_exit_1(self, tmp_path, tiny_corpus, capsys):
+        lines = tiny_corpus.read_text().splitlines()
+        record = json.loads(lines[0])
+        record["mentions"][0]["features_a"][0] = float("nan")
+        lines[0] = json.dumps(record)
+        tiny_corpus.write_text("\n".join(lines) + "\n")
+        assert cli("train", "--corpus", tiny_corpus,
+                   "--out", tmp_path / "m.json") == 1
+        assert f"{tiny_corpus}:1" in capsys.readouterr().err
 
     def test_unknown_loss_exit_1(self, tmp_path, tiny_corpus):
         assert cli("train", "--corpus", tiny_corpus,

@@ -210,6 +210,24 @@ class TestCorpusIO:
         with pytest.raises(FormatError, match="dimension mismatch"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("field", ["mention", "pair"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_features_rejected_with_line(self, tmp_path, field, value):
+        docs = generate_synthetic(SyntheticConfig(num_docs=2, seed=5))
+        path = tmp_path / "c.jsonl"
+        save_corpus(docs, path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        if field == "mention":
+            record["mentions"][2]["features_a"][1] = value
+        else:
+            record["pairs"][-1]["features"][0] = value
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="non-finite features") as exc:
+            load_corpus(path)
+        assert exc.value.line == 2
+
     def test_new_marker_accepted(self, tmp_path):
         docs = generate_synthetic(SyntheticConfig(num_docs=1, seed=5))
         path = tmp_path / "c.jsonl"

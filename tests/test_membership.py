@@ -2,7 +2,8 @@
 
 The independent oracle here enumerates every antecedent vector with
 exact rational arithmetic, follows links to cluster anchors, and sums
-path probabilities; the recursion must reproduce it.
+path probabilities; the recursion must reproduce it.  The row-by-row
+loops below are the reference for the closed forms on long documents.
 """
 
 import itertools
@@ -13,13 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softcoref import (InputError, LinkDistribution, MembershipMatrix,
-                       brute_force_membership, membership,
-                       tempered_membership)
+from softcoref import (LOSS_KINDS, InputError, LinkDistribution,
+                       MembershipMatrix, ModelParams, brute_force_membership,
+                       grad_check, membership, tempered_membership)
 from softcoref.membership import (membership_array, membership_backward,
                                   temper_array, temper_backward)
 
-from conftest import random_link_distribution
+from conftest import make_document, random_link_distribution
 
 
 def enumeration_oracle(rows: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -36,6 +37,57 @@ def enumeration_oracle(rows: list[list[Fraction]]) -> list[list[Fraction]]:
                 root = vector[root]
             q[m][root] += weight
     return q
+
+
+def loop_membership(p: np.ndarray) -> np.ndarray:
+    """The recursion q[i, :i] = p[i, :i] @ q[:i, :i], q[i, i] = p[i, i]."""
+    n = p.shape[0]
+    q = np.zeros_like(p)
+    for i in range(n):
+        q[i, i] = p[i, i]
+        q[i, :i] = p[i, :i] @ q[:i, :i]
+    return q
+
+
+def loop_membership_backward(p: np.ndarray, q: np.ndarray, dq: np.ndarray) -> np.ndarray:
+    """Reverse sweep of the recursion, one row at a time."""
+    n = p.shape[0]
+    gbar = np.tril(dq).astype(float, copy=True)
+    dp = np.zeros_like(p)
+    for i in range(n - 1, -1, -1):
+        dp[i, i] += gbar[i, i]
+        dp[i, :i] += q[:i, :] @ gbar[i, :]
+        gbar[:i, :] += np.outer(p[i, :i], gbar[i, :])
+    return dp
+
+
+def loop_temper(q: np.ndarray, temperature: float) -> np.ndarray:
+    """Row-by-row softmax(log q / T) over the positive entries u <= i."""
+    out = np.zeros_like(q)
+    for i in range(q.shape[0]):
+        row = q[i, : i + 1]
+        mask = row > 0.0
+        logs = np.log(row[mask]) / temperature
+        w = np.exp(logs - logs.max())
+        out[i, : i + 1][mask] = w / w.sum()
+    return out
+
+
+def loop_temper_backward(q: np.ndarray, qt: np.ndarray, temperature: float,
+                         dqt: np.ndarray) -> np.ndarray:
+    """Row-by-row log-space softmax Jacobian."""
+    dq = np.zeros_like(q)
+    for i in range(q.shape[0]):
+        row_q, row_s, row_ds = q[i, : i + 1], qt[i, : i + 1], dqt[i, : i + 1]
+        ratio = np.where(row_q > 0.0, row_s / np.where(row_q > 0.0, row_q, 1.0), 0.0)
+        dq[i, : i + 1] = ratio * (row_ds - row_s @ row_ds) / temperature
+    return dq
+
+
+def assert_close_to_scale(actual: np.ndarray, expected: np.ndarray, tol: float = 1e-12):
+    """Largest difference at most ``tol`` times the larger of 1 and max |expected|."""
+    scale = max(1.0, float(np.max(np.abs(expected))))
+    assert float(np.max(np.abs(actual - expected))) <= tol * scale
 
 
 FIXTURE_ROWS = [
@@ -154,6 +206,12 @@ class TestTemper:
             with pytest.raises(InputError):
                 tempered_membership(q, temp)
 
+    def test_rejects_row_without_mass(self):
+        q = np.tril(np.ones((4, 4))) / np.arange(1, 5)[:, None]
+        q[2, :3] = 0.0
+        with pytest.raises(InputError, match="row 3 has no positive mass"):
+            temper_array(q, 0.5)
+
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 12),
            temp=st.sampled_from([0.05, 0.3, 1.0, 2.5]))
     @settings(max_examples=60, deadline=None)
@@ -203,3 +261,39 @@ class TestArrayBackward:
                     minus = float((temper_array(bumped, temp) * weights).sum())
                     fd = (plus - minus) / (2 * h)
                     assert abs(analytic[i, j] - fd) < 1e-5 * max(1.0, abs(fd))
+
+
+class TestLongDocuments:
+    """Closed forms against the row-by-row loops, and every loss's
+    gradient, on documents with hundreds of mentions."""
+
+    N = 300
+
+    def test_membership_matches_loops(self):
+        rng = np.random.default_rng(300)
+        p = random_link_distribution(rng, self.N).probs
+        q = membership_array(p)
+        assert_close_to_scale(q, loop_membership(p))
+        dq = np.tril(rng.normal(size=p.shape))
+        assert_close_to_scale(membership_backward(p, q, dq),
+                              loop_membership_backward(p, q, dq))
+
+    @pytest.mark.parametrize("temp", [0.1, 0.5, 2.0])
+    def test_temper_matches_loops(self, temp):
+        rng = np.random.default_rng(301)
+        q = membership_array(random_link_distribution(rng, self.N).probs)
+        qt = temper_array(q, temp)
+        assert_close_to_scale(qt, loop_temper(q, temp))
+        dqt = np.tril(rng.normal(size=q.shape))
+        assert_close_to_scale(temper_backward(q, qt, temp, dqt),
+                              loop_temper_backward(q, qt, temp, dqt))
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_gradients_at_150_mentions(self, kind):
+        rng = np.random.default_rng(150)
+        labels = rng.integers(0, 12, size=150)
+        first = {}
+        ids = [first.setdefault(int(lab), i) for i, lab in enumerate(labels, start=1)]
+        doc = make_document("long", ids, seed=150)
+        params = ModelParams.random(4, 5, hidden_a=3, hidden_p=4, seed=150)
+        assert grad_check(doc, params, kind, temperature=0.5, max_coords=16) < 1e-5

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softcoref import (Clustering, ConfigError, CostConfig, Document,
                        FormatError, InputError, LOSS_KINDS, Mention,
@@ -20,7 +22,8 @@ from softcoref import (Clustering, ConfigError, CostConfig, Document,
                        relaxed_loss, relaxed_metric_loss, score_pairs,
                        validate_antecedent_vector)
 from softcoref.membership import MembershipMatrix, membership_array
-from softcoref.model import delta_matrix, gamma_matrix, l1_subgradient
+from softcoref.model import (correct_set_mask, delta_matrix, gamma_matrix,
+                             l1_subgradient)
 
 from conftest import make_document
 
@@ -234,6 +237,28 @@ class TestCosts:
         ])
         np.testing.assert_array_equal(delta_matrix(doc, costs), expected)
         np.testing.assert_array_equal(gamma_matrix(doc, costs), expected)
+
+    @given(labels=st.lists(st.integers(0, 8), min_size=1, max_size=60),
+           alphas=st.tuples(*[st.floats(0.0, 10.0)] * 3),
+           gammas=st.tuples(*[st.floats(0.0, 10.0)] * 3))
+    @settings(max_examples=40, deadline=None)
+    def test_matrices_match_scalar_costs(self, labels, alphas, gammas):
+        first = {}
+        ids = [first.setdefault(lab, i) for i, lab in enumerate(labels, start=1)]
+        doc = make_document("d", ids, d_a=1, d_p=1)
+        costs = CostConfig(alphas=alphas, gammas=gammas)
+        n = doc.n
+        delta, gamma = np.zeros((n, n)), np.zeros((n, n))
+        mask = np.zeros((n, n), dtype=bool)
+        for i in range(1, n + 1):
+            cand = doc.correct_antecedents(i)
+            for j in range(1, i + 1):
+                delta[i - 1, j - 1] = delta_cost(j, i, cand, costs)
+                gamma[i - 1, j - 1] = gamma_cost(j, i, ids[i - 1], costs)
+                mask[i - 1, j - 1] = j in cand
+        np.testing.assert_array_equal(delta_matrix(doc, costs), delta)
+        np.testing.assert_array_equal(gamma_matrix(doc, costs), gamma)
+        np.testing.assert_array_equal(correct_set_mask(doc.gold_entity_array), mask)
 
     def test_rejects_negative_costs(self):
         with pytest.raises(ConfigError):

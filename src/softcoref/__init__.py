@@ -29,12 +29,8 @@ from .metrics import (PRF, BlancCounts, MetricCounts, b_cubed, b_cubed_counts,
                       ceaf_m_counts, conll_average, f_beta, lea, lea_counts,
                       muc, muc_counts)
 from .model import (LOSS_KINDS, CostConfig, ModelParams, delta_cost,
-                    document_loss, document_loss_and_grad, entity_centric_loss,
-                    entity_centric_loss_and_grad, gamma_cost, l1_norm,
-                    link_probabilities, mention_ranking_loss,
-                    mention_ranking_loss_and_grad, predict_antecedents,
-                    relaxed_metric_loss, relaxed_metric_loss_and_grad,
-                    score_pairs)
+                    document_loss, document_loss_and_grad, gamma_cost, l1_norm,
+                    link_probabilities, predict_antecedents, score_pairs)
 from .optim import (BETA_GRID, EpochRecord, TrainConfig, TrainHistory,
                     adagrad_step, beta_sweep, grad_check, train)
 from .relaxed import (GUARD_EPS, RelaxedScore, relaxed_b3, relaxed_lea,
@@ -54,16 +50,14 @@ __all__ = [
     "ceaf_e", "ceaf_e_counts", "ceaf_m", "ceaf_m_counts",
     "clusters_from_entity_ids", "conll_average", "corpus_report",
     "decode_argmax", "decode_clusters", "delta_cost", "document_loss",
-    "document_loss_and_grad", "entity_centric_loss",
-    "entity_centric_loss_and_grad", "error_breakdown", "evaluate_corpus",
+    "document_loss_and_grad", "error_breakdown", "evaluate_corpus",
     "f_beta", "format_breakdown", "format_report", "gamma_cost",
     "generate_synthetic", "grad_check", "l1_norm", "lea", "lea_counts",
-    "link_probabilities", "load_corpus", "membership", "mention_ranking_loss",
-    "mention_ranking_loss_and_grad", "metric_report", "muc", "muc_counts",
-    "parse_conll_documents", "parse_conll_key", "predict_antecedents",
-    "relaxed_b3", "relaxed_lea", "relaxed_loss", "relaxed_metric_loss",
-    "relaxed_metric_loss_and_grad", "report_csv", "save_corpus", "score_pairs",
-    "soft_link", "soft_size", "tempered_membership", "train",
+    "link_probabilities", "load_corpus", "membership", "metric_report", "muc",
+    "muc_counts", "parse_conll_documents", "parse_conll_key",
+    "predict_antecedents", "relaxed_b3", "relaxed_lea", "relaxed_loss",
+    "report_csv", "save_corpus", "score_pairs", "soft_link", "soft_size",
+    "tempered_membership", "train",
     "validate_antecedent_vector", "write_conll_response",
     "write_conll_responses",
 ]

@@ -14,7 +14,8 @@ import sys
 
 from . import analysis, corpus, optim
 from .errors import ConfigError, FormatError, InputError, SoftcorefError
-from .model import CostConfig, ModelParams, predict_antecedents
+from .model import (DEFAULT_ALPHAS, LOSS_KINDS, CostConfig, ModelParams,
+                    predict_antecedents)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,8 +42,7 @@ def _build_parser() -> _Parser:
     t = sub.add_parser("train", help="train a model on a feature corpus")
     t.add_argument("--corpus", required=True)
     t.add_argument("--dev", help="dev corpus for model selection")
-    t.add_argument("--loss", default="mr-heuristic",
-                   choices=["mr-heuristic", "ec-heuristic", "b3", "lea"])
+    t.add_argument("--loss", default="mr-heuristic", choices=LOSS_KINDS)
     t.add_argument("--beta", type=float, default=1.0)
     t.add_argument("--temp", type=float, default=1.0, help="relaxation temperature")
     t.add_argument("--lr", type=float, default=0.05)
@@ -54,9 +54,9 @@ def _build_parser() -> _Parser:
     t.add_argument("--hidden-p", type=int, default=700)
     t.add_argument("--scale", type=float, default=0.1, help="random-init scale")
     t.add_argument("--init", help="model file to start from")
-    t.add_argument("--alphas", type=float, nargs=3, default=(0.1, 3.0, 1.0),
+    t.add_argument("--alphas", type=float, nargs=3, default=DEFAULT_ALPHAS,
                    metavar=("FA", "FN", "WL"))
-    t.add_argument("--gammas", type=float, nargs=3, default=(0.1, 3.0, 1.0),
+    t.add_argument("--gammas", type=float, nargs=3, default=DEFAULT_ALPHAS,
                    metavar=("FA", "FN", "WL"))
     t.add_argument("--out", required=True, help="output model path")
     t.add_argument("--history", help="write per-epoch CSV here")
@@ -80,8 +80,7 @@ def _build_parser() -> _Parser:
     c = sub.add_parser("gradcheck", help="finite-difference gradient check")
     c.add_argument("--corpus", required=True, help="documents to check on")
     c.add_argument("--model", help="model file (default: random small params)")
-    c.add_argument("--loss", default="mr-heuristic",
-                   choices=["mr-heuristic", "ec-heuristic", "b3", "lea"])
+    c.add_argument("--loss", default="mr-heuristic", choices=LOSS_KINDS)
     c.add_argument("--beta", type=float, default=1.0)
     c.add_argument("--temp", type=float, default=1.0)
     c.add_argument("--h", type=float, default=1e-5, help="central difference step")

@@ -151,7 +151,6 @@ def brute_force_membership(links: LinkDistribution) -> MembershipMatrix:
     n = links.n
     if n > 8:
         raise InputError("brute-force membership is limited to n <= 8")
-    _check_lower_triangular_rows(links.probs, "link distribution", ROW_SUM_TOL)
     p = links.probs
     q = np.zeros((n, n))
     choices = [range(i + 1) for i in range(n)]  # 0-based antecedent j <= i

@@ -9,37 +9,42 @@ layer, then scores antecedent candidates:
 with h_a = tanh(W_a phi_a + b_a) and h_p = tanh(W_p phi_p + b_p).  A row
 softmax over j <= i turns scores into antecedent link probabilities.
 
-Three objectives share this forward pass:
+The training objectives differ only in how the score matrix becomes a
+loss.  One registry maps each of LOSS_KINDS to a function returning the
+loss and a ``backward()`` that gives its gradient on the scores:
 
-  * mention-ranking softmax-margin: cost-augmented cross entropy over
-    the correct-antecedent set C(m_i), costs added to scores inside the
-    normalizer;
-  * entity-centric softmax-margin: cross entropy on the recursive
-    mention-to-entity membership probabilities, with the analogous
-    cost taxonomy over entity anchors;
-  * relaxed-metric: minimize -F_beta of the differentiable B-cubed or
-    LEA surrogate at a temperature.
+  * ``mr-heuristic`` (mention-ranking softmax-margin): cost-augmented
+    cross entropy over the correct-antecedent set C(m_i), costs added
+    to scores inside the normalizer;
+  * ``ec-heuristic`` (entity-centric softmax-margin): cross entropy on
+    the recursive mention-to-entity membership probabilities, with the
+    analogous cost taxonomy over entity anchors;
+  * ``b3`` / ``lea`` (relaxed metric): -F_beta of the differentiable
+    B-cubed or LEA surrogate at a temperature.
 
-All gradients are closed-form reverse passes (tanh, softmax, the
-membership recursion, and the metric expressions); no autodiff.
+``document_loss`` (forward only, for the gradient checker) and
+``document_loss_and_grad`` (training) share one path: check the
+settings, score the document, look the loss up, add lam * L1; the
+latter then runs ``backward()`` and the scorer's reverse pass.  All
+gradients are closed-form reverse passes (tanh, softmax, the membership
+recursion, and the metric expressions); no autodiff.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .clustering import decode_argmax
 from .corpus import Document
-from .errors import ConfigError, FormatError, InputError
+from .errors import ConfigError, FormatError, InputError, TrainingError
 from .membership import (LinkDistribution, masked_softmax, membership_array,
                          membership_backward, temper_array, temper_backward)
 from .relaxed import b3_soft_grad, gold_index_arrays, lea_soft_grad
-
-LOSS_KINDS = ("mr-heuristic", "ec-heuristic", "b3", "lea")
 
 MODEL_FORMAT = "softcoref-model"
 MODEL_VERSION = 1
@@ -382,163 +387,126 @@ def gamma_matrix(doc: Document, costs: CostConfig) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Mention-ranking softmax-margin loss
+# Loss registry shared by training and the gradient checker
 # ---------------------------------------------------------------------------
+#
+# Every entry maps (doc, scores, costs, beta, temperature) to
+# (loss, backward); backward() returns d loss / d scores.
 
-def _mr_forward(doc: Document, params: ModelParams, costs: CostConfig):
-    cache = _forward_scores(doc, params)
+def _mention_ranking(doc: Document, scores: np.ndarray, costs: CostConfig,
+                     beta: float, temperature: float):
+    """Cost-augmented negative log-likelihood of the correct-antecedent sets."""
     mask = correct_set_mask(doc.gold_entity_array)
-    augmented = cache.scores + _cost_matrix(mask, costs.alphas)
-    probs = link_probabilities(augmented).probs
+    augmented = scores + _cost_matrix(mask, costs.alphas)
+    probs = masked_softmax(augmented, np.tri(doc.n, dtype=bool))
     correct_mass = (probs * mask).sum(axis=1)
-    loss = float(-np.log(correct_mass).sum())
-    return cache, probs, mask, correct_mass, loss
+
+    def backward() -> np.ndarray:
+        # d loss / d augmented-score = p' - p' restricted to C and renormalized
+        return probs - np.where(mask, probs, 0.0) / correct_mass[:, None]
+
+    return float(-np.log(correct_mass).sum()), backward
 
 
-def mention_ranking_loss(doc: Document, params: ModelParams,
-                         costs: CostConfig = CostConfig(), lam: float = 0.0) -> float:
-    """Cost-augmented negative log-likelihood of the correct-antecedent
-    sets, plus lam * L1."""
-    *_, loss = _mr_forward(doc, params, costs)
-    return loss + lam * l1_norm(params)
-
-
-def mention_ranking_loss_and_grad(doc: Document, params: ModelParams,
-                                  costs: CostConfig = CostConfig(),
-                                  lam: float = 0.0) -> tuple[float, ModelParams]:
-    cache, probs, mask, correct_mass, loss = _mr_forward(doc, params, costs)
-    # d loss / d augmented-score = p' - p' restricted to C and renormalized
-    d_scores = probs - np.where(mask, probs, 0.0) / correct_mass[:, None]
-    grad = _score_backward(params, cache, d_scores, doc.tril_pairs)
-    return _finish_loss_and_grad(loss, grad, params, lam)
-
-
-# ---------------------------------------------------------------------------
-# Entity-centric softmax-margin loss
-# ---------------------------------------------------------------------------
-
-def _ec_forward(doc: Document, params: ModelParams, costs: CostConfig):
-    cache = _forward_scores(doc, params)
-    probs = link_probabilities(cache.scores).probs
-    q = membership_array(probs)
+def _entity_centric(doc: Document, scores: np.ndarray, costs: CostConfig,
+                    beta: float, temperature: float):
+    """Cost-augmented negative log-probability that each mention joins its
+    gold entity, through the membership recursion."""
     n = doc.n
     ids = doc.gold_entity_array
     if np.any(ids > np.arange(1, n + 1)):
         raise InputError(f"document {doc.id}: gold entity anchored after its mention")
-    weights = q * np.exp(gamma_matrix(doc, costs))
-    weights = np.tril(weights)
+    probs = masked_softmax(scores, np.tri(n, dtype=bool))
+    q = membership_array(probs)
+    weights = np.tril(q * np.exp(gamma_matrix(doc, costs)))
     totals = weights.sum(axis=1)
-    gold_w = weights[np.arange(n), ids - 1]
-    loss = float(-(np.log(gold_w) - np.log(totals)).sum())
-    return cache, probs, q, weights, totals, gold_w, loss
+    gold = (np.arange(n), ids - 1)
+    loss = float(-(np.log(weights[gold]) - np.log(totals)).sum())
+
+    def backward() -> np.ndarray:
+        # d loss / d q[i, u] = exp(Gamma_iu)/total_i - 1[u = e_i]/q[i, e_i];
+        # weights/q recovers exp(Gamma) on the support without recomputing it.
+        d_q = np.where(q > 0.0, weights / np.where(q > 0.0, q, 1.0), 0.0) / totals[:, None]
+        d_q[gold] -= 1.0 / q[gold]
+        return _softmax_backward(probs, membership_backward(probs, q, d_q))
+
+    return loss, backward
 
 
-def entity_centric_loss(doc: Document, params: ModelParams,
-                        costs: CostConfig = CostConfig(), lam: float = 0.0) -> float:
-    """Cost-augmented negative log-probability that each mention joins
-    its gold entity, through the membership recursion, plus lam * L1."""
-    *_, loss = _ec_forward(doc, params, costs)
-    return loss + lam * l1_norm(params)
+def _relaxed(soft_grad, doc: Document, scores: np.ndarray, costs: CostConfig,
+             beta: float, temperature: float):
+    """-F_beta of a relaxed metric (soft_grad is b3_soft_grad or
+    lea_soft_grad) on the tempered memberships, against gold clusters."""
+    probs = masked_softmax(scores, np.tri(doc.n, dtype=bool))
+    q = membership_array(probs)
+    qt = q if temperature == 1.0 else temper_array(q, temperature)
+    gold_of, sizes = gold_index_arrays(doc.gold_clusters, doc.n)
+    _, _, f, d_qt = soft_grad(qt, gold_of, sizes, beta)
+
+    def backward() -> np.ndarray:
+        d_q = -d_qt if temperature == 1.0 else temper_backward(q, qt, temperature, -d_qt)
+        return _softmax_backward(probs, membership_backward(probs, q, d_q))
+
+    return -f, backward
 
 
-def entity_centric_loss_and_grad(doc: Document, params: ModelParams,
-                                 costs: CostConfig = CostConfig(),
-                                 lam: float = 0.0) -> tuple[float, ModelParams]:
-    cache, probs, q, weights, totals, gold_w, loss = _ec_forward(doc, params, costs)
-    n = doc.n
-    ids = doc.gold_entity_array
-    # d loss / d q[i, u] = exp(Gamma_iu)/total_i - 1[u = e_i]/q[i, e_i];
-    # weights/q recovers exp(Gamma) on the support without recomputing it.
-    d_q = np.where(q > 0.0, weights / np.where(q > 0.0, q, 1.0), 0.0) / totals[:, None]
-    d_q[np.arange(n), ids - 1] -= 1.0 / q[np.arange(n), ids - 1]
-    d_probs = membership_backward(probs, q, d_q)
-    d_scores = _softmax_backward(probs, d_probs)
-    grad = _score_backward(params, cache, d_scores, doc.tril_pairs)
-    return _finish_loss_and_grad(loss, grad, params, lam)
+_LOSSES = {
+    "mr-heuristic": _mention_ranking,
+    "ec-heuristic": _entity_centric,
+    "b3": partial(_relaxed, b3_soft_grad),
+    "lea": partial(_relaxed, lea_soft_grad),
+}
+
+LOSS_KINDS = tuple(_LOSSES)
 
 
-# ---------------------------------------------------------------------------
-# Relaxed-metric loss
-# ---------------------------------------------------------------------------
-
-_SOFT_GRADS = {"b3": b3_soft_grad, "lea": lea_soft_grad}
-
-
-def _relaxed_forward(doc: Document, params: ModelParams, metric: str,
-                     beta: float, temperature: float):
-    if metric not in _SOFT_GRADS:
-        raise ConfigError(f"unknown relaxed metric {metric!r} (expected b3 or lea)")
+def _check_loss_settings(kind: str, beta: float, temperature: float, lam: float) -> None:
+    """Reject loss settings that no objective accepts."""
+    if kind not in _LOSSES:
+        raise ConfigError(f"unknown loss kind {kind!r} (expected one of {LOSS_KINDS})")
     if beta <= 0:
         raise ConfigError(f"beta must be positive, got {beta}")
     if temperature <= 0:
         raise ConfigError(f"temperature must be positive, got {temperature}")
-    cache = _forward_scores(doc, params)
-    probs = link_probabilities(cache.scores).probs
-    q = membership_array(probs)
-    qt = q if temperature == 1.0 else temper_array(q, temperature)
-    gold_of, sizes = gold_index_arrays(doc.gold_clusters, doc.n)
-    return cache, probs, q, qt, gold_of, sizes
-
-
-def relaxed_metric_loss(doc: Document, params: ModelParams, metric: str = "b3",
-                        beta: float = 1.0, temperature: float = 1.0,
-                        lam: float = 0.0) -> float:
-    """-F_beta of the relaxed metric against gold clusters, plus lam * L1."""
-    _, _, _, qt, gold_of, sizes = _relaxed_forward(doc, params, metric, beta, temperature)
-    _, _, f, _ = _SOFT_GRADS[metric](qt, gold_of, sizes, beta)
-    return -f + lam * l1_norm(params)
-
-
-def relaxed_metric_loss_and_grad(doc: Document, params: ModelParams, metric: str = "b3",
-                                 beta: float = 1.0, temperature: float = 1.0,
-                                 lam: float = 0.0) -> tuple[float, ModelParams]:
-    cache, probs, q, qt, gold_of, sizes = _relaxed_forward(doc, params, metric, beta, temperature)
-    _, _, f, d_qt = _SOFT_GRADS[metric](qt, gold_of, sizes, beta)
-    d_qt = -d_qt
-    d_q = d_qt if temperature == 1.0 else temper_backward(q, qt, temperature, d_qt)
-    d_probs = membership_backward(probs, q, d_q)
-    d_scores = _softmax_backward(probs, d_probs)
-    grad = _score_backward(params, cache, d_scores, doc.tril_pairs)
-    return _finish_loss_and_grad(-f, grad, params, lam)
-
-
-# ---------------------------------------------------------------------------
-# Dispatcher shared by training and the gradient checker
-# ---------------------------------------------------------------------------
-
-def _finish_loss_and_grad(loss: float, grad: ModelParams, params: ModelParams,
-                          lam: float) -> tuple[float, ModelParams]:
     if lam < 0:
         raise ConfigError(f"l1 weight must be nonnegative, got {lam}")
-    if lam == 0.0:
-        return loss, grad
-    total = grad.to_vector() + lam * np.sign(params.to_vector())
-    return loss + lam * l1_norm(params), params.from_vector(total)
+
+
+def _loss_and_backward(doc: Document, params: ModelParams, kind: str,
+                       costs: Optional[CostConfig], beta: float,
+                       temperature: float, lam: float):
+    _check_loss_settings(kind, beta, temperature, lam)
+    costs = costs if costs is not None else CostConfig()
+    cache = _forward_scores(doc, params)
+    with np.errstate(divide="ignore"):  # log(0) is reported just below
+        loss, backward = _LOSSES[kind](doc, cache.scores, costs, beta, temperature)
+    if not np.isfinite(loss):
+        raise TrainingError(f"non-finite {kind} loss on document {doc.id}")
+    if lam:
+        loss += lam * l1_norm(params)
+    return cache, loss, backward
 
 
 def document_loss(doc: Document, params: ModelParams, kind: str, *,
                   costs: Optional[CostConfig] = None, beta: float = 1.0,
                   temperature: float = 1.0, lam: float = 0.0) -> float:
-    """Loss of one document under any of the four training objectives."""
-    costs = costs if costs is not None else CostConfig()
-    if kind == "mr-heuristic":
-        return mention_ranking_loss(doc, params, costs, lam)
-    if kind == "ec-heuristic":
-        return entity_centric_loss(doc, params, costs, lam)
-    if kind in _SOFT_GRADS:
-        return relaxed_metric_loss(doc, params, kind, beta, temperature, lam)
-    raise ConfigError(f"unknown loss kind {kind!r} (expected one of {LOSS_KINDS})")
+    """Loss of one document under any of the LOSS_KINDS objectives, plus
+    lam * L1; forward pass only.  A non-finite objective raises
+    TrainingError naming the document."""
+    _, loss, _ = _loss_and_backward(doc, params, kind, costs, beta, temperature, lam)
+    return loss
 
 
 def document_loss_and_grad(doc: Document, params: ModelParams, kind: str, *,
                            costs: Optional[CostConfig] = None, beta: float = 1.0,
                            temperature: float = 1.0,
                            lam: float = 0.0) -> tuple[float, ModelParams]:
-    costs = costs if costs is not None else CostConfig()
-    if kind == "mr-heuristic":
-        return mention_ranking_loss_and_grad(doc, params, costs, lam)
-    if kind == "ec-heuristic":
-        return entity_centric_loss_and_grad(doc, params, costs, lam)
-    if kind in _SOFT_GRADS:
-        return relaxed_metric_loss_and_grad(doc, params, kind, beta, temperature, lam)
-    raise ConfigError(f"unknown loss kind {kind!r} (expected one of {LOSS_KINDS})")
+    """document_loss and its gradient wrt every parameter; the L1 term
+    contributes lam * sign(theta).  The TrainingError for a non-finite
+    loss comes before any gradient is formed."""
+    cache, loss, backward = _loss_and_backward(doc, params, kind, costs, beta,
+                                               temperature, lam)
+    grad = _score_backward(params, cache, backward(), doc.tril_pairs)
+    if lam:
+        grad = params.from_vector(grad.to_vector() + lam * np.sign(params.to_vector()))
+    return loss, grad

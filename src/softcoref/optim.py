@@ -20,8 +20,8 @@ import numpy as np
 from .analysis import MetricReport, evaluate_corpus
 from .corpus import Document
 from .errors import ConfigError, TrainingError
-from .model import (LOSS_KINDS, CostConfig, ModelParams, document_loss,
-                    document_loss_and_grad)
+from .model import (CostConfig, ModelParams, _check_loss_settings,
+                    document_loss, document_loss_and_grad)
 
 ADAGRAD_EPS = 1e-8
 
@@ -48,18 +48,11 @@ class TrainConfig:
     eps: float = ADAGRAD_EPS
 
     def __post_init__(self):
-        if self.loss not in LOSS_KINDS:
-            raise ConfigError(f"unknown loss kind {self.loss!r} (expected one of {LOSS_KINDS})")
-        if self.beta <= 0:
-            raise ConfigError(f"beta must be positive, got {self.beta}")
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
+        _check_loss_settings(self.loss, self.beta, self.temperature, self.lam)
         if self.learning_rate <= 0:
             raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
-        if self.lam < 0:
-            raise ConfigError(f"l1 weight must be nonnegative, got {self.lam}")
         if self.eps <= 0:
             raise ConfigError(f"adagrad eps must be positive, got {self.eps}")
         if self.hidden_a < 1 or self.hidden_p < 1:
@@ -160,16 +153,8 @@ def train(corpus: Sequence[Document], dev: Sequence[Document],
                 doc, params, config.loss, costs=config.costs, beta=config.beta,
                 temperature=temperature, lam=config.lam,
             )
-            if not np.isfinite(loss):
-                raise TrainingError(
-                    f"non-finite loss on document {doc.id} in epoch {epoch}"
-                )
-            gvec = grad.to_vector()
-            if not np.all(np.isfinite(gvec)):
-                raise TrainingError(
-                    f"non-finite gradient on document {doc.id} in epoch {epoch}"
-                )
-            vec, accum = adagrad_step(vec, gvec, accum, config.learning_rate, config.eps)
+            vec, accum = adagrad_step(vec, grad.to_vector(), accum,
+                                      config.learning_rate, config.eps)
             params = params.from_vector(vec)
             losses.append(loss)
         report = evaluate_corpus(dev, params) if dev else None

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from softcoref import (Clustering, Document, LinkDistribution, Mention,
-                       SyntheticConfig, generate_synthetic)
+                       ModelParams, SyntheticConfig, generate_synthetic)
 
 
 def random_link_distribution(rng: np.random.Generator, n: int) -> LinkDistribution:
@@ -42,6 +42,16 @@ def small_corpus(num_docs=3, seed=0, **overrides) -> list[Document]:
                     entities_per_doc=(2, 3), d_a=6, d_p=7, noise=0.2, seed=seed)
     defaults.update(overrides)
     return generate_synthetic(SyntheticConfig(**defaults))
+
+
+def saturated_params(d_a: int, d_p: int) -> ModelParams:
+    """Hidden 50/50 with u and v scaled x1000: on synthetic documents with
+    d_a 12 and d_p 14 the scores reach the thousands, and the
+    softmax-margin losses' correct-set and gold masses underflow to 0."""
+    params = ModelParams.random(d_a, d_p, hidden_a=50, hidden_p=50, seed=0)
+    params.u *= 1000.0
+    params.v *= 1000.0
+    return params
 
 
 @pytest.fixture

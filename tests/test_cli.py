@@ -8,6 +8,8 @@ import pytest
 from softcoref import Clustering, write_conll_responses
 from softcoref.cli import run
 
+from conftest import saturated_params
+
 
 def cli(*argv) -> int:
     return run([str(a) for a in argv])
@@ -103,6 +105,16 @@ class TestTrain:
         assert cli("train", "--corpus", tiny_corpus,
                    "--out", tmp_path / "m.json") == 1
         assert f"{tiny_corpus}:1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("loss", ["mr-heuristic", "ec-heuristic"])
+    def test_diverging_run_exit_2(self, tmp_path, loss, capsys):
+        corpus = tmp_path / "c.jsonl"
+        assert cli("generate", "--docs", 3, "--seed", 0, "--out", corpus) == 0
+        hot = tmp_path / "hot.json"
+        saturated_params(12, 14).save(hot)
+        assert cli("train", "--corpus", corpus, "--init", hot, "--loss", loss,
+                   "--epochs", 1, "--out", tmp_path / "m.json") == 2
+        assert f"error: non-finite {loss} loss on document" in capsys.readouterr().err
 
     def test_unknown_loss_exit_1(self, tmp_path, tiny_corpus):
         assert cli("train", "--corpus", tiny_corpus,

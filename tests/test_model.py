@@ -15,12 +15,9 @@ from hypothesis import strategies as st
 from softcoref import (Clustering, ConfigError, CostConfig, Document,
                        FormatError, InputError, LOSS_KINDS, Mention,
                        ModelParams, delta_cost, document_loss,
-                       document_loss_and_grad, entity_centric_loss,
-                       entity_centric_loss_and_grad, gamma_cost, l1_norm,
-                       link_probabilities, mention_ranking_loss,
-                       mention_ranking_loss_and_grad, predict_antecedents,
-                       relaxed_loss, relaxed_metric_loss, score_pairs,
-                       validate_antecedent_vector)
+                       document_loss_and_grad, gamma_cost, l1_norm,
+                       link_probabilities, predict_antecedents, relaxed_loss,
+                       score_pairs, validate_antecedent_vector)
 from softcoref.membership import MembershipMatrix, membership_array
 from softcoref.model import (correct_set_mask, delta_matrix, gamma_matrix,
                              l1_subgradient)
@@ -271,26 +268,26 @@ class TestMentionRankingLoss:
     def test_uniform_no_costs(self):
         doc = tiny_document((1, 1))
         params = ModelParams.zeros(1, 1, hidden_a=1, hidden_p=1)
-        loss = mention_ranking_loss(doc, params, CostConfig.zero())
+        loss = document_loss(doc, params, "mr-heuristic", costs=CostConfig.zero())
         assert abs(loss - math.log(2.0)) < 1e-12
 
     def test_uniform_with_default_costs(self):
         doc = tiny_document((1, 1))
         params = ModelParams.zeros(1, 1, hidden_a=1, hidden_p=1)
-        loss = mention_ranking_loss(doc, params, CostConfig())
+        loss = document_loss(doc, params, "mr-heuristic", costs=CostConfig())
         assert abs(loss - math.log(1.0 + math.e ** 3)) < 1e-12
 
     def test_confident_correct_model_near_zero(self):
         doc = tiny_document((1, 2))
         params = ModelParams.zeros(1, 1, hidden_a=1, hidden_p=1)
         params.v_0 = 20.0                # huge self-link score
-        loss = mention_ranking_loss(doc, params, CostConfig())
+        loss = document_loss(doc, params, "mr-heuristic", costs=CostConfig())
         assert 0.0 <= loss < 1e-6
 
     def test_matches_plain_cross_entropy_when_costs_zero(self):
         doc = make_document("d", [1, 2, 1, 2, 5], seed=11)
         params = ModelParams.random(4, 5, hidden_a=3, hidden_p=4, seed=11)
-        loss = mention_ranking_loss(doc, params, CostConfig.zero())
+        loss = document_loss(doc, params, "mr-heuristic", costs=CostConfig.zero())
         scores = np.tril(score_pairs(doc, params))
         expected = 0.0
         for i in range(1, doc.n + 1):
@@ -303,15 +300,17 @@ class TestMentionRankingLoss:
     def test_raising_costs_raises_loss(self):
         doc = make_document("d", [1, 1, 3, 3])
         params = ModelParams.zeros(4, 5, hidden_a=2, hidden_p=2)
-        losses = [mention_ranking_loss(doc, params, CostConfig(alphas=(0.0, a2, 0.0)))
+        losses = [document_loss(doc, params, "mr-heuristic",
+                                costs=CostConfig(alphas=(0.0, a2, 0.0)))
                   for a2 in (0.0, 1.0, 5.0)]
         assert losses[0] < losses[1] < losses[2]
 
     def test_l1_term(self):
         doc = tiny_document((1, 1))
         params = tiny_params()
-        base = mention_ranking_loss(doc, params, CostConfig.zero())
-        with_l1 = mention_ranking_loss(doc, params, CostConfig.zero(), lam=0.5)
+        base = document_loss(doc, params, "mr-heuristic", costs=CostConfig.zero())
+        with_l1 = document_loss(doc, params, "mr-heuristic", costs=CostConfig.zero(),
+                                lam=0.5)
         assert abs(with_l1 - (base + 0.5 * l1_norm(params))) < 1e-12
 
 
@@ -319,7 +318,7 @@ class TestEntityCentricLoss:
     def test_uniform_no_costs(self):
         doc = tiny_document((1, 1))
         params = ModelParams.zeros(1, 1, hidden_a=1, hidden_p=1)
-        loss = entity_centric_loss(doc, params, CostConfig.zero())
+        loss = document_loss(doc, params, "ec-heuristic", costs=CostConfig.zero())
         assert abs(loss - math.log(2.0)) < 1e-12
 
     def test_oracle_recomputation(self):
@@ -327,7 +326,7 @@ class TestEntityCentricLoss:
         doc = make_document("d", [1, 2, 1, 2, 1, 6], seed=4)
         params = ModelParams.random(4, 5, hidden_a=3, hidden_p=4, seed=4)
         costs = CostConfig(gammas=(0.3, 2.0, 0.7))
-        loss = entity_centric_loss(doc, params, costs)
+        loss = document_loss(doc, params, "ec-heuristic", costs=costs)
 
         scores = score_pairs(doc, params)
         n = doc.n
@@ -354,9 +353,11 @@ class TestEntityCentricLoss:
     def test_gamma2_inflates_loss(self):
         doc = tiny_document((1, 1))
         params = ModelParams.zeros(1, 1, hidden_a=1, hidden_p=1)
-        small = entity_centric_loss(doc, params, CostConfig(gammas=(0.0, 1.0, 0.0)))
-        large = entity_centric_loss(doc, params, CostConfig(gammas=(0.0, 4.0, 0.0)))
-        base = entity_centric_loss(doc, params, CostConfig.zero())
+        small = document_loss(doc, params, "ec-heuristic",
+                              costs=CostConfig(gammas=(0.0, 1.0, 0.0)))
+        large = document_loss(doc, params, "ec-heuristic",
+                              costs=CostConfig(gammas=(0.0, 4.0, 0.0)))
+        base = document_loss(doc, params, "ec-heuristic", costs=CostConfig.zero())
         assert base < small < large
 
     def test_rejects_anchor_after_mention(self):
@@ -364,7 +365,8 @@ class TestEntityCentricLoss:
         # forge an impossible gold array to hit the defensive check
         doc.__dict__["gold_entity_array"] = np.array([1, 3, 3])
         with pytest.raises(InputError):
-            entity_centric_loss(doc, ModelParams.zeros(4, 5, hidden_a=2, hidden_p=2))
+            document_loss(doc, ModelParams.zeros(4, 5, hidden_a=2, hidden_p=2),
+                          "ec-heuristic")
 
 
 class TestRelaxedMetricLoss:
@@ -375,8 +377,8 @@ class TestRelaxedMetricLoss:
         m = MembershipMatrix(membership_array(probs.probs))
         for metric in ("b3", "lea"):
             for temperature in (1.0, 0.5):
-                direct = relaxed_metric_loss(doc, params, metric,
-                                             temperature=temperature, lam=1e-3)
+                direct = document_loss(doc, params, metric,
+                                       temperature=temperature, lam=1e-3)
                 standalone = relaxed_loss(m, doc.gold_clusters, metric,
                                           temperature=temperature, lam=1e-3,
                                           params_l1=l1_norm(params))
@@ -385,17 +387,17 @@ class TestRelaxedMetricLoss:
     def test_single_mention_is_perfect(self):
         m = Mention(1, "proper", 1, np.array([0.3]))
         doc = Document.from_mentions("one", [m], {})
-        assert abs(relaxed_metric_loss(doc, tiny_params(), "b3") + 1.0) < 1e-12
+        assert abs(document_loss(doc, tiny_params(), "b3") + 1.0) < 1e-12
 
     def test_rejects_bad_settings(self):
         doc = tiny_document((1, 1))
         params = ModelParams.zeros(1, 1, hidden_a=1, hidden_p=1)
         with pytest.raises(ConfigError):
-            relaxed_metric_loss(doc, params, "muc")
+            document_loss(doc, params, "muc")
         with pytest.raises(ConfigError):
-            relaxed_metric_loss(doc, params, "b3", beta=-1.0)
+            document_loss(doc, params, "b3", beta=-1.0)
         with pytest.raises(ConfigError):
-            relaxed_metric_loss(doc, params, "b3", temperature=0.0)
+            document_loss(doc, params, "b3", temperature=0.0)
 
 
 class TestDispatcherAndGradients:

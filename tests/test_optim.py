@@ -8,7 +8,7 @@ from softcoref import (BETA_GRID, ConfigError, CostConfig, ModelParams,
                        evaluate_corpus, grad_check, train)
 from softcoref.optim import TrainHistory
 
-from conftest import make_document, small_corpus
+from conftest import make_document, saturated_params, small_corpus
 
 
 class TestAdagradStep:
@@ -146,6 +146,13 @@ class TestTrain:
         _, history = train(corpus, [], _fast_config(epochs=1))
         row = history.to_csv().strip().split("\n")[1]
         assert row.split(",")[2:] == ["nan"] * 7
+
+    @pytest.mark.parametrize("kind", ["mr-heuristic", "ec-heuristic"])
+    def test_saturated_scores_raise_training_error(self, kind):
+        corpus = small_corpus(3, seed=0, d_a=12, d_p=14)
+        init = saturated_params(corpus[0].d_a, corpus[0].d_p)
+        with pytest.raises(TrainingError, match=f"non-finite {kind} loss on document"):
+            train(corpus, [], _fast_config(loss=kind, epochs=1, init_model=init))
 
     def test_anneal_schedule_runs(self):
         corpus = small_corpus(3, seed=1, noise=0.05)

@@ -20,9 +20,7 @@ from typing import Mapping, Sequence
 from .clustering import antecedents_to_clusters, validate_antecedent_vector
 from .corpus import MENTION_TYPES, Clustering, Document
 from .errors import InputError
-from .metrics import (PRF, BlancCounts, MetricCounts, b_cubed_counts,
-                      blanc_counts, ceaf_e_counts, ceaf_m_counts,
-                      conll_average, lea_counts, muc_counts)
+from .metrics import COUNTS_FROM_OVERLAPS, PRF, _overlaps, conll_average
 from .model import ModelParams, predict_antecedents
 
 ERROR_KINDS = ("fa", "fn", "wl", "correct")
@@ -89,16 +87,7 @@ def error_breakdown(doc: Document, predicted: Sequence[int]) -> ErrorBreakdown:
 # Metric reports
 # ---------------------------------------------------------------------------
 
-METRIC_NAMES = ("muc", "b_cubed", "ceaf_m", "ceaf_e", "blanc", "lea")
-
-_COUNT_FNS = {
-    "muc": muc_counts,
-    "b_cubed": b_cubed_counts,
-    "ceaf_m": ceaf_m_counts,
-    "ceaf_e": ceaf_e_counts,
-    "blanc": blanc_counts,
-    "lea": lea_counts,
-}
+METRIC_NAMES = tuple(COUNTS_FROM_OVERLAPS)
 
 
 @dataclass(frozen=True)
@@ -120,10 +109,9 @@ def corpus_report(pairs: Sequence[tuple[Clustering, Clustering]],
     """Micro-aggregated metrics over (gold, response) document pairs."""
     if not pairs:
         raise InputError("no documents to score")
-    sums: dict[str, MetricCounts | BlancCounts] = {}
-    for name, fn in _COUNT_FNS.items():
-        sums[name] = sum(fn(gold, response) for gold, response in pairs)
-    prfs = {name: counts.prf(beta) for name, counts in sums.items()}
+    overlaps = [_overlaps(gold, response) for gold, response in pairs]
+    prfs = {name: sum(fn(x) for x in overlaps).prf(beta)
+            for name, fn in COUNTS_FROM_OVERLAPS.items()}
     return MetricReport(
         conll=conll_average(prfs["muc"].f, prfs["b_cubed"].f, prfs["ceaf_e"].f),
         **prfs,

@@ -68,15 +68,18 @@ class Clustering:
     def num_mentions(self) -> int:
         return sum(len(c) for c in self.clusters)
 
-    @property
-    def mention_set(self) -> frozenset[int]:
-        if not self.clusters:
-            return frozenset()
-        return frozenset().union(*self.clusters)
-
     def sorted_clusters(self) -> list[frozenset[int]]:
         """Clusters in deterministic order (by their first mention)."""
         return sorted(self.clusters, key=min)
+
+    def cluster_index(self) -> np.ndarray:
+        """int64 array whose entry m - 1 is the 0-based position of
+        mention m's cluster in ``sorted_clusters()``."""
+        clusters = self.sorted_clusters()
+        members = np.array([m for c in clusters for m in c], dtype=np.int64)
+        index = np.empty(len(members), dtype=np.int64)
+        index[members - 1] = np.repeat(np.arange(len(clusters)), [len(c) for c in clusters])
+        return index
 
     def entity_ids(self) -> dict[int, int]:
         """Map mention index -> index of the first mention of its entity."""
@@ -589,12 +592,8 @@ def write_conll_responses(items: Iterable[tuple[str, Clustering]], path) -> None
     with open(path, "w", encoding="utf-8") as fh:
         for doc_id, clustering in items:
             fh.write(f"#begin document ({doc_id}); part 000\n")
-            entity_of = {}
-            for cid, cluster in enumerate(clustering.sorted_clusters()):
-                for m in cluster:
-                    entity_of[m] = cid
-            for i in range(1, clustering.num_mentions + 1):
-                fh.write(f"w{i}\t({entity_of[i]})\n")
+            for i, cid in enumerate(clustering.cluster_index().tolist(), start=1):
+                fh.write(f"w{i}\t({cid})\n")
             fh.write("#end document\n")
 
 

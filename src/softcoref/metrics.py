@@ -5,6 +5,16 @@ expressed as count quadruples (precision numerator / denominator, recall
 numerator / denominator) so that document-level counts can be summed for
 micro-averaged corpus scores before any division happens.
 
+Every scorer is a closed form over one integer contingency matrix
+``x[v, u] = |G_v & S_u|`` between the gold clusters G_v and the response
+clusters S_u (both in ``Clustering.sorted_clusters`` order), built by
+``_overlaps`` with one ``bincount``.  Its row and column sums are the
+cluster sizes, and ``pairs(k) = k (k - 1) / 2`` counts the links inside
+a set of k mentions, so MUC, B-cubed, BLANC and LEA need only sums over
+x, and both CEAF variants align clusters on x itself or on
+``2 x / (|G_v| + |S_u|)``.  ``corpus_report`` builds x once per document
+pair and hands it to every entry of ``COUNTS_FROM_OVERLAPS``.
+
 Implemented: MUC link-based scoring, B-cubed per-mention overlap, CEAF
 under both the mention-overlap and normalized-entity similarities (with
 an optimal one-to-one cluster alignment), BLANC as the average of the
@@ -15,7 +25,6 @@ link-resolution score weighted by cluster size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -69,58 +78,49 @@ class MetricCounts:
         return PRF(p, r, f_beta(p, r, beta), beta)
 
 
-def _check_same_mentions(gold: Clustering, response: Clustering) -> None:
-    if gold.mention_set != response.mention_set:
+def _overlaps(gold: Clustering, response: Clustering) -> np.ndarray:
+    """The int64 contingency matrix x[v, u] = |G_v & S_u|, clusters in
+    ``sorted_clusters`` order on both sides."""
+    rows, cols = gold.cluster_index(), response.cluster_index()
+    # Both cover 1..n, so equal sizes mean equal mention sets.
+    if len(rows) != len(cols):
         raise InputError(
-            f"gold and response cover different mentions "
-            f"({gold.num_mentions} vs {response.num_mentions})"
+            f"gold and response cover different mentions ({len(rows)} vs {len(cols)})"
         )
+    shape = (len(gold), len(response))
+    return np.bincount(rows * shape[1] + cols, minlength=shape[0] * shape[1]).reshape(shape)
 
 
-def _overlap_sizes(gold: Clustering, response: Clustering) -> tuple[list[frozenset[int]], list[frozenset[int]], np.ndarray]:
-    gs = gold.sorted_clusters()
-    ss = response.sorted_clusters()
-    x = np.array([[len(g & s) for s in ss] for g in gs], dtype=float)
-    return gs, ss, x
+def _pairs(k):
+    return k * (k - 1) // 2
 
 
 # ---------------------------------------------------------------------------
 # MUC
 # ---------------------------------------------------------------------------
 
-def muc_counts(gold: Clustering, response: Clustering) -> MetricCounts:
+def _muc(x: np.ndarray) -> MetricCounts:
     """Link-based counts: a cluster of size k contributes k - 1 links and
-    loses one per part it is split into by the other side."""
-    _check_same_mentions(gold, response)
-
-    def side(keys: Clustering, partitions: Clustering) -> tuple[float, float]:
-        part_of = partitions.entity_ids()
-        num = den = 0
-        for cluster in keys.clusters:
-            parts = {part_of[m] for m in cluster}
-            num += len(cluster) - len(parts)
-            den += len(cluster) - 1
-        return float(num), float(den)
-
-    r_num, r_den = side(gold, response)
-    p_num, p_den = side(response, gold)
-    return MetricCounts(p_num, p_den, r_num, r_den)
+    loses one per part it is split into by the other side, so both sides
+    resolve n - nnz(x) links."""
+    n = int(x.sum())
+    resolved = float(n - np.count_nonzero(x))
+    return MetricCounts(resolved, float(n - x.shape[1]), resolved, float(n - x.shape[0]))
 
 
 # ---------------------------------------------------------------------------
 # B-cubed
 # ---------------------------------------------------------------------------
 
-def b_cubed_counts(gold: Clustering, response: Clustering) -> MetricCounts:
+def _b_cubed(x: np.ndarray) -> MetricCounts:
     """Per-mention counts: each mention scores the squared overlap of its
     gold and response clusters over the cluster size on each side."""
-    _check_same_mentions(gold, response)
-    gs, ss, x = _overlap_sizes(gold, response)
-    n = gold.num_mentions
     x2 = x * x
-    r_num = float(sum(x2[v].sum() / len(gs[v]) for v in range(len(gs))))
-    p_num = float(sum(x2[:, u].sum() / len(ss[u]) for u in range(len(ss))))
-    return MetricCounts(p_num, float(n), r_num, float(n))
+    n = float(x.sum())
+    # Builtin sum over clusters in order fixes the rounding of the totals.
+    r_num = float(sum((x2.sum(axis=1) / x.sum(axis=1)).tolist()))
+    p_num = float(sum((x2.sum(axis=0) / x.sum(axis=0)).tolist()))
+    return MetricCounts(p_num, n, r_num, n)
 
 
 # ---------------------------------------------------------------------------
@@ -129,29 +129,22 @@ def b_cubed_counts(gold: Clustering, response: Clustering) -> MetricCounts:
 
 def _optimal_alignment_total(similarity: np.ndarray) -> float:
     """Best one-to-one cluster alignment score (rectangular allowed)."""
-    if similarity.size == 0:
-        return 0.0
     rows, cols = linear_sum_assignment(-similarity)
     return float(similarity[rows, cols].sum())
 
 
-def ceaf_m_counts(gold: Clustering, response: Clustering) -> MetricCounts:
+def _ceaf_m(x: np.ndarray) -> MetricCounts:
     """Mention-overlap similarity phi(G, S) = |G & S|."""
-    _check_same_mentions(gold, response)
-    _, _, x = _overlap_sizes(gold, response)
     best = _optimal_alignment_total(x)
-    return MetricCounts(best, float(response.num_mentions), best, float(gold.num_mentions))
+    n = float(x.sum())
+    return MetricCounts(best, n, best, n)
 
 
-def ceaf_e_counts(gold: Clustering, response: Clustering) -> MetricCounts:
+def _ceaf_e(x: np.ndarray) -> MetricCounts:
     """Normalized similarity phi(G, S) = 2|G & S| / (|G| + |S|)."""
-    _check_same_mentions(gold, response)
-    gs, ss, x = _overlap_sizes(gold, response)
-    sizes_g = np.array([len(g) for g in gs], dtype=float)
-    sizes_s = np.array([len(s) for s in ss], dtype=float)
-    phi = 2.0 * x / (sizes_g[:, None] + sizes_s[None, :])
+    phi = 2.0 * x / (x.sum(axis=1)[:, None] + x.sum(axis=0)[None, :])
     best = _optimal_alignment_total(phi)
-    return MetricCounts(best, float(len(ss)), best, float(len(gs)))
+    return MetricCounts(best, float(x.shape[1]), best, float(x.shape[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -192,28 +185,18 @@ class BlancCounts:
         )
 
 
-def _coref_pairs(clustering: Clustering) -> set[tuple[int, int]]:
-    pairs = set()
-    for cluster in clustering.clusters:
-        members = sorted(cluster)
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                pairs.add((members[a], members[b]))
-    return pairs
-
-
-def blanc_counts(gold: Clustering, response: Clustering) -> BlancCounts:
-    _check_same_mentions(gold, response)
-    n = gold.num_mentions
-    total = n * (n - 1) // 2
-    cg = _coref_pairs(gold)
-    cs = _coref_pairs(response)
-    both = len(cg & cs)
-    neither = total - len(cg | cs)
+def _blanc(x: np.ndarray) -> BlancCounts:
+    """Coreferent pairs in both partitions are the pairs inside each
+    overlap; the non-coreferent pairs follow by inclusion-exclusion."""
+    total = _pairs(int(x.sum()))
+    both = int(_pairs(x).sum())
+    gold = int(_pairs(x.sum(axis=1)).sum())
+    response = int(_pairs(x.sum(axis=0)).sum())
+    neither = total - gold - response + both
     return BlancCounts(
-        coref=MetricCounts(float(both), float(len(cs)), float(both), float(len(cg))),
-        non_coref=MetricCounts(float(neither), float(total - len(cs)),
-                               float(neither), float(total - len(cg))),
+        coref=MetricCounts(float(both), float(response), float(both), float(gold)),
+        non_coref=MetricCounts(float(neither), float(total - response),
+                               float(neither), float(total - gold)),
     )
 
 
@@ -221,8 +204,48 @@ def blanc_counts(gold: Clustering, response: Clustering) -> BlancCounts:
 # LEA
 # ---------------------------------------------------------------------------
 
-def _links(size: int) -> int:
-    return size * (size - 1) // 2
+def _lea(x: np.ndarray, singleton_self_links: bool = False) -> MetricCounts:
+    """Each side reads its own clusters as the rows (x, then x.T): a
+    cluster of size k > 1 resolves sum_u pairs(x[v, u]) of its pairs(k)
+    links, so it adds k * resolved / pairs(k) = 2 * resolved / (k - 1)."""
+    def side(x: np.ndarray) -> tuple[float, float]:
+        sizes = x.sum(axis=1)
+        multi = sizes > 1
+        num = (2 * _pairs(x[multi]).sum(axis=1) / (sizes[multi] - 1)).sum()
+        if singleton_self_links:
+            num += np.count_nonzero(x[sizes == 1][:, x.sum(axis=0) == 1])
+        return float(num), float(sizes.sum())
+
+    r_num, r_den = side(x)
+    p_num, p_den = side(x.T)
+    return MetricCounts(p_num, p_den, r_num, r_den)
+
+
+# Every scorer as a function of the contingency matrix, in report order.
+COUNTS_FROM_OVERLAPS = {
+    "muc": _muc, "b_cubed": _b_cubed, "ceaf_m": _ceaf_m,
+    "ceaf_e": _ceaf_e, "blanc": _blanc, "lea": _lea,
+}
+
+
+def muc_counts(gold: Clustering, response: Clustering) -> MetricCounts:
+    return _muc(_overlaps(gold, response))
+
+
+def b_cubed_counts(gold: Clustering, response: Clustering) -> MetricCounts:
+    return _b_cubed(_overlaps(gold, response))
+
+
+def ceaf_m_counts(gold: Clustering, response: Clustering) -> MetricCounts:
+    return _ceaf_m(_overlaps(gold, response))
+
+
+def ceaf_e_counts(gold: Clustering, response: Clustering) -> MetricCounts:
+    return _ceaf_e(_overlaps(gold, response))
+
+
+def blanc_counts(gold: Clustering, response: Clustering) -> BlancCounts:
+    return _blanc(_overlaps(gold, response))
 
 
 def lea_counts(gold: Clustering, response: Clustering, *,
@@ -235,35 +258,7 @@ def lea_counts(gold: Clustering, response: Clustering, *,
     exactly when the mention is also a singleton on the other side;
     otherwise singletons resolve nothing.
     """
-    _check_same_mentions(gold, response)
-
-    def side(keys: Clustering, others: Clustering) -> tuple[float, float]:
-        other_of = others.entity_ids()
-        other_sizes = {min(c): len(c) for c in others.clusters}
-        num = Fraction(0)
-        den = 0
-        for cluster in keys.clusters:
-            size = len(cluster)
-            den += size
-            if size == 1:
-                if singleton_self_links:
-                    (m,) = cluster
-                    if other_sizes[other_of[m]] == 1:
-                        num += size
-                continue
-            members = sorted(cluster)
-            resolved = sum(
-                1
-                for a in range(size)
-                for b in range(a + 1, size)
-                if other_of[members[a]] == other_of[members[b]]
-            )
-            num += Fraction(size * resolved, _links(size))
-        return float(num), float(den)
-
-    r_num, r_den = side(gold, response)
-    p_num, p_den = side(response, gold)
-    return MetricCounts(p_num, p_den, r_num, r_den)
+    return _lea(_overlaps(gold, response), singleton_self_links)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ from typing import Optional
 
 import numpy as np
 
-from .clustering import decode_argmax
 from .corpus import Document
 from .errors import ConfigError, FormatError, InputError, TrainingError
 from .membership import (LinkDistribution, masked_softmax, membership_array,
@@ -287,8 +286,11 @@ def link_probabilities(scores: np.ndarray) -> LinkDistribution:
 
 
 def predict_antecedents(doc: Document, params: ModelParams) -> tuple[int, ...]:
-    """Most probable antecedent per mention under the model."""
-    return decode_argmax(link_probabilities(score_pairs(doc, params)))
+    """Most probable antecedent per mention under the model, ties to the
+    smallest index.  The model's own scores skip the input checks of
+    ``link_probabilities`` and ``decode_argmax``."""
+    probs = masked_softmax(score_pairs(doc, params), np.tri(doc.n, dtype=bool))
+    return tuple((np.argmax(probs, axis=1) + 1).tolist())
 
 
 def _softmax_backward(probs: np.ndarray, d_probs: np.ndarray) -> np.ndarray:

@@ -79,13 +79,8 @@ def gold_index_arrays(gold: Clustering, n: int) -> tuple[np.ndarray, np.ndarray]
         raise InputError(
             f"gold clustering covers {gold.num_mentions} mentions, membership has {n}"
         )
-    gold_of = np.zeros(n, dtype=np.int64)
-    clusters = gold.sorted_clusters()
-    for v, cluster in enumerate(clusters):
-        for m in cluster:
-            gold_of[m - 1] = v
-    sizes = np.array([len(c) for c in clusters], dtype=float)
-    return gold_of, sizes
+    gold_of = gold.cluster_index()
+    return gold_of, np.bincount(gold_of, minlength=len(gold)).astype(float)
 
 
 def _soft_intersections(q: np.ndarray, gold_of: np.ndarray, num_clusters: int) -> np.ndarray:
@@ -106,8 +101,10 @@ def _f_partials(p: float, r: float, beta: float) -> tuple[float, float, float]:
     if denom <= 0:
         return 0.0, 0.0, 0.0
     f = (1 + b2) * p * r / denom
-    dfdp = (1 + b2) * r * r / (denom * denom)
-    dfdr = (1 + b2) * b2 * p * p / (denom * denom)
+    # Squaring the ratios, not denom, keeps P, R below ~1e-154 from
+    # underflowing denom ** 2 to 0.
+    dfdp = (1 + b2) * (r / denom) ** 2
+    dfdr = (1 + b2) * b2 * (p / denom) ** 2
     return f, dfdp, dfdr
 
 

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import softcoref.analysis
 from softcoref import (Clustering, ErrorBreakdown, InputError, ModelParams,
-                       b_cubed, blanc, ceaf_e, ceaf_m, conll_average,
+                       b_cubed, b_cubed_counts, blanc, blanc_counts, ceaf_e,
+                       ceaf_e_counts, ceaf_m, ceaf_m_counts, conll_average,
                        corpus_report, error_breakdown, evaluate_corpus,
-                       format_breakdown, format_report, lea, metric_report,
-                       muc, predict_antecedents, report_csv)
+                       format_breakdown, format_report, lea, lea_counts,
+                       metric_report, muc, muc_counts, predict_antecedents,
+                       report_csv)
 from softcoref.analysis import ERROR_KINDS
 from softcoref.clustering import antecedents_to_clusters
 
@@ -138,6 +141,40 @@ class TestReports:
         report = corpus_report([(fixture_gold, fixture_sys)], beta=2.0)
         assert report.b_cubed.beta == 2.0
         assert report.b_cubed.f != metric_report(fixture_gold, fixture_sys).b_cubed.f
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_once_per_pair_path_matches_public_counts(self, data):
+        """Each metric of ``corpus_report`` equals the summed public
+        ``*_counts`` over the same pairs, down to the last bit."""
+        pairs = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            n = data.draw(st.integers(0, 12))
+            sides = []
+            for _ in range(2):
+                if data.draw(st.booleans()):
+                    labels = list(range(n))
+                else:
+                    labels = data.draw(st.lists(st.integers(0, max(n - 1, 0)),
+                                                min_size=n, max_size=n))
+                groups = {}
+                for m, label in enumerate(labels, start=1):
+                    groups.setdefault(label, []).append(m)
+                sides.append(Clustering(groups.values()))
+            pairs.append(tuple(sides))
+        report = corpus_report(pairs)
+        public = {"muc": muc_counts, "b_cubed": b_cubed_counts, "ceaf_m": ceaf_m_counts,
+                  "ceaf_e": ceaf_e_counts, "blanc": blanc_counts, "lea": lea_counts}
+        for name, counts in public.items():
+            assert getattr(report, name) == sum(counts(g, r) for g, r in pairs).prf()
+
+    def test_overlaps_built_once_per_pair(self, monkeypatch, fixture_gold, fixture_sys):
+        calls = []
+        build = softcoref.analysis._overlaps
+        monkeypatch.setattr(softcoref.analysis, "_overlaps",
+                            lambda g, r: calls.append(1) or build(g, r))
+        corpus_report([(fixture_gold, fixture_sys)] * 3)
+        assert len(calls) == 3
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(InputError):

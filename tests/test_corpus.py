@@ -27,8 +27,14 @@ class TestClustering:
         c = Clustering([{2, 4}, {1, 3}])
         assert c.entity_ids() == {1: 1, 2: 2, 3: 1, 4: 2}
 
+    def test_cluster_index_follows_sorted_clusters(self):
+        c = Clustering([{3, 5}, {2, 4}, {1}])
+        assert c.cluster_index().tolist() == [0, 1, 2, 1, 2]
+        assert c.cluster_index().dtype == np.int64
+
     def test_empty_clustering_allowed(self):
         assert Clustering().num_mentions == 0
+        assert Clustering().cluster_index().shape == (0,)
 
     def test_rejects_empty_cluster(self):
         with pytest.raises(InputError):

@@ -154,6 +154,18 @@ class TestTrain:
         with pytest.raises(TrainingError, match=f"non-finite {kind} loss on document"):
             train(corpus, [], _fast_config(loss=kind, epochs=1, init_model=init))
 
+    def test_saturated_lea_finishes_or_raises_training_error(self):
+        """Relaxed P and R fall to ~1e-280 here; the F partials used to
+        divide by (P + R)^2 and raise ZeroDivisionError."""
+        corpus = small_corpus(6, seed=0, mentions_per_doc=(8, 16), entities_per_doc=(2, 4),
+                              d_a=12, d_p=14, noise=0.1)
+        config = _fast_config(loss="lea", epochs=1, temperature=1.0, learning_rate=0.05,
+                              seed=0, init_model=saturated_params(12, 14))
+        try:
+            train(corpus, [], config)
+        except TrainingError:
+            pass
+
     def test_anneal_schedule_runs(self):
         corpus = small_corpus(3, seed=1, noise=0.05)
         config = _fast_config(loss="b3", epochs=3, temperature=1.0,

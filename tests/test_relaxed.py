@@ -18,8 +18,8 @@ from softcoref import (Clustering, ConfigError, InputError, LinkDistribution,
                        tempered_membership)
 from softcoref.clustering import antecedents_to_clusters
 from softcoref.membership import temper_array, temper_backward
-from softcoref.relaxed import (b3_soft, b3_soft_grad, gold_index_arrays,
-                               lea_soft, lea_soft_grad)
+from softcoref.relaxed import (_f_partials, b3_soft, b3_soft_grad,
+                               gold_index_arrays, lea_soft, lea_soft_grad)
 
 from conftest import (peaked_link_distribution, random_clustering,
                       random_link_distribution)
@@ -319,6 +319,12 @@ def test_gradient_zero_rows_guarded():
     for grad_fn in (b3_soft_grad, lea_soft_grad):
         *_, dq = grad_fn(q, gold_of, sizes)
         assert np.isfinite(dq).all()
+
+
+def test_f_partials_survive_tiny_precision_and_recall():
+    """(P + R)^2 underflows to 0 below ~1e-154; the ratios do not."""
+    _, dfdp, dfdr = _f_partials(1e-170, 1e-170, 1.0)
+    assert (dfdp, dfdr) == (0.5, 0.5)
 
 
 def test_tempered_gradient_through_wrapper(links3):

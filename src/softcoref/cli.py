@@ -142,6 +142,8 @@ def _cmd_evaluate(args) -> int:
 
 def _align_conll(key_doc: corpus.ConllDocument,
                  resp_doc: corpus.ConllDocument) -> tuple[corpus.Clustering, corpus.Clustering]:
+    if key_doc.spans == resp_doc.spans:  # both files number mentions by opening order
+        return key_doc.clustering, resp_doc.clustering
     if set(key_doc.spans) != set(resp_doc.spans):
         raise InputError(
             f"document {key_doc.doc_id!r}: key and response mention spans differ"
@@ -157,6 +159,8 @@ def _align_conll(key_doc: corpus.ConllDocument,
 def _cmd_score(args) -> int:
     key_docs = corpus.parse_conll_documents(args.key)
     resp_docs = corpus.parse_conll_documents(args.response)
+    if len({d.doc_id for d in key_docs}) != len(key_docs):
+        raise InputError("duplicate document ids in key file")
     resp_by_id = {d.doc_id: d for d in resp_docs}
     if len(resp_by_id) != len(resp_docs):
         raise InputError("duplicate document ids in response file")

@@ -488,86 +488,85 @@ class ConllDocument:
     clustering: Clustering
 
 
-def _parse_bracket_field(field: str):
-    """Yield ("open"|"close"|"both", entity_id) for each bracket in a field."""
-    if field in ("-", "_", ""):
-        return
-    for part in field.split("|"):
-        if not part:
-            continue
-        opens = part.startswith("(")
-        closes = part.endswith(")")
-        body = part[1 if opens else 0: -1 if closes else len(part)]
-        if not body.isdigit() or not (opens or closes):
-            raise ValueError(f"unrecognized coreference tag {part!r}")
-        kind = "both" if (opens and closes) else ("open" if opens else "close")
-        yield kind, int(body)
+def _conll_document(doc_id: str, found: list, open_stacks: dict) -> ConllDocument:
+    """Close one document: number its mentions by opening order and group
+    them by entity id.  Raises ValueError for an entity left open or a
+    span tagged twice."""
+    for entity, stack in open_stacks.items():
+        if stack:
+            raise ValueError(
+                f"unbalanced brackets in document {doc_id!r}: entity {entity} left open")
+    found.sort()
+    spans = tuple((start, end) for _, _, start, end in found)
+    if len(set(spans)) != len(spans):
+        raise ValueError(f"duplicate mention span in document {doc_id!r}")
+    by_entity: dict[int, list[int]] = {}
+    for number, (_, entity, _, _) in enumerate(found, start=1):
+        by_entity.setdefault(entity, []).append(number)
+    return ConllDocument(doc_id, spans, Clustering(by_entity.values()))
 
 
 def parse_conll_documents(path) -> list[ConllDocument]:
     """Parse a minimal CoNLL skeleton file into per-document mentions.
 
     Mentions are numbered in order of their opening bracket; nested and
-    crossing spans are resolved by matching brackets per entity id.
+    crossing spans are resolved by matching brackets per entity id.  A
+    document must end before the next ``#begin document``.
     """
     docs: list[ConllDocument] = []
     doc_id = None
-    token_no = 0
-    open_stacks: dict[int, list[tuple[int, int]]] = {}
-    found: list[tuple[int, int, int, int]] = []  # (open_order, entity, start, end)
-    open_order = 0
-
-    def finish(lineno):
-        nonlocal doc_id, token_no, open_stacks, found, open_order
-        if any(stack for stack in open_stacks.values()):
-            entity = next(e for e, s in open_stacks.items() if s)
-            raise FormatError(
-                f"unbalanced brackets in document {doc_id!r}: entity {entity} left open",
-                path=path, line=lineno,
-            )
-        found.sort()
-        spans = tuple((start, end) for _, _, start, end in found)
-        if len(set(spans)) != len(spans):
-            raise FormatError(f"duplicate mention span in document {doc_id!r}", path=path, line=lineno)
-        by_entity: dict[int, list[int]] = {}
-        for number, (_, entity, _, _) in enumerate(found, start=1):
-            by_entity.setdefault(entity, []).append(number)
-        docs.append(ConllDocument(doc_id, spans, Clustering(by_entity.values())))
-        doc_id = None
-        token_no = 0
-        open_stacks = {}
-        found = []
-        open_order = 0
-
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if line.startswith("#begin document"):
-                rest = line[len("#begin document"):].strip()
-                if rest.startswith("("):
-                    close = rest.find(")")
-                    doc_id = rest[1:close] if close != -1 else rest[1:]
-                else:
-                    doc_id = rest
+        for lineno, line in enumerate(fh, start=1):
+            if line[:1] == "#":
+                if line.startswith("#begin document"):
+                    if doc_id is not None:
+                        raise FormatError(f"document {doc_id!r} not terminated by #end document",
+                                          path=path, line=lineno)
+                    rest = line[len("#begin document"):].strip()
+                    if rest.startswith("("):
+                        close = rest.find(")")
+                        doc_id = rest[1:close] if close != -1 else rest[1:]
+                    else:
+                        doc_id = rest
+                    token_no = open_order = 0
+                    open_stacks: dict[int, list[tuple[int, int]]] = {}
+                    found: list[tuple[int, int, int, int]] = []  # (open_order, entity, start, end)
+                    continue
+                if line.startswith("#end document"):
+                    if doc_id is None:
+                        raise FormatError("#end document without #begin", path=path, line=lineno)
+                    try:
+                        docs.append(_conll_document(doc_id, found, open_stacks))
+                    except ValueError as exc:
+                        raise FormatError(str(exc), path=path, line=lineno) from exc
+                    doc_id = None
+                    continue
+            if doc_id is None:
                 continue
-            if line.startswith("#end document"):
-                if doc_id is None:
-                    raise FormatError("#end document without #begin", path=path, line=lineno)
-                finish(lineno)
-                continue
-            if doc_id is None or not line.strip():
+            fields = line.rsplit(None, 1)
+            if not fields:
                 continue
             token_no += 1
-            field = line.split()[-1]
-            try:
-                brackets = list(_parse_bracket_field(field))
-            except ValueError as exc:
-                raise FormatError(f"document {doc_id!r}: {exc}", path=path, line=lineno) from exc
-            for kind, entity in brackets:
-                if kind in ("open", "both"):
+            field = fields[-1]
+            if field in ("-", "_"):
+                continue
+            for part in field.split("|"):
+                if not part:
+                    continue
+                opens = part[0] == "("
+                closes = part[-1] == ")"
+                body = part[opens:len(part) - closes]
+                if not (opens or closes) or not (body.isascii() and body.isdigit()):
+                    raise FormatError(f"document {doc_id!r}: unrecognized coreference tag {part!r}",
+                                      path=path, line=lineno)
+                entity = int(body)
+                if opens and closes:  # a one-token mention needs no stack
+                    found.append((open_order, entity, token_no, token_no))
+                    open_order += 1
+                elif opens:
                     open_stacks.setdefault(entity, []).append((open_order, token_no))
                     open_order += 1
-                if kind in ("close", "both"):
+                else:
                     stack = open_stacks.get(entity)
                     if not stack:
                         raise FormatError(

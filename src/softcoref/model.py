@@ -505,10 +505,13 @@ def document_loss_and_grad(doc: Document, params: ModelParams, kind: str, *,
                            lam: float = 0.0) -> tuple[float, ModelParams]:
     """document_loss and its gradient wrt every parameter; the L1 term
     contributes lam * sign(theta).  The TrainingError for a non-finite
-    loss comes before any gradient is formed."""
+    loss or score gradient comes before any parameter gradient is formed."""
     cache, loss, backward = _loss_and_backward(doc, params, kind, costs, beta,
                                                temperature, lam)
-    grad = _score_backward(params, cache, backward(), doc.tril_pairs)
+    d_scores = backward()
+    if not np.isfinite(d_scores).all():
+        raise TrainingError(f"non-finite {kind} gradient on document {doc.id}")
+    grad = _score_backward(params, cache, d_scores, doc.tril_pairs)
     if lam:
         grad = params.from_vector(grad.to_vector() + lam * np.sign(params.to_vector()))
     return loss, grad

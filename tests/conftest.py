@@ -54,6 +54,33 @@ def saturated_params(d_a: int, d_p: int) -> ModelParams:
     return params
 
 
+def nan_gradient_loss(doc, scores, costs, beta, temperature):
+    """A loss-registry entry whose loss is finite and whose gradient on
+    the scores is NaN."""
+    return 0.5, lambda: np.full_like(scores, np.nan)
+
+
+def conll_lines(doc_id: str, n_tokens: int, mentions) -> list[str]:
+    """One CoNLL block over tokens 1..n_tokens.  ``mentions`` are
+    (start, end, entity) in the order their brackets open: by start token,
+    then list order within a token.  At a token, closing brackets come
+    before opening ones; a token without brackets gets ``-``."""
+    opens: dict[int, list[str]] = {}
+    closes: dict[int, list[str]] = {}
+    for start, end, entity in mentions:
+        if start == end:
+            opens.setdefault(start, []).append(f"({entity})")
+        else:
+            opens.setdefault(start, []).append(f"({entity}")
+            closes.setdefault(end, []).append(f"{entity})")
+    lines = [f"#begin document ({doc_id}); part 000"]
+    for t in range(1, n_tokens + 1):
+        field = "|".join(closes.get(t, []) + opens.get(t, [])) or "-"
+        lines.append(f"{doc_id}\t0\t{t - 1}\tw{t}\t{field}")
+    lines.append("#end document")
+    return lines
+
+
 @pytest.fixture
 def fixture_gold() -> Clustering:
     return Clustering([{1, 2, 3}, {4}])

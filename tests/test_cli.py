@@ -3,12 +3,14 @@
 import filecmp
 import json
 
+import numpy as np
 import pytest
 
-from softcoref import Clustering, write_conll_responses
+from softcoref import (Clustering, corpus_report, report_csv,
+                       write_conll_responses)
 from softcoref.cli import run
 
-from conftest import saturated_params
+from conftest import conll_lines, nan_gradient_loss, saturated_params
 
 
 def cli(*argv) -> int:
@@ -116,6 +118,13 @@ class TestTrain:
                    "--epochs", 1, "--out", tmp_path / "m.json") == 2
         assert f"error: non-finite {loss} loss on document" in capsys.readouterr().err
 
+    def test_non_finite_gradient_exit_2(self, tmp_path, tiny_corpus, monkeypatch, capsys):
+        from softcoref import model
+        monkeypatch.setitem(model._LOSSES, "b3", nan_gradient_loss)
+        assert cli("train", "--corpus", tiny_corpus, "--loss", "b3", "--epochs", 1,
+                   "--hidden-a", 4, "--hidden-p", 4, "--out", tmp_path / "m.json") == 2
+        assert "error: non-finite b3 gradient on document" in capsys.readouterr().err
+
     def test_unknown_loss_exit_1(self, tmp_path, tiny_corpus):
         assert cli("train", "--corpus", tiny_corpus,
                    "--out", tmp_path / "m.json", "--loss", "hinge") == 1
@@ -175,6 +184,56 @@ class TestScore:
                                ("b", Clustering([{1}]))], key)
         write_conll_responses([("a", Clustering([{1}]))], resp)
         assert cli("score", "--key", key, "--response", resp) == 1
+
+    @pytest.mark.parametrize("side", ["key", "response"])
+    def test_duplicate_document_ids_exit_1(self, tmp_path, side, capsys):
+        once, twice = tmp_path / "once.conll", tmp_path / "twice.conll"
+        write_conll_responses([("a", Clustering([{1}]))], once)
+        write_conll_responses([("a", Clustering([{1}])), ("a", Clustering([{1}]))], twice)
+        key, resp = (twice, once) if side == "key" else (once, twice)
+        assert cli("score", "--key", key, "--response", resp) == 1
+        assert f"error: duplicate document ids in {side} file" in capsys.readouterr().err
+
+    def test_renumbering_by_opening_order(self, tmp_path, capsys):
+        """The response opens the key's spans in another order, so its
+        mention numbers must be mapped through the spans."""
+        key, resp = tmp_path / "key.conll", tmp_path / "resp.conll"
+        # key: m1 = (1, 2) and m2 = (1, 1) open at w1; entities {m1}, {m2, m3}
+        key.write_text("#begin document (d); part 000\n"
+                       "w1\t(0|(1)\nw2\t0)\nw3\t(1)\n#end document\n")
+        # response: m1 = (1, 1), m2 = (1, 2); the same entities by span
+        resp.write_text("#begin document (d); part 000\n"
+                        "w1\t(5)|(6\nw2\t6)\nw3\t(5)\n#end document\n")
+        assert cli("score", "--key", key, "--response", key, "--csv") == 0
+        self_score = capsys.readouterr().out
+        assert cli("score", "--key", key, "--response", resp, "--csv") == 0
+        assert capsys.readouterr().out == self_score
+
+    def test_long_documents_match_corpus_report(self, tmp_path, capsys):
+        """16 documents of 20-500 mentions, spans of 1-3 tokens with fillers
+        between; the response redraws the entity of about a fifth of them."""
+        rng = np.random.default_rng(5)
+        keys, responses, pairs = [], [], []
+        for d, n in enumerate(np.linspace(20, 500, 16).astype(int)):
+            labels = rng.integers(0, max(1, n // 6), size=n)
+            moved = np.where(rng.random(n) < 0.2, rng.integers(0, max(1, n // 6), size=n), labels)
+            spans, token = [], 0
+            for _ in range(n):
+                token += int(rng.integers(0, 4))
+                length = int(rng.integers(1, 4))
+                spans.append((token + 1, token + length))
+                token += length
+            keys += conll_lines(f"long-{d}", token + 2,
+                                [(s, e, lab) for (s, e), lab in zip(spans, labels)])
+            responses += conll_lines(f"long-{d}", token + 2,
+                                     [(s, e, lab) for (s, e), lab in zip(spans, moved)])
+            pairs.append(tuple(Clustering(np.flatnonzero(ids == k) + 1 for k in np.unique(ids))
+                               for ids in (labels, moved)))
+        key, resp = tmp_path / "key.conll", tmp_path / "resp.conll"
+        key.write_text("\n".join(keys) + "\n")
+        resp.write_text("\n".join(responses) + "\n")
+        assert cli("score", "--key", key, "--response", resp, "--csv") == 0
+        assert capsys.readouterr().out == report_csv(corpus_report(pairs))
 
     def test_renumbering_by_span(self, tmp_path, capsys):
         """Responses matching the key clusters through different mention

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softcoref import (Clustering, ConfigError, Document, FormatError,
-                       InputError, Mention, SyntheticConfig,
+from softcoref import (Clustering, ConfigError, ConllDocument, Document,
+                       FormatError, InputError, Mention, SyntheticConfig,
                        clusters_from_entity_ids, generate_synthetic,
-                       load_corpus, parse_conll_key, save_corpus,
-                       write_conll_response, write_conll_responses)
+                       load_corpus, parse_conll_documents, parse_conll_key,
+                       save_corpus, write_conll_response, write_conll_responses)
 
-from conftest import make_document
+from conftest import conll_lines, make_document
 
 
 class TestClustering:
@@ -289,6 +289,82 @@ class TestConll:
         path.write_text("#begin document (d1)\nw1\t(0)\n")
         with pytest.raises(FormatError, match="not terminated"):
             parse_conll_key(path)
+
+    def test_begin_inside_open_document_rejected(self, tmp_path):
+        path = tmp_path / "k.conll"
+        path.write_text("#begin document (a)\nw1\t(0)\n"
+                        "#begin document (b)\nw1\t(0)\n#end document\n")
+        with pytest.raises(FormatError, match="document 'a' not terminated") as exc:
+            parse_conll_key(path)
+        assert exc.value.line == 3
+
+    def test_end_without_begin_rejected(self, tmp_path):
+        path = tmp_path / "k.conll"
+        path.write_text("w1\t(0)\n#end document\n")
+        with pytest.raises(FormatError, match="without #begin") as exc:
+            parse_conll_key(path)
+        assert exc.value.line == 2
+
+    def test_duplicate_span_rejected(self, tmp_path):
+        with pytest.raises(FormatError, match="duplicate mention span in document 'd1'") as exc:
+            self._parse(tmp_path, ["w1\t(0)|(1)"])
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize("tag", ["(\u00b2)", "(x)", "()", "7", "(\u0663"])
+    def test_unrecognized_tag_rejected(self, tmp_path, tag):
+        """Tag bodies are ASCII digits only: superscript two and Arabic-Indic
+        three pass str.isdigit but are not entity ids."""
+        with pytest.raises(FormatError) as exc:
+            self._parse(tmp_path, ["w1\t(0)", f"w2\t{tag}"])
+        assert str(exc.value) == (f"{tmp_path / 'k.conll'}:3: document 'd1': "
+                                  f"unrecognized coreference tag {tag!r}")
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_documents_parse_to_what_was_written(self, tmp_path_factory, seed):
+        """Multi-token, nested, crossing and same-start spans, stacked
+        brackets, `-`/`_` fillers, whitespace-only lines, space or tab
+        columns and LF or CRLF endings."""
+        rng = np.random.default_rng(seed)
+        lines, expected = [], []
+        for d in range(int(rng.integers(1, 4))):
+            n_tokens = int(rng.integers(1, 16))
+            spans: dict[tuple[int, int], int] = {}
+            for _ in range(int(rng.integers(0, 12))):
+                start = int(rng.integers(1, n_tokens + 1))
+                end = min(n_tokens, start + int(rng.integers(0, 4)))
+                entity = int(rng.integers(0, 4))
+                # one entity's brackets match last-open-first, so its spans may not cross
+                if any(e == entity and (s < start < t < end or start < s < end < t)
+                       for (s, t), e in spans.items()):
+                    entity = 100 + len(spans)
+                spans.setdefault((start, end), entity)
+            order = []
+            for t in range(1, n_tokens + 1):
+                here = [(s, e, ent) for (s, e), ent in spans.items() if s == t]
+                here = [here[k] for k in rng.permutation(len(here))]
+                for ent in {m[2] for m in here}:  # one entity opening twice: longer first
+                    slots = [k for k, m in enumerate(here) if m[2] == ent]
+                    for k, m in zip(slots, sorted((here[k] for k in slots), key=lambda m: -m[1])):
+                        here[k] = m
+                order += here
+            by_entity: dict[int, list[int]] = {}
+            for number, (_, _, ent) in enumerate(order, start=1):
+                by_entity.setdefault(ent, []).append(number)
+            expected.append(ConllDocument(f"doc-{d}", tuple((s, e) for s, e, _ in order),
+                                          Clustering(by_entity.values())))
+            for line in conll_lines(f"doc-{d}", n_tokens, order):
+                if line.endswith("\t-") and rng.random() < 0.5:
+                    line = line[:-1] + "_"
+                if not line.startswith("#") and rng.random() < 0.3:
+                    line = line.replace("\t", " ") + " "
+                lines.append(line)
+                if rng.random() < 0.2:
+                    lines.append(str(rng.choice(["", " ", "\t ", "  \t"])))
+        path = tmp_path_factory.mktemp("conll") / "k.conll"
+        newline = "\r\n" if rng.random() < 0.5 else "\n"
+        path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+        assert parse_conll_documents(path) == expected
 
     def test_write_parse_round_trip(self, tmp_path):
         clusters = Clustering([{1, 2, 4}, {3}, {5}])

@@ -22,7 +22,7 @@ from softcoref.membership import MembershipMatrix, membership_array
 from softcoref.model import (correct_set_mask, delta_matrix, gamma_matrix,
                              l1_subgradient)
 
-from conftest import make_document
+from conftest import make_document, nan_gradient_loss
 
 
 def tiny_params(**overrides) -> ModelParams:
@@ -445,6 +445,17 @@ class TestDispatcherAndGradients:
         _, penalized = document_loss_and_grad(doc, params, "mr-heuristic", lam=lam)
         expected = bare.to_vector() + lam * np.sign(params.to_vector())
         np.testing.assert_allclose(penalized.to_vector(), expected, atol=1e-12)
+
+    def test_non_finite_score_gradient_raises_training_error(self, monkeypatch):
+        """A finite loss whose backward pass gives NaN stops before any
+        ModelParams (whose InputError would mean bad input) is built."""
+        from softcoref import TrainingError, model
+        monkeypatch.setitem(model._LOSSES, "b3", nan_gradient_loss)
+        doc = make_document("d", [1, 1, 3], seed=2)
+        params = ModelParams.random(4, 5, hidden_a=2, hidden_p=3, seed=2)
+        assert document_loss(doc, params, "b3") == 0.5
+        with pytest.raises(TrainingError, match="non-finite b3 gradient on document d"):
+            document_loss_and_grad(doc, params, "b3")
 
     def test_negative_l1_weight_rejected(self):
         doc = tiny_document((1, 1))

@@ -17,8 +17,7 @@ from .clustering import (antecedents_to_clusters, decode_argmax,
 from .corpus import (MENTION_TYPES, Clustering, ConllDocument, Document,
                      Mention, SyntheticConfig, clusters_from_entity_ids,
                      generate_synthetic, load_corpus, parse_conll_documents,
-                     parse_conll_key, save_corpus, write_conll_response,
-                     write_conll_responses)
+                     save_corpus, write_conll_responses)
 from .errors import (ConfigError, FormatError, InputError, SoftcorefError,
                      TrainingError)
 from .membership import (LinkDistribution, MembershipMatrix,
@@ -54,10 +53,9 @@ __all__ = [
     "f_beta", "format_breakdown", "format_report", "gamma_cost",
     "generate_synthetic", "grad_check", "l1_norm", "lea", "lea_counts",
     "link_probabilities", "load_corpus", "membership", "metric_report", "muc",
-    "muc_counts", "parse_conll_documents", "parse_conll_key",
+    "muc_counts", "parse_conll_documents",
     "predict_antecedents", "relaxed_b3", "relaxed_lea", "relaxed_loss",
     "report_csv", "save_corpus", "score_pairs", "soft_link", "soft_size",
     "tempered_membership", "train",
-    "validate_antecedent_vector", "write_conll_response",
-    "write_conll_responses",
+    "validate_antecedent_vector", "write_conll_responses",
 ]

@@ -17,11 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .clustering import antecedents_to_clusters, validate_antecedent_vector
 from .corpus import MENTION_TYPES, Clustering, Document
 from .errors import InputError
 from .metrics import COUNTS_FROM_OVERLAPS, PRF, _overlaps, conll_average
-from .model import ModelParams, predict_antecedents
+from .model import ModelParams, correct_set_mask, predict_antecedents
 
 ERROR_KINDS = ("fa", "fn", "wl", "correct")
 
@@ -66,20 +68,17 @@ def error_breakdown(doc: Document, predicted: Sequence[int]) -> ErrorBreakdown:
             f"document {doc.id}: prediction has length {len(predicted)}, expected {doc.n}"
         )
     validate_antecedent_vector(predicted)
-    counts = {kind: _zero_counts() for kind in ERROR_KINDS}
-    for i in range(1, doc.n + 1):
-        mention = doc.mentions[i - 1]
-        a = int(predicted[i - 1])
-        anaphoric = doc.is_anaphoric(i)
-        if not anaphoric and a != i:
-            kind = "fa"
-        elif anaphoric and a == i:
-            kind = "fn"
-        elif anaphoric and a not in doc.correct_antecedents(i):
-            kind = "wl"
-        else:
-            kind = "correct"
-        counts[kind][mention.mention_type] += 1
+    hit = correct_set_mask(doc.gold_entity_array)  # its diagonal marks entity openers
+    rows = np.arange(doc.n)
+    a = np.asarray(predicted, dtype=np.int64) - 1
+    # positions in ERROR_KINDS: correct when a is in C(m_i); otherwise fa
+    # for an opener, fn for an anaphor left new, wl for the rest
+    kinds = np.select([hit[rows, a], np.diagonal(hit), a == rows], [3, 0, 1], default=2)
+    types = np.array([MENTION_TYPES.index(m.mention_type) for m in doc.mentions], dtype=np.int64)
+    table = np.bincount(kinds * len(MENTION_TYPES) + types,
+                        minlength=len(ERROR_KINDS) * len(MENTION_TYPES))
+    counts = {kind: dict(zip(MENTION_TYPES, row))
+              for kind, row in zip(ERROR_KINDS, table.reshape(len(ERROR_KINDS), -1).tolist())}
     return ErrorBreakdown(**counts)
 
 

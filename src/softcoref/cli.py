@@ -26,7 +26,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="softcoref", description=__doc__.splitlines()[0])
+    # runs at import, and under ``python -OO`` the module docstring is None
+    parser = _Parser(prog="softcoref", description=(__doc__ or "").partition("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     g = sub.add_parser("generate", help="write a synthetic feature corpus")
@@ -212,6 +213,8 @@ def _cmd_gradcheck(args) -> int:
     return 0 if ok else 2
 
 
+_PARSER = _build_parser()
+
 _COMMANDS = {
     "generate": _cmd_generate,
     "train": _cmd_train,
@@ -223,9 +226,8 @@ _COMMANDS = {
 
 
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return _COMMANDS[args.command](args)
     except (ConfigError, FormatError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)

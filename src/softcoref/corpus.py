@@ -10,7 +10,9 @@ A corpus file holds one JSON record per line (one document per record)::
 ``gold_entity`` is the index of the first mention of the entity the
 mention belongs to (equal to the mention's own index when the mention
 opens a new entity; the string ``"new"`` is accepted as a synonym on
-load).  ``pairs`` must contain every ordered pair ``j < i``.
+load).  ``pairs`` must list every ordered pair ``j < i`` exactly once, in
+any order; in memory a document holds them as one matrix (see
+``Document``).
 
 Key files use a minimal CoNLL skeleton: ``#begin document (<id>)`` /
 ``#end document`` blocks whose last whitespace-separated column carries
@@ -23,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -144,21 +146,27 @@ class Mention:
 class Document:
     """An ordered mention list with per-mention and per-pair features.
 
-    Immutable after construction; the cached feature matrices make it
-    safe and cheap to share across repeated loss evaluations.
+    ``pair_feature_matrix`` holds the features of every pair j < i as one
+    float64 array of shape (n_pairs, d_p), in ``tril_pairs`` (row-major)
+    order; a document with fewer than two mentions holds a (0, 0) array.
+    Immutable after construction; the cached mention matrix and index
+    arrays make it safe and cheap to share across repeated loss
+    evaluations.
     """
 
     id: str
     mentions: tuple[Mention, ...]
-    pair_features: dict[tuple[int, int], np.ndarray]
+    pair_feature_matrix: np.ndarray
     gold_clusters: Clustering
 
     @classmethod
     def from_mentions(cls, doc_id: str, mentions: Sequence[Mention],
-                      pair_features: dict[tuple[int, int], np.ndarray]) -> "Document":
-        """Build a document, deriving gold clusters from mention labels."""
-        gold = clusters_from_entity_ids([m.gold_entity for m in mentions])
-        return cls(doc_id, tuple(mentions), dict(pair_features), gold)
+                      pairs: Mapping[tuple[int, int], np.ndarray]) -> "Document":
+        """Build a document from a ``{(j, i): features}`` dict, deriving gold
+        clusters from mention labels.  Raises InputError unless the keys
+        are exactly all pairs j < i."""
+        return _document(doc_id, mentions, _pair_matrix(
+            doc_id, len(mentions), list(pairs), list(pairs.values())))
 
     @property
     def n(self) -> int:
@@ -170,9 +178,7 @@ class Document:
 
     @property
     def d_p(self) -> int:
-        if not self.pair_features:
-            return 0
-        return len(next(iter(self.pair_features.values())))
+        return self.pair_feature_matrix.shape[1]
 
     def validate(self) -> None:
         n = self.n
@@ -186,30 +192,23 @@ class Document:
         for m in self.mentions:
             if len(m.features_a) != d_a:
                 raise InputError(f"document {self.id}: inconsistent d_a at mention {m.index}")
-        expected = {(j, i) for i in range(2, n + 1) for j in range(1, i)}
-        if set(self.pair_features) != expected:
-            missing = expected - set(self.pair_features)
-            extra = set(self.pair_features) - expected
-            detail = f"missing {sorted(missing)[:3]}" if missing else f"unexpected {sorted(extra)[:3]}"
-            raise InputError(f"document {self.id}: pair features not defined for exactly all j < i ({detail})")
-        if n > 1:
-            d_p = self.d_p
-            if d_p < 1:
-                raise InputError(f"document {self.id}: empty pair features")
-            for key, feats in self.pair_features.items():
-                if len(feats) != d_p:
-                    raise InputError(f"document {self.id}: inconsistent d_p at pair {key}")
+        pairs = self.pair_feature_matrix
+        n_pairs = n * (n - 1) // 2
+        if pairs.ndim != 2 or len(pairs) != n_pairs:
+            raise InputError(f"document {self.id}: pair features have shape {pairs.shape}, "
+                             f"expected ({n_pairs}, d_p)")
+        if n > 1 and self.d_p < 1:
+            raise InputError(f"document {self.id}: empty pair features")
         bad = ~np.isfinite(self.mention_feature_matrix).all(axis=1)
         if bad.any():
             raise InputError(f"document {self.id}: non-finite features at mention "
                              f"{int(np.argmax(bad)) + 1}")
-        if n > 1:
-            bad = ~np.isfinite(self.pair_feature_matrix).all(axis=1)
-            if bad.any():
-                k = int(np.argmax(bad))
-                rows_i, cols_j = self.tril_pairs
-                raise InputError(f"document {self.id}: non-finite features at pair "
-                                 f"({int(cols_j[k]) + 1}, {int(rows_i[k]) + 1})")
+        bad = ~np.isfinite(pairs).all(axis=1)
+        if bad.any():
+            k = int(np.argmax(bad))
+            rows_i, cols_j = self.tril_pairs
+            raise InputError(f"document {self.id}: non-finite features at pair "
+                             f"({int(cols_j[k]) + 1}, {int(rows_i[k]) + 1})")
         if self.gold_clusters.num_mentions != n:
             raise InputError(f"document {self.id}: gold clusters do not cover 1..n")
         firsts = self.gold_clusters.entity_ids()
@@ -225,24 +224,6 @@ class Document:
         """e(m_i) for every mention, 1-based."""
         return np.array([m.gold_entity for m in self.mentions], dtype=np.int64)
 
-    def is_anaphoric(self, i: int) -> bool:
-        """Whether mention i (1-based) has a true earlier antecedent."""
-        return self.mentions[i - 1].gold_entity < i
-
-    def correct_antecedents(self, i: int) -> frozenset[int]:
-        """The candidate set C(m_i): earlier mentions of the same entity,
-        or {i} itself when the mention opens its entity."""
-        return self.candidate_sets[i - 1]
-
-    @cached_property
-    def candidate_sets(self) -> tuple[frozenset[int], ...]:
-        ids = self.gold_entity_array
-        sets = []
-        for i in range(1, self.n + 1):
-            earlier = [j for j in range(1, i) if ids[j - 1] == ids[i - 1]]
-            sets.append(frozenset(earlier) if earlier else frozenset({i}))
-        return tuple(sets)
-
     @cached_property
     def mention_feature_matrix(self) -> np.ndarray:
         return np.stack([np.asarray(m.features_a, dtype=float) for m in self.mentions])
@@ -252,28 +233,62 @@ class Document:
         """0-based (i, j) index arrays for all pairs j < i, row-major."""
         return np.tril_indices(self.n, k=-1)
 
-    @cached_property
-    def pair_feature_matrix(self) -> np.ndarray:
-        """Pair features stacked in ``tril_pairs`` order, shape (n_pairs, d_p)."""
-        rows_i, cols_j = self.tril_pairs
-        if len(rows_i) == 0:
-            return np.zeros((0, max(self.d_p, 1)))
-        return np.stack([
-            np.asarray(self.pair_features[(int(j) + 1, int(i) + 1)], dtype=float)
-            for i, j in zip(rows_i, cols_j)
-        ])
-
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Document):
-            return False
-        if self.id != other.id or self.mentions != other.mentions:
-            return False
-        if set(self.pair_features) != set(other.pair_features):
-            return False
-        for key, feats in self.pair_features.items():
-            if not np.array_equal(feats, other.pair_features[key]):
-                return False
-        return self.gold_clusters == other.gold_clusters
+        return (
+            isinstance(other, Document)
+            and self.id == other.id
+            and self.mentions == other.mentions
+            and np.array_equal(self.pair_feature_matrix, other.pair_feature_matrix)
+            and self.gold_clusters == other.gold_clusters
+        )
+
+
+def _document(doc_id: str, mentions: Sequence[Mention], pairs: np.ndarray) -> Document:
+    """A document over pair features in ``tril_pairs`` order, with gold
+    clusters derived from mention labels."""
+    gold = clusters_from_entity_ids([m.gold_entity for m in mentions])
+    return Document(doc_id, tuple(mentions), pairs if len(pairs) else np.zeros((0, 0)), gold)
+
+
+def _pair_matrix(doc_id: str, n: int, keys: Sequence, features: Sequence) -> np.ndarray:
+    """Pair features listed per ``(j, i)`` key, in any order, as one matrix
+    in ``tril_pairs`` order.
+
+    Raises InputError unless the keys are every pair j < i <= n exactly
+    once and the features are vectors of one length.
+    """
+    not_vectors = f"document {doc_id}: pair features are not numeric vectors of one length"
+    try:
+        feats = np.asarray(features, dtype=float)
+    except ValueError as exc:
+        raise InputError(not_vectors) from exc
+    if len(feats) and feats.ndim != 2:
+        raise InputError(not_vectors)
+    j, i = np.array(keys, dtype=np.int64).reshape(-1, 2).T
+    order = np.lexsort((j, i))
+    j, i = j[order], i[order]
+    repeated = (np.diff(j) == 0) & (np.diff(i) == 0)
+    if repeated.any():
+        k = int(np.argmax(repeated))
+        raise InputError(f"document {doc_id}: pair features given twice for pair "
+                         f"({j[k]}, {i[k]})")
+    rows_i, cols_j = np.tril_indices(n, k=-1)
+    if not (np.array_equal(i, rows_i + 1) and np.array_equal(j, cols_j + 1)):
+        valid = (1 <= j) & (j < i) & (i <= n)
+        present = np.zeros((n, n), dtype=bool)
+        present[i[valid] - 1, j[valid] - 1] = True
+        missing = ~present[rows_i, cols_j]
+        if missing.any():
+            detail = f"missing {_pair_list(cols_j[missing] + 1, rows_i[missing] + 1)}"
+        else:
+            detail = f"unexpected {_pair_list(j[~valid], i[~valid])}"
+        raise InputError(f"document {doc_id}: pair features not defined for exactly "
+                         f"all j < i ({detail})")
+    return feats[order]
+
+
+def _pair_list(j: np.ndarray, i: np.ndarray) -> list[tuple[int, int]]:
+    return list(zip(j[:3].tolist(), i[:3].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -308,22 +323,10 @@ class SyntheticConfig:
 
 
 def _fit_length(vec: np.ndarray, d: int) -> np.ndarray:
-    if len(vec) >= d:
-        return vec[:d]
-    return np.concatenate([vec, np.zeros(d - len(vec))])
-
-
-def _one_hot(k: int, size: int) -> np.ndarray:
-    v = np.zeros(size)
-    v[k] = 1.0
-    return v
-
-
-def _distance_bucket(d: int) -> int:
-    for b, edge in enumerate(_DISTANCE_EDGES):
-        if d <= edge:
-            return b
-    return len(_DISTANCE_EDGES)
+    """Truncate or zero-pad the last axis to length d."""
+    if vec.shape[-1] >= d:
+        return vec[..., :d]
+    return np.concatenate([vec, np.zeros(vec.shape[:-1] + (d - vec.shape[-1],))], axis=-1)
 
 
 def generate_synthetic(config: SyntheticConfig) -> list[Document]:
@@ -360,7 +363,7 @@ def generate_synthetic(config: SyntheticConfig) -> list[Document]:
             type_ids.append(t)
             canonical = np.concatenate([
                 protos[lab],
-                _one_hot(t, 3),
+                np.eye(3)[t],
                 np.array([1.0 / i, i / n]),
             ])
             feats = _fit_length(canonical, config.d_a) + rng.normal(0.0, config.noise, config.d_a)
@@ -369,22 +372,18 @@ def generate_synthetic(config: SyntheticConfig) -> list[Document]:
         # cosine similarity: exactly 1 for same-entity pairs, so the
         # linking signal is separable before noise is added
         norms = np.linalg.norm(protos, axis=1)
-        pair_features = {}
-        for i in range(2, n + 1):
-            for j in range(1, i):
-                li, lj = int(labels[i - 1]), int(labels[j - 1])
-                sim = float(protos[li] @ protos[lj]) / float(norms[li] * norms[lj])
-                canonical = np.concatenate([
-                    np.array([sim]),
-                    _one_hot(_distance_bucket(i - j), len(_DISTANCE_EDGES) + 1),
-                    _one_hot(type_ids[j - 1] * 3 + type_ids[i - 1], 9),
-                ])
-                pair_features[(j, i)] = (
-                    _fit_length(canonical, config.d_p)
-                    + rng.normal(0.0, config.noise, config.d_p)
-                )
-
-        docs.append(Document.from_mentions(f"doc-{d:04d}", mentions, pair_features))
+        cosine = np.array([[float(protos[a] @ protos[b]) / float(norms[a] * norms[b])
+                            for b in range(k)] for a in range(k)])
+        rows_i, cols_j = np.tril_indices(n, k=-1)
+        types = np.array(type_ids)
+        canonical = np.concatenate([
+            cosine[labels[rows_i], labels[cols_j]][:, None],
+            np.eye(len(_DISTANCE_EDGES) + 1)[np.searchsorted(_DISTANCE_EDGES, rows_i - cols_j)],
+            np.eye(9)[types[cols_j] * 3 + types[rows_i]],
+        ], axis=1)
+        pairs = (_fit_length(canonical, config.d_p)
+                 + rng.normal(0.0, config.noise, (len(rows_i), config.d_p)))
+        docs.append(_document(f"doc-{d:04d}", mentions, pairs))
     return docs
 
 
@@ -393,6 +392,7 @@ def generate_synthetic(config: SyntheticConfig) -> list[Document]:
 # ---------------------------------------------------------------------------
 
 def _doc_record(doc: Document) -> dict:
+    rows_i, cols_j = doc.tril_pairs
     return {
         "id": doc.id,
         "d_a": doc.d_a,
@@ -407,8 +407,9 @@ def _doc_record(doc: Document) -> dict:
             for m in doc.mentions
         ],
         "pairs": [
-            {"j": j, "i": i, "features": np.asarray(f, dtype=float).tolist()}
-            for (j, i), f in sorted(doc.pair_features.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+            {"j": j, "i": i, "features": f}
+            for j, i, f in zip((cols_j + 1).tolist(), (rows_i + 1).tolist(),
+                               doc.pair_feature_matrix.tolist())
         ],
     }
 
@@ -431,12 +432,11 @@ def _doc_from_record(record: dict, path, lineno: int) -> Document:
                 int(m["index"]), str(m["type"]), int(gold),
                 np.asarray(m["features_a"], dtype=float),
             ))
-        pair_features = {
-            (int(p["j"]), int(p["i"])): np.asarray(p["features"], dtype=float)
-            for p in record["pairs"]
-        }
-        doc = Document.from_mentions(str(record["id"]), mentions, pair_features)
-    except (KeyError, TypeError, ValueError) as exc:
+        doc_id, pairs = str(record["id"]), record["pairs"]
+        doc = _document(doc_id, mentions, _pair_matrix(
+            doc_id, len(mentions), [(p["j"], p["i"]) for p in pairs],
+            [p["features"] for p in pairs]))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"bad document record: {exc}", path=path, line=lineno) from exc
     except InputError as exc:
         raise FormatError(str(exc), path=path, line=lineno) from exc
@@ -581,11 +581,6 @@ def parse_conll_documents(path) -> list[ConllDocument]:
     return docs
 
 
-def parse_conll_key(path) -> list[tuple[str, Clustering]]:
-    """Parse a key file, returning one (doc id, Clustering) per document."""
-    return [(d.doc_id, d.clustering) for d in parse_conll_documents(path)]
-
-
 def write_conll_responses(items: Iterable[tuple[str, Clustering]], path) -> None:
     """Write clusterings as one-token-per-mention CoNLL response blocks."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -595,6 +590,3 @@ def write_conll_responses(items: Iterable[tuple[str, Clustering]], path) -> None
                 fh.write(f"w{i}\t({cid})\n")
             fh.write("#end document\n")
 
-
-def write_conll_response(doc_id: str, clustering: Clustering, path) -> None:
-    write_conll_responses([(doc_id, clustering)], path)

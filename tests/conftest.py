@@ -111,6 +111,14 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+def correct_antecedents(doc: Document, i: int) -> frozenset[int]:
+    """The candidate set C(m_i) by a per-mention walk: earlier mentions of
+    the same entity, or {i} itself when the mention opens its entity."""
+    ids = doc.gold_entity_array
+    earlier = [j for j in range(1, i) if ids[j - 1] == ids[i - 1]]
+    return frozenset(earlier) if earlier else frozenset({i})
+
+
 def make_document(doc_id: str, entity_ids, d_a: int = 4, d_p: int = 5,
                   seed: int = 0, types=None) -> Document:
     """A document with given 1-based gold entity ids and random features."""

@@ -16,7 +16,27 @@ from softcoref import (Clustering, ErrorBreakdown, InputError, ModelParams,
 from softcoref.analysis import ERROR_KINDS
 from softcoref.clustering import antecedents_to_clusters
 
-from conftest import make_document, random_clustering, small_corpus
+from conftest import (correct_antecedents, make_document, random_clustering,
+                      small_corpus)
+
+
+def loop_breakdown(doc, predicted) -> ErrorBreakdown:
+    """Reference: classify one mention at a time against its candidate set."""
+    counts = {kind: {t: 0 for t in ("proper", "nominal", "pronominal")} for kind in ERROR_KINDS}
+    for i in range(1, doc.n + 1):
+        mention = doc.mentions[i - 1]
+        a = int(predicted[i - 1])
+        anaphoric = mention.gold_entity < i
+        if not anaphoric and a != i:
+            kind = "fa"
+        elif anaphoric and a == i:
+            kind = "fn"
+        elif anaphoric and a not in correct_antecedents(doc, i):
+            kind = "wl"
+        else:
+            kind = "correct"
+        counts[kind][mention.mention_type] += 1
+    return ErrorBreakdown(**counts)
 
 
 class TestErrorBreakdown:
@@ -95,6 +115,18 @@ class TestErrorBreakdown:
         }
         for t, count in by_type.items():
             assert count == types.count(t)
+
+    @given(seed=st.integers(0, 100_000), n=st.integers(1, 40))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_mention_loop(self, seed, n):
+        rng = np.random.default_rng(seed)
+        labels = random_clustering(rng, n).entity_ids()
+        types = [str(rng.choice(["proper", "nominal", "pronominal"])) for _ in range(n)]
+        doc = make_document("d", [labels[i] for i in range(1, n + 1)],
+                            d_a=1, d_p=1, seed=seed, types=types)
+        doc.validate()
+        predicted = tuple(int(rng.integers(1, i + 1)) for i in range(1, n + 1))
+        assert error_breakdown(doc, predicted) == loop_breakdown(doc, predicted)
 
     def test_addition(self):
         doc_a = make_document("a", [1, 2])

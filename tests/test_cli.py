@@ -302,3 +302,9 @@ class TestUsage:
     def test_unknown_flag_exit_1(self, tmp_path):
         assert cli("generate", "--docs", 1, "--out", tmp_path / "c.jsonl",
                    "--frob", 7) == 1
+
+    def test_parser_builds_without_docstrings(self, monkeypatch):
+        """``python -OO`` strips the module docstring the description comes from."""
+        import softcoref.cli
+        monkeypatch.setattr(softcoref.cli, "__doc__", None)
+        assert softcoref.cli._build_parser().description == ""

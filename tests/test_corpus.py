@@ -7,13 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softcoref import (Clustering, ConfigError, ConllDocument, Document,
-                       FormatError, InputError, Mention, SyntheticConfig,
+from softcoref import (MENTION_TYPES, Clustering, ConfigError, ConllDocument,
+                       Document, FormatError, InputError, Mention, SyntheticConfig,
                        clusters_from_entity_ids, generate_synthetic,
-                       load_corpus, parse_conll_documents, parse_conll_key,
-                       save_corpus, write_conll_response, write_conll_responses)
+                       load_corpus, parse_conll_documents, save_corpus,
+                       write_conll_responses)
+from softcoref.model import correct_set_mask
 
-from conftest import conll_lines, make_document
+from conftest import conll_lines, correct_antecedents, make_document
+
+
+def pair_dict(doc: Document) -> dict:
+    """The document's pair features keyed by (j, i), in row-major order."""
+    rows_i, cols_j = doc.tril_pairs
+    return dict(zip(zip((cols_j + 1).tolist(), (rows_i + 1).tolist()),
+                    doc.pair_feature_matrix))
 
 
 class TestClustering:
@@ -74,15 +82,18 @@ class TestDocument:
 
     def test_correct_antecedents(self):
         doc = make_document("d", [1, 1, 3, 1])
-        assert doc.correct_antecedents(1) == {1}
-        assert doc.correct_antecedents(2) == {1}
-        assert doc.correct_antecedents(3) == {3}
-        assert doc.correct_antecedents(4) == {1, 2}
+        assert correct_antecedents(doc, 1) == {1}
+        assert correct_antecedents(doc, 2) == {1}
+        assert correct_antecedents(doc, 3) == {3}
+        assert correct_antecedents(doc, 4) == {1, 2}
+        mask = correct_set_mask(doc.gold_entity_array)
+        for i in range(1, doc.n + 1):
+            assert set((np.flatnonzero(mask[i - 1]) + 1).tolist()) == correct_antecedents(doc, i)
 
     def test_missing_pair_rejected(self):
         doc = make_document("d", [1, 1, 3])
         broken = Document(doc.id, doc.mentions,
-                          {k: v for k, v in doc.pair_features.items() if k != (1, 3)},
+                          np.delete(doc.pair_feature_matrix, 1, axis=0),  # pair (1, 3)
                           doc.gold_clusters)
         with pytest.raises(InputError, match="pair features"):
             broken.validate()
@@ -91,17 +102,50 @@ class TestDocument:
         doc = make_document("d", [1, 1])
         bad_mentions = (doc.mentions[0],
                         Mention(2, "proper", 2, doc.mentions[1].features_a))
-        broken = Document(doc.id, bad_mentions, doc.pair_features, doc.gold_clusters)
+        broken = Document(doc.id, bad_mentions, doc.pair_feature_matrix, doc.gold_clusters)
         with pytest.raises(InputError, match="gold_entity"):
             broken.validate()
 
     def test_pair_feature_matrix_order(self):
         doc = make_document("d", [1, 1, 1])
+        pair_features = {(j, i): np.array([j, i, j * i], dtype=float)
+                         for i in range(2, 4) for j in range(1, i)}
+        doc = Document.from_mentions(doc.id, doc.mentions, pair_features)
         rows_i, cols_j = doc.tril_pairs
         for k in range(len(rows_i)):
             pair = (int(cols_j[k]) + 1, int(rows_i[k]) + 1)
             np.testing.assert_array_equal(doc.pair_feature_matrix[k],
-                                          doc.pair_features[pair])
+                                          pair_features[pair])
+
+    def test_from_mentions_any_key_order(self):
+        doc = make_document("d", [1, 2, 1, 3, 3, 1], d_p=3)
+        row_major = pair_dict(doc)
+        keys = list(row_major)
+        shuffled = {keys[k]: row_major[keys[k]]
+                    for k in np.random.default_rng(0).permutation(len(keys))}
+        assert list(shuffled) != keys
+        rebuilt = Document.from_mentions(doc.id, doc.mentions, shuffled)
+        np.testing.assert_array_equal(rebuilt.pair_feature_matrix, doc.pair_feature_matrix)
+        assert rebuilt == doc
+
+    @pytest.mark.parametrize("change, detail", [
+        (lambda pairs: pairs.pop((1, 3)), r"missing \[\(1, 3\)\]"),
+        (lambda pairs: pairs.update({(3, 3): np.zeros(5)}), r"unexpected \[\(3, 3\)\]"),
+        (lambda pairs: pairs.update({(4, 5): np.zeros(5)}), r"unexpected \[\(4, 5\)\]"),
+    ])
+    def test_from_mentions_rejects_wrong_pair_set(self, change, detail):
+        doc = make_document("d", [1, 1, 3])
+        pairs = pair_dict(doc)
+        change(pairs)
+        with pytest.raises(InputError, match="pair features") as exc:
+            Document.from_mentions(doc.id, doc.mentions, pairs)
+        assert exc.match(detail)
+
+    def test_single_mention_has_no_pair_dimension(self):
+        doc = make_document("d", [1])
+        doc.validate()
+        assert doc.pair_feature_matrix.shape == (0, 0)
+        assert doc.d_p == 0
 
 
 class TestSyntheticConfig:
@@ -122,7 +166,60 @@ class TestSyntheticConfig:
             SyntheticConfig(num_docs=1, noise=-0.1)
 
 
+def loop_generate_synthetic(config: SyntheticConfig) -> list[Document]:
+    """Reference generator: the same draws, with one feature vector per pair."""
+    def fit(vec, d):
+        return vec[:d] if len(vec) >= d else np.concatenate([vec, np.zeros(d - len(vec))])
+
+    def one_hot(k, size):
+        v = np.zeros(size)
+        v[k] = 1.0
+        return v
+
+    def bucket(dist):
+        return next((b for b, edge in enumerate((1, 3, 7)) if dist <= edge), 3)
+
+    rng = np.random.default_rng(config.seed)
+    proto_dim = max(1, config.d_a - 5)
+    docs = []
+    for d in range(config.num_docs):
+        n = int(rng.integers(config.mentions_per_doc[0], config.mentions_per_doc[1] + 1))
+        k = min(int(rng.integers(config.entities_per_doc[0], config.entities_per_doc[1] + 1)), n)
+        protos = rng.normal(size=(k, proto_dim))
+        labels = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
+        rng.shuffle(labels)
+        first_of_label, mentions, type_ids = {}, [], []
+        for i in range(1, n + 1):
+            lab = int(labels[i - 1])
+            prior = (0.6, 0.3, 0.1) if lab not in first_of_label else (0.15, 0.35, 0.5)
+            first_of_label.setdefault(lab, i)
+            t = int(rng.choice(3, p=prior))
+            type_ids.append(t)
+            canonical = np.concatenate([protos[lab], one_hot(t, 3), np.array([1.0 / i, i / n])])
+            feats = fit(canonical, config.d_a) + rng.normal(0.0, config.noise, config.d_a)
+            mentions.append(Mention(i, MENTION_TYPES[t], first_of_label[lab], feats))
+        norms = np.linalg.norm(protos, axis=1)
+        pair_features = {}
+        for i in range(2, n + 1):
+            for j in range(1, i):
+                li, lj = int(labels[i - 1]), int(labels[j - 1])
+                sim = float(protos[li] @ protos[lj]) / float(norms[li] * norms[lj])
+                canonical = np.concatenate([np.array([sim]), one_hot(bucket(i - j), 4),
+                                            one_hot(type_ids[j - 1] * 3 + type_ids[i - 1], 9)])
+                pair_features[(j, i)] = (fit(canonical, config.d_p)
+                                         + rng.normal(0.0, config.noise, config.d_p))
+        docs.append(Document.from_mentions(f"doc-{d:04d}", mentions, pair_features))
+    return docs
+
+
 class TestGenerateSynthetic:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("d_p", [3, 14, 20])
+    def test_matches_per_pair_reference(self, seed, d_p):
+        config = SyntheticConfig(num_docs=6, mentions_per_doc=(1, 30), entities_per_doc=(1, 6),
+                                 d_a=4 + seed, d_p=d_p, noise=0.1 * seed, seed=seed)
+        assert generate_synthetic(config) == loop_generate_synthetic(config)
+
     def test_single_entity_forces_one_cluster(self):
         config = SyntheticConfig(num_docs=1, mentions_per_doc=(3, 3),
                                  entities_per_doc=(1, 1), seed=7)
@@ -145,7 +242,7 @@ class TestGenerateSynthetic:
         config = SyntheticConfig(num_docs=1, mentions_per_doc=(6, 6),
                                  entities_per_doc=(1, 1), noise=0.0, seed=1)
         (doc,) = generate_synthetic(config)
-        sims = {round(float(f[0]), 12) for f in doc.pair_features.values()}
+        sims = {round(float(f[0]), 12) for f in doc.pair_feature_matrix}
         assert sims == {1.0}
 
     def test_zero_noise_cross_entity_similarity_below_one(self):
@@ -153,7 +250,8 @@ class TestGenerateSynthetic:
                                  entities_per_doc=(3, 3), noise=0.0, seed=2)
         (doc,) = generate_synthetic(config)
         ids = doc.gold_clusters.entity_ids()
-        for (j, i), feats in doc.pair_features.items():
+        rows_i, cols_j = doc.tril_pairs
+        for i, j, feats in zip(rows_i + 1, cols_j + 1, doc.pair_feature_matrix):
             if ids[j] == ids[i]:
                 assert abs(float(feats[0]) - 1.0) < 1e-12
             else:
@@ -208,6 +306,36 @@ class TestCorpusIO:
         with pytest.raises(FormatError, match="pair features"):
             load_corpus(path)
 
+    def test_pair_records_in_any_order(self, tmp_path):
+        docs = generate_synthetic(SyntheticConfig(num_docs=3, seed=5))
+        path = tmp_path / "c.jsonl"
+        save_corpus(docs, path)
+        rng = np.random.default_rng(0)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        for record in records:
+            record["pairs"] = [record["pairs"][k] for k in rng.permutation(len(record["pairs"]))]
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
+        assert load_corpus(path) == docs
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda pairs: pairs.append(dict(pairs[3])), r"given twice for pair \(1, 4\)"),
+        (lambda pairs: pairs[3]["features"].pop(), "not numeric vectors of one length"),
+        (lambda pairs: pairs[3].update(features=["x"] * len(pairs[3]["features"])),
+         "not numeric vectors of one length"),
+    ])
+    def test_malformed_pair_records_report_line(self, tmp_path, change, message):
+        docs = generate_synthetic(SyntheticConfig(num_docs=2, seed=5))
+        path = tmp_path / "c.jsonl"
+        save_corpus(docs, path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        change(record["pairs"])
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=message) as exc:
+            load_corpus(path)
+        assert exc.value.line == 2
+
     def test_cross_document_dim_mismatch(self, tmp_path):
         a = generate_synthetic(SyntheticConfig(num_docs=1, d_a=6, seed=1))
         b = generate_synthetic(SyntheticConfig(num_docs=1, d_a=7, seed=2))
@@ -251,7 +379,7 @@ class TestConll:
         path = tmp_path / "k.conll"
         lines = [f"#begin document ({doc_id})"] + body + ["#end document"]
         path.write_text("\n".join(lines) + "\n")
-        return parse_conll_key(path)
+        return [(d.doc_id, d.clustering) for d in parse_conll_documents(path)]
 
     def test_two_singleton_spans_one_entity(self, tmp_path):
         [(doc_id, clusters)] = self._parse(tmp_path, ["w1\t(0)", "w2\t(0)"])
@@ -288,21 +416,21 @@ class TestConll:
         path = tmp_path / "k.conll"
         path.write_text("#begin document (d1)\nw1\t(0)\n")
         with pytest.raises(FormatError, match="not terminated"):
-            parse_conll_key(path)
+            parse_conll_documents(path)
 
     def test_begin_inside_open_document_rejected(self, tmp_path):
         path = tmp_path / "k.conll"
         path.write_text("#begin document (a)\nw1\t(0)\n"
                         "#begin document (b)\nw1\t(0)\n#end document\n")
         with pytest.raises(FormatError, match="document 'a' not terminated") as exc:
-            parse_conll_key(path)
+            parse_conll_documents(path)
         assert exc.value.line == 3
 
     def test_end_without_begin_rejected(self, tmp_path):
         path = tmp_path / "k.conll"
         path.write_text("w1\t(0)\n#end document\n")
         with pytest.raises(FormatError, match="without #begin") as exc:
-            parse_conll_key(path)
+            parse_conll_documents(path)
         assert exc.value.line == 2
 
     def test_duplicate_span_rejected(self, tmp_path):
@@ -369,23 +497,23 @@ class TestConll:
     def test_write_parse_round_trip(self, tmp_path):
         clusters = Clustering([{1, 2, 4}, {3}, {5}])
         path = tmp_path / "r.conll"
-        write_conll_response("doc", clusters, path)
-        [(doc_id, parsed)] = parse_conll_key(path)
-        assert doc_id == "doc"
-        assert parsed == clusters
+        write_conll_responses([("doc", clusters)], path)
+        [parsed] = parse_conll_documents(path)
+        assert parsed.doc_id == "doc"
+        assert parsed.clustering == clusters
 
     def test_write_distinct_entities(self, tmp_path):
         path = tmp_path / "r.conll"
-        write_conll_response("doc", Clustering([{1}, {2}]), path)
-        [(_, parsed)] = parse_conll_key(path)
-        assert parsed == Clustering([{1}, {2}])
+        write_conll_responses([("doc", Clustering([{1}, {2}]))], path)
+        [parsed] = parse_conll_documents(path)
+        assert parsed.clustering == Clustering([{1}, {2}])
 
     def test_empty_clustering_round_trip(self, tmp_path):
         path = tmp_path / "r.conll"
         write_conll_responses([("doc", Clustering())], path)
-        [(doc_id, parsed)] = parse_conll_key(path)
-        assert doc_id == "doc"
-        assert parsed == Clustering()
+        [parsed] = parse_conll_documents(path)
+        assert parsed.doc_id == "doc"
+        assert parsed.clustering == Clustering()
 
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 12))
     @settings(max_examples=30, deadline=None)
@@ -394,6 +522,6 @@ class TestConll:
         rng = np.random.default_rng(seed)
         clusters = random_clustering(rng, n)
         path = tmp_path_factory.mktemp("conll") / "r.conll"
-        write_conll_response("doc", clusters, path)
-        [(_, parsed)] = parse_conll_key(path)
-        assert parsed == clusters
+        write_conll_responses([("doc", clusters)], path)
+        [parsed] = parse_conll_documents(path)
+        assert parsed.clustering == clusters

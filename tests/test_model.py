@@ -22,7 +22,7 @@ from softcoref.membership import MembershipMatrix, membership_array
 from softcoref.model import (correct_set_mask, delta_matrix, gamma_matrix,
                              l1_subgradient)
 
-from conftest import make_document, nan_gradient_loss
+from conftest import correct_antecedents, make_document, nan_gradient_loss
 
 
 def tiny_params(**overrides) -> ModelParams:
@@ -248,7 +248,7 @@ class TestCosts:
         delta, gamma = np.zeros((n, n)), np.zeros((n, n))
         mask = np.zeros((n, n), dtype=bool)
         for i in range(1, n + 1):
-            cand = doc.correct_antecedents(i)
+            cand = correct_antecedents(doc, i)
             for j in range(1, i + 1):
                 delta[i - 1, j - 1] = delta_cost(j, i, cand, costs)
                 gamma[i - 1, j - 1] = gamma_cost(j, i, ids[i - 1], costs)
@@ -294,7 +294,7 @@ class TestMentionRankingLoss:
             row = scores[i - 1, :i]
             weights = np.exp(row - row.max())
             p = weights / weights.sum()
-            expected -= math.log(sum(p[j - 1] for j in doc.correct_antecedents(i)))
+            expected -= math.log(sum(p[j - 1] for j in correct_antecedents(doc, i)))
         assert abs(loss - expected) < 1e-10
 
     def test_raising_costs_raises_loss(self):

@@ -32,8 +32,7 @@ from .model import (LOSS_KINDS, CostConfig, ModelParams, delta_cost,
                     link_probabilities, predict_antecedents, score_pairs)
 from .optim import (BETA_GRID, EpochRecord, TrainConfig, TrainHistory,
                     adagrad_step, beta_sweep, grad_check, train)
-from .relaxed import (GUARD_EPS, RelaxedScore, relaxed_b3, relaxed_lea,
-                      relaxed_loss, soft_link, soft_size)
+from .relaxed import GUARD_EPS, RelaxedScore, relaxed_b3, relaxed_lea
 
 __version__ = "0.1.0"
 
@@ -54,8 +53,8 @@ __all__ = [
     "generate_synthetic", "grad_check", "l1_norm", "lea", "lea_counts",
     "link_probabilities", "load_corpus", "membership", "metric_report", "muc",
     "muc_counts", "parse_conll_documents",
-    "predict_antecedents", "relaxed_b3", "relaxed_lea", "relaxed_loss",
-    "report_csv", "save_corpus", "score_pairs", "soft_link", "soft_size",
+    "predict_antecedents", "relaxed_b3", "relaxed_lea",
+    "report_csv", "save_corpus", "score_pairs",
     "tempered_membership", "train",
     "validate_antecedent_vector", "write_conll_responses",
 ]

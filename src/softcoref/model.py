@@ -28,11 +28,23 @@ settings, score the document, look the loss up, add lam * L1; the
 latter then runs ``backward()`` and the scorer's reverse pass.  All
 gradients are closed-form reverse passes (tanh, softmax, the membership
 recursion, and the metric expressions); no autodiff.
+
+ModelParams' fields are views into one flat vector, so the reverse pass
+writes each gradient block in place and an AdaGrad step is one vector
+operation.  The pair layer's reverse pass is fused: with d_pair the
+score gradient of each pair and u_p the pair half of u,
+
+    dW_p = u_p[:, None] * ((1 - h_p^2)^T @ (d_pair[:, None] * phi_p))
+    db_p = u_p * ((1 - h_p^2)^T @ d_pair)
+
+so one GEMM against [d_pair * phi_p, d_pair] gives both, and 1 - h_p^2
+is the only n_pairs x hidden_p temporary.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
@@ -61,50 +73,73 @@ class CostConfig:
 
     def __post_init__(self):
         for name, triple in (("alphas", self.alphas), ("gammas", self.gammas)):
-            if len(triple) != 3 or any(c < 0 for c in triple):
-                raise ConfigError(f"{name} must be three nonnegative costs, got {triple}")
+            if len(triple) != 3 or not all(0 <= c < math.inf for c in triple):
+                raise ConfigError(f"{name} must be three finite nonnegative costs, got {triple}")
 
     @classmethod
     def zero(cls) -> "CostConfig":
         return cls((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
 
-@dataclass(eq=False)
+def _layout(hidden_a: int, d_a: int, hidden_p: int, d_p: int) -> list[tuple[int, ...]]:
+    """Shapes of the fields of ModelParams, in flat-vector order."""
+    return [(hidden_a, d_a), (hidden_a,), (hidden_p, d_p), (hidden_p,),
+            (hidden_a + hidden_p,), (), (hidden_a,), ()]
+
+
+def _field(k: int, scalar: bool = False) -> property:
+    """Field k of the layout; assigning to it writes into the flat vector."""
+    def get(self):
+        return float(self._views[k]) if scalar else self._views[k]
+
+    def put(self, value):
+        self._views[k][...] = value
+
+    return property(get, put)
+
+
 class ModelParams:
-    """All learnable tensors of the scorer."""
+    """All learnable tensors of the scorer, held as named views into one
+    contiguous float64 vector in the order w_a (hidden_a, d_a), b_a,
+    w_p (hidden_p, d_p), b_p, u (hidden_a + hidden_p), u_0, v (hidden_a),
+    v_0, matrices row-major.  u_0 and v_0 read as floats."""
 
-    w_a: np.ndarray   # (hidden_a, d_a)
-    b_a: np.ndarray   # (hidden_a,)
-    w_p: np.ndarray   # (hidden_p, d_p)
-    b_p: np.ndarray   # (hidden_p,)
-    u: np.ndarray     # (hidden_a + hidden_p,)
-    u_0: float
-    v: np.ndarray     # (hidden_a,)
-    v_0: float
+    w_a, b_a, w_p, b_p, u = (_field(k) for k in range(5))
+    u_0, v, v_0 = _field(5, scalar=True), _field(6), _field(7, scalar=True)
 
-    def __post_init__(self):
-        self.w_a = np.asarray(self.w_a, dtype=float)
-        self.b_a = np.asarray(self.b_a, dtype=float)
-        self.w_p = np.asarray(self.w_p, dtype=float)
-        self.b_p = np.asarray(self.b_p, dtype=float)
-        self.u = np.asarray(self.u, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
-        self.u_0 = float(self.u_0)
-        self.v_0 = float(self.v_0)
-        ha, hp = self.hidden_a, self.hidden_p
-        if self.w_a.ndim != 2 or self.w_p.ndim != 2:
+    def __init__(self, w_a, b_a, w_p, b_p, u, u_0, v, v_0):
+        w_a, b_a, w_p, b_p, u, v = (np.asarray(x, dtype=float)
+                                    for x in (w_a, b_a, w_p, b_p, u, v))
+        if w_a.ndim != 2 or w_p.ndim != 2:
             raise InputError("weight matrices must be 2-dimensional")
-        if self.b_a.shape != (ha,) or self.b_p.shape != (hp,):
+        (ha, da), (hp, dp) = w_a.shape, w_p.shape
+        if b_a.shape != (ha,) or b_p.shape != (hp,):
             raise InputError("bias shapes inconsistent with weight matrices")
-        if self.u.shape != (ha + hp,):
+        if u.shape != (ha + hp,):
             raise InputError(f"u must have length hidden_a + hidden_p = {ha + hp}")
-        if self.v.shape != (ha,):
+        if v.shape != (ha,):
             raise InputError(f"v must have length hidden_a = {ha}")
-        for arr in (self.w_a, self.b_a, self.w_p, self.b_p, self.u, self.v):
-            if not np.all(np.isfinite(arr)):
-                raise InputError("model parameters contain non-finite values")
-        if not (np.isfinite(self.u_0) and np.isfinite(self.v_0)):
+        vec = np.concatenate([w_a.ravel(), b_a, w_p.ravel(), b_p, u, [float(u_0)],
+                              v, [float(v_0)]])
+        if not np.isfinite(vec).all():
             raise InputError("model parameters contain non-finite values")
+        self._bind(vec, _layout(ha, da, hp, dp))
+
+    def _bind(self, vec: np.ndarray, shapes) -> None:
+        self._vec, self._shapes = vec, shapes
+        self._views, start = [], 0
+        for shape in shapes:
+            size = math.prod(shape)
+            self._views.append(vec[start:start + size].reshape(shape))
+            start += size
+
+    @classmethod
+    def _wrap(cls, vec: np.ndarray, shapes) -> "ModelParams":
+        """Params whose fields view ``vec``, taken as it is: not copied,
+        not checked."""
+        params = cls.__new__(cls)
+        params._bind(vec, shapes)
+        return params
 
     @property
     def d_a(self) -> int:
@@ -124,7 +159,7 @@ class ModelParams:
 
     @property
     def num_params(self) -> int:
-        return self.to_vector().size
+        return self._vec.size
 
     @classmethod
     def random(cls, d_a: int, d_p: int, hidden_a: int = 200, hidden_p: int = 700,
@@ -143,40 +178,27 @@ class ModelParams:
 
     @classmethod
     def zeros(cls, d_a: int, d_p: int, hidden_a: int = 200, hidden_p: int = 700) -> "ModelParams":
-        return cls(
-            w_a=np.zeros((hidden_a, d_a)), b_a=np.zeros(hidden_a),
-            w_p=np.zeros((hidden_p, d_p)), b_p=np.zeros(hidden_p),
-            u=np.zeros(hidden_a + hidden_p), u_0=0.0,
-            v=np.zeros(hidden_a), v_0=0.0,
-        )
+        shapes = _layout(hidden_a, d_a, hidden_p, d_p)
+        return cls._wrap(np.zeros(sum(math.prod(s) for s in shapes)), shapes)
 
     def zeros_like(self) -> "ModelParams":
-        return ModelParams.zeros(self.d_a, self.d_p, self.hidden_a, self.hidden_p)
+        return ModelParams._wrap(np.zeros_like(self._vec), self._shapes)
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.w_a.copy(), self.b_a.copy(), self.w_p.copy(),
-                           self.b_p.copy(), self.u.copy(), self.u_0,
-                           self.v.copy(), self.v_0)
+        return ModelParams._wrap(self._vec.copy(), self._shapes)
 
     def to_vector(self) -> np.ndarray:
-        return np.concatenate([
-            self.w_a.ravel(), self.b_a, self.w_p.ravel(), self.b_p,
-            self.u, [self.u_0], self.v, [self.v_0],
-        ])
+        """A copy of the flat vector."""
+        return self._vec.copy()
 
     def from_vector(self, vec: np.ndarray) -> "ModelParams":
-        """Rebuild params with this instance's shapes from a flat vector."""
-        vec = np.asarray(vec, dtype=float)
-        sizes = [self.w_a.size, self.b_a.size, self.w_p.size, self.b_p.size,
-                 self.u.size, 1, self.v.size, 1]
-        if vec.shape != (sum(sizes),):
-            raise InputError(f"flat vector has length {vec.size}, expected {sum(sizes)}")
-        parts = np.split(vec, np.cumsum(sizes)[:-1])
-        return ModelParams(
-            w_a=parts[0].reshape(self.w_a.shape), b_a=parts[1],
-            w_p=parts[2].reshape(self.w_p.shape), b_p=parts[3],
-            u=parts[4], u_0=float(parts[5][0]), v=parts[6], v_0=float(parts[7][0]),
-        )
+        """Params with this instance's shapes over a copy of a flat vector."""
+        vec = np.array(vec, dtype=float)
+        if vec.shape != self._vec.shape:
+            raise InputError(f"flat vector has length {vec.size}, expected {self._vec.size}")
+        if not np.isfinite(vec).all():
+            raise InputError("model parameters contain non-finite values")
+        return ModelParams._wrap(vec, self._shapes)
 
     def save(self, path) -> None:
         record = {
@@ -221,12 +243,7 @@ class ModelParams:
 
 def l1_norm(params: ModelParams) -> float:
     """Sum of absolute values over every learnable coordinate."""
-    return float(np.abs(params.to_vector()).sum())
-
-
-def l1_subgradient(params: ModelParams) -> ModelParams:
-    """sign(theta) coordinatewise, 0 at exact zeros."""
-    return params.from_vector(np.sign(params.to_vector()))
+    return float(np.abs(params._vec).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +271,11 @@ def _forward_scores(doc: Document, params: ModelParams) -> _ScoreCache:
     n = doc.n
     ha = params.hidden_a
     phi_a = doc.mention_feature_matrix
-    h_a = np.tanh(phi_a @ params.w_a.T + params.b_a)
+    h_a = _hidden(phi_a, params.w_a, params.b_a)
     rows_i, cols_j = doc.tril_pairs
     if n > 1:
         phi_p = doc.pair_feature_matrix
-        h_p = np.tanh(phi_p @ params.w_p.T + params.b_p)
+        h_p = _hidden(phi_p, params.w_p, params.b_p)
     else:
         phi_p = np.zeros((0, params.d_p))
         h_p = np.zeros((0, params.hidden_p))
@@ -267,6 +284,13 @@ def _forward_scores(doc: Document, params: ModelParams) -> _ScoreCache:
         scores[rows_i, cols_j] = (h_a @ params.u[:ha])[rows_i] + h_p @ params.u[ha:] + params.u_0
     np.fill_diagonal(scores, h_a @ params.v + params.v_0)
     return _ScoreCache(phi_a, phi_p, h_a, h_p, scores)
+
+
+def _hidden(phi: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """tanh(phi @ w.T + b), computed in the GEMM's output buffer."""
+    h = phi @ w.T
+    h += b
+    return np.tanh(h, out=h)
 
 
 def score_pairs(doc: Document, params: ModelParams) -> np.ndarray:
@@ -301,27 +325,37 @@ def _softmax_backward(probs: np.ndarray, d_probs: np.ndarray) -> np.ndarray:
 
 def _score_backward(params: ModelParams, cache: _ScoreCache,
                     d_scores: np.ndarray, tril_pairs) -> ModelParams:
-    """Parameter gradient given a gradient on the score matrix."""
+    """Parameter gradient given a gradient on the score matrix, written
+    block by block into a zeroed flat vector; the pair side is fused (see
+    the module docstring)."""
     ha = params.hidden_a
     rows_i, cols_j = tril_pairs
     d_pair = d_scores[rows_i, cols_j]
     d_self = np.diagonal(d_scores).copy()
+    grad = params.zeros_like()
 
     # Every pair term of row i shares h_a[i], so its gradient is the row sum.
     d_row = np.tril(d_scores, k=-1).sum(axis=1)
     u_a, u_p = params.u[:ha], params.u[ha:]
-    d_h_a = np.outer(d_self, params.v) + np.outer(d_row, u_a)
-    d_u = np.concatenate([cache.h_a.T @ d_row, cache.h_p.T @ d_pair])
-    d_v = cache.h_a.T @ d_self
-    d_h_p = np.outer(d_pair, u_p)
+    d_z_a = np.outer(d_self, params.v) + np.outer(d_row, u_a)
+    d_z_a *= 1.0 - cache.h_a ** 2
+    np.matmul(d_z_a.T, cache.phi_a, out=grad.w_a)
+    d_z_a.sum(axis=0, out=grad.b_a)
+    np.matmul(cache.h_a.T, d_row, out=grad.u[:ha])
+    np.matmul(cache.h_p.T, d_pair, out=grad.u[ha:])
+    np.matmul(cache.h_a.T, d_self, out=grad.v)
+    grad.u_0, grad.v_0 = d_pair.sum(), d_self.sum()
 
-    d_z_a = d_h_a * (1.0 - cache.h_a ** 2)
-    d_z_p = d_h_p * (1.0 - cache.h_p ** 2)
-    return ModelParams(
-        w_a=d_z_a.T @ cache.phi_a, b_a=d_z_a.sum(axis=0),
-        w_p=d_z_p.T @ cache.phi_p, b_p=d_z_p.sum(axis=0),
-        u=d_u, u_0=float(d_pair.sum()), v=d_v, v_0=float(d_self.sum()),
-    )
+    d_p = params.d_p
+    weighted = np.empty((d_pair.size, d_p + 1))
+    np.multiply(d_pair[:, None], cache.phi_p, out=weighted[:, :d_p])
+    weighted[:, d_p] = d_pair
+    sech2 = cache.h_p * cache.h_p
+    np.subtract(1.0, sech2, out=sech2)
+    fused = sech2.T @ weighted
+    np.multiply(u_p[:, None], fused[:, :d_p], out=grad.w_p)
+    np.multiply(u_p, fused[:, d_p], out=grad.b_p)
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -466,12 +500,12 @@ def _check_loss_settings(kind: str, beta: float, temperature: float, lam: float)
     """Reject loss settings that no objective accepts."""
     if kind not in _LOSSES:
         raise ConfigError(f"unknown loss kind {kind!r} (expected one of {LOSS_KINDS})")
-    if beta <= 0:
-        raise ConfigError(f"beta must be positive, got {beta}")
-    if temperature <= 0:
-        raise ConfigError(f"temperature must be positive, got {temperature}")
-    if lam < 0:
-        raise ConfigError(f"l1 weight must be nonnegative, got {lam}")
+    if not 0 < beta < math.inf:
+        raise ConfigError(f"beta must be positive and finite, got {beta}")
+    if not 0 < temperature < math.inf:
+        raise ConfigError(f"temperature must be positive and finite, got {temperature}")
+    if not 0 <= lam < math.inf:
+        raise ConfigError(f"l1 weight must be nonnegative and finite, got {lam}")
 
 
 def _loss_and_backward(doc: Document, params: ModelParams, kind: str,
@@ -513,5 +547,5 @@ def document_loss_and_grad(doc: Document, params: ModelParams, kind: str, *,
         raise TrainingError(f"non-finite {kind} gradient on document {doc.id}")
     grad = _score_backward(params, cache, d_scores, doc.tril_pairs)
     if lam:
-        grad = params.from_vector(grad.to_vector() + lam * np.sign(params.to_vector()))
+        grad._vec += lam * np.sign(params._vec)
     return loss, grad

@@ -49,19 +49,22 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_loss_settings(self.loss, self.beta, self.temperature, self.lam)
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(
+                f"learning rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
-        if self.eps <= 0:
-            raise ConfigError(f"adagrad eps must be positive, got {self.eps}")
+        if not 0 < self.eps < math.inf:
+            raise ConfigError(f"adagrad eps must be positive and finite, got {self.eps}")
         if self.hidden_a < 1 or self.hidden_p < 1:
             raise ConfigError("hidden sizes must be at least 1")
+        if not 0 <= self.init_scale < math.inf:
+            raise ConfigError(f"init scale must be nonnegative and finite, got {self.init_scale}")
         if self.anneal is not None:
             for entry in self.anneal:
                 epoch, temp = entry
-                if epoch < 1 or temp <= 0:
-                    raise ConfigError(f"bad annealing entry {entry}: need epoch >= 1, T > 0")
+                if epoch < 1 or not 0 < temp < math.inf:
+                    raise ConfigError(f"bad annealing entry {entry}: need epoch >= 1, 0 < T < inf")
 
 
 @dataclass(frozen=True)
@@ -134,8 +137,7 @@ def train(corpus: Sequence[Document], dev: Sequence[Document],
                 f"document {doc.id}: mention feature dim {doc.d_a} != {d_a}"
             )
     params = _initial_params(corpus, config)
-    vec = params.to_vector()
-    accum = np.zeros_like(vec)
+    accum = np.zeros(params.num_params)
     shuffle_rng = np.random.default_rng([config.seed, 1])
     schedule = dict(config.anneal) if config.anneal else {}
     temperature = config.temperature
@@ -153,9 +155,11 @@ def train(corpus: Sequence[Document], dev: Sequence[Document],
                 doc, params, config.loss, costs=config.costs, beta=config.beta,
                 temperature=temperature, lam=config.lam,
             )
-            vec, accum = adagrad_step(vec, grad.to_vector(), accum,
+            vec, accum = adagrad_step(params._vec, grad._vec, accum,
                                       config.learning_rate, config.eps)
-            params = params.from_vector(vec)
+            if not np.isfinite(vec).all():
+                raise TrainingError(f"non-finite parameters after the update on document {doc.id}")
+            params = ModelParams._wrap(vec, params._shapes)
             losses.append(loss)
         report = evaluate_corpus(dev, params) if dev else None
         history.records.append(EpochRecord(

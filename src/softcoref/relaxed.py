@@ -22,7 +22,6 @@ scoring network.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection
 
 import numpy as np
 
@@ -43,33 +42,6 @@ class RelaxedScore:
     recall: float
     beta: float
     temperature: float
-
-
-def soft_size(memberships: MembershipMatrix, u: int) -> float:
-    """Expected cardinality of soft cluster S_u (1-based anchor)."""
-    if not (1 <= u <= memberships.n):
-        raise InputError(f"entity anchor {u} out of range 1..{memberships.n}")
-    return float(memberships.probs[:, u - 1].sum())
-
-
-def soft_link(memberships: MembershipMatrix, u: int,
-              restrict: Collection[int] | None = None) -> float:
-    """Expected number of mention pairs inside soft cluster S_u.
-
-    With ``restrict``, only pairs with both mentions in the given
-    1-based set count (used for intersections with a gold cluster).
-    """
-    n = memberships.n
-    if not (1 <= u <= n):
-        raise InputError(f"entity anchor {u} out of range 1..{n}")
-    col = memberships.probs[:, u - 1]
-    if restrict is not None:
-        members = sorted(set(int(m) for m in restrict))
-        if members and not (1 <= members[0] and members[-1] <= n):
-            raise InputError(f"restrict set out of range 1..{n}")
-        col = col[[m - 1 for m in members]]
-    total = col.sum()
-    return float(0.5 * (total * total - (col * col).sum()))
 
 
 def gold_index_arrays(gold: Clustering, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -239,15 +211,3 @@ def relaxed_lea(memberships: MembershipMatrix, gold: Clustering,
                 beta: float = 1.0, temperature: float = 1.0) -> RelaxedScore:
     """Relaxed LEA F of soft clusters against a gold clustering."""
     return _relaxed("lea", memberships, gold, beta, temperature)
-
-
-def relaxed_loss(memberships: MembershipMatrix, gold: Clustering,
-                 metric: str = "b3", beta: float = 1.0, temperature: float = 1.0,
-                 lam: float = 0.0, params_l1: float = 0.0) -> float:
-    """Training objective -F_beta_relaxed + lam * |params|_1."""
-    if metric not in _SOFT_METRICS:
-        raise ConfigError(f"unknown relaxed metric {metric!r} (expected b3 or lea)")
-    if lam < 0:
-        raise ConfigError(f"l1 weight must be nonnegative, got {lam}")
-    score = _relaxed(metric, memberships, gold, beta, temperature)
-    return -score.value + lam * params_l1

@@ -125,6 +125,26 @@ class TestTrain:
                    "--hidden-a", 4, "--hidden-p", 4, "--out", tmp_path / "m.json") == 2
         assert "error: non-finite b3 gradient on document" in capsys.readouterr().err
 
+    def test_diverging_update_exit_2(self, tmp_path, tiny_corpus, capsys):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli("train", "--corpus", tiny_corpus, "--lr", 1.7e308, "--epochs", 1,
+                       "--hidden-a", 4, "--hidden-p", 4, "--out", tmp_path / "m.json") == 2
+        assert ("error: non-finite parameters after the update on document"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("flags, setting", [
+        (("--beta", "nan"), "beta"), (("--temp", "inf"), "temperature"),
+        (("--lr", "inf"), "learning rate"), (("--lr", "nan"), "learning rate"),
+        (("--l1", "nan"), "l1 weight"), (("--scale", "-1"), "init scale"),
+        (("--alphas", "nan", 1, 1), "alphas")])
+    def test_non_finite_setting_exit_1(self, tmp_path, tiny_corpus, flags, setting, capsys):
+        model = tmp_path / "m.json"
+        assert cli("train", "--corpus", tiny_corpus, "--loss", "mr-heuristic",
+                   "--epochs", 1, "--hidden-a", 4, "--hidden-p", 4, "--out", model,
+                   *flags) == 1
+        assert capsys.readouterr().err.startswith(f"error: {setting} ")
+        assert not model.exists()
+
     def test_unknown_loss_exit_1(self, tmp_path, tiny_corpus):
         assert cli("train", "--corpus", tiny_corpus,
                    "--out", tmp_path / "m.json", "--loss", "hinge") == 1

@@ -16,11 +16,11 @@ from softcoref import (Clustering, ConfigError, CostConfig, Document,
                        FormatError, InputError, LOSS_KINDS, Mention,
                        ModelParams, delta_cost, document_loss,
                        document_loss_and_grad, gamma_cost, l1_norm,
-                       link_probabilities, predict_antecedents, relaxed_loss,
-                       score_pairs, validate_antecedent_vector)
+                       link_probabilities, predict_antecedents, relaxed_b3,
+                       relaxed_lea, score_pairs, validate_antecedent_vector)
 from softcoref.membership import MembershipMatrix, membership_array
-from softcoref.model import (correct_set_mask, delta_matrix, gamma_matrix,
-                             l1_subgradient)
+from softcoref.model import (_forward_scores, _score_backward, correct_set_mask,
+                             delta_matrix, gamma_matrix)
 
 from conftest import correct_antecedents, make_document, nan_gradient_loss
 
@@ -83,6 +83,39 @@ class TestModelParams:
         clone = params.copy()
         clone.w_a[0, 0] += 1.0
         assert params.w_a[0, 0] != clone.w_a[0, 0]
+        for name in ("w_a", "b_a", "w_p", "b_p", "u", "v"):
+            assert not np.shares_memory(getattr(clone, name), getattr(params, name))
+        clone.v_0 = params.v_0 + 1.0
+        assert clone.v_0 != params.v_0
+
+    def test_fields_are_views_of_the_flat_vector(self):
+        params = ModelParams.zeros(2, 3, hidden_a=2, hidden_p=4)
+        params.w_a[1, 0] = 5.0
+        params.u *= 0.0
+        params.u[-1] = 6.0
+        params.v_0 = 7.0
+        params.u_0 = np.float64(8.0)
+        vec = params.to_vector()
+        assert vec[2] == 5.0 and vec[-1] == 7.0 and params.v_0 == 7.0
+        assert vec[2 * 2 + 2 + 4 * 3 + 4 + 5] == 6.0
+        assert vec[2 * 2 + 2 + 4 * 3 + 4 + 6] == 8.0 and type(params.u_0) is float
+        vec[:] = -1.0
+        assert params.w_a[1, 0] == 5.0 and params.v_0 == 7.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_from_vector_rejects_non_finite(self, bad):
+        params = ModelParams.random(2, 2, hidden_a=2, hidden_p=2, seed=0)
+        vec = params.to_vector()
+        vec[3] = bad
+        with pytest.raises(InputError, match="non-finite"):
+            params.from_vector(vec)
+
+    def test_from_vector_copies_its_input(self):
+        params = ModelParams.zeros(2, 2, hidden_a=2, hidden_p=2)
+        vec = np.ones(params.num_params)
+        rebuilt = params.from_vector(vec)
+        vec[:] = 2.0
+        assert np.all(rebuilt.to_vector() == 1.0)
 
     def test_l1_norm(self):
         params = tiny_params()
@@ -90,7 +123,12 @@ class TestModelParams:
         assert abs(l1_norm(params) - expected) < 1e-12
 
     def test_l1_subgradient_signs(self):
-        sub = l1_subgradient(tiny_params(b_a=[0.0]))
+        """The L1 term adds lam * sign(theta) to the gradient, 0 at exact zeros."""
+        params, lam = tiny_params(b_a=[0.0]), 0.5
+        _, bare = document_loss_and_grad(tiny_document(), params, "mr-heuristic")
+        _, penalized = document_loss_and_grad(tiny_document(), params, "mr-heuristic",
+                                              lam=lam)
+        sub = params.from_vector((penalized.to_vector() - bare.to_vector()) / lam)
         assert sub.w_a[0, 0] == 1.0
         assert sub.b_a[0] == 0.0
         assert sub.b_p[0] == -1.0
@@ -262,6 +300,11 @@ class TestCosts:
             CostConfig(alphas=(-0.1, 1.0, 1.0))
         with pytest.raises(ConfigError):
             CostConfig(gammas=(1.0, 1.0))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ConfigError, match="alphas"):
+                CostConfig(alphas=(0.1, bad, 1.0))
+            with pytest.raises(ConfigError, match="gammas"):
+                CostConfig(gammas=(bad, 3.0, 1.0))
 
 
 class TestMentionRankingLoss:
@@ -379,9 +422,9 @@ class TestRelaxedMetricLoss:
             for temperature in (1.0, 0.5):
                 direct = document_loss(doc, params, metric,
                                        temperature=temperature, lam=1e-3)
-                standalone = relaxed_loss(m, doc.gold_clusters, metric,
-                                          temperature=temperature, lam=1e-3,
-                                          params_l1=l1_norm(params))
+                relaxed = relaxed_b3 if metric == "b3" else relaxed_lea
+                standalone = (-relaxed(m, doc.gold_clusters, temperature=temperature).value
+                              + 1e-3 * l1_norm(params))
                 assert abs(direct - standalone) < 1e-12
 
     def test_single_mention_is_perfect(self):
@@ -398,6 +441,51 @@ class TestRelaxedMetricLoss:
             document_loss(doc, params, "b3", beta=-1.0)
         with pytest.raises(ConfigError):
             document_loss(doc, params, "b3", temperature=0.0)
+        for setting, word in (("beta", "beta"), ("temperature", "temperature"),
+                              ("lam", "l1 weight")):
+            for bad in (np.nan, np.inf):
+                with pytest.raises(ConfigError, match=word):
+                    document_loss(doc, params, "b3", **{setting: bad})
+
+
+def outer_product_backward(params, cache, d_scores, tril_pairs) -> dict:
+    """The unfused reverse pass of the scorer, with the explicit
+    n_pairs x hidden_p products outer(d_pair, u_p) and d_z_p."""
+    ha = params.hidden_a
+    rows_i, cols_j = tril_pairs
+    d_pair = d_scores[rows_i, cols_j]
+    d_self = np.diagonal(d_scores).copy()
+    d_row = np.tril(d_scores, k=-1).sum(axis=1)
+    u_a, u_p = params.u[:ha], params.u[ha:]
+    d_z_a = (np.outer(d_self, params.v) + np.outer(d_row, u_a)) * (1.0 - cache.h_a ** 2)
+    d_z_p = np.outer(d_pair, u_p) * (1.0 - cache.h_p ** 2)
+    return dict(w_a=d_z_a.T @ cache.phi_a, b_a=d_z_a.sum(axis=0),
+                w_p=d_z_p.T @ cache.phi_p, b_p=d_z_p.sum(axis=0),
+                u=np.concatenate([cache.h_a.T @ d_row, cache.h_p.T @ d_pair]),
+                u_0=d_pair.sum(), v=cache.h_a.T @ d_self, v_0=d_self.sum())
+
+
+class TestScoreBackward:
+    @pytest.mark.parametrize("n, hidden_a, hidden_p", [(16, 200, 700), (150, 24, 32)])
+    def test_fused_matches_outer_product_oracle(self, n, hidden_a, hidden_p):
+        rng = np.random.default_rng(n)
+        doc = make_document("d", [1 + i - i % 5 for i in range(n)], d_a=6, d_p=9, seed=n)
+        params = ModelParams.random(6, 9, hidden_a, hidden_p, seed=n)
+        cache = _forward_scores(doc, params)
+        d_scores = np.tril(rng.normal(size=(n, n)))
+        grad = _score_backward(params, cache, d_scores, doc.tril_pairs)
+        for name, expected in outer_product_backward(params, cache, d_scores,
+                                                     doc.tril_pairs).items():
+            np.testing.assert_allclose(getattr(grad, name), expected, rtol=1e-12,
+                                       err_msg=name)
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_single_mention_has_no_pair_gradient(self, kind):
+        doc = Document.from_mentions("one", [Mention(1, "proper", 1, np.array([0.3]))], {})
+        params = ModelParams.random(1, 3, hidden_a=2, hidden_p=4, seed=1)
+        _, grad = document_loss_and_grad(doc, params, kind)
+        assert np.all(grad.w_p == 0.0) and np.all(grad.b_p == 0.0)
+        assert grad.u_0 == 0.0
 
 
 class TestDispatcherAndGradients:

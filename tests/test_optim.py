@@ -69,9 +69,28 @@ class TestTrainConfig:
         dict(hidden_a=0),
         dict(anneal=((0, 0.5),)),
         dict(anneal=((2, 0.0),)),
+        dict(beta=float("nan")),
+        dict(beta=float("inf")),
+        dict(temperature=float("nan")),
+        dict(temperature=float("inf")),
+        dict(learning_rate=float("nan")),
+        dict(learning_rate=float("inf")),
+        dict(lam=float("nan")),
+        dict(lam=float("inf")),
+        dict(eps=float("nan")),
+        dict(eps=float("inf")),
+        dict(init_scale=-1.0),
+        dict(init_scale=float("nan")),
+        dict(init_scale=float("inf")),
+        dict(anneal=((2, float("nan")),)),
+        dict(anneal=((2, float("inf")),)),
     ])
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ConfigError):
+        (setting,) = kwargs
+        word = {"lam": "l1 weight", "learning_rate": "learning rate", "eps": "eps",
+                "init_scale": "init scale", "anneal": "annealing",
+                "hidden_a": "hidden sizes"}.get(setting, setting)
+        with pytest.raises(ConfigError, match=word):
             TrainConfig(**kwargs)
 
 
@@ -130,6 +149,18 @@ class TestTrain:
         assert params.hidden_a == 4
         # the provided instance must not be trained in place
         assert np.all(init.to_vector() == 0.0)
+        assert not np.all(params.to_vector() == 0.0)
+        for name in ("w_a", "b_a", "w_p", "b_p", "u", "v"):
+            assert not np.shares_memory(getattr(params, name), getattr(init, name))
+
+    def test_diverging_update_raises_training_error(self):
+        """A finite learning rate so large that the update overflows is a
+        runtime failure naming the document, not bad input."""
+        corpus = small_corpus(3, seed=1)
+        config = _fast_config(learning_rate=1.7e308, hidden_a=4, hidden_p=4, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                TrainingError, match="non-finite parameters after the update on document"):
+            train(corpus, [], config)
 
     def test_history_csv_shape(self):
         corpus = small_corpus(3, seed=1)

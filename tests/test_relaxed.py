@@ -13,15 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softcoref import (Clustering, ConfigError, InputError, LinkDistribution,
-                       MembershipMatrix, b_cubed, lea, membership, relaxed_b3,
-                       relaxed_lea, relaxed_loss, soft_link, soft_size,
+                       MembershipMatrix, ModelParams, b_cubed, document_loss,
+                       l1_norm, lea, membership, relaxed_b3, relaxed_lea,
                        tempered_membership)
 from softcoref.clustering import antecedents_to_clusters
 from softcoref.membership import temper_array, temper_backward
-from softcoref.relaxed import (_f_partials, b3_soft, b3_soft_grad,
+from softcoref.relaxed import (_f_partials, _lea_forward, b3_soft, b3_soft_grad,
                                gold_index_arrays, lea_soft, lea_soft_grad)
 
-from conftest import (peaked_link_distribution, random_clustering,
+from conftest import (make_document, peaked_link_distribution, random_clustering,
                       random_link_distribution)
 
 
@@ -34,6 +34,31 @@ def one_hot_memberships(antecedents: tuple[int, ...]) -> MembershipMatrix:
 
 def random_antecedents(rng, n: int) -> tuple[int, ...]:
     return tuple(int(rng.integers(1, i + 1)) for i in range(1, n + 1))
+
+
+def soft_size(memberships: MembershipMatrix, u: int) -> float:
+    """Expected cardinality of soft cluster S_u (1-based anchor), one
+    anchor at a time: the oracle for the column sums of the relaxed scores."""
+    if not (1 <= u <= memberships.n):
+        raise InputError(f"entity anchor {u} out of range 1..{memberships.n}")
+    return float(memberships.probs[:, u - 1].sum())
+
+
+def soft_link(memberships: MembershipMatrix, u: int, restrict=None) -> float:
+    """Expected number of mention pairs inside soft cluster S_u, one anchor
+    at a time.  With ``restrict``, only pairs with both mentions in the
+    given 1-based set count (an intersection with a gold cluster)."""
+    n = memberships.n
+    if not (1 <= u <= n):
+        raise InputError(f"entity anchor {u} out of range 1..{n}")
+    col = memberships.probs[:, u - 1]
+    if restrict is not None:
+        members = sorted(set(int(m) for m in restrict))
+        if members and not (1 <= members[0] and members[-1] <= n):
+            raise InputError(f"restrict set out of range 1..{n}")
+        col = col[[m - 1 for m in members]]
+    total = col.sum()
+    return float(0.5 * (total * total - (col * col).sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +177,22 @@ class TestSoftStatistics:
         with pytest.raises(InputError):
             soft_link(m, 1, restrict={0, 2})
 
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_closed_form_sums_match_oracle(self, seed, n):
+        """The whole-matrix soft sizes, soft links and soft links inside
+        the gold clusters of _lea_forward equal the per-anchor sums."""
+        rng = np.random.default_rng(seed)
+        m = membership(random_link_distribution(rng, n))
+        gold = random_clustering(rng, n)
+        gold_of, sizes = gold_index_arrays(gold, n)
+        _, z, ell_col, links, *_ = _lea_forward(m.probs, gold_of, sizes)
+        for u in range(1, n + 1):
+            assert abs(z[u - 1] - soft_size(m, u)) < 1e-12
+            assert abs(links[u - 1] - soft_link(m, u)) < 1e-12
+            inside = sum(soft_link(m, u, restrict=c) for c in gold.sorted_clusters())
+            assert abs(ell_col[u - 1] - inside) < 1e-12
+
 
 # ---------------------------------------------------------------------------
 # Fixture values for the relaxed scores
@@ -197,26 +238,29 @@ class TestRelaxedLoss:
     def test_perfect_prediction_no_penalty(self):
         m = one_hot_memberships((1, 1, 3, 3))
         gold = antecedents_to_clusters((1, 1, 3, 3))
-        assert abs(relaxed_loss(m, gold, metric="b3") - (-1.0)) < 1e-12
+        assert abs(-relaxed_b3(m, gold).value - (-1.0)) < 1e-12
 
     def test_l1_penalty_added(self):
-        m = one_hot_memberships((1, 1, 3, 3))
-        gold = antecedents_to_clusters((1, 1, 3, 3))
-        loss = relaxed_loss(m, gold, metric="lea", lam=1e-6, params_l1=1000.0)
-        assert abs(loss - (-1.0 + 1e-3)) < 1e-12
+        doc = make_document("d", [1, 1, 3, 3], seed=1)
+        params = ModelParams.random(4, 5, hidden_a=3, hidden_p=4, seed=1)
+        bare = document_loss(doc, params, "lea")
+        loss = document_loss(doc, params, "lea", lam=1e-6)
+        assert abs(loss - (bare + 1e-6 * l1_norm(params))) < 1e-12
 
     def test_fixture_pair_loss(self, fixture_gold):
         m = one_hot_memberships((1, 1, 3, 3))
-        loss = relaxed_loss(m, fixture_gold, metric="b3")
+        loss = -relaxed_b3(m, fixture_gold).value
         assert abs(loss - (-12 / 17)) < 1e-12
 
-    def test_rejects_negative_l1(self, links3):
+    def test_rejects_negative_l1(self):
+        doc = make_document("d", [1, 1, 3])
         with pytest.raises(ConfigError):
-            relaxed_loss(membership(links3), Clustering([{1, 2, 3}]), lam=-1.0)
+            document_loss(doc, ModelParams.zeros(4, 5, hidden_a=2, hidden_p=2), "b3", lam=-1.0)
 
-    def test_rejects_unknown_metric(self, links3):
+    def test_rejects_unknown_metric(self):
+        doc = make_document("d", [1, 1, 3])
         with pytest.raises(ConfigError):
-            relaxed_loss(membership(links3), Clustering([{1, 2, 3}]), metric="muc")
+            document_loss(doc, ModelParams.zeros(4, 5, hidden_a=2, hidden_p=2), "muc")
 
 
 # ---------------------------------------------------------------------------

@@ -131,13 +131,14 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _print_report(report: analysis.MetricReport, as_csv: bool) -> None:
+    print(analysis.report_csv(report) if as_csv else analysis.format_report(report) + "\n", end="")
+
+
 def _cmd_evaluate(args) -> int:
     docs = corpus.load_corpus(args.corpus)
     params = ModelParams.load(args.model)
-    report = analysis.evaluate_corpus(docs, params, beta=args.beta)
-    print(analysis.report_csv(report) if args.csv else analysis.format_report(report), end="")
-    if not args.csv:
-        print()
+    _print_report(analysis.evaluate_corpus(docs, params, beta=args.beta), args.csv)
     return 0
 
 
@@ -145,16 +146,14 @@ def _align_conll(key_doc: corpus.ConllDocument,
                  resp_doc: corpus.ConllDocument) -> tuple[corpus.Clustering, corpus.Clustering]:
     if key_doc.spans == resp_doc.spans:  # both files number mentions by opening order
         return key_doc.clustering, resp_doc.clustering
-    if set(key_doc.spans) != set(resp_doc.spans):
+    position = dict(zip(resp_doc.spans, range(len(resp_doc.spans))))
+    if position.keys() != set(key_doc.spans):
         raise InputError(
             f"document {key_doc.doc_id!r}: key and response mention spans differ"
         )
-    number = {span: idx + 1 for idx, span in enumerate(key_doc.spans)}
-    renumbered = corpus.Clustering(
-        [{number[resp_doc.spans[m - 1]] for m in cluster}
-         for cluster in resp_doc.clustering.sorted_clusters()]
-    )
-    return key_doc.clustering, renumbered
+    # the response label of each key mention, read through the span permutation
+    labels = resp_doc.clustering.cluster_index()[list(map(position.__getitem__, key_doc.spans))]
+    return key_doc.clustering, corpus.clusters_from_entity_ids(labels)
 
 
 def _cmd_score(args) -> int:
@@ -173,10 +172,7 @@ def _cmd_score(args) -> int:
     if resp_by_id:
         extra = next(iter(resp_by_id))
         raise InputError(f"document {extra!r} in response but not in key")
-    report = analysis.corpus_report(pairs, beta=args.beta)
-    print(analysis.report_csv(report) if args.csv else analysis.format_report(report), end="")
-    if not args.csv:
-        print()
+    _print_report(analysis.corpus_report(pairs, beta=args.beta), args.csv)
     return 0
 
 

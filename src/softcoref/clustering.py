@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Clustering, clusters_from_entity_ids
+from .corpus import Clustering
 from .errors import InputError
 from .membership import LinkDistribution
 
@@ -19,19 +19,26 @@ DECODE_TOL = 1e-6
 
 
 def validate_antecedent_vector(antecedents: Sequence[int]) -> None:
-    for i, a in enumerate(antecedents, start=1):
-        if not (1 <= int(a) <= i):
-            raise InputError(f"antecedent a_{i} = {a} out of range 1..{i}")
+    a = np.asarray(antecedents)
+    bad = (a < 1) | (a > np.arange(1, len(a) + 1))
+    if bad.any():
+        i = int(np.argmax(bad)) + 1
+        raise InputError(f"antecedent a_{i} = {antecedents[i - 1]} out of range 1..{i}")
 
 
 def antecedents_to_clusters(antecedents: Sequence[int]) -> Clustering:
-    """Partition mentions by following antecedent links to their roots."""
-    validate_antecedent_vector(antecedents)
-    roots = []
-    for i, a in enumerate(antecedents, start=1):
-        a = int(a)
-        roots.append(i if a == i else roots[a - 1])
-    return clusters_from_entity_ids(roots)
+    """Partition mentions by following antecedent links in one pass: a
+    self-link opens the next cluster, any other link joins its target's."""
+    a = np.asarray(antecedents, dtype=np.int64)
+    validate_antecedent_vector(a)
+    labels, opened = [], 0
+    for i, j in enumerate(a.tolist(), start=1):
+        if j == i:
+            labels.append(opened)
+            opened += 1
+        else:
+            labels.append(labels[j - 1])
+    return Clustering._wrap(np.array(labels, dtype=np.int64))
 
 
 def decode_argmax(links: LinkDistribution, *, tol: float = DECODE_TOL) -> tuple[int, ...]:

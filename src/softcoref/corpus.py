@@ -46,60 +46,73 @@ class Clustering:
     """A partition of the 1-based mention indices 1..n into entities.
 
     Clusters are nonempty, pairwise disjoint and together cover 1..n.
-    The empty clustering (no mentions at all) is allowed.
+    The empty clustering (no mentions at all) is allowed.  The partition
+    is stored as one read-only label array (see ``cluster_index``); the
+    other views are derived from it.
     """
 
-    __slots__ = ("clusters",)
+    __slots__ = ("_index",)
 
     def __init__(self, clusters: Iterable[Iterable[int]] = ()):
-        sets = []
+        sets = set()
         for cluster in clusters:
             fs = frozenset(int(m) for m in cluster)
             if not fs:
                 raise InputError("clusters must be nonempty")
-            sets.append(fs)
-        self.clusters: frozenset[frozenset[int]] = frozenset(sets)
-        total = sum(len(c) for c in self.clusters)
-        union = frozenset().union(*self.clusters) if self.clusters else frozenset()
-        if len(union) != total:
+            sets.add(fs)
+        n = sum(map(len, sets))
+        union = frozenset().union(*sets)
+        if len(union) != n:
             raise InputError("clusters must be disjoint")
-        if union and union != frozenset(range(1, max(union) + 1)):
+        if union != frozenset(range(1, n + 1)):
             raise InputError("clusters must cover the contiguous index range 1..n")
+        labels = [0] * n
+        for k, cluster in enumerate(sorted(sets, key=min)):
+            for m in cluster:
+                labels[m - 1] = k
+        self._index = np.array(labels, dtype=np.int64)
+        self._index.flags.writeable = False
+
+    @classmethod
+    def _wrap(cls, index: np.ndarray) -> "Clustering":
+        """An unchecked clustering over a fresh label array in canonical order."""
+        clustering = cls.__new__(cls)
+        index.flags.writeable = False
+        clustering._index = index
+        return clustering
+
+    def cluster_index(self) -> np.ndarray:
+        """Read-only int64 array whose entry m - 1 is the 0-based cluster of
+        mention m, clusters numbered in order of their first mention."""
+        return self._index
 
     @property
     def num_mentions(self) -> int:
-        return sum(len(c) for c in self.clusters)
+        return len(self._index)
+
+    @property
+    def clusters(self) -> frozenset[frozenset[int]]:
+        return frozenset(self.sorted_clusters())
 
     def sorted_clusters(self) -> list[frozenset[int]]:
         """Clusters in deterministic order (by their first mention)."""
-        return sorted(self.clusters, key=min)
-
-    def cluster_index(self) -> np.ndarray:
-        """int64 array whose entry m - 1 is the 0-based position of
-        mention m's cluster in ``sorted_clusters()``."""
-        clusters = self.sorted_clusters()
-        members = np.array([m for c in clusters for m in c], dtype=np.int64)
-        index = np.empty(len(members), dtype=np.int64)
-        index[members - 1] = np.repeat(np.arange(len(clusters)), [len(c) for c in clusters])
-        return index
+        members = (np.argsort(self._index, kind="stable") + 1).tolist()
+        ends = np.cumsum(np.bincount(self._index)).tolist()
+        return [frozenset(members[start:end]) for start, end in zip([0] + ends, ends)]
 
     def entity_ids(self) -> dict[int, int]:
         """Map mention index -> index of the first mention of its entity."""
-        ids = {}
-        for cluster in self.clusters:
-            first = min(cluster)
-            for m in cluster:
-                ids[m] = first
-        return ids
+        firsts = np.unique(self._index, return_index=True)[1] + 1
+        return dict(enumerate(firsts[self._index].tolist(), start=1))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Clustering) and self.clusters == other.clusters
+        return isinstance(other, Clustering) and np.array_equal(self._index, other._index)
 
     def __hash__(self) -> int:
-        return hash(self.clusters)
+        return hash(self._index.tobytes())
 
     def __len__(self) -> int:
-        return len(self.clusters)
+        return int(self._index.max()) + 1 if len(self._index) else 0
 
     def __iter__(self):
         return iter(self.sorted_clusters())
@@ -110,11 +123,12 @@ class Clustering:
 
 
 def clusters_from_entity_ids(entity_ids: Sequence[int]) -> Clustering:
-    """Build a Clustering from per-mention first-mention entity ids."""
-    groups: dict[int, list[int]] = {}
-    for i, e in enumerate(entity_ids, start=1):
-        groups.setdefault(int(e), []).append(i)
-    return Clustering(groups.values())
+    """Build a Clustering from per-mention entity labels: mentions that
+    share a label share a cluster, whatever the label values are."""
+    first: dict[int, int] = {}
+    labels = [first.setdefault(e, len(first))
+              for e in np.asarray(entity_ids, dtype=np.int64).tolist()]
+    return Clustering._wrap(np.array(labels, dtype=np.int64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,22 +163,21 @@ class Document:
     ``pair_feature_matrix`` holds the features of every pair j < i as one
     float64 array of shape (n_pairs, d_p), in ``tril_pairs`` (row-major)
     order; a document with fewer than two mentions holds a (0, 0) array.
-    Immutable after construction; the cached mention matrix and index
-    arrays make it safe and cheap to share across repeated loss
-    evaluations.
+    Gold is stored once, as the mentions' ``gold_entity`` labels.
+    Immutable after construction; the cached mention matrix, gold
+    clustering and index arrays make it safe and cheap to share across
+    repeated loss evaluations.
     """
 
     id: str
     mentions: tuple[Mention, ...]
     pair_feature_matrix: np.ndarray
-    gold_clusters: Clustering
 
     @classmethod
     def from_mentions(cls, doc_id: str, mentions: Sequence[Mention],
                       pairs: Mapping[tuple[int, int], np.ndarray]) -> "Document":
-        """Build a document from a ``{(j, i): features}`` dict, deriving gold
-        clusters from mention labels.  Raises InputError unless the keys
-        are exactly all pairs j < i."""
+        """Build a document from a ``{(j, i): features}`` dict.  Raises
+        InputError unless the keys are exactly all pairs j < i."""
         return _document(doc_id, mentions, _pair_matrix(
             doc_id, len(mentions), list(pairs), list(pairs.values())))
 
@@ -189,9 +202,10 @@ class Document:
         d_a = self.d_a
         if d_a < 1:
             raise InputError(f"document {self.id}: empty mention features")
-        for m in self.mentions:
-            if len(m.features_a) != d_a:
-                raise InputError(f"document {self.id}: inconsistent d_a at mention {m.index}")
+        bad = [len(m.features_a) != d_a for m in self.mentions]
+        if any(bad):
+            raise InputError(
+                f"document {self.id}: inconsistent d_a at mention {bad.index(True) + 1}")
         pairs = self.pair_feature_matrix
         n_pairs = n * (n - 1) // 2
         if pairs.ndim != 2 or len(pairs) != n_pairs:
@@ -209,20 +223,24 @@ class Document:
             rows_i, cols_j = self.tril_pairs
             raise InputError(f"document {self.id}: non-finite features at pair "
                              f"({int(cols_j[k]) + 1}, {int(rows_i[k]) + 1})")
-        if self.gold_clusters.num_mentions != n:
-            raise InputError(f"document {self.id}: gold clusters do not cover 1..n")
-        firsts = self.gold_clusters.entity_ids()
-        for m in self.mentions:
-            if m.gold_entity != firsts[m.index]:
-                raise InputError(
-                    f"document {self.id}: mention {m.index} gold_entity {m.gold_entity} "
-                    f"inconsistent with gold clusters (expected {firsts[m.index]})"
-                )
+        # e is the entity's first mention: 1 <= e <= i, and mention e labels itself
+        e = self.gold_entity_array
+        ok = (1 <= e) & (e <= np.arange(1, n + 1)) & (e[np.clip(e, 1, n) - 1] == e)
+        if not ok.all():
+            k = int(np.argmax(~ok))
+            raise InputError(
+                f"document {self.id}: mention {k + 1} gold_entity {e[k]} inconsistent "
+                f"with gold clusters (expected {int(np.argmax(e == e[k])) + 1})"
+            )
 
     @cached_property
     def gold_entity_array(self) -> np.ndarray:
         """e(m_i) for every mention, 1-based."""
         return np.array([m.gold_entity for m in self.mentions], dtype=np.int64)
+
+    @cached_property
+    def gold_clusters(self) -> Clustering:
+        return clusters_from_entity_ids(self.gold_entity_array)
 
     @cached_property
     def mention_feature_matrix(self) -> np.ndarray:
@@ -239,15 +257,12 @@ class Document:
             and self.id == other.id
             and self.mentions == other.mentions
             and np.array_equal(self.pair_feature_matrix, other.pair_feature_matrix)
-            and self.gold_clusters == other.gold_clusters
         )
 
 
 def _document(doc_id: str, mentions: Sequence[Mention], pairs: np.ndarray) -> Document:
-    """A document over pair features in ``tril_pairs`` order, with gold
-    clusters derived from mention labels."""
-    gold = clusters_from_entity_ids([m.gold_entity for m in mentions])
-    return Document(doc_id, tuple(mentions), pairs if len(pairs) else np.zeros((0, 0)), gold)
+    """A document over pair features in ``tril_pairs`` order."""
+    return Document(doc_id, tuple(mentions), pairs if len(pairs) else np.zeros((0, 0)))
 
 
 def _pair_matrix(doc_id: str, n: int, keys: Sequence, features: Sequence) -> np.ndarray:
@@ -497,13 +512,11 @@ def _conll_document(doc_id: str, found: list, open_stacks: dict) -> ConllDocumen
             raise ValueError(
                 f"unbalanced brackets in document {doc_id!r}: entity {entity} left open")
     found.sort()
-    spans = tuple((start, end) for _, _, start, end in found)
+    _, entities, starts, ends = zip(*found) if found else ((),) * 4
+    spans = tuple(zip(starts, ends))
     if len(set(spans)) != len(spans):
         raise ValueError(f"duplicate mention span in document {doc_id!r}")
-    by_entity: dict[int, list[int]] = {}
-    for number, (_, entity, _, _) in enumerate(found, start=1):
-        by_entity.setdefault(entity, []).append(number)
-    return ConllDocument(doc_id, spans, Clustering(by_entity.values()))
+    return ConllDocument(doc_id, spans, clusters_from_entity_ids(entities))
 
 
 def parse_conll_documents(path) -> list[ConllDocument]:

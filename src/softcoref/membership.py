@@ -73,12 +73,6 @@ class LinkDistribution:
     def n(self) -> int:
         return self.probs.shape[0]
 
-    def prob(self, i: int, j: int) -> float:
-        """p(a_i = j), 1-based; zero for j > i."""
-        if not (1 <= j <= self.n and 1 <= i <= self.n):
-            raise InputError(f"mention index out of range: ({i}, {j})")
-        return float(self.probs[i - 1, j - 1])
-
     def __repr__(self) -> str:
         return f"LinkDistribution(n={self.n})"
 
@@ -96,16 +90,6 @@ class MembershipMatrix:
     @property
     def n(self) -> int:
         return self.probs.shape[0]
-
-    def prob(self, i: int, u: int) -> float:
-        """q[i][u] = p(m_i in S_u), 1-based; zero for u > i."""
-        if not (1 <= u <= self.n and 1 <= i <= self.n):
-            raise InputError(f"mention index out of range: ({i}, {u})")
-        return float(self.probs[i - 1, u - 1])
-
-    def argmax_entities(self) -> np.ndarray:
-        """Most probable anchor per mention (1-based, ties to smallest)."""
-        return np.argmax(self.probs, axis=1) + 1
 
     def __repr__(self) -> str:
         return f"MembershipMatrix(n={self.n})"

@@ -7,7 +7,7 @@ micro-averaged corpus scores before any division happens.
 
 Every scorer is a closed form over one integer contingency matrix
 ``x[v, u] = |G_v & S_u|`` between the gold clusters G_v and the response
-clusters S_u (both in ``Clustering.sorted_clusters`` order), built by
+clusters S_u (both in ``Clustering.cluster_index`` order), built by
 ``_overlaps`` with one ``bincount``.  Its row and column sums are the
 cluster sizes, and ``pairs(k) = k (k - 1) / 2`` counts the links inside
 a set of k mentions, so MUC, B-cubed, BLANC and LEA need only sums over
@@ -35,8 +35,8 @@ from .errors import InputError
 
 def f_beta(precision: float, recall: float, beta: float = 1.0) -> float:
     """Weighted harmonic mean; beta > 1 favors recall.  0 when P = R = 0."""
-    if beta <= 0:
-        raise InputError(f"beta must be positive, got {beta}")
+    if not 0 < beta < np.inf:
+        raise InputError(f"beta must be positive and finite, got {beta}")
     denom = beta * beta * precision + recall
     if denom == 0:
         return 0.0
@@ -80,7 +80,7 @@ class MetricCounts:
 
 def _overlaps(gold: Clustering, response: Clustering) -> np.ndarray:
     """The int64 contingency matrix x[v, u] = |G_v & S_u|, clusters in
-    ``sorted_clusters`` order on both sides."""
+    ``cluster_index`` order on both sides."""
     rows, cols = gold.cluster_index(), response.cluster_index()
     # Both cover 1..n, so equal sizes mean equal mention sets.
     if len(rows) != len(cols):

@@ -130,13 +130,13 @@ def train(corpus: Sequence[Document], dev: Sequence[Document],
     """
     if not corpus:
         raise ConfigError("training corpus is empty")
-    d_a = corpus[0].d_a
-    for doc in list(corpus) + list(dev):
-        if doc.d_a != d_a:
-            raise ConfigError(
-                f"document {doc.id}: mention feature dim {doc.d_a} != {d_a}"
-            )
     params = _initial_params(corpus, config)
+    for doc in list(corpus) + list(dev):
+        if doc.d_a != params.d_a or (doc.n > 1 and doc.d_p != params.d_p):
+            raise ConfigError(
+                f"document {doc.id}: feature dims (d_a {doc.d_a}, d_p {doc.d_p}) != "
+                f"model (d_a {params.d_a}, d_p {params.d_p})"
+            )
     accum = np.zeros(params.num_params)
     shuffle_rng = np.random.default_rng([config.seed, 1])
     schedule = dict(config.anneal) if config.anneal else {}

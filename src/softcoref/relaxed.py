@@ -46,13 +46,12 @@ class RelaxedScore:
 
 def gold_index_arrays(gold: Clustering, n: int) -> tuple[np.ndarray, np.ndarray]:
     """0-based cluster index per mention and cluster sizes, in
-    ``sorted_clusters`` order."""
+    ``cluster_index`` order."""
     if gold.num_mentions != n:
         raise InputError(
             f"gold clustering covers {gold.num_mentions} mentions, membership has {n}"
         )
-    gold_of = gold.cluster_index()
-    return gold_of, np.bincount(gold_of, minlength=len(gold)).astype(float)
+    return gold.cluster_index(), np.bincount(gold.cluster_index()).astype(float)
 
 
 def _soft_intersections(q: np.ndarray, gold_of: np.ndarray, num_clusters: int) -> np.ndarray:
@@ -193,8 +192,8 @@ def _tempered_probs(memberships: MembershipMatrix, temperature: float) -> np.nda
 
 def _relaxed(kind: str, memberships: MembershipMatrix, gold: Clustering,
              beta: float, temperature: float) -> RelaxedScore:
-    if beta <= 0:
-        raise ConfigError(f"beta must be positive, got {beta}")
+    if not 0 < beta < np.inf:
+        raise ConfigError(f"beta must be positive and finite, got {beta}")
     q = _tempered_probs(memberships, temperature)
     gold_of, sizes = gold_index_arrays(gold, memberships.n)
     precision, recall, f = _SOFT_METRICS[kind](q, gold_of, sizes, beta)

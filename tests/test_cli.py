@@ -177,6 +177,14 @@ class TestEvaluate:
     def test_corpus_is_not_a_model_exit_1(self, tiny_corpus):
         assert cli("evaluate", "--corpus", tiny_corpus, "--model", tiny_corpus) == 1
 
+    @pytest.mark.parametrize("beta", ["nan", "inf", "0"])
+    def test_bad_beta_exit_1(self, tiny_corpus, tiny_model, beta, capsys):
+        assert cli("evaluate", "--corpus", tiny_corpus, "--model", tiny_model,
+                   "--beta", beta) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: beta must be positive and finite")
+        assert captured.out == ""
+
 
 class TestScore:
     def test_self_score_is_perfect(self, tmp_path, capsys):
@@ -191,6 +199,15 @@ class TestScore:
             for v in values:
                 if v:
                     assert float(v) == 1.0, line
+
+    @pytest.mark.parametrize("beta", ["nan", "inf", "0"])
+    def test_bad_beta_exit_1(self, tmp_path, beta, capsys):
+        key = tmp_path / "key.conll"
+        write_conll_responses([("d", Clustering([{1, 2}]))], key)
+        assert cli("score", "--key", key, "--response", key, "--beta", beta) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: beta must be positive and finite")
+        assert captured.out == ""
 
     def test_span_mismatch_exit_1(self, tmp_path):
         key, resp = tmp_path / "key.conll", tmp_path / "resp.conll"

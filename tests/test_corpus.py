@@ -1,5 +1,6 @@
 """Document model, synthetic generation, and corpus / key-file I/O."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from softcoref import (MENTION_TYPES, Clustering, ConfigError, ConllDocument,
                        Document, FormatError, InputError, Mention, SyntheticConfig,
-                       clusters_from_entity_ids, generate_synthetic,
+                       antecedents_to_clusters, clusters_from_entity_ids, generate_synthetic,
                        load_corpus, parse_conll_documents, save_corpus,
                        write_conll_responses)
 from softcoref.model import correct_set_mask
@@ -62,6 +63,38 @@ class TestClustering:
     def test_from_entity_ids(self):
         assert clusters_from_entity_ids([1, 1, 3, 3]) == Clustering([{1, 2}, {3, 4}])
 
+    def test_cluster_index_is_read_only(self):
+        for c in (Clustering([{1, 3}, {2}]), clusters_from_entity_ids([7, 7, 5]),
+                  antecedents_to_clusters([1, 1, 2])):
+            with pytest.raises(ValueError):
+                c.cluster_index()[0] = 1
+
+    @given(st.lists(st.integers(0, 5), max_size=30), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_canonical_form(self, labels, rnd):
+        """Every way of building one partition gives the same label array."""
+        from_ids = clusters_from_entity_ids(labels)
+        groups = {}
+        for i, lab in enumerate(labels, start=1):
+            groups.setdefault(lab, []).append(i)
+        sets = [set(g) for g in groups.values()]
+        rnd.shuffle(sets)
+        antecedents, last = [], {}  # link to the previous mention of the label
+        for i, lab in enumerate(labels, start=1):
+            antecedents.append(last.get(lab, i))
+            last[lab] = i
+        builds = [Clustering(sets), antecedents_to_clusters(antecedents),
+                  Clustering(from_ids.sorted_clusters())]
+        for other in builds:
+            assert other == from_ids
+            assert hash(other) == hash(from_ids)
+            np.testing.assert_array_equal(other.cluster_index(), from_ids.cluster_index())
+        firsts = sorted(set(labels), key=labels.index)  # labels by first mention
+        assert from_ids.cluster_index().tolist() == [firsts.index(lab) for lab in labels]
+        assert from_ids.cluster_index().dtype == np.int64
+        assert len(from_ids) == len(set(labels))
+        assert from_ids.clusters == frozenset(frozenset(g) for g in groups.values())
+
 
 class TestMention:
     def test_rejects_unknown_type(self):
@@ -93,18 +126,25 @@ class TestDocument:
     def test_missing_pair_rejected(self):
         doc = make_document("d", [1, 1, 3])
         broken = Document(doc.id, doc.mentions,
-                          np.delete(doc.pair_feature_matrix, 1, axis=0),  # pair (1, 3)
-                          doc.gold_clusters)
+                          np.delete(doc.pair_feature_matrix, 1, axis=0))  # pair (1, 3)
         with pytest.raises(InputError, match="pair features"):
             broken.validate()
 
     def test_inconsistent_gold_entity_rejected(self):
-        doc = make_document("d", [1, 1])
-        bad_mentions = (doc.mentions[0],
-                        Mention(2, "proper", 2, doc.mentions[1].features_a))
-        broken = Document(doc.id, bad_mentions, doc.pair_feature_matrix, doc.gold_clusters)
-        with pytest.raises(InputError, match="gold_entity"):
-            broken.validate()
+        for labels, mention, expected in [
+            ([1, 1, 2], 3, 3),   # mention 2 belongs to entity 1, so 2 opens no entity
+            ([2, 2], 1, 1),      # a mention labelled with a later mention
+            ([1, 0], 2, 2),      # a label outside 1..n
+        ]:
+            with pytest.raises(InputError, match=f"mention {mention} gold_entity .* "
+                                                 f"\\(expected {expected}\\)"):
+                make_document("d", labels).validate()
+
+    def test_gold_clusters_derived_from_labels(self):
+        doc = make_document("d", [1, 2, 1, 2, 5])
+        assert doc.gold_clusters == Clustering([{1, 3}, {2, 4}, {5}])
+        assert [f.name for f in dataclasses.fields(Document)] == [
+            "id", "mentions", "pair_feature_matrix"]
 
     def test_pair_feature_matrix_order(self):
         doc = make_document("d", [1, 1, 1])

@@ -205,8 +205,9 @@ class TestFBeta:
         assert f_beta(0.0, 0.0, 1.0) == 0.0
 
     def test_rejects_nonpositive_beta(self):
-        with pytest.raises(InputError):
-            f_beta(0.5, 0.5, 0.0)
+        for beta in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(InputError):
+                f_beta(0.5, 0.5, beta)
 
     def test_beta_weights_recall(self):
         assert f_beta(0.2, 0.8, 2.0) > f_beta(0.2, 0.8, 1.0)

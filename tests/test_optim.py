@@ -136,10 +136,19 @@ class TestTrain:
             train([], [], _fast_config())
 
     def test_dimension_mismatch_rejected(self):
+        """Every train and dev document is checked against the initial
+        parameters before the first step."""
         corpus = small_corpus(2, seed=1)
-        other = small_corpus(1, seed=1, d_a=9)
-        with pytest.raises(ConfigError):
-            train(corpus + other, [], _fast_config())
+        other_da = small_corpus(1, seed=1, d_a=9)
+        other_dp = small_corpus(1, seed=1, d_p=9)
+        init = ModelParams.zeros(9, corpus[0].d_p, hidden_a=4, hidden_p=4)
+        for train_docs, dev_docs, config, doc_id in [
+            (corpus + other_da, [], _fast_config(), other_da[0].id),
+            (corpus, other_dp, _fast_config(), other_dp[0].id),
+            (corpus, [], _fast_config(init_model=init), corpus[0].id),
+        ]:
+            with pytest.raises(ConfigError, match=f"document {doc_id}: feature dims"):
+                train(train_docs, dev_docs, config)
 
     def test_init_model_used(self):
         corpus = small_corpus(2, seed=1)

@@ -226,8 +226,10 @@ class TestRelaxedFixtures:
         assert score.temperature == 0.5
 
     def test_rejects_bad_beta(self, links3):
-        with pytest.raises(ConfigError):
-            relaxed_b3(membership(links3), Clustering([{1, 2, 3}]), beta=0.0)
+        for relaxed in (relaxed_b3, relaxed_lea):
+            for beta in (0.0, float("nan"), float("inf")):
+                with pytest.raises(ConfigError):
+                    relaxed(membership(links3), Clustering([{1, 2, 3}]), beta=beta)
 
     def test_rejects_size_mismatch(self, links3):
         with pytest.raises(InputError):

@@ -176,8 +176,15 @@ def _cmd_score(args) -> int:
     return 0
 
 
+def _load_nonempty(path) -> list[corpus.Document]:
+    docs = corpus.load_corpus(path)
+    if not docs:
+        raise InputError(f"{path}: empty corpus")
+    return docs
+
+
 def _cmd_errors(args) -> int:
-    docs = corpus.load_corpus(args.corpus)
+    docs = _load_nonempty(args.corpus)
     params = ModelParams.load(args.model)
     total = sum(
         analysis.error_breakdown(doc, predict_antecedents(doc, params))
@@ -188,9 +195,9 @@ def _cmd_errors(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    docs = corpus.load_corpus(args.corpus)
-    if not docs:
-        raise InputError(f"{args.corpus}: empty corpus")
+    if args.ndocs < 1:
+        raise ConfigError(f"--ndocs must be at least 1, got {args.ndocs}")
+    docs = _load_nonempty(args.corpus)
     if args.model:
         params = ModelParams.load(args.model)
     else:

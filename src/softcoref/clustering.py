@@ -15,8 +15,6 @@ from .corpus import Clustering
 from .errors import InputError
 from .membership import LinkDistribution
 
-DECODE_TOL = 1e-6
-
 
 def validate_antecedent_vector(antecedents: Sequence[int]) -> None:
     a = np.asarray(antecedents)
@@ -41,18 +39,11 @@ def antecedents_to_clusters(antecedents: Sequence[int]) -> Clustering:
     return Clustering._wrap(np.array(labels, dtype=np.int64))
 
 
-def decode_argmax(links: LinkDistribution, *, tol: float = DECODE_TOL) -> tuple[int, ...]:
-    """Most probable antecedent of each mention, ties to smallest index.
-
-    The row-stochastic and triangular structure of the input is
-    revalidated at ``tol`` before decoding.
-    """
-    probs = np.asarray(links.probs, dtype=float)
-    LinkDistribution(probs, tol=tol)
-    antecedents = np.argmax(probs, axis=1) + 1
-    return tuple(int(a) for a in antecedents)
+def decode_argmax(links: LinkDistribution) -> tuple[int, ...]:
+    """Most probable antecedent of each mention, ties to smallest index."""
+    return tuple((np.argmax(links.probs, axis=1) + 1).tolist())
 
 
-def decode_clusters(links: LinkDistribution, *, tol: float = DECODE_TOL) -> Clustering:
+def decode_clusters(links: LinkDistribution) -> Clustering:
     """Argmax-decode and follow links into a hard clustering."""
-    return antecedents_to_clusters(decode_argmax(links, tol=tol))
+    return antecedents_to_clusters(decode_argmax(links))

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -156,7 +157,7 @@ class Mention:
         )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Document:
     """An ordered mention list with per-mention and per-pair features.
 
@@ -164,20 +165,26 @@ class Document:
     float64 array of shape (n_pairs, d_p), in ``tril_pairs`` (row-major)
     order; a document with fewer than two mentions holds a (0, 0) array.
     Gold is stored once, as the mentions' ``gold_entity`` labels.
-    Immutable after construction; the cached mention matrix, gold
-    clustering and index arrays make it safe and cheap to share across
-    repeated loss evaluations.
+    Construction runs ``validate`` and raises InputError for an invalid
+    document, so every Document is valid; it is immutable after that, and
+    the cached mention matrix, gold clustering and index arrays make it
+    safe and cheap to share across repeated loss evaluations.
     """
 
     id: str
     mentions: tuple[Mention, ...]
     pair_feature_matrix: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "mentions", tuple(self.mentions))
+        self.validate()
+
     @classmethod
     def from_mentions(cls, doc_id: str, mentions: Sequence[Mention],
                       pairs: Mapping[tuple[int, int], np.ndarray]) -> "Document":
         """Build a document from a ``{(j, i): features}`` dict.  Raises
-        InputError unless the keys are exactly all pairs j < i."""
+        InputError unless the keys are exactly all pairs j < i and the
+        document validates."""
         return _document(doc_id, mentions, _pair_matrix(
             doc_id, len(mentions), list(pairs), list(pairs.values())))
 
@@ -194,6 +201,7 @@ class Document:
         return self.pair_feature_matrix.shape[1]
 
     def validate(self) -> None:
+        """Raise InputError unless the document is well formed (as built)."""
         n = self.n
         if n == 0:
             raise InputError(f"document {self.id}: no mentions")
@@ -235,8 +243,10 @@ class Document:
 
     @cached_property
     def gold_entity_array(self) -> np.ndarray:
-        """e(m_i) for every mention, 1-based."""
-        return np.array([m.gold_entity for m in self.mentions], dtype=np.int64)
+        """Read-only e(m_i) for every mention, 1-based."""
+        ids = np.array([m.gold_entity for m in self.mentions], dtype=np.int64)
+        ids.flags.writeable = False
+        return ids
 
     @cached_property
     def gold_clusters(self) -> Clustering:
@@ -436,27 +446,32 @@ def save_corpus(docs: Iterable[Document], path) -> None:
             fh.write("\n")
 
 
+def _require_ints(doc_id: str, what: str, values: Iterable) -> None:
+    """Raise InputError unless every value is a JSON integer; 1.9, "2" and
+    true are not."""
+    bad = [v for v in values if type(v) is not int]
+    if bad:
+        raise InputError(f"document {doc_id}: {what} {bad[0]!r} is not an integer")
+
+
 def _doc_from_record(record: dict, path, lineno: int) -> Document:
     try:
+        doc_id, pairs = str(record["id"]), record["pairs"]
         mentions = []
         for m in record["mentions"]:
             gold = m["gold_entity"]
             if gold == "new":
                 gold = m["index"]
-            mentions.append(Mention(
-                int(m["index"]), str(m["type"]), int(gold),
-                np.asarray(m["features_a"], dtype=float),
-            ))
-        doc_id, pairs = str(record["id"]), record["pairs"]
+            mentions.append(Mention(m["index"], str(m["type"]), gold,
+                                    np.asarray(m["features_a"], dtype=float)))
+        _require_ints(doc_id, "mention index", (m.index for m in mentions))
+        _require_ints(doc_id, "gold_entity", (m.gold_entity for m in mentions))
+        keys = [(p["j"], p["i"]) for p in pairs]
+        _require_ints(doc_id, "pair index", chain.from_iterable(keys))
         doc = _document(doc_id, mentions, _pair_matrix(
-            doc_id, len(mentions), [(p["j"], p["i"]) for p in pairs],
-            [p["features"] for p in pairs]))
+            doc_id, len(mentions), keys, [p["features"] for p in pairs]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"bad document record: {exc}", path=path, line=lineno) from exc
-    except InputError as exc:
-        raise FormatError(str(exc), path=path, line=lineno) from exc
-    try:
-        doc.validate()
     except InputError as exc:
         raise FormatError(str(exc), path=path, line=lineno) from exc
     if doc.d_a != record.get("d_a") or (doc.n > 1 and doc.d_p != record.get("d_p")):
@@ -469,7 +484,7 @@ def _doc_from_record(record: dict, path, lineno: int) -> Document:
 
 def load_corpus(path) -> list[Document]:
     docs = []
-    dims = None
+    d_a = d_p = None  # of the first document, and of the first with a pair
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -479,15 +494,12 @@ def load_corpus(path) -> list[Document]:
             except json.JSONDecodeError as exc:
                 raise FormatError(f"invalid JSON: {exc.msg}", path=path, line=lineno) from exc
             doc = _doc_from_record(record, path, lineno)
-            doc_dims = (doc.d_a, doc.d_p if doc.n > 1 else None)
-            if dims is None:
-                dims = doc_dims
-            elif doc_dims[0] != dims[0] or (doc_dims[1] is not None and dims[1] is not None
-                                            and doc_dims[1] != dims[1]):
-                raise FormatError(
-                    f"dimension mismatch across documents: {doc_dims} vs {dims}",
-                    path=path, line=lineno,
-                )
+            dims = (doc.d_a, doc.d_p if doc.n > 1 else None)
+            d_a = dims[0] if d_a is None else d_a
+            d_p = dims[1] if d_p is None else d_p
+            if dims[0] != d_a or dims[1] not in (None, d_p):
+                raise FormatError(f"dimension mismatch across documents: {dims} vs {(d_a, d_p)}",
+                                  path=path, line=lineno)
             docs.append(doc)
     return docs
 

@@ -37,62 +37,57 @@ from .errors import InputError
 ROW_SUM_TOL = 1e-9
 
 
-def _check_lower_triangular_rows(array: np.ndarray, name: str, tol: float) -> None:
-    if array.ndim != 2 or array.shape[0] != array.shape[1]:
-        raise InputError(f"{name} must be a square matrix")
-    if array.shape[0] == 0:
-        raise InputError(f"{name} must cover at least one mention")
-    if not np.all(np.isfinite(array)):
-        raise InputError(f"{name} has non-finite entries")
-    if np.any(array < -tol):
-        raise InputError(f"{name} has negative entries")
-    upper = array[np.triu_indices(array.shape[0], k=1)]
-    if upper.size and np.max(np.abs(upper)) > tol:
-        raise InputError(f"{name} has mass above the diagonal")
-    sums = array.sum(axis=1)
-    worst = np.max(np.abs(sums - 1.0))
-    if worst > tol:
+class _RowStochastic:
+    """A row-stochastic lower-triangular matrix.  The constructor checks a
+    copy of its input once, at ``ROW_SUM_TOL``, and keeps it read-only."""
+
+    __slots__ = ("_probs",)
+
+    def __init__(self, probs: np.ndarray):
+        probs, name = np.array(probs, dtype=float), self._name
+        if probs.ndim != 2 or probs.shape[0] != probs.shape[1]:
+            raise InputError(f"{name} must be a square matrix")
+        if probs.shape[0] == 0:
+            raise InputError(f"{name} must cover at least one mention")
+        if not np.all(np.isfinite(probs)):
+            raise InputError(f"{name} has non-finite entries")
+        if np.any(probs < -ROW_SUM_TOL):
+            raise InputError(f"{name} has negative entries")
+        upper = probs[np.triu_indices(probs.shape[0], k=1)]
+        if upper.size and np.max(np.abs(upper)) > ROW_SUM_TOL:
+            raise InputError(f"{name} has mass above the diagonal")
+        sums = probs.sum(axis=1)
         row = int(np.argmax(np.abs(sums - 1.0)))
-        raise InputError(f"{name} row {row + 1} sums to {sums[row]:.12f}, not 1")
+        if abs(sums[row] - 1.0) > ROW_SUM_TOL:
+            raise InputError(f"{name} row {row + 1} sums to {sums[row]:.12f}, not 1")
+        probs.flags.writeable = False
+        self._probs = probs
+
+    probs = property(lambda self: self._probs, doc="The checked array, read-only.")
+
+    @property
+    def n(self) -> int:
+        return self._probs.shape[0]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self.n})"
 
 
-class LinkDistribution:
+class LinkDistribution(_RowStochastic):
     """Row-stochastic lower-triangular antecedent probabilities.
 
     ``probs[i - 1, j - 1]`` is p(a_i = j) for ``j <= i``, 1-based.
     """
 
-    __slots__ = ("probs",)
-
-    def __init__(self, probs: np.ndarray, *, tol: float = ROW_SUM_TOL):
-        probs = np.asarray(probs, dtype=float)
-        _check_lower_triangular_rows(probs, "link distribution", tol)
-        self.probs = probs
-
-    @property
-    def n(self) -> int:
-        return self.probs.shape[0]
-
-    def __repr__(self) -> str:
-        return f"LinkDistribution(n={self.n})"
+    __slots__ = ()
+    _name = "link distribution"
 
 
-class MembershipMatrix:
+class MembershipMatrix(_RowStochastic):
     """Mention-to-entity membership probabilities q[i][u], 1-based."""
 
-    __slots__ = ("probs",)
-
-    def __init__(self, probs: np.ndarray, *, tol: float = ROW_SUM_TOL):
-        probs = np.asarray(probs, dtype=float)
-        _check_lower_triangular_rows(probs, "membership matrix", tol)
-        self.probs = probs
-
-    @property
-    def n(self) -> int:
-        return self.probs.shape[0]
-
-    def __repr__(self) -> str:
-        return f"MembershipMatrix(n={self.n})"
+    __slots__ = ()
+    _name = "membership matrix"
 
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -159,10 +154,13 @@ def temper_array(q: np.ndarray, temperature: float) -> np.ndarray:
     """Temperature-sharpened membership rows, in log space.
 
     Row i is softmax(log q[i, u] / T) over u <= i; structural zeros and
-    exact zero entries keep zero mass at every temperature.
+    exact zero entries keep zero mass at every temperature.  At T = 1 the
+    rows are already distributions and ``q`` itself is returned.
     """
     if temperature <= 0:
         raise InputError(f"temperature must be positive, got {temperature}")
+    if temperature == 1.0:
+        return q
     support = np.tril(q > 0.0)
     empty = ~support.any(axis=1)
     if np.any(empty):
@@ -177,7 +175,10 @@ def temper_backward(q: np.ndarray, qt: np.ndarray, temperature: float,
     Uses the softmax Jacobian in log space: for row probabilities s over
     the positive support, ds/dlogq = (s * (ds - s . ds)) and
     dlogq/dq = 1/q, giving dq = (1/T) * (s/q) * (ds - sum(s * ds)).
+    At T = 1 temper_array is the identity, so ``dqt`` is returned.
     """
+    if temperature == 1.0:
+        return dqt
     s = np.tril(qt)
     support = np.tril(q > 0.0)
     ratio = np.where(support, s / np.where(support, q, 1.0), 0.0)

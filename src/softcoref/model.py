@@ -311,8 +311,8 @@ def link_probabilities(scores: np.ndarray) -> LinkDistribution:
 
 def predict_antecedents(doc: Document, params: ModelParams) -> tuple[int, ...]:
     """Most probable antecedent per mention under the model, ties to the
-    smallest index.  The model's own scores skip the input checks of
-    ``link_probabilities`` and ``decode_argmax``."""
+    smallest index: ``decode_argmax(link_probabilities(scores))`` without
+    the score check and the checked copy that a LinkDistribution makes."""
     probs = masked_softmax(score_pairs(doc, params), np.tri(doc.n, dtype=bool))
     return tuple((np.argmax(probs, axis=1) + 1).tolist())
 
@@ -450,8 +450,6 @@ def _entity_centric(doc: Document, scores: np.ndarray, costs: CostConfig,
     gold entity, through the membership recursion."""
     n = doc.n
     ids = doc.gold_entity_array
-    if np.any(ids > np.arange(1, n + 1)):
-        raise InputError(f"document {doc.id}: gold entity anchored after its mention")
     probs = masked_softmax(scores, np.tri(n, dtype=bool))
     q = membership_array(probs)
     weights = np.tril(q * np.exp(gamma_matrix(doc, costs)))
@@ -475,12 +473,12 @@ def _relaxed(soft_grad, doc: Document, scores: np.ndarray, costs: CostConfig,
     lea_soft_grad) on the tempered memberships, against gold clusters."""
     probs = masked_softmax(scores, np.tri(doc.n, dtype=bool))
     q = membership_array(probs)
-    qt = q if temperature == 1.0 else temper_array(q, temperature)
+    qt = temper_array(q, temperature)
     gold_of, sizes = gold_index_arrays(doc.gold_clusters, doc.n)
     _, _, f, d_qt = soft_grad(qt, gold_of, sizes, beta)
 
     def backward() -> np.ndarray:
-        d_q = -d_qt if temperature == 1.0 else temper_backward(q, qt, temperature, -d_qt)
+        d_q = temper_backward(q, qt, temperature, -d_qt)
         return _softmax_backward(probs, membership_backward(probs, q, d_q))
 
     return -f, backward

@@ -45,7 +45,6 @@ class TrainConfig:
     init_model: Optional[ModelParams] = None
     costs: CostConfig = field(default_factory=CostConfig)
     anneal: Optional[tuple[tuple[int, float], ...]] = None
-    eps: float = ADAGRAD_EPS
 
     def __post_init__(self):
         _check_loss_settings(self.loss, self.beta, self.temperature, self.lam)
@@ -54,8 +53,6 @@ class TrainConfig:
                 f"learning rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
-        if not 0 < self.eps < math.inf:
-            raise ConfigError(f"adagrad eps must be positive and finite, got {self.eps}")
         if self.hidden_a < 1 or self.hidden_p < 1:
             raise ConfigError("hidden sizes must be at least 1")
         if not 0 <= self.init_scale < math.inf:
@@ -95,20 +92,18 @@ class TrainHistory:
 
 
 def adagrad_step(params: np.ndarray, grads: np.ndarray, accum: np.ndarray,
-                 eta: float, eps: float = ADAGRAD_EPS) -> tuple[np.ndarray, np.ndarray]:
+                 eta: float) -> tuple[np.ndarray, np.ndarray]:
     """One AdaGrad update on flat coordinate vectors.
 
-    accum += g^2; theta -= eta * g / (sqrt(accum) + eps).  Returns the
-    new (params, accum) without mutating the inputs.
+    accum += g^2; theta -= eta * g / (sqrt(accum) + ADAGRAD_EPS).  Returns
+    the new (params, accum) without mutating the inputs.
     """
     if params.shape != grads.shape or params.shape != accum.shape:
         raise ConfigError("params, grads and accum must share a shape")
-    if eps <= 0:
-        raise ConfigError(f"adagrad eps must be positive, got {eps}")
     if not np.all(np.isfinite(grads)):
         raise TrainingError("non-finite gradient in adagrad step")
     accum = accum + grads * grads
-    params = params - eta * grads / (np.sqrt(accum) + eps)
+    params = params - eta * grads / (np.sqrt(accum) + ADAGRAD_EPS)
     return params, accum
 
 
@@ -155,8 +150,7 @@ def train(corpus: Sequence[Document], dev: Sequence[Document],
                 doc, params, config.loss, costs=config.costs, beta=config.beta,
                 temperature=temperature, lam=config.lam,
             )
-            vec, accum = adagrad_step(params._vec, grad._vec, accum,
-                                      config.learning_rate, config.eps)
+            vec, accum = adagrad_step(params._vec, grad._vec, accum, config.learning_rate)
             if not np.isfinite(vec).all():
                 raise TrainingError(f"non-finite parameters after the update on document {doc.id}")
             params = ModelParams._wrap(vec, params._shapes)

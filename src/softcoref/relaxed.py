@@ -184,17 +184,11 @@ def lea_soft_grad(q: np.ndarray, gold_of: np.ndarray, sizes: np.ndarray,
 _SOFT_METRICS = {"b3": b3_soft, "lea": lea_soft}
 
 
-def _tempered_probs(memberships: MembershipMatrix, temperature: float) -> np.ndarray:
-    if temperature == 1.0:
-        return memberships.probs
-    return temper_array(memberships.probs, temperature)
-
-
 def _relaxed(kind: str, memberships: MembershipMatrix, gold: Clustering,
              beta: float, temperature: float) -> RelaxedScore:
     if not 0 < beta < np.inf:
         raise ConfigError(f"beta must be positive and finite, got {beta}")
-    q = _tempered_probs(memberships, temperature)
+    q = temper_array(memberships.probs, temperature)
     gold_of, sizes = gold_index_arrays(gold, memberships.n)
     precision, recall, f = _SOFT_METRICS[kind](q, gold_of, sizes, beta)
     return RelaxedScore(f, precision, recall, beta, temperature)

@@ -121,12 +121,15 @@ def correct_antecedents(doc: Document, i: int) -> frozenset[int]:
 
 def make_document(doc_id: str, entity_ids, d_a: int = 4, d_p: int = 5,
                   seed: int = 0, types=None) -> Document:
-    """A document with given 1-based gold entity ids and random features."""
+    """A document with random features whose mentions share a gold entity
+    exactly when their ``entity_ids`` are equal; each label becomes the
+    index of its first mention, so any label values give a valid document."""
     rng = np.random.default_rng(seed)
     n = len(entity_ids)
     mention_types = types or ["proper"] * n
+    first: dict[int, int] = {}
     mentions = [
-        Mention(i, mention_types[i - 1], int(entity_ids[i - 1]),
+        Mention(i, mention_types[i - 1], first.setdefault(int(entity_ids[i - 1]), i),
                 rng.normal(size=d_a))
         for i in range(1, n + 1)
     ]

@@ -307,6 +307,12 @@ class TestErrors:
         assert cli("errors", "--corpus", tmp_path / "nope.jsonl",
                    "--model", tiny_model) == 1
 
+    def test_empty_corpus_exit_1(self, tmp_path, tiny_model, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        assert cli("errors", "--corpus", empty, "--model", tiny_model) == 1
+        assert capsys.readouterr().err == f"error: {empty}: empty corpus\n"
+
 
 class TestGradcheck:
     def test_pass(self, tiny_corpus, capsys):
@@ -320,6 +326,12 @@ class TestGradcheck:
 
     def test_bad_step_exit_1(self, tiny_corpus):
         assert cli("gradcheck", "--corpus", tiny_corpus, "--h", 1e-9) == 1
+
+    @pytest.mark.parametrize("ndocs", [0, -1])
+    def test_no_documents_to_check_exit_1(self, tiny_corpus, ndocs, capsys):
+        assert cli("gradcheck", "--corpus", tiny_corpus, "--ndocs", ndocs) == 1
+        out = capsys.readouterr()
+        assert "PASS" not in out.out and "--ndocs must be at least 1" in out.err
 
     def test_with_trained_model(self, tiny_corpus, tiny_model):
         assert cli("gradcheck", "--corpus", tiny_corpus,

@@ -79,10 +79,14 @@ class TestDecodeArgmax:
         assert decode_argmax(links) == (1, 1)
 
     def test_rejects_denormalized_rows(self):
-        links = one_hot_links([1, 2])
-        links.probs[1, 1] = 0.9  # corrupt past the revalidation tolerance
+        probs = np.eye(2)
+        links = LinkDistribution(probs)
+        with pytest.raises(ValueError):
+            links.probs[1, 1] = 0.9  # the checked rows are read-only
+        probs[1, 1] = 0.9  # and a copy of the caller's array
+        assert decode_argmax(links) == (1, 2)
         with pytest.raises(InputError):
-            decode_argmax(links)
+            LinkDistribution(probs)
 
     @given(antecedent_vectors())
     @settings(max_examples=200, deadline=None)

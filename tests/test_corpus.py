@@ -125,10 +125,9 @@ class TestDocument:
 
     def test_missing_pair_rejected(self):
         doc = make_document("d", [1, 1, 3])
-        broken = Document(doc.id, doc.mentions,
-                          np.delete(doc.pair_feature_matrix, 1, axis=0))  # pair (1, 3)
         with pytest.raises(InputError, match="pair features"):
-            broken.validate()
+            Document(doc.id, doc.mentions,
+                     np.delete(doc.pair_feature_matrix, 1, axis=0))  # pair (1, 3)
 
     def test_inconsistent_gold_entity_rejected(self):
         for labels, mention, expected in [
@@ -136,9 +135,12 @@ class TestDocument:
             ([2, 2], 1, 1),      # a mention labelled with a later mention
             ([1, 0], 2, 2),      # a label outside 1..n
         ]:
+            mentions = [Mention(i, "proper", e, np.zeros(2))
+                        for i, e in enumerate(labels, start=1)]
+            pairs = {(j, i): np.zeros(3) for i in range(2, len(labels) + 1) for j in range(1, i)}
             with pytest.raises(InputError, match=f"mention {mention} gold_entity .* "
                                                  f"\\(expected {expected}\\)"):
-                make_document("d", labels).validate()
+                Document.from_mentions("d", mentions, pairs)
 
     def test_gold_clusters_derived_from_labels(self):
         doc = make_document("d", [1, 2, 1, 2, 5])
@@ -180,6 +182,15 @@ class TestDocument:
         with pytest.raises(InputError, match="pair features") as exc:
             Document.from_mentions(doc.id, doc.mentions, pairs)
         assert exc.match(detail)
+
+    def test_immutable_once_built(self):
+        doc = make_document("d", [1, 1, 3])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            doc.mentions = doc.mentions[:2]
+        with pytest.raises(ValueError):
+            doc.gold_entity_array[2] = 1
+        listed = Document(doc.id, list(doc.mentions), doc.pair_feature_matrix)
+        assert listed.mentions == doc.mentions and listed == doc
 
     def test_single_mention_has_no_pair_dimension(self):
         doc = make_document("d", [1])
@@ -399,6 +410,37 @@ class TestCorpusIO:
         lines[1] = json.dumps(record)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match="non-finite features") as exc:
+            load_corpus(path)
+        assert exc.value.line == 2
+
+    def test_dim_mismatch_after_single_mention_document(self, tmp_path):
+        single = generate_synthetic(SyntheticConfig(num_docs=1, mentions_per_doc=(1, 1),
+                                                    d_p=3, seed=1))
+        five, seven = (generate_synthetic(SyntheticConfig(num_docs=1, d_p=d_p, seed=2))
+                       for d_p in (5, 7))
+        path = tmp_path / "c.jsonl"
+        save_corpus(single + five + five, path)  # a one-mention document has no d_p
+        assert load_corpus(path) == single + five + five
+        save_corpus(single + five + seven, path)
+        with pytest.raises(FormatError, match="dimension mismatch") as exc:
+            load_corpus(path)
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize("where", ["index", "gold_entity", "j", "i"])
+    @pytest.mark.parametrize("value", [1.9, 2.4, "2", True])
+    def test_non_integer_indices_rejected_with_line(self, tmp_path, where, value):
+        docs = generate_synthetic(SyntheticConfig(num_docs=2, seed=5))
+        path = tmp_path / "c.jsonl"
+        save_corpus(docs, path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        if where in ("index", "gold_entity"):
+            record["mentions"][1][where] = value
+        else:
+            record["pairs"][0][where] = value
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="is not an integer") as exc:
             load_corpus(path)
         assert exc.value.line == 2
 

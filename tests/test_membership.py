@@ -123,10 +123,14 @@ class TestMembership:
         assert q.probs[:, 1:].sum() == 0.0
 
     def test_rejects_denormalized_input(self):
-        links = LinkDistribution(np.array([[1.0, 0.0], [0.5, 0.5]]))
-        links.probs[1, 0] = 0.9
+        probs = np.array([[1.0, 0.0], [0.5, 0.5]])
+        links = LinkDistribution(probs)
+        with pytest.raises(ValueError):
+            links.probs[1, 0] = 0.9  # the checked rows are read-only
+        probs[1, 0] = 0.9  # and a copy of the caller's array
+        np.testing.assert_array_equal(membership(links).probs, [[1.0, 0.0], [0.5, 0.5]])
         with pytest.raises(InputError):
-            membership(links)
+            LinkDistribution(probs)
 
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 20))
     @settings(max_examples=60, deadline=None)
@@ -177,8 +181,7 @@ class TestBruteForce:
 class TestTemper:
     def test_identity_at_unit_temperature(self, links3):
         q = membership(links3)
-        np.testing.assert_allclose(tempered_membership(q, 1.0).probs, q.probs,
-                                   atol=1e-12)
+        np.testing.assert_array_equal(tempered_membership(q, 1.0).probs, q.probs)
 
     def test_low_temperature_approaches_argmax(self, links3):
         q = membership(links3)

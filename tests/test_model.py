@@ -403,14 +403,6 @@ class TestEntityCentricLoss:
         base = document_loss(doc, params, "ec-heuristic", costs=CostConfig.zero())
         assert base < small < large
 
-    def test_rejects_anchor_after_mention(self):
-        doc = make_document("d", [1, 1, 3])
-        # forge an impossible gold array to hit the defensive check
-        doc.__dict__["gold_entity_array"] = np.array([1, 3, 3])
-        with pytest.raises(InputError):
-            document_loss(doc, ModelParams.zeros(4, 5, hidden_a=2, hidden_p=2),
-                          "ec-heuristic")
-
 
 class TestRelaxedMetricLoss:
     def test_matches_standalone_relaxed_loss(self):

@@ -6,7 +6,7 @@ import pytest
 from softcoref import (BETA_GRID, ConfigError, CostConfig, ModelParams,
                        TrainConfig, TrainingError, adagrad_step, beta_sweep,
                        evaluate_corpus, grad_check, train)
-from softcoref.optim import TrainHistory
+from softcoref.optim import ADAGRAD_EPS, TrainHistory
 
 from conftest import make_document, saturated_params, small_corpus
 
@@ -20,19 +20,18 @@ class TestAdagradStep:
         np.testing.assert_array_equal(new_accum, accum)
 
     def test_first_step_arithmetic(self):
-        """With accum 0, g = 1, eta = 0.1 the step is eta * g / |g|."""
+        """With accum 0, g = 1, eta = 0.1 the step is eta * g / (|g| + ADAGRAD_EPS)."""
         theta = np.zeros(1)
-        new_theta, new_accum = adagrad_step(theta, np.ones(1), np.zeros(1),
-                                            eta=0.1, eps=1e-15)
-        assert abs(new_theta[0] - (-0.1)) < 1e-9
+        new_theta, new_accum = adagrad_step(theta, np.ones(1), np.zeros(1), eta=0.1)
+        assert new_theta[0] == -0.1 / (1.0 + ADAGRAD_EPS)
         assert new_accum[0] == 1.0
 
     def test_second_step_shrinks(self):
         theta, accum = np.zeros(1), np.zeros(1)
-        theta, accum = adagrad_step(theta, np.ones(1), accum, eta=0.1, eps=1e-15)
-        theta2, accum2 = adagrad_step(theta, np.ones(1), accum, eta=0.1, eps=1e-15)
+        theta, accum = adagrad_step(theta, np.ones(1), accum, eta=0.1)
+        theta2, accum2 = adagrad_step(theta, np.ones(1), accum, eta=0.1)
         assert accum2[0] == 2.0
-        assert abs((theta2[0] - theta[0]) - (-0.1 / np.sqrt(2.0))) < 1e-9
+        assert theta2[0] == theta[0] - 0.1 / (np.sqrt(2.0) + ADAGRAD_EPS)
 
     def test_inputs_not_mutated(self):
         theta = np.array([1.0])
@@ -48,15 +47,12 @@ class TestAdagradStep:
     def test_rejects_shape_mismatch_and_bad_eps(self):
         with pytest.raises(ConfigError):
             adagrad_step(np.zeros(2), np.zeros(3), np.zeros(2), eta=0.1)
-        with pytest.raises(ConfigError):
-            adagrad_step(np.zeros(2), np.zeros(2), np.zeros(2), eta=0.1, eps=0.0)
 
 
 class TestTrainConfig:
     def test_defaults_valid(self):
         config = TrainConfig()
         assert config.loss == "mr-heuristic"
-        assert config.eps == 1e-8
 
     @pytest.mark.parametrize("kwargs", [
         dict(loss="perceptron"),
@@ -65,7 +61,6 @@ class TestTrainConfig:
         dict(learning_rate=0.0),
         dict(epochs=0),
         dict(lam=-1e-6),
-        dict(eps=0.0),
         dict(hidden_a=0),
         dict(anneal=((0, 0.5),)),
         dict(anneal=((2, 0.0),)),
@@ -77,19 +72,20 @@ class TestTrainConfig:
         dict(learning_rate=float("inf")),
         dict(lam=float("nan")),
         dict(lam=float("inf")),
-        dict(eps=float("nan")),
-        dict(eps=float("inf")),
         dict(init_scale=-1.0),
         dict(init_scale=float("nan")),
         dict(init_scale=float("inf")),
         dict(anneal=((2, float("nan")),)),
         dict(anneal=((2, float("inf")),)),
+        dict(hidden_p=0),
+        dict(learning_rate=-0.1),
+        dict(anneal=((1, 0.5), (0, 0.5))),
     ])
     def test_rejects_bad_values(self, kwargs):
         (setting,) = kwargs
-        word = {"lam": "l1 weight", "learning_rate": "learning rate", "eps": "eps",
+        word = {"lam": "l1 weight", "learning_rate": "learning rate",
                 "init_scale": "init scale", "anneal": "annealing",
-                "hidden_a": "hidden sizes"}.get(setting, setting)
+                "hidden_a": "hidden sizes", "hidden_p": "hidden sizes"}.get(setting, setting)
         with pytest.raises(ConfigError, match=word):
             TrainConfig(**kwargs)
 

@@ -11,7 +11,7 @@ corpora, CoNLL key-file I/O and error analysis round out the toolkit.
 
 from .analysis import (ErrorBreakdown, MetricReport, corpus_report,
                        error_breakdown, evaluate_corpus, format_breakdown,
-                       format_report, metric_report, report_csv)
+                       format_report, report_csv)
 from .clustering import (antecedents_to_clusters, decode_argmax,
                          decode_clusters, validate_antecedent_vector)
 from .corpus import (MENTION_TYPES, Clustering, ConllDocument, Document,
@@ -20,16 +20,15 @@ from .corpus import (MENTION_TYPES, Clustering, ConllDocument, Document,
                      save_corpus, write_conll_responses)
 from .errors import (ConfigError, FormatError, InputError, SoftcorefError,
                      TrainingError)
-from .membership import (LinkDistribution, MembershipMatrix,
-                         brute_force_membership, membership,
+from .membership import (LinkDistribution, MembershipMatrix, membership,
                          tempered_membership)
 from .metrics import (PRF, BlancCounts, MetricCounts, b_cubed, b_cubed_counts,
                       blanc, blanc_counts, ceaf_e, ceaf_e_counts, ceaf_m,
                       ceaf_m_counts, conll_average, f_beta, lea, lea_counts,
                       muc, muc_counts)
-from .model import (LOSS_KINDS, CostConfig, ModelParams, delta_cost,
-                    document_loss, document_loss_and_grad, gamma_cost, l1_norm,
-                    link_probabilities, predict_antecedents, score_pairs)
+from .model import (LOSS_KINDS, CostConfig, ModelParams, document_loss,
+                    document_loss_and_grad, l1_norm, link_probabilities,
+                    predict_antecedents, score_pairs)
 from .optim import (BETA_GRID, EpochRecord, TrainConfig, TrainHistory,
                     adagrad_step, beta_sweep, grad_check, train)
 from .relaxed import GUARD_EPS, RelaxedScore, relaxed_b3, relaxed_lea
@@ -44,17 +43,14 @@ __all__ = [
     "MetricReport", "ModelParams", "PRF", "RelaxedScore", "SoftcorefError",
     "SyntheticConfig", "TrainConfig", "TrainHistory", "TrainingError",
     "adagrad_step", "antecedents_to_clusters", "b_cubed", "b_cubed_counts",
-    "beta_sweep", "blanc", "blanc_counts", "brute_force_membership",
-    "ceaf_e", "ceaf_e_counts", "ceaf_m", "ceaf_m_counts",
-    "clusters_from_entity_ids", "conll_average", "corpus_report",
-    "decode_argmax", "decode_clusters", "delta_cost", "document_loss",
-    "document_loss_and_grad", "error_breakdown", "evaluate_corpus",
-    "f_beta", "format_breakdown", "format_report", "gamma_cost",
-    "generate_synthetic", "grad_check", "l1_norm", "lea", "lea_counts",
-    "link_probabilities", "load_corpus", "membership", "metric_report", "muc",
-    "muc_counts", "parse_conll_documents",
-    "predict_antecedents", "relaxed_b3", "relaxed_lea",
-    "report_csv", "save_corpus", "score_pairs",
-    "tempered_membership", "train",
+    "beta_sweep", "blanc", "blanc_counts", "ceaf_e", "ceaf_e_counts",
+    "ceaf_m", "ceaf_m_counts", "clusters_from_entity_ids", "conll_average",
+    "corpus_report", "decode_argmax", "decode_clusters", "document_loss",
+    "document_loss_and_grad", "error_breakdown", "evaluate_corpus", "f_beta",
+    "format_breakdown", "format_report", "generate_synthetic", "grad_check",
+    "l1_norm", "lea", "lea_counts", "link_probabilities", "load_corpus",
+    "membership", "muc", "muc_counts", "parse_conll_documents",
+    "predict_antecedents", "relaxed_b3", "relaxed_lea", "report_csv",
+    "save_corpus", "score_pairs", "tempered_membership", "train",
     "validate_antecedent_vector", "write_conll_responses",
 ]

@@ -117,11 +117,6 @@ def corpus_report(pairs: Sequence[tuple[Clustering, Clustering]],
     )
 
 
-def metric_report(gold: Clustering, response: Clustering, beta: float = 1.0) -> MetricReport:
-    """All six metrics plus the CoNLL average for one document."""
-    return corpus_report([(gold, response)], beta)
-
-
 def evaluate_corpus(docs: Sequence[Document], params: ModelParams,
                     beta: float = 1.0) -> MetricReport:
     """Decode every document with the model and score against gold."""

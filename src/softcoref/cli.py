@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from . import analysis, corpus, optim
 from .errors import ConfigError, FormatError, InputError, SoftcorefError
@@ -106,8 +107,11 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    train_docs = corpus.load_corpus(args.corpus)
-    dev_docs = corpus.load_corpus(args.dev) if args.dev else []
+    for path in filter(None, (args.out, args.history)):  # fail before training, not after
+        if not Path(path).parent.is_dir():
+            raise InputError(f"{path}: no such file")
+    train_docs = _load_nonempty(args.corpus)
+    dev_docs = _load_nonempty(args.dev) if args.dev else []
     init = ModelParams.load(args.init) if args.init else None
     config = optim.TrainConfig(
         loss=args.loss, beta=args.beta, temperature=args.temp,

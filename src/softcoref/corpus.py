@@ -43,6 +43,12 @@ _TYPE_PRIOR_LATER = (0.15, 0.35, 0.5)
 _DISTANCE_EDGES = (1, 3, 7)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """Flag ``array`` read-only and return it."""
+    array.setflags(write=False)  # a third of the cost of ``array.flags.writeable = False``
+    return array
+
+
 class Clustering:
     """A partition of the 1-based mention indices 1..n into entities.
 
@@ -71,15 +77,13 @@ class Clustering:
         for k, cluster in enumerate(sorted(sets, key=min)):
             for m in cluster:
                 labels[m - 1] = k
-        self._index = np.array(labels, dtype=np.int64)
-        self._index.flags.writeable = False
+        self._index = _read_only(np.array(labels, dtype=np.int64))
 
     @classmethod
     def _wrap(cls, index: np.ndarray) -> "Clustering":
         """An unchecked clustering over a fresh label array in canonical order."""
         clustering = cls.__new__(cls)
-        index.flags.writeable = False
-        clustering._index = index
+        clustering._index = _read_only(index)
         return clustering
 
     def cluster_index(self) -> np.ndarray:
@@ -134,18 +138,25 @@ def clusters_from_entity_ids(entity_ids: Sequence[int]) -> Clustering:
 
 @dataclass(frozen=True, eq=False)
 class Mention:
+    """``index`` and ``gold_entity`` are integers, not bool, stored as
+    ``int``; ``features_a`` is stored as a read-only float64 copy."""
+
     index: int
     mention_type: str
     gold_entity: int
     features_a: np.ndarray
 
     def __post_init__(self):
+        for name in ("index", "gold_entity"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InputError(f"mention {name} {value!r} is not an integer")
+            object.__setattr__(self, name, int(value))
         if self.mention_type not in MENTION_TYPES:
             raise InputError(f"unknown mention type {self.mention_type!r}")
-
-    @property
-    def starts_new_entity(self) -> bool:
-        return self.gold_entity == self.index
+        object.__setattr__(self, "features_a", _read_only(np.array(self.features_a, dtype=float)))
+        if self.features_a.ndim != 1:
+            raise InputError(f"mention {self.index}: features_a is not a vector")
 
     def __eq__(self, other) -> bool:
         return (
@@ -164,11 +175,13 @@ class Document:
     ``pair_feature_matrix`` holds the features of every pair j < i as one
     float64 array of shape (n_pairs, d_p), in ``tril_pairs`` (row-major)
     order; a document with fewer than two mentions holds a (0, 0) array.
-    Gold is stored once, as the mentions' ``gold_entity`` labels.
-    Construction runs ``validate`` and raises InputError for an invalid
-    document, so every Document is valid; it is immutable after that, and
-    the cached mention matrix, gold clustering and index arrays make it
-    safe and cheap to share across repeated loss evaluations.
+    The Document takes ownership of a float64 matrix (flagging it
+    read-only, with no copy) and copies any other.  Gold is stored once,
+    as the mentions' ``gold_entity`` labels.  Construction runs
+    ``validate`` and raises InputError for an invalid document, so every
+    Document is valid; it is immutable after that (its arrays are all
+    read-only), and the cached mention matrix, gold clustering and index
+    arrays make it safe and cheap to share across repeated loss evaluations.
     """
 
     id: str
@@ -177,6 +190,8 @@ class Document:
 
     def __post_init__(self):
         object.__setattr__(self, "mentions", tuple(self.mentions))
+        pairs = _read_only(np.asarray(self.pair_feature_matrix, dtype=float))
+        object.__setattr__(self, "pair_feature_matrix", pairs)
         self.validate()
 
     @classmethod
@@ -244,9 +259,7 @@ class Document:
     @cached_property
     def gold_entity_array(self) -> np.ndarray:
         """Read-only e(m_i) for every mention, 1-based."""
-        ids = np.array([m.gold_entity for m in self.mentions], dtype=np.int64)
-        ids.flags.writeable = False
-        return ids
+        return _read_only(np.array([m.gold_entity for m in self.mentions], dtype=np.int64))
 
     @cached_property
     def gold_clusters(self) -> Clustering:
@@ -254,12 +267,12 @@ class Document:
 
     @cached_property
     def mention_feature_matrix(self) -> np.ndarray:
-        return np.stack([np.asarray(m.features_a, dtype=float) for m in self.mentions])
+        return _read_only(np.stack([m.features_a for m in self.mentions]))
 
     @cached_property
     def tril_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """0-based (i, j) index arrays for all pairs j < i, row-major."""
-        return np.tril_indices(self.n, k=-1)
+        """Read-only 0-based (i, j) index arrays for all pairs j < i, row-major."""
+        return tuple(map(_read_only, np.tril_indices(self.n, k=-1)))
 
     def __eq__(self, other) -> bool:
         return (
@@ -427,7 +440,7 @@ def _doc_record(doc: Document) -> dict:
                 "index": m.index,
                 "type": m.mention_type,
                 "gold_entity": m.gold_entity,
-                "features_a": np.asarray(m.features_a, dtype=float).tolist(),
+                "features_a": m.features_a.tolist(),
             }
             for m in doc.mentions
         ],
@@ -446,14 +459,6 @@ def save_corpus(docs: Iterable[Document], path) -> None:
             fh.write("\n")
 
 
-def _require_ints(doc_id: str, what: str, values: Iterable) -> None:
-    """Raise InputError unless every value is a JSON integer; 1.9, "2" and
-    true are not."""
-    bad = [v for v in values if type(v) is not int]
-    if bad:
-        raise InputError(f"document {doc_id}: {what} {bad[0]!r} is not an integer")
-
-
 def _doc_from_record(record: dict, path, lineno: int) -> Document:
     try:
         doc_id, pairs = str(record["id"]), record["pairs"]
@@ -462,12 +467,11 @@ def _doc_from_record(record: dict, path, lineno: int) -> Document:
             gold = m["gold_entity"]
             if gold == "new":
                 gold = m["index"]
-            mentions.append(Mention(m["index"], str(m["type"]), gold,
-                                    np.asarray(m["features_a"], dtype=float)))
-        _require_ints(doc_id, "mention index", (m.index for m in mentions))
-        _require_ints(doc_id, "gold_entity", (m.gold_entity for m in mentions))
+            mentions.append(Mention(m["index"], str(m["type"]), gold, m["features_a"]))
         keys = [(p["j"], p["i"]) for p in pairs]
-        _require_ints(doc_id, "pair index", chain.from_iterable(keys))
+        bad = [v for v in chain.from_iterable(keys) if type(v) is not int]  # 1.9, "2", true
+        if bad:
+            raise InputError(f"document {doc_id}: pair index {bad[0]!r} is not an integer")
         doc = _document(doc_id, mentions, _pair_matrix(
             doc_id, len(mentions), keys, [p["features"] for p in pairs]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

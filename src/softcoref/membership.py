@@ -122,34 +122,6 @@ def membership(links: LinkDistribution) -> MembershipMatrix:
     return MembershipMatrix(membership_array(links.probs))
 
 
-def brute_force_membership(links: LinkDistribution) -> MembershipMatrix:
-    """Membership by explicit enumeration of all antecedent vectors.
-
-    Exponential in n; intended as an oracle for small documents.
-    """
-    n = links.n
-    if n > 8:
-        raise InputError("brute-force membership is limited to n <= 8")
-    p = links.probs
-    q = np.zeros((n, n))
-    choices = [range(i + 1) for i in range(n)]  # 0-based antecedent j <= i
-
-    def walk(i: int, prob: float, vector: list[int]):
-        if i == n:
-            # Follow antecedent links to each mention's entity anchor.
-            for m in range(n):
-                u = m
-                while vector[u] != u:
-                    u = vector[u]
-                q[m, u] += prob
-            return
-        for j in choices[i]:
-            walk(i + 1, prob * p[i, j], vector + [j])
-
-    walk(0, 1.0, [])
-    return MembershipMatrix(q)
-
-
 def temper_array(q: np.ndarray, temperature: float) -> np.ndarray:
     """Temperature-sharpened membership rows, in log space.
 

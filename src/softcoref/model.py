@@ -76,10 +76,6 @@ class CostConfig:
             if len(triple) != 3 or not all(0 <= c < math.inf for c in triple):
                 raise ConfigError(f"{name} must be three finite nonnegative costs, got {triple}")
 
-    @classmethod
-    def zero(cls) -> "CostConfig":
-        return cls((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-
 
 def _layout(hidden_a: int, d_a: int, hidden_p: int, d_p: int) -> list[tuple[int, ...]]:
     """Shapes of the fields of ModelParams, in flat-vector order."""
@@ -362,36 +358,6 @@ def _score_backward(params: ModelParams, cache: _ScoreCache,
 # Softmax-margin costs
 # ---------------------------------------------------------------------------
 
-def delta_cost(j: int, i: int, candidates: frozenset[int],
-               costs: CostConfig = CostConfig()) -> float:
-    """Cost of linking mention i to j given the correct set C(m_i).
-
-    Cases, checked in order: false anaphor (linking a discourse-new
-    mention), false new (self-linking an anaphoric one), wrong link.
-    """
-    a1, a2, a3 = costs.alphas
-    if j != i and i in candidates:
-        return a1
-    if j == i and i not in candidates:
-        return a2
-    if j != i and j not in candidates:
-        return a3
-    return 0.0
-
-
-def gamma_cost(u: int, i: int, gold_entity: int,
-               costs: CostConfig = CostConfig()) -> float:
-    """Entity-anchor analog of delta_cost with e(m_i) as the target."""
-    g1, g2, g3 = costs.gammas
-    if u != i and gold_entity == i:
-        return g1
-    if u == i and gold_entity != i:
-        return g2
-    if u != gold_entity and u != i and gold_entity != i:
-        return g3
-    return 0.0
-
-
 def correct_set_mask(ids: np.ndarray) -> np.ndarray:
     """mask[i - 1, j - 1] = (j in C(m_i)) for gold entity ids e(m_i)."""
     mask = np.tril(ids[:, None] == ids[None, :], k=-1)
@@ -400,11 +366,12 @@ def correct_set_mask(ids: np.ndarray) -> np.ndarray:
 
 
 def _cost_matrix(hit: np.ndarray, triple: tuple[float, float, float]) -> np.ndarray:
-    """The three-case costs of delta_cost / gamma_cost over a whole document.
+    """Softmax-margin costs of every link i -> j <= i of a document.
 
     ``hit[i, j]`` marks j as a correct target of i, and its diagonal marks
-    the mentions that open their entity.  Below the diagonal: c1 when i
-    opens, 0 on a hit, c3 otherwise; on it: c2 unless i opens.
+    the mentions that open their entity.  Below the diagonal: c1 (false
+    anaphor) when i opens, 0 on a hit, c3 (wrong link) otherwise; on it:
+    c2 (false new) unless i opens.
     """
     c1, c2, c3 = triple
     opens = np.diagonal(hit)

@@ -44,7 +44,6 @@ class TrainConfig:
     init_scale: float = 0.1
     init_model: Optional[ModelParams] = None
     costs: CostConfig = field(default_factory=CostConfig)
-    anneal: Optional[tuple[tuple[int, float], ...]] = None
 
     def __post_init__(self):
         _check_loss_settings(self.loss, self.beta, self.temperature, self.lam)
@@ -57,11 +56,6 @@ class TrainConfig:
             raise ConfigError("hidden sizes must be at least 1")
         if not 0 <= self.init_scale < math.inf:
             raise ConfigError(f"init scale must be nonnegative and finite, got {self.init_scale}")
-        if self.anneal is not None:
-            for entry in self.anneal:
-                epoch, temp = entry
-                if epoch < 1 or not 0 < temp < math.inf:
-                    raise ConfigError(f"bad annealing entry {entry}: need epoch >= 1, 0 < T < inf")
 
 
 @dataclass(frozen=True)
@@ -134,21 +128,18 @@ def train(corpus: Sequence[Document], dev: Sequence[Document],
             )
     accum = np.zeros(params.num_params)
     shuffle_rng = np.random.default_rng([config.seed, 1])
-    schedule = dict(config.anneal) if config.anneal else {}
-    temperature = config.temperature
 
     history = TrainHistory()
     best_conll = -np.inf
     best_params = params.copy()
     for epoch in range(1, config.epochs + 1):
         start = time.perf_counter()
-        temperature = schedule.get(epoch, temperature)
         losses = []
         for idx in shuffle_rng.permutation(len(corpus)):
             doc = corpus[idx]
             loss, grad = document_loss_and_grad(
                 doc, params, config.loss, costs=config.costs, beta=config.beta,
-                temperature=temperature, lam=config.lam,
+                temperature=config.temperature, lam=config.lam,
             )
             vec, accum = adagrad_step(params._vec, grad._vec, accum, config.learning_rate)
             if not np.isfinite(vec).all():

@@ -37,7 +37,7 @@ from scipy.stats import spearmanr
 
 from softcoref import (Clustering, LinkDistribution, ModelParams,
                        SyntheticConfig, TrainConfig, b_cubed, beta_sweep,
-                       blanc, brute_force_membership, ceaf_e, ceaf_m,
+                       blanc, ceaf_e, ceaf_m,
                        decode_clusters, error_breakdown, evaluate_corpus,
                        generate_synthetic, grad_check, lea, membership, muc,
                        relaxed_b3, relaxed_lea, save_corpus, train)
@@ -47,6 +47,7 @@ from softcoref.model import LOSS_KINDS
 
 from conftest import (make_document, random_clustering,
                       random_link_distribution)
+from oracles import brute_force_membership
 
 TEMPERATURE_GRID = (1.0, 0.3, 0.1, 0.03, 0.01)
 

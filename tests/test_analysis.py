@@ -11,8 +11,7 @@ from softcoref import (Clustering, ErrorBreakdown, InputError, ModelParams,
                        ceaf_e_counts, ceaf_m, ceaf_m_counts, conll_average,
                        corpus_report, error_breakdown, evaluate_corpus,
                        format_breakdown, format_report, lea, lea_counts,
-                       metric_report, muc, muc_counts, predict_antecedents,
-                       report_csv)
+                       muc, muc_counts, predict_antecedents, report_csv)
 from softcoref.analysis import ERROR_KINDS
 from softcoref.clustering import antecedents_to_clusters
 
@@ -139,7 +138,7 @@ class TestErrorBreakdown:
 
 class TestReports:
     def test_single_document_matches_direct_metrics(self, fixture_gold, fixture_sys):
-        report = metric_report(fixture_gold, fixture_sys)
+        report = corpus_report([(fixture_gold, fixture_sys)])
         assert report.muc == muc(fixture_gold, fixture_sys)
         assert report.b_cubed == b_cubed(fixture_gold, fixture_sys)
         assert report.ceaf_m == ceaf_m(fixture_gold, fixture_sys)
@@ -153,7 +152,7 @@ class TestReports:
         """Two copies of a document give the same ratios as one."""
         gold = Clustering([{1, 2, 3}, {4}])
         sys = Clustering([{1, 2}, {3, 4}])
-        single = metric_report(gold, sys)
+        single = corpus_report([(gold, sys)])
         double = corpus_report([(gold, sys), (gold, sys)])
         for name, prf in single.rows():
             other = getattr(double, name)
@@ -172,7 +171,7 @@ class TestReports:
     def test_beta_is_threaded(self, fixture_gold, fixture_sys):
         report = corpus_report([(fixture_gold, fixture_sys)], beta=2.0)
         assert report.b_cubed.beta == 2.0
-        assert report.b_cubed.f != metric_report(fixture_gold, fixture_sys).b_cubed.f
+        assert report.b_cubed.f != corpus_report([(fixture_gold, fixture_sys)]).b_cubed.f
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -227,7 +226,7 @@ class TestReports:
 
 class TestRendering:
     def test_format_report_lines(self, fixture_gold, fixture_sys):
-        text = format_report(metric_report(fixture_gold, fixture_sys))
+        text = format_report(corpus_report([(fixture_gold, fixture_sys)]))
         lines = text.split("\n")
         assert len(lines) == 8
         assert lines[0].split() == ["metric", "P", "R", "F"]
@@ -236,7 +235,7 @@ class TestRendering:
         assert "0.5000" in lines[1]
 
     def test_report_csv(self, fixture_gold, fixture_sys):
-        text = report_csv(metric_report(fixture_gold, fixture_sys))
+        text = report_csv(corpus_report([(fixture_gold, fixture_sys)]))
         lines = text.strip().split("\n")
         assert lines[0] == "metric,precision,recall,f"
         assert len(lines) == 8

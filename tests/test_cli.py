@@ -145,6 +145,32 @@ class TestTrain:
         assert capsys.readouterr().err.startswith(f"error: {setting} ")
         assert not model.exists()
 
+    @pytest.mark.parametrize("flag", ["--corpus", "--dev"])
+    def test_empty_corpus_exit_1(self, tmp_path, tiny_corpus, capsys, flag):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        corpora = {"--corpus": tiny_corpus, "--dev": tiny_corpus, flag: empty}
+        model = tmp_path / "m.json"
+        assert cli("train", "--corpus", corpora["--corpus"], "--dev", corpora["--dev"],
+                   "--out", model, "--epochs", 1, "--hidden-a", 4, "--hidden-p", 4) == 1
+        assert capsys.readouterr().err == f"error: {empty}: empty corpus\n"
+        assert not model.exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--history"])
+    def test_missing_output_directory_exit_1_before_training(
+            self, tmp_path, tiny_corpus, monkeypatch, capsys, flag):
+        from softcoref import optim
+
+        def no_training(*args):
+            raise AssertionError("trained before checking the output paths")
+
+        monkeypatch.setattr(optim, "train", no_training)
+        paths = {"--out": tmp_path / "m.json", "--history": tmp_path / "h.csv"}
+        paths[flag] = missing = tmp_path / "no" / "dir" / "file"
+        assert cli("train", "--corpus", tiny_corpus, "--out", paths["--out"],
+                   "--history", paths["--history"]) == 1
+        assert capsys.readouterr().err == f"error: {missing}: no such file\n"
+
     def test_unknown_loss_exit_1(self, tmp_path, tiny_corpus):
         assert cli("train", "--corpus", tiny_corpus,
                    "--out", tmp_path / "m.json", "--loss", "hinge") == 1

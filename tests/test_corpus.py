@@ -101,9 +101,35 @@ class TestMention:
         with pytest.raises(InputError):
             Mention(1, "verb", 1, np.zeros(3))
 
-    def test_starts_new_entity(self):
-        assert Mention(2, "proper", 2, np.zeros(2)).starts_new_entity
-        assert not Mention(2, "proper", 1, np.zeros(2)).starts_new_entity
+    @pytest.mark.parametrize("index, gold, field", [
+        (1.0, 1, "index"), (True, 1, "index"), ("1", 1, "index"),
+        (np.float64(1.0), 1, "index"), (np.bool_(True), 1, "index"),
+        (1, 1.0, "gold_entity"), (1, True, "gold_entity"), (True, True, "index"),
+    ], ids=["float", "bool", "str", "np-float", "np-bool", "float-gold", "bool-gold",
+            "bool-both"])
+    def test_rejects_non_integer_index_or_gold(self, index, gold, field):
+        with pytest.raises(InputError, match=f"mention {field} .* is not an integer"):
+            Mention(index, "proper", gold, np.zeros(2))
+
+    def test_numpy_integers_stored_as_int(self, tmp_path):
+        m = Mention(np.int64(1), "proper", np.int32(1), np.zeros(2))
+        assert type(m.index) is int and type(m.gold_entity) is int
+        doc = Document("d", [m], np.zeros((0, 0)))
+        save_corpus([doc], tmp_path / "c.jsonl")  # JSON takes only a Python int
+        assert load_corpus(tmp_path / "c.jsonl") == [doc]
+
+    def test_features_are_a_read_only_copy(self):
+        given = np.array([1.0, 2.0])
+        m = Mention(1, "proper", 1, given)
+        with pytest.raises(ValueError):
+            m.features_a[0] = np.inf
+        given[0] = np.inf
+        assert m.features_a.tolist() == [1.0, 2.0]
+        assert Mention(1, "proper", 1, [1, 2]).features_a.dtype == np.float64
+
+    def test_rejects_features_that_are_not_a_vector(self):
+        with pytest.raises(InputError, match="mention 1: features_a is not a vector"):
+            Mention(1, "proper", 1, np.zeros((2, 2)))
 
 
 class TestDocument:
@@ -191,6 +217,27 @@ class TestDocument:
             doc.gold_entity_array[2] = 1
         listed = Document(doc.id, list(doc.mentions), doc.pair_feature_matrix)
         assert listed.mentions == doc.mentions and listed == doc
+
+    def test_arrays_read_only_however_built(self, tmp_path):
+        synthetic = generate_synthetic(SyntheticConfig(num_docs=1, seed=3))
+        save_corpus(synthetic, tmp_path / "c.jsonl")
+        made = make_document("d", [1, 1, 3])
+        direct = Document(made.id, made.mentions, made.pair_feature_matrix.copy())
+        for doc in synthetic + load_corpus(tmp_path / "c.jsonl") + [made, direct]:
+            for array in (doc.pair_feature_matrix, doc.mention_feature_matrix,
+                          doc.mentions[0].features_a, *doc.tril_pairs):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
+
+    def test_direct_construction_takes_ownership_of_the_pair_matrix(self):
+        made = make_document("d", [1, 1, 3])
+        given = made.pair_feature_matrix.copy()
+        doc = Document(made.id, made.mentions, given)
+        assert doc.pair_feature_matrix is given
+        with pytest.raises(ValueError, match="read-only"):
+            given[0, 0] = np.nan
+        copied = Document(made.id, made.mentions, given.tolist())
+        assert copied == doc and not copied.pair_feature_matrix.flags.writeable
 
     def test_single_mention_has_no_pair_dimension(self):
         doc = make_document("d", [1])

@@ -15,12 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softcoref import (LOSS_KINDS, InputError, LinkDistribution,
-                       MembershipMatrix, ModelParams, brute_force_membership,
-                       grad_check, membership, tempered_membership)
+                       MembershipMatrix, ModelParams, grad_check, membership,
+                       tempered_membership)
 from softcoref.membership import (membership_array, membership_backward,
                                   temper_array, temper_backward)
 
 from conftest import make_document, random_link_distribution
+from oracles import brute_force_membership
 
 
 def enumeration_oracle(rows: list[list[Fraction]]) -> list[list[Fraction]]:

@@ -14,15 +14,16 @@ from hypothesis import strategies as st
 
 from softcoref import (Clustering, ConfigError, CostConfig, Document,
                        FormatError, InputError, LOSS_KINDS, Mention,
-                       ModelParams, delta_cost, document_loss,
-                       document_loss_and_grad, gamma_cost, l1_norm,
-                       link_probabilities, predict_antecedents, relaxed_b3,
-                       relaxed_lea, score_pairs, validate_antecedent_vector)
+                       ModelParams, document_loss, document_loss_and_grad,
+                       l1_norm, link_probabilities, predict_antecedents,
+                       relaxed_b3, relaxed_lea, score_pairs,
+                       validate_antecedent_vector)
 from softcoref.membership import MembershipMatrix, membership_array
 from softcoref.model import (_forward_scores, _score_backward, correct_set_mask,
                              delta_matrix, gamma_matrix)
 
 from conftest import correct_antecedents, make_document, nan_gradient_loss
+from oracles import ZERO_COSTS, delta_cost, gamma_cost
 
 
 def tiny_params(**overrides) -> ModelParams:
@@ -311,7 +312,7 @@ class TestMentionRankingLoss:
     def test_uniform_no_costs(self):
         doc = tiny_document((1, 1))
         params = ModelParams.zeros(1, 1, hidden_a=1, hidden_p=1)
-        loss = document_loss(doc, params, "mr-heuristic", costs=CostConfig.zero())
+        loss = document_loss(doc, params, "mr-heuristic", costs=ZERO_COSTS)
         assert abs(loss - math.log(2.0)) < 1e-12
 
     def test_uniform_with_default_costs(self):
@@ -330,7 +331,7 @@ class TestMentionRankingLoss:
     def test_matches_plain_cross_entropy_when_costs_zero(self):
         doc = make_document("d", [1, 2, 1, 2, 5], seed=11)
         params = ModelParams.random(4, 5, hidden_a=3, hidden_p=4, seed=11)
-        loss = document_loss(doc, params, "mr-heuristic", costs=CostConfig.zero())
+        loss = document_loss(doc, params, "mr-heuristic", costs=ZERO_COSTS)
         scores = np.tril(score_pairs(doc, params))
         expected = 0.0
         for i in range(1, doc.n + 1):
@@ -351,8 +352,8 @@ class TestMentionRankingLoss:
     def test_l1_term(self):
         doc = tiny_document((1, 1))
         params = tiny_params()
-        base = document_loss(doc, params, "mr-heuristic", costs=CostConfig.zero())
-        with_l1 = document_loss(doc, params, "mr-heuristic", costs=CostConfig.zero(),
+        base = document_loss(doc, params, "mr-heuristic", costs=ZERO_COSTS)
+        with_l1 = document_loss(doc, params, "mr-heuristic", costs=ZERO_COSTS,
                                 lam=0.5)
         assert abs(with_l1 - (base + 0.5 * l1_norm(params))) < 1e-12
 
@@ -361,7 +362,7 @@ class TestEntityCentricLoss:
     def test_uniform_no_costs(self):
         doc = tiny_document((1, 1))
         params = ModelParams.zeros(1, 1, hidden_a=1, hidden_p=1)
-        loss = document_loss(doc, params, "ec-heuristic", costs=CostConfig.zero())
+        loss = document_loss(doc, params, "ec-heuristic", costs=ZERO_COSTS)
         assert abs(loss - math.log(2.0)) < 1e-12
 
     def test_oracle_recomputation(self):
@@ -400,7 +401,7 @@ class TestEntityCentricLoss:
                               costs=CostConfig(gammas=(0.0, 1.0, 0.0)))
         large = document_loss(doc, params, "ec-heuristic",
                               costs=CostConfig(gammas=(0.0, 4.0, 0.0)))
-        base = document_loss(doc, params, "ec-heuristic", costs=CostConfig.zero())
+        base = document_loss(doc, params, "ec-heuristic", costs=ZERO_COSTS)
         assert base < small < large
 
 

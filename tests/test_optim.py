@@ -62,8 +62,6 @@ class TestTrainConfig:
         dict(epochs=0),
         dict(lam=-1e-6),
         dict(hidden_a=0),
-        dict(anneal=((0, 0.5),)),
-        dict(anneal=((2, 0.0),)),
         dict(beta=float("nan")),
         dict(beta=float("inf")),
         dict(temperature=float("nan")),
@@ -75,17 +73,14 @@ class TestTrainConfig:
         dict(init_scale=-1.0),
         dict(init_scale=float("nan")),
         dict(init_scale=float("inf")),
-        dict(anneal=((2, float("nan")),)),
-        dict(anneal=((2, float("inf")),)),
         dict(hidden_p=0),
         dict(learning_rate=-0.1),
-        dict(anneal=((1, 0.5), (0, 0.5))),
     ])
     def test_rejects_bad_values(self, kwargs):
         (setting,) = kwargs
         word = {"lam": "l1 weight", "learning_rate": "learning rate",
-                "init_scale": "init scale", "anneal": "annealing",
-                "hidden_a": "hidden sizes", "hidden_p": "hidden sizes"}.get(setting, setting)
+                "init_scale": "init scale", "hidden_a": "hidden sizes",
+                "hidden_p": "hidden sizes"}.get(setting, setting)
         with pytest.raises(ConfigError, match=word):
             TrainConfig(**kwargs)
 
@@ -201,13 +196,6 @@ class TestTrain:
             train(corpus, [], config)
         except TrainingError:
             pass
-
-    def test_anneal_schedule_runs(self):
-        corpus = small_corpus(3, seed=1, noise=0.05)
-        config = _fast_config(loss="b3", epochs=3, temperature=1.0,
-                              anneal=((2, 0.5), (3, 0.25)))
-        _, history = train(corpus, [], config)
-        assert len(history.records) == 3
 
 
 class TestGradCheck:

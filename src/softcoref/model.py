@@ -37,8 +37,21 @@ score gradient of each pair and u_p the pair half of u,
     dW_p = u_p[:, None] * ((1 - h_p^2)^T @ (d_pair[:, None] * phi_p))
     db_p = u_p * ((1 - h_p^2)^T @ d_pair)
 
-so one GEMM against [d_pair * phi_p, d_pair] gives both, and 1 - h_p^2
-is the only n_pairs x hidden_p temporary.
+so one GEMM against [d_pair * phi_p, d_pair] gives both.
+
+The pair layer walks the (n_pairs, d_p) pair matrix in row blocks of
+_PAIR_BLOCK pairs, so that each block's working set stays in cache.  Per
+block, the forward pass computes that block's rows of h_p (GEMM, bias,
+tanh in place) and their h_p @ u_p, and the reverse pass adds the block's
+h_p^T d_pair and fused product into the gradient, through block-sized
+scratch arrays for 1 - h_p^2 and the scaled features.  Training keeps the
+whole h_p (n_pairs x hidden_p) for the reverse pass; ``score_pairs``,
+which serves prediction and evaluation, keeps no pair hidden layer: one
+block-sized buffer serves every block, so its memory does not grow with
+n_pairs x hidden_p.  A document of at most _PAIR_BLOCK pairs is one block
+and makes the numpy calls of an unblocked layer.  Pair scores go into the
+score matrix, and d_pair comes out of its gradient, through the
+document's strict-lower-triangular mask.
 """
 
 from __future__ import annotations
@@ -246,16 +259,25 @@ def l1_norm(params: ModelParams) -> float:
 # Forward scoring
 # ---------------------------------------------------------------------------
 
+# Rows of the pair matrix that the pair layer handles at a time.  A
+# block's slice of h_p, 1 - h_p^2 and the scaled features stays in cache
+# between the steps of the layer, where whole-document arrays would
+# stream through memory several times.  1,024 measured best or tied among
+# 256-4,096 at n 200-300, hidden_p 32 and 700 (README, "Performance
+# notes").  Every document of up to 46 mentions (1,035 pairs) is one block.
+_PAIR_BLOCK = 1024
+
+
 @dataclass
 class _ScoreCache:
     phi_a: np.ndarray
     phi_p: np.ndarray
     h_a: np.ndarray
-    h_p: np.ndarray
+    h_p: Optional[np.ndarray]  # None when the forward pass kept no pair layer
     scores: np.ndarray
 
 
-def _forward_scores(doc: Document, params: ModelParams) -> _ScoreCache:
+def _forward_scores(doc: Document, params: ModelParams, keep_h_p: bool = True) -> _ScoreCache:
     if doc.d_a != params.d_a:
         raise InputError(
             f"document {doc.id}: mention feature dim {doc.d_a} != model d_a {params.d_a}"
@@ -268,30 +290,45 @@ def _forward_scores(doc: Document, params: ModelParams) -> _ScoreCache:
     ha = params.hidden_a
     phi_a = doc.mention_feature_matrix
     h_a = _hidden(phi_a, params.w_a, params.b_a)
-    rows_i, cols_j = doc.tril_pairs
-    if n > 1:
-        phi_p = doc.pair_feature_matrix
-        h_p = _hidden(phi_p, params.w_p, params.b_p)
-    else:
-        phi_p = np.zeros((0, params.d_p))
-        h_p = np.zeros((0, params.hidden_p))
+    phi_p = doc.pair_feature_matrix if n > 1 else np.zeros((0, params.d_p))
+    pair_scores, h_p = _pair_forward(phi_p, params, keep_h_p)
     scores = np.zeros((n, n))
     if n > 1:
-        scores[rows_i, cols_j] = (h_a @ params.u[:ha])[rows_i] + h_p @ params.u[ha:] + params.u_0
+        pair_scores += (h_a @ params.u[:ha])[doc.tril_pairs[0]]
+        pair_scores += params.u_0
+        scores[doc.tril_mask] = pair_scores
     np.fill_diagonal(scores, h_a @ params.v + params.v_0)
     return _ScoreCache(phi_a, phi_p, h_a, h_p, scores)
 
 
-def _hidden(phi: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _hidden(phi: np.ndarray, w: np.ndarray, b: np.ndarray,
+            out: Optional[np.ndarray] = None) -> np.ndarray:
     """tanh(phi @ w.T + b), computed in the GEMM's output buffer."""
-    h = phi @ w.T
+    h = np.matmul(phi, w.T, out=out)
     h += b
     return np.tanh(h, out=h)
 
 
+def _pair_forward(phi_p: np.ndarray, params: ModelParams,
+                  keep_h_p: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """The pair half h_p @ u_p of every pair's score, one block of rows at
+    a time, and h_p itself when ``keep_h_p``; otherwise one block-sized
+    buffer serves every block and no n_pairs x hidden_p array is made."""
+    n_pairs = len(phi_p)
+    u_p = params.u[params.hidden_a:]
+    h_p = np.empty((n_pairs if keep_h_p else min(n_pairs, _PAIR_BLOCK), params.hidden_p))
+    pair_scores = np.empty(n_pairs)
+    for start in range(0, n_pairs, _PAIR_BLOCK):
+        stop = min(start + _PAIR_BLOCK, n_pairs)
+        h = h_p[start:stop] if keep_h_p else h_p[:stop - start]
+        _hidden(phi_p[start:stop], params.w_p, params.b_p, out=h)
+        np.matmul(h, u_p, out=pair_scores[start:stop])
+    return pair_scores, (h_p if keep_h_p else None)
+
+
 def score_pairs(doc: Document, params: ModelParams) -> np.ndarray:
     """Lower-triangular score matrix s[i - 1, j - 1] = s(a_i = j)."""
-    return _forward_scores(doc, params).scores
+    return _forward_scores(doc, params, keep_h_p=False).scores
 
 
 def link_probabilities(scores: np.ndarray) -> LinkDistribution:
@@ -320,13 +357,14 @@ def _softmax_backward(probs: np.ndarray, d_probs: np.ndarray) -> np.ndarray:
 
 
 def _score_backward(params: ModelParams, cache: _ScoreCache,
-                    d_scores: np.ndarray, tril_pairs) -> ModelParams:
+                    d_scores: np.ndarray, pairs) -> ModelParams:
     """Parameter gradient given a gradient on the score matrix, written
-    block by block into a zeroed flat vector; the pair side is fused (see
-    the module docstring)."""
+    field by field into a zeroed flat vector.  ``pairs`` indexes the pair
+    entries of an (n, n) matrix in ``tril_pairs`` order: a document's
+    ``tril_mask`` or its ``tril_pairs``.  The pair side is fused and runs
+    in row blocks (see the module docstring)."""
     ha = params.hidden_a
-    rows_i, cols_j = tril_pairs
-    d_pair = d_scores[rows_i, cols_j]
+    d_pair = d_scores[pairs]
     d_self = np.diagonal(d_scores).copy()
     grad = params.zeros_like()
 
@@ -338,19 +376,33 @@ def _score_backward(params: ModelParams, cache: _ScoreCache,
     np.matmul(d_z_a.T, cache.phi_a, out=grad.w_a)
     d_z_a.sum(axis=0, out=grad.b_a)
     np.matmul(cache.h_a.T, d_row, out=grad.u[:ha])
-    np.matmul(cache.h_p.T, d_pair, out=grad.u[ha:])
     np.matmul(cache.h_a.T, d_self, out=grad.v)
     grad.u_0, grad.v_0 = d_pair.sum(), d_self.sum()
 
-    d_p = params.d_p
-    weighted = np.empty((d_pair.size, d_p + 1))
-    np.multiply(d_pair[:, None], cache.phi_p, out=weighted[:, :d_p])
-    weighted[:, d_p] = d_pair
-    sech2 = cache.h_p * cache.h_p
-    np.subtract(1.0, sech2, out=sech2)
-    fused = sech2.T @ weighted
-    np.multiply(u_p[:, None], fused[:, :d_p], out=grad.w_p)
-    np.multiply(u_p, fused[:, d_p], out=grad.b_p)
+    # The first block writes the u_p gradient and the fused product; later
+    # blocks add to them, reusing the first block's scratch arrays.
+    d_p, n_pairs = params.d_p, d_pair.size
+    rows = min(n_pairs, _PAIR_BLOCK)
+    weighted = np.empty((rows, d_p + 1))
+    sech2 = np.empty((rows, params.hidden_p))
+    d_u_p = grad.u[ha:]
+    for start in range(0, n_pairs, _PAIR_BLOCK):
+        stop = min(start + _PAIR_BLOCK, n_pairs)
+        h, d = cache.h_p[start:stop], d_pair[start:stop]
+        wt, s2 = weighted[:stop - start], sech2[:stop - start]
+        np.multiply(d[:, None], cache.phi_p[start:stop], out=wt[:, :d_p])
+        wt[:, d_p] = d
+        np.multiply(h, h, out=s2)
+        np.subtract(1.0, s2, out=s2)
+        if start:
+            d_u_p += h.T @ d
+            fused += s2.T @ wt
+        else:
+            np.matmul(h.T, d, out=d_u_p)
+            fused = s2.T @ wt
+    if n_pairs:
+        np.multiply(u_p[:, None], fused[:, :d_p], out=grad.w_p)
+        np.multiply(u_p, fused[:, d_p], out=grad.b_p)
     return grad
 
 
@@ -510,7 +562,7 @@ def document_loss_and_grad(doc: Document, params: ModelParams, kind: str, *,
     d_scores = backward()
     if not np.isfinite(d_scores).all():
         raise TrainingError(f"non-finite {kind} gradient on document {doc.id}")
-    grad = _score_backward(params, cache, d_scores, doc.tril_pairs)
+    grad = _score_backward(params, cache, d_scores, doc.tril_mask)
     if lam:
         grad._vec += lam * np.sign(params._vec)
     return loss, grad

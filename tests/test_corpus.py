@@ -185,6 +185,12 @@ class TestDocument:
             np.testing.assert_array_equal(doc.pair_feature_matrix[k],
                                           pair_features[pair])
 
+    def test_tril_mask_selects_the_pairs_in_tril_pairs_order(self):
+        doc = make_document("d", [1, 2, 1, 3, 3])
+        square = np.arange(25.0).reshape(5, 5)
+        np.testing.assert_array_equal(square[doc.tril_mask], square[doc.tril_pairs])
+        assert make_document("one", [1]).tril_mask.shape == (1, 1)
+
     def test_from_mentions_any_key_order(self):
         doc = make_document("d", [1, 2, 1, 3, 3, 1], d_p=3)
         row_major = pair_dict(doc)
@@ -225,7 +231,7 @@ class TestDocument:
         direct = Document(made.id, made.mentions, made.pair_feature_matrix.copy())
         for doc in synthetic + load_corpus(tmp_path / "c.jsonl") + [made, direct]:
             for array in (doc.pair_feature_matrix, doc.mention_feature_matrix,
-                          doc.mentions[0].features_a, *doc.tril_pairs):
+                          doc.mentions[0].features_a, *doc.tril_pairs, doc.tril_mask):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 0
 

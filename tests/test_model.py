@@ -6,6 +6,7 @@ in-test recomputations that share no code with the implementation.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,10 +16,11 @@ from hypothesis import strategies as st
 from softcoref import (Clustering, ConfigError, CostConfig, Document,
                        FormatError, InputError, LOSS_KINDS, Mention,
                        ModelParams, document_loss, document_loss_and_grad,
-                       l1_norm, link_probabilities, predict_antecedents,
+                       grad_check, l1_norm, link_probabilities, predict_antecedents,
                        relaxed_b3, relaxed_lea, score_pairs,
                        validate_antecedent_vector)
 from softcoref.membership import MembershipMatrix, membership_array
+from softcoref import model
 from softcoref.model import (_forward_scores, _score_backward, correct_set_mask,
                              delta_matrix, gamma_matrix)
 
@@ -479,6 +481,71 @@ class TestScoreBackward:
         _, grad = document_loss_and_grad(doc, params, kind)
         assert np.all(grad.w_p == 0.0) and np.all(grad.b_p == 0.0)
         assert grad.u_0 == 0.0
+
+
+def long_document(n: int, seed: int) -> Document:
+    """A document of n mentions in about n / 12 entities."""
+    labels = np.random.default_rng(seed).integers(0, max(1, n // 12), size=n)
+    first: dict[int, int] = {}
+    ids = [first.setdefault(int(lab), i) for i, lab in enumerate(labels, start=1)]
+    return make_document("long", ids, seed=seed)
+
+
+class TestPairBlocks:
+    """The pair layer in row blocks of model._PAIR_BLOCK pairs."""
+
+    N = 60  # 1,770 pairs: two blocks at the default size
+
+    @pytest.mark.parametrize("block", [1, 590, 1000, None],
+                             ids=["one-row", "divides", "remainder", "default"])
+    def test_blocked_backward_matches_outer_product_oracle(self, block, monkeypatch):
+        doc = long_document(self.N, seed=7)
+        params = ModelParams.random(4, 5, hidden_a=24, hidden_p=32, seed=7)
+        block = block or model._PAIR_BLOCK
+        assert len(doc.pair_feature_matrix) > block
+        monkeypatch.setattr(model, "_PAIR_BLOCK", len(doc.pair_feature_matrix))
+        whole = _forward_scores(doc, params)  # one block
+        monkeypatch.setattr(model, "_PAIR_BLOCK", block)
+        cache = _forward_scores(doc, params)
+        np.testing.assert_allclose(cache.h_p, whole.h_p, rtol=1e-12)
+        np.testing.assert_allclose(cache.scores, whole.scores, rtol=1e-12)
+        d_scores = np.tril(np.random.default_rng(7).normal(size=(self.N, self.N)))
+        grad = _score_backward(params, cache, d_scores, doc.tril_mask)
+        for name, expected in outer_product_backward(params, cache, d_scores,
+                                                     doc.tril_pairs).items():
+            np.testing.assert_allclose(getattr(grad, name), expected, rtol=1e-12,
+                                       err_msg=name)
+
+    @pytest.mark.parametrize("block", [300, None])
+    def test_score_pairs_matches_kept_pair_layer(self, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(model, "_PAIR_BLOCK", block)
+        doc = long_document(self.N, seed=8)
+        params = ModelParams.random(4, 5, hidden_a=24, hidden_p=32, seed=8)
+        assert len(doc.pair_feature_matrix) > model._PAIR_BLOCK
+        kept = _forward_scores(doc, params)
+        assert kept.h_p.shape == (1770, 32)
+        np.testing.assert_array_equal(score_pairs(doc, params), kept.scores)
+
+    def test_score_pairs_peak_is_below_a_pair_layer(self):
+        doc = long_document(200, seed=9)
+        params = ModelParams.random(4, 5, hidden_a=20, hidden_p=200, seed=9)
+        score_pairs(doc, params)  # fill the document's cached index arrays
+        pair_layer_bytes = len(doc.pair_feature_matrix) * params.hidden_p * 8
+        tracemalloc.start()
+        try:
+            score_pairs(doc, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < pair_layer_bytes / 4, (peak, pair_layer_bytes)
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_gradients_at_200_mentions(self, kind):
+        doc = long_document(200, seed=200)
+        params = ModelParams.random(4, 5, hidden_a=24, hidden_p=32, seed=200)
+        assert len(doc.pair_feature_matrix) > 2 * model._PAIR_BLOCK
+        assert grad_check(doc, params, kind, temperature=0.5, max_coords=12) < 1e-5
 
 
 class TestDispatcherAndGradients:

@@ -290,13 +290,12 @@ def _forward_scores(doc: Document, params: ModelParams, keep_h_p: bool = True) -
     ha = params.hidden_a
     phi_a = doc.mention_feature_matrix
     h_a = _hidden(phi_a, params.w_a, params.b_a)
-    phi_p = doc.pair_feature_matrix if n > 1 else np.zeros((0, params.d_p))
+    phi_p = doc.pair_feature_matrix
     pair_scores, h_p = _pair_forward(phi_p, params, keep_h_p)
+    pair_scores += (h_a @ params.u[:ha])[doc.tril_pairs[0]]
+    pair_scores += params.u_0
     scores = np.zeros((n, n))
-    if n > 1:
-        pair_scores += (h_a @ params.u[:ha])[doc.tril_pairs[0]]
-        pair_scores += params.u_0
-        scores[doc.tril_mask] = pair_scores
+    scores[doc.tril_mask] = pair_scores
     np.fill_diagonal(scores, h_a @ params.v + params.v_0)
     return _ScoreCache(phi_a, phi_p, h_a, h_p, scores)
 

@@ -61,12 +61,12 @@ class Clustering:
     __slots__ = ("_index",)
 
     def __init__(self, clusters: Iterable[Iterable[int]] = ()):
-        sets = set()
+        sets = []  # a list, so that a repeated cluster fails the disjointness check
         for cluster in clusters:
             fs = frozenset(int(m) for m in cluster)
             if not fs:
                 raise InputError("clusters must be nonempty")
-            sets.add(fs)
+            sets.append(fs)
         n = sum(map(len, sets))
         union = frozenset().union(*sets)
         if len(union) != n:
@@ -282,6 +282,12 @@ class Document:
         (n, n) array with it visits the pairs in ``tril_pairs`` order, and
         costs a fraction of indexing with the two index arrays."""
         return _read_only(np.tri(self.n, k=-1, dtype=bool))
+
+    @cached_property
+    def candidate_mask(self) -> np.ndarray:
+        """Read-only boolean (n, n) mask of the antecedent candidates j <= i
+        of every mention i, the mention itself (a new entity) included."""
+        return _read_only(np.tri(self.n, dtype=bool))
 
     def __eq__(self, other) -> bool:
         return (

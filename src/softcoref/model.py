@@ -90,6 +90,9 @@ class CostConfig:
                 raise ConfigError(f"{name} must be three finite nonnegative costs, got {triple}")
 
 
+_FIELDS = ("w_a", "b_a", "w_p", "b_p", "u", "u_0", "v", "v_0")
+
+
 def _layout(hidden_a: int, d_a: int, hidden_p: int, d_p: int) -> list[tuple[int, ...]]:
     """Shapes of the fields of ModelParams, in flat-vector order."""
     return [(hidden_a, d_a), (hidden_a,), (hidden_p, d_p), (hidden_p,),
@@ -117,22 +120,17 @@ class ModelParams:
     u_0, v, v_0 = _field(5, scalar=True), _field(6), _field(7, scalar=True)
 
     def __init__(self, w_a, b_a, w_p, b_p, u, u_0, v, v_0):
-        w_a, b_a, w_p, b_p, u, v = (np.asarray(x, dtype=float)
-                                    for x in (w_a, b_a, w_p, b_p, u, v))
-        if w_a.ndim != 2 or w_p.ndim != 2:
+        fields = [np.asarray(x, dtype=float) for x in (w_a, b_a, w_p, b_p, u, u_0, v, v_0)]
+        if fields[0].ndim != 2 or fields[2].ndim != 2:
             raise InputError("weight matrices must be 2-dimensional")
-        (ha, da), (hp, dp) = w_a.shape, w_p.shape
-        if b_a.shape != (ha,) or b_p.shape != (hp,):
-            raise InputError("bias shapes inconsistent with weight matrices")
-        if u.shape != (ha + hp,):
-            raise InputError(f"u must have length hidden_a + hidden_p = {ha + hp}")
-        if v.shape != (ha,):
-            raise InputError(f"v must have length hidden_a = {ha}")
-        vec = np.concatenate([w_a.ravel(), b_a, w_p.ravel(), b_p, u, [float(u_0)],
-                              v, [float(v_0)]])
+        shapes = _layout(*fields[0].shape, *fields[2].shape)
+        for name, field, shape in zip(_FIELDS, fields, shapes):
+            if field.shape != shape:
+                raise InputError(f"{name} has shape {field.shape}, expected {shape}")
+        vec = np.concatenate([field.ravel() for field in fields])
         if not np.isfinite(vec).all():
             raise InputError("model parameters contain non-finite values")
-        self._bind(vec, _layout(ha, da, hp, dp))
+        self._bind(vec, shapes)
 
     def _bind(self, vec: np.ndarray, shapes) -> None:
         self._vec, self._shapes = vec, shapes
@@ -173,17 +171,13 @@ class ModelParams:
     @classmethod
     def random(cls, d_a: int, d_p: int, hidden_a: int = 200, hidden_p: int = 700,
                scale: float = 0.1, seed=0) -> "ModelParams":
-        rng = np.random.default_rng(seed)
-        return cls(
-            w_a=rng.normal(0.0, scale, (hidden_a, d_a)),
-            b_a=rng.normal(0.0, scale, hidden_a),
-            w_p=rng.normal(0.0, scale, (hidden_p, d_p)),
-            b_p=rng.normal(0.0, scale, hidden_p),
-            u=rng.normal(0.0, scale, hidden_a + hidden_p),
-            u_0=float(rng.normal(0.0, scale)),
-            v=rng.normal(0.0, scale, hidden_a),
-            v_0=float(rng.normal(0.0, scale)),
-        )
+        """Every parameter drawn from N(0, scale^2), in flat-vector order."""
+        if min(d_a, d_p, hidden_a, hidden_p) < 0 or not 0 <= scale < math.inf:
+            raise ConfigError(f"random init needs nonnegative sizes and a finite scale >= 0, "
+                              f"got sizes {(d_a, d_p, hidden_a, hidden_p)}, scale {scale}")
+        shapes = _layout(hidden_a, d_a, hidden_p, d_p)
+        size = sum(math.prod(shape) for shape in shapes)
+        return cls._wrap(np.random.default_rng(seed).normal(0.0, scale, size), shapes)
 
     @classmethod
     def zeros(cls, d_a: int, d_p: int, hidden_a: int = 200, hidden_p: int = 700) -> "ModelParams":
@@ -210,16 +204,11 @@ class ModelParams:
         return ModelParams._wrap(vec, self._shapes)
 
     def save(self, path) -> None:
-        record = {
-            "format": MODEL_FORMAT,
-            "version": MODEL_VERSION,
-            "d_a": self.d_a, "d_p": self.d_p,
-            "hidden_a": self.hidden_a, "hidden_p": self.hidden_p,
-            "w_a": self.w_a.ravel().tolist(), "b_a": self.b_a.tolist(),
-            "w_p": self.w_p.ravel().tolist(), "b_p": self.b_p.tolist(),
-            "u": self.u.tolist(), "u_0": self.u_0,
-            "v": self.v.tolist(), "v_0": self.v_0,
-        }
+        record = {"format": MODEL_FORMAT, "version": MODEL_VERSION,
+                  "d_a": self.d_a, "d_p": self.d_p,
+                  "hidden_a": self.hidden_a, "hidden_p": self.hidden_p}
+        for name, view in zip(_FIELDS, self._views):  # matrices flattened row-major
+            record[name] = view.ravel().tolist() if view.ndim else float(view)
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(record, fh)
             fh.write("\n")
@@ -231,23 +220,29 @@ class ModelParams:
                 record = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from exc
-        if record.get("format") != MODEL_FORMAT:
-            raise FormatError(f"not a model file (format={record.get('format')!r})", path=path)
+        found = record.get("format") if isinstance(record, dict) else None
+        if found != MODEL_FORMAT:
+            raise FormatError(f"not a model file (format={found!r})", path=path)
         if record.get("version") != MODEL_VERSION:
             raise FormatError(f"unsupported model version {record.get('version')!r}", path=path)
         try:
-            ha, hp = int(record["hidden_a"]), int(record["hidden_p"])
-            da, dp = int(record["d_a"]), int(record["d_p"])
-            return cls(
-                w_a=np.array(record["w_a"], dtype=float).reshape(ha, da),
-                b_a=np.array(record["b_a"], dtype=float),
-                w_p=np.array(record["w_p"], dtype=float).reshape(hp, dp),
-                b_p=np.array(record["b_p"], dtype=float),
-                u=np.array(record["u"], dtype=float), u_0=float(record["u_0"]),
-                v=np.array(record["v"], dtype=float), v_0=float(record["v_0"]),
-            )
-        except (KeyError, ValueError, InputError) as exc:
+            dims = [record[key] for key in ("hidden_a", "d_a", "hidden_p", "d_p")]
+            if not all(type(d) is int and d >= 0 for d in dims):  # 2.9, "3", true, -1
+                raise InputError(f"dimensions {dims} are not nonnegative integers")
+            shapes = _layout(*dims)
+            return cls(*(_json_numbers(name, record[name], shape)
+                         for name, shape in zip(_FIELDS, shapes)))
+        except (KeyError, ValueError, OverflowError, InputError) as exc:
             raise FormatError(f"bad model record: {exc}", path=path) from exc
+
+
+def _json_numbers(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """A model file field as a float array of ``shape``: a JSON number for
+    a scalar, a flat list of JSON numbers otherwise."""
+    items = value if shape else [value]
+    if type(items) is not list or not set(map(type, items)) <= {int, float}:
+        raise InputError(f"{name} must hold JSON numbers")
+    return np.array(items, dtype=float).reshape(shape)
 
 
 def l1_norm(params: ModelParams) -> float:
@@ -345,7 +340,7 @@ def predict_antecedents(doc: Document, params: ModelParams) -> tuple[int, ...]:
     """Most probable antecedent per mention under the model, ties to the
     smallest index: ``decode_argmax(link_probabilities(scores))`` without
     the score check and the checked copy that a LinkDistribution makes."""
-    probs = masked_softmax(score_pairs(doc, params), np.tri(doc.n, dtype=bool))
+    probs = masked_softmax(score_pairs(doc, params), doc.candidate_mask)
     return tuple((np.argmax(probs, axis=1) + 1).tolist())
 
 
@@ -452,7 +447,7 @@ def _mention_ranking(doc: Document, scores: np.ndarray, costs: CostConfig,
     """Cost-augmented negative log-likelihood of the correct-antecedent sets."""
     mask = correct_set_mask(doc.gold_entity_array)
     augmented = scores + _cost_matrix(mask, costs.alphas)
-    probs = masked_softmax(augmented, np.tri(doc.n, dtype=bool))
+    probs = masked_softmax(augmented, doc.candidate_mask)
     correct_mass = (probs * mask).sum(axis=1)
 
     def backward() -> np.ndarray:
@@ -468,7 +463,7 @@ def _entity_centric(doc: Document, scores: np.ndarray, costs: CostConfig,
     gold entity, through the membership recursion."""
     n = doc.n
     ids = doc.gold_entity_array
-    probs = masked_softmax(scores, np.tri(n, dtype=bool))
+    probs = masked_softmax(scores, doc.candidate_mask)
     q = membership_array(probs)
     weights = np.tril(q * np.exp(gamma_matrix(doc, costs)))
     totals = weights.sum(axis=1)
@@ -489,7 +484,7 @@ def _relaxed(soft_grad, doc: Document, scores: np.ndarray, costs: CostConfig,
              beta: float, temperature: float):
     """-F_beta of a relaxed metric (soft_grad is b3_soft_grad or
     lea_soft_grad) on the tempered memberships, against gold clusters."""
-    probs = masked_softmax(scores, np.tri(doc.n, dtype=bool))
+    probs = masked_softmax(scores, doc.candidate_mask)
     q = membership_array(probs)
     qt = temper_array(q, temperature)
     gold_of, sizes = gold_index_arrays(doc.gold_clusters, doc.n)

@@ -13,10 +13,14 @@ formulas gives smooth surrogates whose F_beta can be maximized directly;
 any ratio whose denominator falls below ``GUARD_EPS`` contributes 0, and
 the same convention fixes its (sub)gradient to 0.
 
-The ``*_soft_grad`` functions return closed-form gradients with respect
-to every membership entry; they are the top of the analytic backward
-chain through the temperature softmax, the membership recursion, and the
-scoring network.
+Each metric has one implementation.  ``b3_soft_grad`` and
+``lea_soft_grad`` return the relaxed precision, recall and F_beta with
+the closed-form gradient of F_beta with respect to every membership
+entry; they are the top of the analytic backward chain through the
+temperature softmax, the membership recursion, and the scoring network.
+``relaxed_b3`` and ``relaxed_lea`` report the same P, R and F_beta and
+drop the gradient, so the score they report is the objective that
+training differentiates.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import numpy as np
 from .corpus import Clustering
 from .errors import ConfigError, InputError
 from .membership import MembershipMatrix, temper_array
-from .metrics import f_beta
 
 GUARD_EPS = 1e-12
 
@@ -79,11 +82,27 @@ def _f_partials(p: float, r: float, beta: float) -> tuple[float, float, float]:
     return f, dfdp, dfdr
 
 
+def _f_and_gradient(num_p: float, den_p: float, d_num_p: np.ndarray, recall: float,
+                    d_recall: np.ndarray, beta: float) -> tuple[float, float, float, np.ndarray]:
+    """(P, R, F_beta, dF/dq) given recall and the precision quotient
+    num_p / den_p with their gradients; den_p = sum(q), so d den_p / dq = 1."""
+    precision = num_p / den_p if den_p > GUARD_EPS else 0.0
+    f, dfdp, dfdr = _f_partials(precision, recall, beta)
+    if den_p > GUARD_EPS:
+        d_precision = d_num_p / den_p - num_p / (den_p * den_p)
+    else:
+        d_precision = np.zeros_like(d_num_p)
+    return precision, recall, f, np.tril(dfdp * d_precision + dfdr * d_recall)
+
+
 # ---------------------------------------------------------------------------
 # Relaxed B-cubed
 # ---------------------------------------------------------------------------
 
-def _b3_forward(q: np.ndarray, gold_of: np.ndarray, sizes: np.ndarray):
+def b3_soft_grad(q: np.ndarray, gold_of: np.ndarray, sizes: np.ndarray,
+                 beta: float = 1.0) -> tuple[float, float, float, np.ndarray]:
+    """(precision, recall, F_beta) of relaxed B-cubed on raw memberships,
+    plus the gradient of F_beta wrt every q[i, u]."""
     n = q.shape[0]
     x = _soft_intersections(q, gold_of, len(sizes))
     z = q.sum(axis=0)
@@ -91,36 +110,13 @@ def _b3_forward(q: np.ndarray, gold_of: np.ndarray, sizes: np.ndarray):
     recall = float((x * x / sizes[:, None]).sum()) / n
     inv_z = _guarded_inverse(z)
     num_p = float((s2 * inv_z).sum())
-    den_p = float(z.sum())
-    precision = num_p / den_p if den_p > GUARD_EPS else 0.0
-    return x, z, s2, inv_z, num_p, den_p, precision, recall
-
-
-def b3_soft(q: np.ndarray, gold_of: np.ndarray, sizes: np.ndarray,
-            beta: float = 1.0) -> tuple[float, float, float]:
-    """(precision, recall, F_beta) of relaxed B-cubed on raw memberships."""
-    *_, precision, recall = _b3_forward(q, gold_of, sizes)
-    return precision, recall, f_beta(precision, recall, beta)
-
-
-def b3_soft_grad(q: np.ndarray, gold_of: np.ndarray, sizes: np.ndarray,
-                 beta: float = 1.0) -> tuple[float, float, float, np.ndarray]:
-    """Relaxed B-cubed value plus its gradient wrt every q[i, u]."""
-    n = q.shape[0]
-    x, z, s2, inv_z, num_p, den_p, precision, recall = _b3_forward(q, gold_of, sizes)
-    f, dfdp, dfdr = _f_partials(precision, recall, beta)
 
     a = x[gold_of]                       # a[i, u] = x[gold_of(i), u]
     d_recall = 2.0 * a / sizes[gold_of][:, None] / n
     # num_p = sum_u s2_u / z_u: the quotient rule per column; guarded
     # columns have inv_z = 0 so both terms vanish there.
     d_num_p = 2.0 * a * inv_z[None, :] - s2[None, :] * inv_z[None, :] ** 2
-    if den_p > GUARD_EPS:
-        d_precision = d_num_p / den_p - num_p / (den_p * den_p)
-    else:
-        d_precision = np.zeros_like(q)
-    dq = dfdp * d_precision + dfdr * d_recall
-    return precision, recall, f, np.tril(dq)
+    return _f_and_gradient(num_p, float(z.sum()), d_num_p, recall, d_recall, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -143,25 +139,16 @@ def _lea_forward(q: np.ndarray, gold_of: np.ndarray, sizes: np.ndarray):
     inv_links = _guarded_inverse(links)
     resolved = ell_col * inv_links       # per-column resolved-link fraction
     num_p = float((z * resolved).sum())
-    den_p = float(z.sum())
-    precision = num_p / den_p if den_p > GUARD_EPS else 0.0
-    return x, z, ell_col, links, inv_links, resolved, inv_gold_links, num_p, den_p, precision, recall
-
-
-def lea_soft(q: np.ndarray, gold_of: np.ndarray, sizes: np.ndarray,
-             beta: float = 1.0) -> tuple[float, float, float]:
-    """(precision, recall, F_beta) of relaxed LEA on raw memberships."""
-    *_, precision, recall = _lea_forward(q, gold_of, sizes)
-    return precision, recall, f_beta(precision, recall, beta)
+    return x, z, ell_col, links, inv_links, resolved, inv_gold_links, num_p, recall
 
 
 def lea_soft_grad(q: np.ndarray, gold_of: np.ndarray, sizes: np.ndarray,
                   beta: float = 1.0) -> tuple[float, float, float, np.ndarray]:
-    """Relaxed LEA value plus its gradient wrt every q[i, u]."""
+    """(precision, recall, F_beta) of relaxed LEA on raw memberships,
+    plus the gradient of F_beta wrt every q[i, u]."""
     n = q.shape[0]
     (x, z, ell_col, links, inv_links, resolved, inv_gold_links,
-     num_p, den_p, precision, recall) = _lea_forward(q, gold_of, sizes)
-    f, dfdp, dfdr = _f_partials(precision, recall, beta)
+     num_p, recall) = _lea_forward(q, gold_of, sizes)
 
     a = x[gold_of]
     d_ell = a - q                        # d ell[gold_of(i), u] / d q[i, u]
@@ -169,38 +156,30 @@ def lea_soft_grad(q: np.ndarray, gold_of: np.ndarray, sizes: np.ndarray,
     d_recall = (sizes[gold_of] * inv_gold_links[gold_of])[:, None] * d_ell / n
     d_resolved = d_ell * inv_links[None, :] - ell_col[None, :] * inv_links[None, :] ** 2 * d_links
     d_num_p = resolved[None, :] + z[None, :] * d_resolved
-    if den_p > GUARD_EPS:
-        d_precision = d_num_p / den_p - num_p / (den_p * den_p)
-    else:
-        d_precision = np.zeros_like(q)
-    dq = dfdp * d_precision + dfdr * d_recall
-    return precision, recall, f, np.tril(dq)
+    return _f_and_gradient(num_p, float(z.sum()), d_num_p, recall, d_recall, beta)
 
 
 # ---------------------------------------------------------------------------
 # Public wrappers over MembershipMatrix
 # ---------------------------------------------------------------------------
 
-_SOFT_METRICS = {"b3": b3_soft, "lea": lea_soft}
-
-
-def _relaxed(kind: str, memberships: MembershipMatrix, gold: Clustering,
+def _relaxed(soft_grad, memberships: MembershipMatrix, gold: Clustering,
              beta: float, temperature: float) -> RelaxedScore:
     if not 0 < beta < np.inf:
         raise ConfigError(f"beta must be positive and finite, got {beta}")
     q = temper_array(memberships.probs, temperature)
     gold_of, sizes = gold_index_arrays(gold, memberships.n)
-    precision, recall, f = _SOFT_METRICS[kind](q, gold_of, sizes, beta)
+    precision, recall, f, _ = soft_grad(q, gold_of, sizes, beta)
     return RelaxedScore(f, precision, recall, beta, temperature)
 
 
 def relaxed_b3(memberships: MembershipMatrix, gold: Clustering,
                beta: float = 1.0, temperature: float = 1.0) -> RelaxedScore:
     """Relaxed B-cubed F of soft clusters against a gold clustering."""
-    return _relaxed("b3", memberships, gold, beta, temperature)
+    return _relaxed(b3_soft_grad, memberships, gold, beta, temperature)
 
 
 def relaxed_lea(memberships: MembershipMatrix, gold: Clustering,
                 beta: float = 1.0, temperature: float = 1.0) -> RelaxedScore:
     """Relaxed LEA F of soft clusters against a gold clustering."""
-    return _relaxed("lea", memberships, gold, beta, temperature)
+    return _relaxed(lea_soft_grad, memberships, gold, beta, temperature)

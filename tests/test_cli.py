@@ -200,6 +200,15 @@ class TestEvaluate:
                    "--da", 9, "--dp", 7) == 0
         assert cli("evaluate", "--corpus", other, "--model", tiny_model) == 1
 
+    def test_model_dimension_not_an_integer_exit_1(self, tmp_path, tiny_corpus, tiny_model,
+                                                    capsys):
+        record = json.loads(tiny_model.read_text())
+        record["hidden_a"] = 5.5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(record))
+        assert cli("evaluate", "--corpus", tiny_corpus, "--model", bad) == 1
+        assert "bad model record" in capsys.readouterr().err
+
     def test_corpus_is_not_a_model_exit_1(self, tiny_corpus):
         assert cli("evaluate", "--corpus", tiny_corpus, "--model", tiny_corpus) == 1
 

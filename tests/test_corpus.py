@@ -53,6 +53,11 @@ class TestClustering:
         with pytest.raises(InputError):
             Clustering([{1, 2}, {2, 3}])
 
+    @pytest.mark.parametrize("clusters", [[{1, 2}, {1, 2}], [{1}, {1}, {2}]])
+    def test_rejects_repeated_cluster(self, clusters):
+        with pytest.raises(InputError, match="disjoint"):
+            Clustering(clusters)
+
     def test_rejects_gap_in_coverage(self):
         with pytest.raises(InputError):
             Clustering([{1}, {3}])
@@ -190,6 +195,7 @@ class TestDocument:
         square = np.arange(25.0).reshape(5, 5)
         np.testing.assert_array_equal(square[doc.tril_mask], square[doc.tril_pairs])
         assert make_document("one", [1]).tril_mask.shape == (1, 1)
+        np.testing.assert_array_equal(doc.candidate_mask, doc.tril_mask | np.eye(5, dtype=bool))
 
     def test_from_mentions_any_key_order(self):
         doc = make_document("d", [1, 2, 1, 3, 3, 1], d_p=3)
@@ -231,7 +237,8 @@ class TestDocument:
         direct = Document(made.id, made.mentions, made.pair_feature_matrix.copy())
         for doc in synthetic + load_corpus(tmp_path / "c.jsonl") + [made, direct]:
             for array in (doc.pair_feature_matrix, doc.mention_feature_matrix,
-                          doc.mentions[0].features_a, *doc.tril_pairs, doc.tril_mask):
+                          doc.mentions[0].features_a, *doc.tril_pairs, doc.tril_mask,
+                          doc.candidate_mask):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 0
 

@@ -5,6 +5,7 @@ one-dimensional model, and the losses are cross-checked against slow
 in-test recomputations that share no code with the implementation.
 """
 
+import json
 import math
 import tracemalloc
 
@@ -81,6 +82,12 @@ class TestModelParams:
         np.testing.assert_array_equal(a.to_vector(), b.to_vector())
         assert not np.array_equal(a.to_vector(), c.to_vector())
 
+    @pytest.mark.parametrize("sizes,scale", [((3, 4, -1, 5), 0.1), ((3, 4, 2, 3), np.nan),
+                                             ((3, 4, 2, 3), np.inf)])
+    def test_random_rejects_negative_sizes_and_bad_scale(self, sizes, scale):
+        with pytest.raises(ConfigError, match="random init needs"):
+            ModelParams.random(*sizes, scale=scale)
+
     def test_copy_is_independent(self):
         params = ModelParams.random(2, 2, hidden_a=2, hidden_p=2, seed=0)
         clone = params.copy()
@@ -147,6 +154,27 @@ class TestModelParams:
         path = tmp_path / "model.json"
         path.write_text('{"format": "something-else", "version": 1}\n')
         with pytest.raises(FormatError):
+            ModelParams.load(path)
+        path.write_text("[1]\n")
+        with pytest.raises(FormatError, match="not a model file"):
+            ModelParams.load(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("hidden_a", 2.9), ("hidden_a", -1), ("d_a", "3"), ("hidden_p", True),
+        ("u_0", "0.5"), ("u_0", True), ("w_a", "0.5"), ("w_a", True),
+        ("b_p", "0.1"), ("b_p", False)])
+    def test_load_rejects_values_that_are_not_json_numbers(self, tmp_path, field, value):
+        """Each of these read as a number before: 2.9 as 2, true as 1, "3" as 3,
+        and -1 as the size that the weight list implies."""
+        path = tmp_path / "model.json"
+        ModelParams.random(3, 4, hidden_a=2, hidden_p=1, seed=5).save(path)
+        record = json.loads(path.read_text())
+        if isinstance(record[field], list):
+            record[field][-1] = value
+        else:
+            record[field] = value
+        path.write_text(json.dumps(record))
+        with pytest.raises(FormatError, match="bad model record"):
             ModelParams.load(path)
 
     def test_load_rejects_bad_json(self, tmp_path):

@@ -23,6 +23,7 @@ All other columns are ignored.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -33,7 +34,6 @@ import numpy as np
 from .errors import ConfigError, FormatError, InputError
 
 MENTION_TYPES = ("proper", "nominal", "pronominal")
-MAX_MENTIONS = 64
 
 # Sampling priors for mention types: entity-opening mentions tend to be
 # proper/nominal, anaphoric ones pronominal.
@@ -365,8 +365,6 @@ class SyntheticConfig:
             raise ConfigError("num_docs must be nonnegative")
         if not (1 <= lo <= hi):
             raise ConfigError(f"empty mentions_per_doc range {self.mentions_per_doc}")
-        if hi > MAX_MENTIONS:
-            raise ConfigError(f"mentions_per_doc upper bound exceeds {MAX_MENTIONS}")
         if not (1 <= elo <= ehi):
             raise ConfigError(f"empty entities_per_doc range {self.entities_per_doc}")
         if self.d_a < 1 or self.d_p < 1:
@@ -474,21 +472,33 @@ def save_corpus(docs: Iterable[Document], path) -> None:
             fh.write("\n")
 
 
+def _json_numbers(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """A JSON field as a float array of ``shape``: a JSON number for a
+    scalar, a flat list of JSON numbers (not "0.5", not true) otherwise."""
+    items = value if shape else [value]
+    if type(items) is not list or not set(map(type, items)) <= {int, float}:
+        raise InputError(f"{name} must hold JSON numbers")
+    return np.array(items, dtype=float).reshape(shape)
+
+
 def _doc_from_record(record: dict, path, lineno: int) -> Document:
     try:
         doc_id, pairs = str(record["id"]), record["pairs"]
         mentions = []
         for m in record["mentions"]:
-            gold = m["gold_entity"]
-            if gold == "new":
-                gold = m["index"]
-            mentions.append(Mention(m["index"], str(m["type"]), gold, m["features_a"]))
+            gold = m["index"] if m["gold_entity"] == "new" else m["gold_entity"]
+            features = _json_numbers(f"document {doc_id}: mention {m['index']} features_a",
+                                     m["features_a"], (-1,))
+            mentions.append(Mention(m["index"], str(m["type"]), gold, features))
         keys = [(p["j"], p["i"]) for p in pairs]
         bad = [v for v in chain.from_iterable(keys) if type(v) is not int]  # 1.9, "2", true
         if bad:
             raise InputError(f"document {doc_id}: pair index {bad[0]!r} is not an integer")
-        doc = _document(doc_id, mentions, _pair_matrix(
-            doc_id, len(mentions), keys, [p["features"] for p in pairs]))
+        features = [p["features"] for p in pairs]
+        matrix = _pair_matrix(doc_id, len(mentions), keys, features)
+        if not set(map(type, chain.from_iterable(features))) <= {int, float}:
+            raise InputError(f"document {doc_id}: pair features must hold JSON numbers")
+        doc = _document(doc_id, mentions, matrix)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"bad document record: {exc}", path=path, line=lineno) from exc
     except InputError as exc:
@@ -501,10 +511,21 @@ def _doc_from_record(record: dict, path, lineno: int) -> Document:
     return doc
 
 
+@contextmanager
+def _utf8_text(path):
+    """``path`` opened as UTF-8 text; bytes that are not UTF-8, wherever
+    the reader meets them, raise FormatError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8 text ({exc.reason})", path=path) from exc
+
+
 def load_corpus(path) -> list[Document]:
     docs = []
     d_a = d_p = None  # of the first document, and of the first with a pair
-    with open(path, "r", encoding="utf-8") as fh:
+    with _utf8_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -559,7 +580,7 @@ def parse_conll_documents(path) -> list[ConllDocument]:
     """
     docs: list[ConllDocument] = []
     doc_id = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with _utf8_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if line[:1] == "#":
                 if line.startswith("#begin document"):

@@ -23,8 +23,12 @@ The temperature softmax is one masked log-space softmax over the whole
 matrix.
 
 All public containers use 1-based mention indices; the underlying numpy
-arrays are 0-based and lower-triangular, with structural zeros above the
-diagonal.
+arrays are 0-based.  Every n x n array of the chain, from the row softmax
+to the relaxed B-cubed/LEA gradient, is exactly zero above the diagonal
+(j <= i, u <= i): the function that makes an array makes it so, and none
+re-masks an array it is given.  The containers keep the lower triangle of
+their checked copy, dropping the slack above the diagonal that the check
+tolerates.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from .corpus import _read_only
 from .errors import InputError
 
 ROW_SUM_TOL = 1e-9
@@ -39,7 +44,8 @@ ROW_SUM_TOL = 1e-9
 
 class _RowStochastic:
     """A row-stochastic lower-triangular matrix.  The constructor checks a
-    copy of its input once, at ``ROW_SUM_TOL``, and keeps it read-only."""
+    copy of its input once, at ``ROW_SUM_TOL``, and keeps its lower
+    triangle, read-only."""
 
     __slots__ = ("_probs",)
 
@@ -53,17 +59,16 @@ class _RowStochastic:
             raise InputError(f"{name} has non-finite entries")
         if np.any(probs < -ROW_SUM_TOL):
             raise InputError(f"{name} has negative entries")
-        upper = probs[np.triu_indices(probs.shape[0], k=1)]
-        if upper.size and np.max(np.abs(upper)) > ROW_SUM_TOL:
+        lower = np.tril(probs)
+        if np.max(np.abs(probs - lower)) > ROW_SUM_TOL:
             raise InputError(f"{name} has mass above the diagonal")
-        sums = probs.sum(axis=1)
+        sums = lower.sum(axis=1)
         row = int(np.argmax(np.abs(sums - 1.0)))
         if abs(sums[row] - 1.0) > ROW_SUM_TOL:
             raise InputError(f"{name} row {row + 1} sums to {sums[row]:.12f}, not 1")
-        probs.flags.writeable = False
-        self._probs = probs
+        self._probs = _read_only(lower)
 
-    probs = property(lambda self: self._probs, doc="The checked array, read-only.")
+    probs = property(lambda self: self._probs, doc="The checked lower triangle, read-only.")
 
     @property
     def n(self) -> int:
@@ -109,9 +114,9 @@ def membership_array(p: np.ndarray) -> np.ndarray:
 def membership_backward(p: np.ndarray, q: np.ndarray, dq: np.ndarray) -> np.ndarray:
     """Gradient of a scalar wrt p given its gradient wrt q = membership(p).
 
-    With ``Y = (I - L)^{-T} tril(dq)``, ``dp = diag(Y) + strict_tril(Y q^T)``.
+    With ``Y = (I - L)^{-T} dq``, ``dp = diag(Y) + strict_tril(Y q^T)``.
     """
-    y = solve_triangular(-p, np.tril(dq), lower=True, trans="T", unit_diagonal=True)
+    y = solve_triangular(-p, dq, lower=True, trans="T", unit_diagonal=True)
     dp = np.tril(y @ q.T, k=-1)
     dp[np.diag_indices_from(dp)] = np.diagonal(y)
     return dp
@@ -129,11 +134,11 @@ def temper_array(q: np.ndarray, temperature: float) -> np.ndarray:
     exact zero entries keep zero mass at every temperature.  At T = 1 the
     rows are already distributions and ``q`` itself is returned.
     """
-    if temperature <= 0:
-        raise InputError(f"temperature must be positive, got {temperature}")
+    if not 0 < temperature < np.inf:
+        raise InputError(f"temperature must be positive and finite, got {temperature}")
     if temperature == 1.0:
         return q
-    support = np.tril(q > 0.0)
+    support = q > 0.0
     empty = ~support.any(axis=1)
     if np.any(empty):
         raise InputError(f"membership row {int(np.argmax(empty)) + 1} has no positive mass")
@@ -151,10 +156,9 @@ def temper_backward(q: np.ndarray, qt: np.ndarray, temperature: float,
     """
     if temperature == 1.0:
         return dqt
-    s = np.tril(qt)
-    support = np.tril(q > 0.0)
-    ratio = np.where(support, s / np.where(support, q, 1.0), 0.0)
-    rowdot = (s * dqt).sum(axis=1, keepdims=True)
+    support = q > 0.0
+    ratio = np.where(support, qt / np.where(support, q, 1.0), 0.0)
+    rowdot = (qt * dqt).sum(axis=1, keepdims=True)
     return ratio * (dqt - rowdot) / temperature
 
 

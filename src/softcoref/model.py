@@ -64,7 +64,7 @@ from typing import Optional
 
 import numpy as np
 
-from .corpus import Document
+from .corpus import Document, _json_numbers, _utf8_text
 from .errors import ConfigError, FormatError, InputError, TrainingError
 from .membership import (LinkDistribution, masked_softmax, membership_array,
                          membership_backward, temper_array, temper_backward)
@@ -215,7 +215,7 @@ class ModelParams:
 
     @classmethod
     def load(cls, path) -> "ModelParams":
-        with open(path, "r", encoding="utf-8") as fh:
+        with _utf8_text(path) as fh:
             try:
                 record = json.load(fh)
             except json.JSONDecodeError as exc:
@@ -236,15 +236,6 @@ class ModelParams:
             raise FormatError(f"bad model record: {exc}", path=path) from exc
 
 
-def _json_numbers(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
-    """A model file field as a float array of ``shape``: a JSON number for
-    a scalar, a flat list of JSON numbers otherwise."""
-    items = value if shape else [value]
-    if type(items) is not list or not set(map(type, items)) <= {int, float}:
-        raise InputError(f"{name} must hold JSON numbers")
-    return np.array(items, dtype=float).reshape(shape)
-
-
 def l1_norm(params: ModelParams) -> float:
     """Sum of absolute values over every learnable coordinate."""
     return float(np.abs(params._vec).sum())
@@ -263,16 +254,9 @@ def l1_norm(params: ModelParams) -> float:
 _PAIR_BLOCK = 1024
 
 
-@dataclass
-class _ScoreCache:
-    phi_a: np.ndarray
-    phi_p: np.ndarray
-    h_a: np.ndarray
-    h_p: Optional[np.ndarray]  # None when the forward pass kept no pair layer
-    scores: np.ndarray
-
-
-def _forward_scores(doc: Document, params: ModelParams, keep_h_p: bool = True) -> _ScoreCache:
+def _forward_scores(doc: Document, params: ModelParams, keep_h_p: bool = True
+                    ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """(scores, h_a, h_p) of the scorer; h_p is None unless ``keep_h_p``."""
     if doc.d_a != params.d_a:
         raise InputError(
             f"document {doc.id}: mention feature dim {doc.d_a} != model d_a {params.d_a}"
@@ -281,18 +265,14 @@ def _forward_scores(doc: Document, params: ModelParams, keep_h_p: bool = True) -
         raise InputError(
             f"document {doc.id}: pair feature dim {doc.d_p} != model d_p {params.d_p}"
         )
-    n = doc.n
-    ha = params.hidden_a
-    phi_a = doc.mention_feature_matrix
-    h_a = _hidden(phi_a, params.w_a, params.b_a)
-    phi_p = doc.pair_feature_matrix
-    pair_scores, h_p = _pair_forward(phi_p, params, keep_h_p)
-    pair_scores += (h_a @ params.u[:ha])[doc.tril_pairs[0]]
+    h_a = _hidden(doc.mention_feature_matrix, params.w_a, params.b_a)
+    pair_scores, h_p = _pair_forward(doc.pair_feature_matrix, params, keep_h_p)
+    pair_scores += (h_a @ params.u[:params.hidden_a])[doc.tril_pairs[0]]
     pair_scores += params.u_0
-    scores = np.zeros((n, n))
+    scores = np.zeros((doc.n, doc.n))
     scores[doc.tril_mask] = pair_scores
     np.fill_diagonal(scores, h_a @ params.v + params.v_0)
-    return _ScoreCache(phi_a, phi_p, h_a, h_p, scores)
+    return scores, h_a, h_p
 
 
 def _hidden(phi: np.ndarray, w: np.ndarray, b: np.ndarray,
@@ -322,7 +302,7 @@ def _pair_forward(phi_p: np.ndarray, params: ModelParams,
 
 def score_pairs(doc: Document, params: ModelParams) -> np.ndarray:
     """Lower-triangular score matrix s[i - 1, j - 1] = s(a_i = j)."""
-    return _forward_scores(doc, params, keep_h_p=False).scores
+    return _forward_scores(doc, params, keep_h_p=False)[0]
 
 
 def link_probabilities(scores: np.ndarray) -> LinkDistribution:
@@ -332,8 +312,7 @@ def link_probabilities(scores: np.ndarray) -> LinkDistribution:
         raise InputError("score matrix must be square")
     if not np.all(np.isfinite(np.tril(scores))):
         raise InputError("scores contain non-finite values")
-    n = scores.shape[0]
-    return LinkDistribution(masked_softmax(scores, np.tri(n, dtype=bool)))
+    return LinkDistribution(masked_softmax(scores, np.tri(len(scores), dtype=bool)))
 
 
 def predict_antecedents(doc: Document, params: ModelParams) -> tuple[int, ...]:
@@ -350,41 +329,40 @@ def _softmax_backward(probs: np.ndarray, d_probs: np.ndarray) -> np.ndarray:
     return probs * (d_probs - rowdot)
 
 
-def _score_backward(params: ModelParams, cache: _ScoreCache,
-                    d_scores: np.ndarray, pairs) -> ModelParams:
-    """Parameter gradient given a gradient on the score matrix, written
-    field by field into a zeroed flat vector.  ``pairs`` indexes the pair
-    entries of an (n, n) matrix in ``tril_pairs`` order: a document's
-    ``tril_mask`` or its ``tril_pairs``.  The pair side is fused and runs
-    in row blocks (see the module docstring)."""
+def _score_backward(doc: Document, params: ModelParams, h_a: np.ndarray,
+                    h_p: np.ndarray, d_scores: np.ndarray) -> ModelParams:
+    """Parameter gradient given a gradient on the score matrix of ``doc``
+    and the forward pass's hidden layers, written field by field into a
+    zeroed flat vector.  The pair side is fused and runs in row blocks
+    (see the module docstring)."""
     ha = params.hidden_a
-    d_pair = d_scores[pairs]
+    d_pair = d_scores[doc.tril_mask]
     d_self = np.diagonal(d_scores).copy()
     grad = params.zeros_like()
 
     # Every pair term of row i shares h_a[i], so its gradient is the row sum.
-    d_row = np.tril(d_scores, k=-1).sum(axis=1)
+    d_row = np.where(doc.tril_mask, d_scores, 0.0).sum(axis=1)
     u_a, u_p = params.u[:ha], params.u[ha:]
     d_z_a = np.outer(d_self, params.v) + np.outer(d_row, u_a)
-    d_z_a *= 1.0 - cache.h_a ** 2
-    np.matmul(d_z_a.T, cache.phi_a, out=grad.w_a)
+    d_z_a *= 1.0 - h_a ** 2
+    np.matmul(d_z_a.T, doc.mention_feature_matrix, out=grad.w_a)
     d_z_a.sum(axis=0, out=grad.b_a)
-    np.matmul(cache.h_a.T, d_row, out=grad.u[:ha])
-    np.matmul(cache.h_a.T, d_self, out=grad.v)
+    np.matmul(h_a.T, d_row, out=grad.u[:ha])
+    np.matmul(h_a.T, d_self, out=grad.v)
     grad.u_0, grad.v_0 = d_pair.sum(), d_self.sum()
 
     # The first block writes the u_p gradient and the fused product; later
     # blocks add to them, reusing the first block's scratch arrays.
-    d_p, n_pairs = params.d_p, d_pair.size
+    phi_p, d_p, n_pairs = doc.pair_feature_matrix, params.d_p, d_pair.size
     rows = min(n_pairs, _PAIR_BLOCK)
     weighted = np.empty((rows, d_p + 1))
     sech2 = np.empty((rows, params.hidden_p))
     d_u_p = grad.u[ha:]
     for start in range(0, n_pairs, _PAIR_BLOCK):
         stop = min(start + _PAIR_BLOCK, n_pairs)
-        h, d = cache.h_p[start:stop], d_pair[start:stop]
+        h, d = h_p[start:stop], d_pair[start:stop]
         wt, s2 = weighted[:stop - start], sech2[:stop - start]
-        np.multiply(d[:, None], cache.phi_p[start:stop], out=wt[:, :d_p])
+        np.multiply(d[:, None], phi_p[start:stop], out=wt[:, :d_p])
         wt[:, d_p] = d
         np.multiply(h, h, out=s2)
         np.subtract(1.0, s2, out=s2)
@@ -461,13 +439,11 @@ def _entity_centric(doc: Document, scores: np.ndarray, costs: CostConfig,
                     beta: float, temperature: float):
     """Cost-augmented negative log-probability that each mention joins its
     gold entity, through the membership recursion."""
-    n = doc.n
-    ids = doc.gold_entity_array
     probs = masked_softmax(scores, doc.candidate_mask)
     q = membership_array(probs)
-    weights = np.tril(q * np.exp(gamma_matrix(doc, costs)))
+    weights = q * np.exp(gamma_matrix(doc, costs))
     totals = weights.sum(axis=1)
-    gold = (np.arange(n), ids - 1)
+    gold = (np.arange(doc.n), doc.gold_entity_array - 1)
     loss = float(-(np.log(weights[gold]) - np.log(totals)).sum())
 
     def backward() -> np.ndarray:
@@ -524,14 +500,14 @@ def _loss_and_backward(doc: Document, params: ModelParams, kind: str,
                        temperature: float, lam: float):
     _check_loss_settings(kind, beta, temperature, lam)
     costs = costs if costs is not None else CostConfig()
-    cache = _forward_scores(doc, params)
+    scores, h_a, h_p = _forward_scores(doc, params)
     with np.errstate(divide="ignore"):  # log(0) is reported just below
-        loss, backward = _LOSSES[kind](doc, cache.scores, costs, beta, temperature)
+        loss, backward = _LOSSES[kind](doc, scores, costs, beta, temperature)
     if not np.isfinite(loss):
         raise TrainingError(f"non-finite {kind} loss on document {doc.id}")
     if lam:
         loss += lam * l1_norm(params)
-    return cache, loss, backward
+    return (h_a, h_p), loss, backward
 
 
 def document_loss(doc: Document, params: ModelParams, kind: str, *,
@@ -551,12 +527,12 @@ def document_loss_and_grad(doc: Document, params: ModelParams, kind: str, *,
     """document_loss and its gradient wrt every parameter; the L1 term
     contributes lam * sign(theta).  The TrainingError for a non-finite
     loss or score gradient comes before any parameter gradient is formed."""
-    cache, loss, backward = _loss_and_backward(doc, params, kind, costs, beta,
-                                               temperature, lam)
+    hidden, loss, backward = _loss_and_backward(doc, params, kind, costs, beta,
+                                                temperature, lam)
     d_scores = backward()
     if not np.isfinite(d_scores).all():
         raise TrainingError(f"non-finite {kind} gradient on document {doc.id}")
-    grad = _score_backward(params, cache, d_scores, doc.tril_mask)
+    grad = _score_backward(doc, params, *hidden, d_scores)
     if lam:
         grad._vec += lam * np.sign(params._vec)
     return loss, grad

@@ -85,13 +85,11 @@ def _f_partials(p: float, r: float, beta: float) -> tuple[float, float, float]:
 def _f_and_gradient(num_p: float, den_p: float, d_num_p: np.ndarray, recall: float,
                     d_recall: np.ndarray, beta: float) -> tuple[float, float, float, np.ndarray]:
     """(P, R, F_beta, dF/dq) given recall and the precision quotient
-    num_p / den_p with their gradients; den_p = sum(q), so d den_p / dq = 1."""
-    precision = num_p / den_p if den_p > GUARD_EPS else 0.0
+    num_p / den_p with their gradients; den_p = sum(q), so d den_p / dq = 1.
+    Every row of q sums to 1, so den_p = n >= 1 needs no guard."""
+    precision = num_p / den_p
     f, dfdp, dfdr = _f_partials(precision, recall, beta)
-    if den_p > GUARD_EPS:
-        d_precision = d_num_p / den_p - num_p / (den_p * den_p)
-    else:
-        d_precision = np.zeros_like(d_num_p)
+    d_precision = d_num_p / den_p - num_p / (den_p * den_p)
     return precision, recall, f, np.tril(dfdp * d_precision + dfdr * d_recall)
 
 

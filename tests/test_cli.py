@@ -257,6 +257,14 @@ class TestScore:
         write_conll_responses([("a", Clustering([{1}]))], resp)
         assert cli("score", "--key", key, "--response", resp) == 1
 
+    def test_document_only_in_response_exit_1(self, tmp_path, capsys):
+        key, resp = tmp_path / "key.conll", tmp_path / "resp.conll"
+        write_conll_responses([("a", Clustering([{1}]))], key)
+        write_conll_responses([("a", Clustering([{1}])),
+                               ("b", Clustering([{1}]))], resp)
+        assert cli("score", "--key", key, "--response", resp) == 1
+        assert "error: document 'b' in response but not in key" in capsys.readouterr().err
+
     @pytest.mark.parametrize("side", ["key", "response"])
     def test_duplicate_document_ids_exit_1(self, tmp_path, side, capsys):
         once, twice = tmp_path / "once.conll", tmp_path / "twice.conll"
@@ -371,6 +379,22 @@ class TestGradcheck:
     def test_with_trained_model(self, tiny_corpus, tiny_model):
         assert cli("gradcheck", "--corpus", tiny_corpus,
                    "--model", tiny_model, "--loss", "ec-heuristic") == 0
+
+
+@pytest.mark.parametrize("command", ["evaluate --corpus", "evaluate --model",
+                                     "train --init", "score --key"])
+def test_file_that_is_not_utf8_exit_1(tmp_path, tiny_corpus, tiny_model, command, capsys):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe{}\n")
+    key = tmp_path / "key.conll"
+    write_conll_responses([("a", Clustering([{1}]))], key)
+    argv = {"evaluate --corpus": ["evaluate", "--corpus", bad, "--model", tiny_model],
+            "evaluate --model": ["evaluate", "--corpus", tiny_corpus, "--model", bad],
+            "train --init": ["train", "--corpus", tiny_corpus, "--init", bad,
+                             "--out", tmp_path / "m.json"],
+            "score --key": ["score", "--key", bad, "--response", key]}[command]
+    assert cli(*argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8 text")
 
 
 class TestUsage:

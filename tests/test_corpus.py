@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from softcoref import (MENTION_TYPES, Clustering, ConfigError, ConllDocument,
                        Document, FormatError, InputError, Mention, SyntheticConfig,
-                       antecedents_to_clusters, clusters_from_entity_ids, generate_synthetic,
-                       load_corpus, parse_conll_documents, save_corpus,
-                       write_conll_responses)
+                       TrainConfig, antecedents_to_clusters, clusters_from_entity_ids,
+                       generate_synthetic, load_corpus, parse_conll_documents,
+                       save_corpus, train, write_conll_responses)
 from softcoref.model import correct_set_mask
 
 from conftest import conll_lines, correct_antecedents, make_document
@@ -258,15 +258,32 @@ class TestDocument:
         assert doc.pair_feature_matrix.shape == (0, 0)
         assert doc.d_p == 0
 
+    @pytest.mark.parametrize("indices, features, pairs, message", [
+        ([], [], np.zeros((0, 0)), "document d: no mentions"),
+        ([1, 3], [2, 2], np.zeros((1, 3)), "mention indices not contiguous 1..n"),
+        ([1, 2], [0, 0], np.zeros((1, 3)), "empty mention features"),
+        ([1, 2, 3], [2, 2, 3], np.zeros((3, 3)), "inconsistent d_a at mention 3"),
+        ([1, 2], [2, 2], np.zeros((1, 0)), "empty pair features"),
+    ], ids=["no-mentions", "gap", "empty-d_a", "inconsistent-d_a", "empty-d_p"])
+    def test_malformed_document_rejected(self, indices, features, pairs, message):
+        mentions = [Mention(i, "proper", 1, np.zeros(d)) for i, d in zip(indices, features)]
+        with pytest.raises(InputError, match=message):
+            Document("d", mentions, pairs)
+
 
 class TestSyntheticConfig:
     def test_rejects_empty_mention_range(self):
         with pytest.raises(ConfigError):
             SyntheticConfig(num_docs=1, mentions_per_doc=(5, 4))
 
-    def test_rejects_oversized_documents(self):
-        with pytest.raises(ConfigError):
-            SyntheticConfig(num_docs=1, mentions_per_doc=(1, 65))
+    def test_generates_documents_of_hundreds_of_mentions(self):
+        config = SyntheticConfig(num_docs=2, mentions_per_doc=(100, 160),
+                                 entities_per_doc=(5, 12), d_a=4, d_p=5, seed=4)
+        docs = generate_synthetic(config)
+        assert all(100 <= doc.n <= 160 for doc in docs)
+        _, history = train(docs[:1], [], TrainConfig(loss="lea", temperature=0.5, epochs=1,
+                                                     hidden_a=4, hidden_p=4))
+        assert np.isfinite(history.records[0].mean_loss)
 
     def test_rejects_zero_dimension(self):
         with pytest.raises(ConfigError):
@@ -504,6 +521,63 @@ class TestCorpusIO:
             load_corpus(path)
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("where, value", [
+        ("features_a", "0.5"), ("features_a", True), ("features", "0.5"), ("features", True)])
+    def test_features_that_are_not_json_numbers_rejected_with_line(self, tmp_path, where,
+                                                                     value):
+        """A string "0.5" read as 0.5, and true as 1.0, before."""
+        docs = generate_synthetic(SyntheticConfig(num_docs=2, seed=5))
+        path = tmp_path / "c.jsonl"
+        save_corpus(docs, path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        if where == "features_a":
+            record["mentions"][1]["features_a"][0] = value
+            message = "mention 2 features_a must hold JSON numbers"
+        else:
+            record["pairs"][0]["features"][0] = value
+            message = "pair features must hold JSON numbers"
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=message) as exc:
+            load_corpus(path)
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("key", ["id", "mentions", "pairs", "gold_entity", "features"])
+    def test_missing_key_rejected_with_line(self, tmp_path, key):
+        docs = generate_synthetic(SyntheticConfig(num_docs=2, seed=5))
+        path = tmp_path / "c.jsonl"
+        save_corpus(docs, path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        owner = {"gold_entity": record["mentions"][0],
+                 "features": record["pairs"][0]}.get(key, record)
+        del owner[key]
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=f"bad document record: '{key}'") as exc:
+            load_corpus(path)
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("key", ["d_a", "d_p"])
+    def test_declared_dimensions_must_match_features(self, tmp_path, key):
+        docs = generate_synthetic(SyntheticConfig(num_docs=1, d_a=6, d_p=7, seed=5))
+        path = tmp_path / "c.jsonl"
+        save_corpus(docs, path)
+        record = json.loads(path.read_text())
+        record[key] += 1
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(FormatError, match="declared dimensions .* do not match") as exc:
+            load_corpus(path)
+        assert exc.value.line == 1
+
+    def test_file_that_is_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b"\xff\xfe{}\n")
+        with pytest.raises(FormatError, match="not UTF-8 text") as exc:
+            load_corpus(path)
+        assert exc.value.path == path
+
     def test_new_marker_accepted(self, tmp_path):
         docs = generate_synthetic(SyntheticConfig(num_docs=1, seed=5))
         path = tmp_path / "c.jsonl"
@@ -553,6 +627,13 @@ class TestConll:
     def test_unbalanced_close_rejected(self, tmp_path):
         with pytest.raises(FormatError, match="not open"):
             self._parse(tmp_path, ["w1\t0)"])
+
+    def test_file_that_is_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "k.conll"
+        path.write_bytes(b"#begin document (d1)\nw1\t(0)\n\xff\xfe\n#end document\n")
+        with pytest.raises(FormatError, match="not UTF-8 text") as exc:
+            parse_conll_documents(path)
+        assert exc.value.path == path
 
     def test_missing_end_rejected(self, tmp_path):
         path = tmp_path / "k.conll"

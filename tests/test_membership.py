@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 from softcoref import (LOSS_KINDS, InputError, LinkDistribution,
                        MembershipMatrix, ModelParams, grad_check, membership,
                        tempered_membership)
-from softcoref.membership import (membership_array, membership_backward,
+from softcoref.membership import (masked_softmax, membership_array, membership_backward,
                                   temper_array, temper_backward)
+from softcoref.relaxed import b3_soft_grad, gold_index_arrays, lea_soft_grad
 
-from conftest import make_document, random_link_distribution
+from conftest import make_document, random_clustering, random_link_distribution
 from oracles import brute_force_membership
 
 
@@ -133,6 +134,25 @@ class TestMembership:
         with pytest.raises(InputError):
             LinkDistribution(probs)
 
+    @pytest.mark.parametrize("container", [LinkDistribution, MembershipMatrix])
+    @pytest.mark.parametrize("probs, message", [
+        (np.full((2, 3), 1 / 3), "must be a square matrix"),
+        (np.ones(1), "must be a square matrix"),
+        (np.zeros((0, 0)), "must cover at least one mention"),
+        ([[1.0, 0.0], [np.nan, 1.0]], "has non-finite entries"),
+        ([[1.0, 0.0], [np.inf, 1.0]], "has non-finite entries"),
+        ([[1.0, 0.0], [1.5, -0.5]], "has negative entries"),
+        ([[1.0, 1e-6], [0.5, 0.5]], "has mass above the diagonal"),
+    ], ids=["rectangular", "vector", "empty", "nan", "inf", "negative", "upper-mass"])
+    def test_rejects_malformed_input(self, container, probs, message):
+        with pytest.raises(InputError, match=f"^{container._name} {message}$"):
+            container(np.array(probs))
+
+    @pytest.mark.parametrize("container", [LinkDistribution, MembershipMatrix])
+    def test_stores_the_lower_triangle(self, container):
+        probs = np.array([[1.0, 5e-10, 0.0], [0.6, 0.4, -5e-10], [0.5, 0.3, 0.2]])
+        np.testing.assert_array_equal(container(probs).probs, np.tril(probs))
+
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 20))
     @settings(max_examples=60, deadline=None)
     def test_rows_sum_to_one(self, seed, n):
@@ -206,8 +226,8 @@ class TestTemper:
 
     def test_rejects_nonpositive_temperature(self, links3):
         q = membership(links3)
-        for temp in (0.0, -1.0):
-            with pytest.raises(InputError):
+        for temp in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(InputError, match="temperature must be positive and finite"):
                 tempered_membership(q, temp)
 
     def test_rejects_row_without_mass(self):
@@ -225,6 +245,30 @@ class TestTemper:
         np.testing.assert_allclose(sharp.probs.sum(axis=1), np.ones(n), atol=1e-9)
         np.testing.assert_array_equal(np.argmax(sharp.probs, axis=1),
                                       np.argmax(q.probs, axis=1))
+
+
+class TestLayoutContract:
+    """Every array of the chain, forward and backward, is exactly zero
+    above the diagonal: the functions that make them keep the triangle, so
+    no consumer needs to mask."""
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 40),
+           temp=st.sampled_from([0.3, 1.0, 2.0]))
+    @settings(max_examples=80, deadline=None)
+    def test_chain_is_zero_above_the_diagonal(self, seed, n, temp):
+        rng = np.random.default_rng(seed)
+        p = masked_softmax(rng.normal(0.0, 3.0, (n, n)), np.tri(n, dtype=bool))
+        q = membership_array(p)
+        qt = temper_array(q, temp)
+        gold_of, sizes = gold_index_arrays(random_clustering(rng, n), n)
+        arrays = {"masked_softmax": p, "membership_array": q, "temper_array": qt}
+        for soft_grad in (b3_soft_grad, lea_soft_grad):
+            *_, d_qt = soft_grad(qt, gold_of, sizes)
+            d_q = temper_backward(q, qt, temp, d_qt)
+            arrays.update({soft_grad.__name__: d_qt, "temper_backward": d_q,
+                           "membership_backward": membership_backward(p, q, d_q)})
+            for name, array in arrays.items():
+                assert np.all(np.triu(array, k=1) == 0.0), name
 
 
 class TestArrayBackward:

@@ -189,6 +189,27 @@ class TestModelParams:
         with pytest.raises(FormatError):
             ModelParams.load(path)
 
+    def test_load_rejects_unsupported_version(self, tmp_path):
+        path = tmp_path / "model.json"
+        ModelParams.random(3, 4, hidden_a=2, hidden_p=1, seed=5).save(path)
+        record = json.loads(path.read_text())
+        record["version"] = 2
+        path.write_text(json.dumps(record))
+        with pytest.raises(FormatError, match="unsupported model version 2"):
+            ModelParams.load(path)
+
+    def test_load_rejects_a_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\xff\xfe{}\n")
+        with pytest.raises(FormatError, match="not UTF-8 text") as exc:
+            ModelParams.load(path)
+        assert exc.value.path == path
+
+    @pytest.mark.parametrize("field", ["w_a", "w_p"])
+    def test_rejects_a_weight_that_is_not_a_matrix(self, field):
+        with pytest.raises(InputError, match="weight matrices must be 2-dimensional"):
+            tiny_params(**{field: [1.0]})
+
 
 class TestScores:
     def test_hand_computed_scores(self):
@@ -471,21 +492,22 @@ class TestRelaxedMetricLoss:
                     document_loss(doc, params, "b3", **{setting: bad})
 
 
-def outer_product_backward(params, cache, d_scores, tril_pairs) -> dict:
+def outer_product_backward(doc, params, h_a, h_p, d_scores) -> dict:
     """The unfused reverse pass of the scorer, with the explicit
     n_pairs x hidden_p products outer(d_pair, u_p) and d_z_p."""
     ha = params.hidden_a
-    rows_i, cols_j = tril_pairs
+    phi_a, phi_p = doc.mention_feature_matrix, doc.pair_feature_matrix
+    rows_i, cols_j = doc.tril_pairs
     d_pair = d_scores[rows_i, cols_j]
     d_self = np.diagonal(d_scores).copy()
     d_row = np.tril(d_scores, k=-1).sum(axis=1)
     u_a, u_p = params.u[:ha], params.u[ha:]
-    d_z_a = (np.outer(d_self, params.v) + np.outer(d_row, u_a)) * (1.0 - cache.h_a ** 2)
-    d_z_p = np.outer(d_pair, u_p) * (1.0 - cache.h_p ** 2)
-    return dict(w_a=d_z_a.T @ cache.phi_a, b_a=d_z_a.sum(axis=0),
-                w_p=d_z_p.T @ cache.phi_p, b_p=d_z_p.sum(axis=0),
-                u=np.concatenate([cache.h_a.T @ d_row, cache.h_p.T @ d_pair]),
-                u_0=d_pair.sum(), v=cache.h_a.T @ d_self, v_0=d_self.sum())
+    d_z_a = (np.outer(d_self, params.v) + np.outer(d_row, u_a)) * (1.0 - h_a ** 2)
+    d_z_p = np.outer(d_pair, u_p) * (1.0 - h_p ** 2)
+    return dict(w_a=d_z_a.T @ phi_a, b_a=d_z_a.sum(axis=0),
+                w_p=d_z_p.T @ phi_p, b_p=d_z_p.sum(axis=0),
+                u=np.concatenate([h_a.T @ d_row, h_p.T @ d_pair]),
+                u_0=d_pair.sum(), v=h_a.T @ d_self, v_0=d_self.sum())
 
 
 class TestScoreBackward:
@@ -494,11 +516,11 @@ class TestScoreBackward:
         rng = np.random.default_rng(n)
         doc = make_document("d", [1 + i - i % 5 for i in range(n)], d_a=6, d_p=9, seed=n)
         params = ModelParams.random(6, 9, hidden_a, hidden_p, seed=n)
-        cache = _forward_scores(doc, params)
+        _, h_a, h_p = _forward_scores(doc, params)
         d_scores = np.tril(rng.normal(size=(n, n)))
-        grad = _score_backward(params, cache, d_scores, doc.tril_pairs)
-        for name, expected in outer_product_backward(params, cache, d_scores,
-                                                     doc.tril_pairs).items():
+        grad = _score_backward(doc, params, h_a, h_p, d_scores)
+        for name, expected in outer_product_backward(doc, params, h_a, h_p,
+                                                     d_scores).items():
             np.testing.assert_allclose(getattr(grad, name), expected, rtol=1e-12,
                                        err_msg=name)
 
@@ -532,15 +554,15 @@ class TestPairBlocks:
         block = block or model._PAIR_BLOCK
         assert len(doc.pair_feature_matrix) > block
         monkeypatch.setattr(model, "_PAIR_BLOCK", len(doc.pair_feature_matrix))
-        whole = _forward_scores(doc, params)  # one block
+        whole_scores, _, whole_h_p = _forward_scores(doc, params)  # one block
         monkeypatch.setattr(model, "_PAIR_BLOCK", block)
-        cache = _forward_scores(doc, params)
-        np.testing.assert_allclose(cache.h_p, whole.h_p, rtol=1e-12)
-        np.testing.assert_allclose(cache.scores, whole.scores, rtol=1e-12)
+        scores, h_a, h_p = _forward_scores(doc, params)
+        np.testing.assert_allclose(h_p, whole_h_p, rtol=1e-12)
+        np.testing.assert_allclose(scores, whole_scores, rtol=1e-12)
         d_scores = np.tril(np.random.default_rng(7).normal(size=(self.N, self.N)))
-        grad = _score_backward(params, cache, d_scores, doc.tril_mask)
-        for name, expected in outer_product_backward(params, cache, d_scores,
-                                                     doc.tril_pairs).items():
+        grad = _score_backward(doc, params, h_a, h_p, d_scores)
+        for name, expected in outer_product_backward(doc, params, h_a, h_p,
+                                                     d_scores).items():
             np.testing.assert_allclose(getattr(grad, name), expected, rtol=1e-12,
                                        err_msg=name)
 
@@ -551,9 +573,9 @@ class TestPairBlocks:
         doc = long_document(self.N, seed=8)
         params = ModelParams.random(4, 5, hidden_a=24, hidden_p=32, seed=8)
         assert len(doc.pair_feature_matrix) > model._PAIR_BLOCK
-        kept = _forward_scores(doc, params)
-        assert kept.h_p.shape == (1770, 32)
-        np.testing.assert_array_equal(score_pairs(doc, params), kept.scores)
+        kept_scores, _, kept_h_p = _forward_scores(doc, params)
+        assert kept_h_p.shape == (1770, 32)
+        np.testing.assert_array_equal(score_pairs(doc, params), kept_scores)
 
     def test_score_pairs_peak_is_below_a_pair_layer(self):
         doc = long_document(200, seed=9)

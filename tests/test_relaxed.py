@@ -231,6 +231,27 @@ class TestRelaxedFixtures:
                 with pytest.raises(ConfigError):
                     relaxed(membership(links3), Clustering([{1, 2, 3}]), beta=beta)
 
+    @pytest.mark.parametrize("fn", [relaxed_b3, relaxed_lea])
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_temperature(self, links3, fn, temperature):
+        with pytest.raises(InputError, match="temperature must be positive and finite"):
+            fn(membership(links3), Clustering([{1, 2}, {3}]), temperature=temperature)
+
+    def test_slack_above_the_diagonal_is_dropped(self):
+        """The container keeps the lower triangle, so a tolerated 5e-10
+        above the diagonal counts at no temperature."""
+        lower = membership(random_link_distribution(np.random.default_rng(5), 6)).probs
+        slack = lower.copy()
+        slack[1, 4] = 5e-10
+        m = MembershipMatrix(slack)
+        np.testing.assert_array_equal(m.probs, np.tril(m.probs))
+        tempered_membership(m, 2.0)
+        gold = Clustering([{1, 3, 4}, {2, 6}, {5}])
+        for fn in (relaxed_b3, relaxed_lea):
+            for temperature in (1.0, 0.5, 2.0):
+                assert (fn(m, gold, temperature=temperature)
+                        == fn(MembershipMatrix(np.tril(slack)), gold, temperature=temperature))
+
     def test_rejects_size_mismatch(self, links3):
         with pytest.raises(InputError):
             relaxed_b3(membership(links3), Clustering([{1, 2}]))

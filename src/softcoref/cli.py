@@ -14,9 +14,10 @@ import sys
 from pathlib import Path
 
 from . import analysis, corpus, optim
+from .corpus import SyntheticConfig
 from .errors import ConfigError, FormatError, InputError, SoftcorefError
-from .model import (DEFAULT_ALPHAS, LOSS_KINDS, CostConfig, ModelParams,
-                    predict_antecedents)
+from .model import LOSS_KINDS, CostConfig, ModelParams, predict_antecedents
+from .optim import TrainConfig
 
 
 class _Parser(argparse.ArgumentParser):
@@ -33,32 +34,37 @@ def _build_parser() -> _Parser:
 
     g = sub.add_parser("generate", help="write a synthetic feature corpus")
     g.add_argument("--docs", type=int, required=True, help="number of documents")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=int, default=SyntheticConfig.seed)
     g.add_argument("--out", required=True, help="output corpus path (JSON lines)")
-    g.add_argument("--mentions", type=int, nargs=2, default=(4, 12), metavar=("LO", "HI"))
-    g.add_argument("--entities", type=int, nargs=2, default=(2, 4), metavar=("LO", "HI"))
-    g.add_argument("--da", type=int, default=12, help="mention feature dimension")
-    g.add_argument("--dp", type=int, default=14, help="pair feature dimension")
-    g.add_argument("--noise", type=float, default=0.1, help="feature noise sigma")
+    g.add_argument("--mentions", type=int, nargs=2, default=SyntheticConfig.mentions_per_doc,
+                   metavar=("LO", "HI"))
+    g.add_argument("--entities", type=int, nargs=2, default=SyntheticConfig.entities_per_doc,
+                   metavar=("LO", "HI"))
+    g.add_argument("--da", type=int, default=SyntheticConfig.d_a,
+                   help="mention feature dimension")
+    g.add_argument("--dp", type=int, default=SyntheticConfig.d_p, help="pair feature dimension")
+    g.add_argument("--noise", type=float, default=SyntheticConfig.noise,
+                   help="feature noise sigma")
 
     t = sub.add_parser("train", help="train a model on a feature corpus")
     t.add_argument("--corpus", required=True)
     t.add_argument("--dev", help="dev corpus for model selection")
-    t.add_argument("--loss", default="mr-heuristic", choices=LOSS_KINDS)
-    t.add_argument("--beta", type=float, default=1.0)
-    t.add_argument("--temp", type=float, default=1.0, help="relaxation temperature")
-    t.add_argument("--lr", type=float, default=0.05)
-    t.add_argument("--epochs", type=int, default=10)
-    t.add_argument("--l1", type=float, default=1e-6, dest="lam",
+    t.add_argument("--loss", default=TrainConfig.loss, choices=LOSS_KINDS)
+    t.add_argument("--beta", type=float, default=TrainConfig.beta)
+    t.add_argument("--temp", type=float, default=TrainConfig.temperature,
+                   help="relaxation temperature")
+    t.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    t.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    t.add_argument("--l1", type=float, default=TrainConfig.lam, dest="lam",
                    help="L1 regularization weight")
-    t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--hidden-a", type=int, default=200)
-    t.add_argument("--hidden-p", type=int, default=700)
-    t.add_argument("--scale", type=float, default=0.1, help="random-init scale")
+    t.add_argument("--seed", type=int, default=TrainConfig.seed)
+    t.add_argument("--hidden-a", type=int, default=TrainConfig.hidden_a)
+    t.add_argument("--hidden-p", type=int, default=TrainConfig.hidden_p)
+    t.add_argument("--scale", type=float, default=TrainConfig.init_scale, help="random-init scale")
     t.add_argument("--init", help="model file to start from")
-    t.add_argument("--alphas", type=float, nargs=3, default=DEFAULT_ALPHAS,
+    t.add_argument("--alphas", type=float, nargs=3, default=CostConfig.alphas,
                    metavar=("FA", "FN", "WL"))
-    t.add_argument("--gammas", type=float, nargs=3, default=DEFAULT_ALPHAS,
+    t.add_argument("--gammas", type=float, nargs=3, default=CostConfig.gammas,
                    metavar=("FA", "FN", "WL"))
     t.add_argument("--out", required=True, help="output model path")
     t.add_argument("--history", help="write per-epoch CSV here")
@@ -95,7 +101,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_generate(args) -> int:
-    config = corpus.SyntheticConfig(
+    config = SyntheticConfig(
         num_docs=args.docs, mentions_per_doc=tuple(args.mentions),
         entities_per_doc=tuple(args.entities), d_a=args.da, d_p=args.dp,
         noise=args.noise, seed=args.seed,
@@ -113,7 +119,7 @@ def _cmd_train(args) -> int:
     train_docs = _load_nonempty(args.corpus)
     dev_docs = _load_nonempty(args.dev) if args.dev else []
     init = ModelParams.load(args.init) if args.init else None
-    config = optim.TrainConfig(
+    config = TrainConfig(
         loss=args.loss, beta=args.beta, temperature=args.temp,
         learning_rate=args.lr, epochs=args.epochs, lam=args.lam, seed=args.seed,
         hidden_a=args.hidden_a, hidden_p=args.hidden_p, init_scale=args.scale,
@@ -146,20 +152,6 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _align_conll(key_doc: corpus.ConllDocument,
-                 resp_doc: corpus.ConllDocument) -> tuple[corpus.Clustering, corpus.Clustering]:
-    if key_doc.spans == resp_doc.spans:  # both files number mentions by opening order
-        return key_doc.clustering, resp_doc.clustering
-    position = dict(zip(resp_doc.spans, range(len(resp_doc.spans))))
-    if position.keys() != set(key_doc.spans):
-        raise InputError(
-            f"document {key_doc.doc_id!r}: key and response mention spans differ"
-        )
-    # the response label of each key mention, read through the span permutation
-    labels = resp_doc.clustering.cluster_index()[list(map(position.__getitem__, key_doc.spans))]
-    return key_doc.clustering, corpus.clusters_from_entity_ids(labels)
-
-
 def _cmd_score(args) -> int:
     key_docs = corpus.parse_conll_documents(args.key)
     resp_docs = corpus.parse_conll_documents(args.response)
@@ -172,7 +164,11 @@ def _cmd_score(args) -> int:
     for key_doc in key_docs:
         if key_doc.doc_id not in resp_by_id:
             raise InputError(f"document {key_doc.doc_id!r} missing from response")
-        pairs.append(_align_conll(key_doc, resp_by_id.pop(key_doc.doc_id)))
+        resp_doc = resp_by_id.pop(key_doc.doc_id)
+        if key_doc.spans != resp_doc.spans:  # both files number mentions in span order
+            raise InputError(
+                f"document {key_doc.doc_id!r}: key and response mention spans differ")
+        pairs.append((key_doc.clustering, resp_doc.clustering))
     if resp_by_id:
         extra = next(iter(resp_by_id))
         raise InputError(f"document {extra!r} in response but not in key")

@@ -551,20 +551,20 @@ def load_corpus(path) -> list[Document]:
 @dataclass(frozen=True)
 class ConllDocument:
     doc_id: str
-    spans: tuple[tuple[int, int], ...]  # token (start, end) per mention, in mention order
+    spans: tuple[tuple[int, int], ...]  # token (start, end) per mention, in span order
     clustering: Clustering
 
 
 def _conll_document(doc_id: str, found: list, open_stacks: dict) -> ConllDocument:
-    """Close one document: number its mentions by opening order and group
-    them by entity id.  Raises ValueError for an entity left open or a
-    span tagged twice."""
+    """Close one document: number its mentions in span order (start token,
+    then end token) and group them by entity id.  Raises ValueError for an
+    entity left open or a span tagged twice."""
     for entity, stack in open_stacks.items():
         if stack:
             raise ValueError(
                 f"unbalanced brackets in document {doc_id!r}: entity {entity} left open")
     found.sort()
-    _, entities, starts, ends = zip(*found) if found else ((),) * 4
+    starts, ends, entities = zip(*found) if found else ((),) * 3
     spans = tuple(zip(starts, ends))
     if len(set(spans)) != len(spans):
         raise ValueError(f"duplicate mention span in document {doc_id!r}")
@@ -574,9 +574,11 @@ def _conll_document(doc_id: str, found: list, open_stacks: dict) -> ConllDocumen
 def parse_conll_documents(path) -> list[ConllDocument]:
     """Parse a minimal CoNLL skeleton file into per-document mentions.
 
-    Mentions are numbered in order of their opening bracket; nested and
-    crossing spans are resolved by matching brackets per entity id.  A
-    document must end before the next ``#begin document``.
+    Mentions are numbered in span order (start token, then end token), so
+    two files with the same spans number them alike however their brackets
+    are stacked; nested and crossing spans are resolved by matching
+    brackets per entity id.  A document must end before the next
+    ``#begin document``.
     """
     docs: list[ConllDocument] = []
     doc_id = None
@@ -593,9 +595,9 @@ def parse_conll_documents(path) -> list[ConllDocument]:
                         doc_id = rest[1:close] if close != -1 else rest[1:]
                     else:
                         doc_id = rest
-                    token_no = open_order = 0
-                    open_stacks: dict[int, list[tuple[int, int]]] = {}
-                    found: list[tuple[int, int, int, int]] = []  # (open_order, entity, start, end)
+                    token_no = 0
+                    open_stacks: dict[int, list[int]] = {}  # entity -> open start tokens
+                    found: list[tuple[int, int, int]] = []  # (start, end, entity)
                     continue
                 if line.startswith("#end document"):
                     if doc_id is None:
@@ -626,11 +628,9 @@ def parse_conll_documents(path) -> list[ConllDocument]:
                                       path=path, line=lineno)
                 entity = int(body)
                 if opens and closes:  # a one-token mention needs no stack
-                    found.append((open_order, entity, token_no, token_no))
-                    open_order += 1
+                    found.append((token_no, token_no, entity))
                 elif opens:
-                    open_stacks.setdefault(entity, []).append((open_order, token_no))
-                    open_order += 1
+                    open_stacks.setdefault(entity, []).append(token_no)
                 else:
                     stack = open_stacks.get(entity)
                     if not stack:
@@ -639,8 +639,7 @@ def parse_conll_documents(path) -> list[ConllDocument]:
                             f"closing entity {entity} that is not open",
                             path=path, line=lineno,
                         )
-                    order, start = stack.pop()
-                    found.append((order, entity, start, token_no))
+                    found.append((stack.pop(), token_no, entity))
     if doc_id is not None:
         raise FormatError(f"document {doc_id!r} not terminated by #end document", path=path)
     return docs

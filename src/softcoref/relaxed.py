@@ -121,7 +121,10 @@ def b3_soft_grad(q: np.ndarray, gold_of: np.ndarray, sizes: np.ndarray,
 # Relaxed LEA
 # ---------------------------------------------------------------------------
 
-def _lea_forward(q: np.ndarray, gold_of: np.ndarray, sizes: np.ndarray):
+def lea_soft_grad(q: np.ndarray, gold_of: np.ndarray, sizes: np.ndarray,
+                  beta: float = 1.0) -> tuple[float, float, float, np.ndarray]:
+    """(precision, recall, F_beta) of relaxed LEA on raw memberships,
+    plus the gradient of F_beta wrt every q[i, u]."""
     n = q.shape[0]
     num_clusters = len(sizes)
     x = _soft_intersections(q, gold_of, num_clusters)
@@ -137,16 +140,6 @@ def _lea_forward(q: np.ndarray, gold_of: np.ndarray, sizes: np.ndarray):
     inv_links = _guarded_inverse(links)
     resolved = ell_col * inv_links       # per-column resolved-link fraction
     num_p = float((z * resolved).sum())
-    return x, z, ell_col, links, inv_links, resolved, inv_gold_links, num_p, recall
-
-
-def lea_soft_grad(q: np.ndarray, gold_of: np.ndarray, sizes: np.ndarray,
-                  beta: float = 1.0) -> tuple[float, float, float, np.ndarray]:
-    """(precision, recall, F_beta) of relaxed LEA on raw memberships,
-    plus the gradient of F_beta wrt every q[i, u]."""
-    n = q.shape[0]
-    (x, z, ell_col, links, inv_links, resolved, inv_gold_links,
-     num_p, recall) = _lea_forward(q, gold_of, sizes)
 
     a = x[gold_of]
     d_ell = a - q                        # d ell[gold_of(i), u] / d q[i, u]

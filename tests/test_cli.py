@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from softcoref import (Clustering, corpus_report, report_csv,
-                       write_conll_responses)
+from softcoref import (Clustering, SyntheticConfig, TrainConfig, corpus_report,
+                       report_csv, write_conll_responses)
 from softcoref.cli import run
 
 from conftest import conll_lines, nan_gradient_loss, saturated_params
@@ -274,9 +274,10 @@ class TestScore:
         assert cli("score", "--key", key, "--response", resp) == 1
         assert f"error: duplicate document ids in {side} file" in capsys.readouterr().err
 
-    def test_renumbering_by_opening_order(self, tmp_path, capsys):
-        """The response opens the key's spans in another order, so its
-        mention numbers must be mapped through the spans."""
+    def test_stacked_brackets_in_either_order_score_alike(self, tmp_path, capsys):
+        """The response stacks the key's same-token brackets in another
+        order; both files number mentions in span order, so it scores as
+        the key does."""
         key, resp = tmp_path / "key.conll", tmp_path / "resp.conll"
         # key: m1 = (1, 2) and m2 = (1, 1) open at w1; entities {m1}, {m2, m3}
         key.write_text("#begin document (d); part 000\n"
@@ -316,8 +317,8 @@ class TestScore:
         assert capsys.readouterr().out == report_csv(corpus_report(pairs))
 
     def test_renumbering_by_span(self, tmp_path, capsys):
-        """Responses matching the key clusters through different mention
-        numbering still score 1.0 after span alignment."""
+        """A response with the key's spans and grouping under other entity
+        ids scores 1.0."""
         key, resp = tmp_path / "key.conll", tmp_path / "resp.conll"
         key.write_text(
             "#begin document (d); part 000\n"
@@ -416,3 +417,22 @@ class TestUsage:
         import softcoref.cli
         monkeypatch.setattr(softcoref.cli, "__doc__", None)
         assert softcoref.cli._build_parser().description == ""
+
+    def test_defaults_are_the_config_defaults(self):
+        """Every flag that maps to a config field defaults to that field's default."""
+        from softcoref.cli import _PARSER
+        synthetic = SyntheticConfig(num_docs=1)
+        args = _PARSER.parse_args(["generate", "--docs", "1", "--out", "c"])
+        assert ((args.seed, tuple(args.mentions), tuple(args.entities), args.da, args.dp,
+                 args.noise)
+                == (synthetic.seed, synthetic.mentions_per_doc, synthetic.entities_per_doc,
+                    synthetic.d_a, synthetic.d_p, synthetic.noise))
+        training = TrainConfig()
+        args = _PARSER.parse_args(["train", "--corpus", "c", "--out", "m"])
+        assert ((args.loss, args.beta, args.temp, args.lr, args.epochs, args.lam, args.seed,
+                 args.hidden_a, args.hidden_p, args.scale, tuple(args.alphas),
+                 tuple(args.gammas))
+                == (training.loss, training.beta, training.temperature, training.learning_rate,
+                    training.epochs, training.lam, training.seed, training.hidden_a,
+                    training.hidden_p, training.init_scale, training.costs.alphas,
+                    training.costs.gammas))

@@ -68,6 +68,11 @@ class TestClustering:
     def test_from_entity_ids(self):
         assert clusters_from_entity_ids([1, 1, 3, 3]) == Clustering([{1, 2}, {3, 4}])
 
+    def test_iterates_and_prints_sorted_clusters(self):
+        c = Clustering([{3}, {2, 1}])
+        assert list(c) == [frozenset({1, 2}), frozenset({3})]
+        assert repr(c) == "Clustering({{1, 2}, {3}})"
+
     def test_cluster_index_is_read_only(self):
         for c in (Clustering([{1, 3}, {2}]), clusters_from_entity_ids([7, 7, 5]),
                   antecedents_to_clusters([1, 1, 2])):
@@ -212,6 +217,8 @@ class TestDocument:
         (lambda pairs: pairs.pop((1, 3)), r"missing \[\(1, 3\)\]"),
         (lambda pairs: pairs.update({(3, 3): np.zeros(5)}), r"unexpected \[\(3, 3\)\]"),
         (lambda pairs: pairs.update({(4, 5): np.zeros(5)}), r"unexpected \[\(4, 5\)\]"),
+        (lambda pairs: pairs.update(dict.fromkeys(pairs, 0.5)),
+         "not numeric vectors of one length"),
     ])
     def test_from_mentions_rejects_wrong_pair_set(self, change, detail):
         doc = make_document("d", [1, 1, 3])
@@ -288,6 +295,14 @@ class TestSyntheticConfig:
     def test_rejects_zero_dimension(self):
         with pytest.raises(ConfigError):
             SyntheticConfig(num_docs=1, d_a=0)
+
+    def test_rejects_negative_document_count(self):
+        with pytest.raises(ConfigError, match="num_docs must be nonnegative"):
+            SyntheticConfig(num_docs=-1)
+
+    def test_rejects_empty_entity_range(self):
+        with pytest.raises(ConfigError, match=r"empty entities_per_doc range \(3, 2\)"):
+            SyntheticConfig(num_docs=1, entities_per_doc=(3, 2))
 
     def test_rejects_negative_noise(self):
         with pytest.raises(ConfigError):
@@ -413,6 +428,14 @@ class TestCorpusIO:
         path.write_text("")
         assert load_corpus(path) == []
 
+    def test_blank_lines_skipped(self, tmp_path):
+        docs = generate_synthetic(SyntheticConfig(num_docs=2, seed=5))
+        path = tmp_path / "c.jsonl"
+        save_corpus(docs, path)
+        first, second = path.read_text().splitlines()
+        path.write_text(f"\n{first}\n \t\n\n{second}\n  \n")
+        assert load_corpus(path) == docs
+
     def test_malformed_json_reports_line(self, tmp_path):
         docs = generate_synthetic(SyntheticConfig(num_docs=2, seed=5))
         path = tmp_path / "c.jsonl"
@@ -449,6 +472,8 @@ class TestCorpusIO:
         (lambda pairs: pairs.append(dict(pairs[3])), r"given twice for pair \(1, 4\)"),
         (lambda pairs: pairs[3]["features"].pop(), "not numeric vectors of one length"),
         (lambda pairs: pairs[3].update(features=["x"] * len(pairs[3]["features"])),
+         "not numeric vectors of one length"),
+        (lambda pairs: [pair.update(features=0.5) for pair in pairs],
          "not numeric vectors of one length"),
     ])
     def test_malformed_pair_records_report_line(self, tmp_path, change, message):
@@ -610,13 +635,41 @@ class TestConll:
         [(_, clusters)] = self._parse(tmp_path, ["w1\t(0)", "w2\t(1)", "w3\t(0)"])
         assert clusters == Clustering([{1, 3}, {2}])
 
-    def test_nested_spans_numbered_by_opening(self, tmp_path):
+    def test_nested_spans_numbered_by_start_token(self, tmp_path):
         [(_, clusters)] = self._parse(tmp_path, ["w1\t(0", "w2\t(1)", "w3\t0)"])
         assert clusters == Clustering([{1}, {2}])
+
+    def test_same_start_spans_numbered_shorter_first(self, tmp_path):
+        """(1, 3) opens before (1, 1) here, but span order numbers (1, 1) first."""
+        path = tmp_path / "k.conll"
+        path.write_text("#begin document (d1)\nw1\t(0|(1)\nw2\t-\nw3\t0)\nw4\t(1)\n"
+                        "#end document\n")
+        [doc] = parse_conll_documents(path)
+        assert doc.spans == ((1, 1), (1, 3), (4, 4))
+        assert doc.clustering == Clustering([{1, 3}, {2}])
+
+    def test_stacked_brackets_in_either_order_parse_alike(self, tmp_path):
+        """The same spans and entities, with the brackets on w1 stacked in
+        opposite orders, parse to equal documents."""
+        first, second = tmp_path / "a.conll", tmp_path / "b.conll"
+        first.write_text("#begin document (d1)\nw1\t(0|(1)\nw2\t0)\nw3\t(1)\n#end document\n")
+        second.write_text("#begin document (d1)\nw1\t(1)|(0\nw2\t0)\nw3\t(1)\n#end document\n")
+        assert parse_conll_documents(first) == parse_conll_documents(second)
 
     def test_pipe_separated_brackets(self, tmp_path):
         [(_, clusters)] = self._parse(tmp_path, ["w1\t(0|(1)", "w2\t0)"])
         assert clusters == Clustering([{1}, {2}])
+
+    def test_empty_pipe_parts_skipped(self, tmp_path):
+        [(_, clusters)] = self._parse(tmp_path, ["w1\t(0)||", "w2\t|(0)"])
+        assert clusters == Clustering([{1, 2}])
+
+    def test_begin_line_without_parentheses(self, tmp_path):
+        path = tmp_path / "k.conll"
+        path.write_text("#begin document d1; part 000\nw1\t(0)\n#end document\n")
+        [doc] = parse_conll_documents(path)
+        assert doc.doc_id == "d1; part 000"
+        assert doc.clustering == Clustering([{1}])
 
     def test_unbalanced_open_reports_doc_and_line(self, tmp_path):
         with pytest.raises(FormatError) as exc:
@@ -699,10 +752,11 @@ class TestConll:
                     for k, m in zip(slots, sorted((here[k] for k in slots), key=lambda m: -m[1])):
                         here[k] = m
                 order += here
+            mentions = sorted(order)  # the reader numbers mentions in span order
             by_entity: dict[int, list[int]] = {}
-            for number, (_, _, ent) in enumerate(order, start=1):
+            for number, (_, _, ent) in enumerate(mentions, start=1):
                 by_entity.setdefault(ent, []).append(number)
-            expected.append(ConllDocument(f"doc-{d}", tuple((s, e) for s, e, _ in order),
+            expected.append(ConllDocument(f"doc-{d}", tuple((s, e) for s, e, _ in mentions),
                                           Clustering(by_entity.values())))
             for line in conll_lines(f"doc-{d}", n_tokens, order):
                 if line.endswith("\t-") and rng.random() < 0.5:

@@ -100,6 +100,9 @@ FIXTURE_ROWS = [
 
 
 class TestMembership:
+    def test_repr_names_the_class_and_size(self, links3):
+        assert repr(links3) == "LinkDistribution(n=3)"
+
     def test_single_mention(self):
         np.testing.assert_array_equal(
             membership(LinkDistribution(np.array([[1.0]]))).probs, [[1.0]])

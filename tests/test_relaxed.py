@@ -18,8 +18,8 @@ from softcoref import (Clustering, ConfigError, InputError, LinkDistribution,
                        tempered_membership)
 from softcoref.clustering import antecedents_to_clusters
 from softcoref.membership import temper_array, temper_backward
-from softcoref.relaxed import (_f_partials, _lea_forward, b3_soft_grad,
-                               gold_index_arrays, lea_soft_grad)
+from softcoref.relaxed import (GUARD_EPS, _f_partials, b3_soft_grad, gold_index_arrays,
+                               lea_soft_grad)
 
 from conftest import (make_document, peaked_link_distribution, random_clustering,
                       random_link_distribution)
@@ -180,18 +180,23 @@ class TestSoftStatistics:
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 12))
     @settings(max_examples=40, deadline=None)
     def test_closed_form_sums_match_oracle(self, seed, n):
-        """The whole-matrix soft sizes, soft links and soft links inside
-        the gold clusters of _lea_forward equal the per-anchor sums."""
+        """lea_soft_grad's precision and recall equal the LEA formulas built
+        from the per-anchor soft sizes, soft links and soft links inside
+        each gold cluster."""
         rng = np.random.default_rng(seed)
         m = membership(random_link_distribution(rng, n))
         gold = random_clustering(rng, n)
-        gold_of, sizes = gold_index_arrays(gold, n)
-        _, z, ell_col, links, *_ = _lea_forward(m.probs, gold_of, sizes)
-        for u in range(1, n + 1):
-            assert abs(z[u - 1] - soft_size(m, u)) < 1e-12
-            assert abs(links[u - 1] - soft_link(m, u)) < 1e-12
-            inside = sum(soft_link(m, u, restrict=c) for c in gold.sorted_clusters())
-            assert abs(ell_col[u - 1] - inside) < 1e-12
+        anchors = range(1, n + 1)
+        sizes = [soft_size(m, u) for u in anchors]
+        links = [soft_link(m, u) for u in anchors]
+        inside = [[soft_link(m, u, restrict=c) for u in anchors] for c in gold.sorted_clusters()]
+        num_p = sum(z * sum(col) / link
+                    for z, link, col in zip(sizes, links, zip(*inside)) if link > GUARD_EPS)
+        recall = sum(len(c) * sum(row) / (len(c) * (len(c) - 1) / 2)
+                     for c, row in zip(gold.sorted_clusters(), inside) if len(c) > 1) / n
+        p, r, _, _ = lea_soft_grad(m.probs, *gold_index_arrays(gold, n))
+        assert abs(p - num_p / sum(sizes)) < 1e-12
+        assert abs(r - recall) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,7 @@ def _print_report(report: analysis.MetricReport, as_csv: bool) -> None:
 
 
 def _cmd_evaluate(args) -> int:
-    docs = corpus.load_corpus(args.corpus)
+    docs = _load_nonempty(args.corpus)
     params = ModelParams.load(args.model)
     _print_report(analysis.evaluate_corpus(docs, params, beta=args.beta), args.csv)
     return 0

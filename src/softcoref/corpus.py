@@ -289,6 +289,12 @@ class Document:
         of every mention i, the mention itself (a new entity) included."""
         return _read_only(np.tri(self.n, dtype=bool))
 
+    @cached_property
+    def pair_feature_max(self) -> float:
+        """Largest |entry| of ``pair_feature_matrix`` (0 without pairs)."""
+        pairs = self.pair_feature_matrix
+        return float(max(pairs.max(initial=0.0), -pairs.min(initial=0.0)))
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Document)

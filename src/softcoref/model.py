@@ -45,13 +45,25 @@ block, the forward pass computes that block's rows of h_p (GEMM, bias,
 tanh in place) and their h_p @ u_p, and the reverse pass adds the block's
 h_p^T d_pair and fused product into the gradient, through block-sized
 scratch arrays for 1 - h_p^2 and the scaled features.  Training keeps the
-whole h_p (n_pairs x hidden_p) for the reverse pass; ``score_pairs``,
-which serves prediction and evaluation, keeps no pair hidden layer: one
-block-sized buffer serves every block, so its memory does not grow with
-n_pairs x hidden_p.  A document of at most _PAIR_BLOCK pairs is one block
-and makes the numpy calls of an unblocked layer.  Pair scores go into the
-score matrix, and d_pair comes out of its gradient, through the
-document's strict-lower-triangular mask.
+whole h_p (n_pairs x hidden_p) for the reverse pass; ``score_pairs`` and
+prediction keep no pair hidden layer: one block-sized buffer serves every
+block, so their memory does not grow with n_pairs x hidden_p.  A document
+of at most _PAIR_BLOCK pairs is one block and makes the numpy calls of an
+unblocked layer.  Pair scores go into the score matrix, and d_pair comes
+out of its gradient, through the document's strict-lower-triangular mask.
+
+Prediction needs only the order of each row's scores, so
+``predict_antecedents`` runs the pair layer in float32: the weights are
+cast once per call and each block of features into one block-sized
+float32 buffer, so no float32 copy of the pair matrix persists.  The
+mention side and the sums stay float64.  A bound E on the float32 error of
+a pair score, worked out per document from the weights and the largest
+feature, marks the rows whose top-two gap float32 could have decided
+wrongly; those rows are re-scored in float64, so every prediction is a
+float64 argmax.  On the benchmark's trained models E is ~3e-3 (n 8-16,
+hidden 200/700) and ~7e-5 (n 100-200, hidden 24/32), and about one
+document in 46-141 has a row to re-score.  ``score_pairs``, training and
+the gradient checker run in float64 only.
 """
 
 from __future__ import annotations
@@ -254,9 +266,12 @@ def l1_norm(params: ModelParams) -> float:
 _PAIR_BLOCK = 1024
 
 
-def _forward_scores(doc: Document, params: ModelParams, keep_h_p: bool = True
+def _forward_scores(doc: Document, params: ModelParams, keep_h_p: bool = True,
+                    dtype=np.float64
                     ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """(scores, h_a, h_p) of the scorer; h_p is None unless ``keep_h_p``."""
+    """(scores, h_a, h_p) of the scorer; h_p is None unless ``keep_h_p``.
+    The pair layer runs in ``dtype`` (see ``_pair_forward``); everything
+    else, and the scores, in float64."""
     if doc.d_a != params.d_a:
         raise InputError(
             f"document {doc.id}: mention feature dim {doc.d_a} != model d_a {params.d_a}"
@@ -266,7 +281,7 @@ def _forward_scores(doc: Document, params: ModelParams, keep_h_p: bool = True
             f"document {doc.id}: pair feature dim {doc.d_p} != model d_p {params.d_p}"
         )
     h_a = _hidden(doc.mention_feature_matrix, params.w_a, params.b_a)
-    pair_scores, h_p = _pair_forward(doc.pair_feature_matrix, params, keep_h_p)
+    pair_scores, h_p = _pair_forward(doc.pair_feature_matrix, params, keep_h_p, dtype)
     pair_scores += (h_a @ params.u[:params.hidden_a])[doc.tril_pairs[0]]
     pair_scores += params.u_0
     scores = np.zeros((doc.n, doc.n))
@@ -283,21 +298,36 @@ def _hidden(phi: np.ndarray, w: np.ndarray, b: np.ndarray,
     return np.tanh(h, out=h)
 
 
-def _pair_forward(phi_p: np.ndarray, params: ModelParams,
-                  keep_h_p: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
+def _pair_forward(phi_p: np.ndarray, params: ModelParams, keep_h_p: bool,
+                  dtype=np.float64) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """The pair half h_p @ u_p of every pair's score, one block of rows at
     a time, and h_p itself when ``keep_h_p``; otherwise one block-sized
-    buffer serves every block and no n_pairs x hidden_p array is made."""
-    n_pairs = len(phi_p)
-    u_p = params.u[params.hidden_a:]
-    h_p = np.empty((n_pairs if keep_h_p else min(n_pairs, _PAIR_BLOCK), params.hidden_p))
-    pair_scores = np.empty(n_pairs)
+    buffer serves every block and no n_pairs x hidden_p array is made.
+
+    With ``dtype`` float32, ``[w_p | b_p]`` and u_p are cast once, each
+    block of ``phi_p`` is cast into one block-sized buffer whose last
+    column is ones, so that one GEMM adds the bias too, and the pair scores
+    come back as float64.  The caller makes sure that every value fits
+    float32."""
+    n_pairs, rows = len(phi_p), min(len(phi_p), _PAIR_BLOCK)
+    u_p = params.u[params.hidden_a:].astype(dtype, copy=False)
+    h_p = np.empty((n_pairs if keep_h_p else rows, params.hidden_p), dtype)
+    pair_scores = np.empty(n_pairs, dtype)
+    cast = np.dtype(dtype) != phi_p.dtype
+    if cast:
+        w_b = np.hstack([params.w_p, params.b_p[:, None]]).astype(dtype).T
+        phi = np.ones((rows, params.d_p + 1), dtype)
     for start in range(0, n_pairs, _PAIR_BLOCK):
         stop = min(start + _PAIR_BLOCK, n_pairs)
         h = h_p[start:stop] if keep_h_p else h_p[:stop - start]
-        _hidden(phi_p[start:stop], params.w_p, params.b_p, out=h)
+        if cast:
+            x = phi[:stop - start]
+            x[:, :-1] = phi_p[start:stop]
+            np.tanh(np.matmul(x, w_b, out=h), out=h)
+        else:
+            _hidden(phi_p[start:stop], params.w_p, params.b_p, out=h)
         np.matmul(h, u_p, out=pair_scores[start:stop])
-    return pair_scores, (h_p if keep_h_p else None)
+    return pair_scores.astype(np.float64, copy=False), (h_p if keep_h_p else None)
 
 
 def score_pairs(doc: Document, params: ModelParams) -> np.ndarray:
@@ -315,10 +345,110 @@ def link_probabilities(scores: np.ndarray) -> LinkDistribution:
     return LinkDistribution(masked_softmax(scores, np.tri(len(scores), dtype=bool)))
 
 
+# Prediction screens with a float32 pair layer (predict_antecedents).  Unit
+# roundoffs, the bound on numpy's tanh error in units of them (numpy's own
+# accuracy tests allow 2 ulps in float32 and float64; |tanh| < 1, so an ulp
+# is at most one unit), the largest error a subnormal result or cast adds
+# to one float32 operation (2^-150, taken as 2^-148 to absorb the (1 + u)
+# factors), and the magnitude below which every float32 value and partial
+# sum of the layer must stay (float32 overflows at 2^128).
+_F32_UNIT, _F64_UNIT = 2.0 ** -24, 2.0 ** -53
+_TANH_ULPS = 4.0
+_F32_TINY = 2.0 ** -148
+_F32_LIMIT = 2.0 ** 120
+
+
+def _gamma(m: int, unit: float) -> float:
+    """gamma_m = m u / (1 - m u), the relative error bound of m roundings."""
+    return m * unit / (1.0 - m * unit)
+
+
+def _near_tie_gap(doc: Document, params: ModelParams) -> Optional[float]:
+    """The top-two score gap at or below which ``predict_antecedents``
+    re-scores a row in float64, or None when the float32 pair layer is not
+    used on ``doc``: no pairs, a value or partial sum that float32 cannot
+    hold, or a bound that is not finite.  See ``predict_antecedents``."""
+    if doc.n < 2:
+        return None
+    phi, d, hidden = doc.pair_feature_max, params.d_p, params.hidden_p
+    abs_u = np.abs(params.u)
+    abs_u_p = abs_u[params.hidden_a:]
+    abs_w = np.abs(params.w_p)
+    # reach[k] = max(phi, 1) ||w_k||_1 + |b_k| bounds |w_k|, |b_k| and every
+    # partial sum of the GEMM that adds the bias; ||u_p||_1 bounds those of h_p u_p
+    reach = abs_w @ np.full(d, max(phi, 1.0))
+    reach += np.abs(params.b_p)
+    u_l1 = float(abs_u_p.sum())
+    if not max(phi, reach.max(initial=0.0), u_l1) < _F32_LIMIT:
+        return None
+    lin = float(abs_u_p @ reach)
+    error = _F32_TINY * (lin + u_l1 * (d * (phi + 1.0) + 2.0) + 2.0 * hidden + 2.0)
+    for unit in (_F32_UNIT, _F64_UNIT):
+        error += _gamma(d + 3, unit) * lin + (_TANH_ULPS * unit + _gamma(hidden + 2, unit)) * u_l1
+    gap = 2.0 * (error + 2.0 ** -48 * (float(abs_u.sum()) + abs(params.u_0))) + 2.0 ** -44
+    return gap if math.isfinite(gap) else None
+
+
 def predict_antecedents(doc: Document, params: ModelParams) -> tuple[int, ...]:
     """Most probable antecedent per mention under the model, ties to the
-    smallest index: ``decode_argmax(link_probabilities(scores))`` without
-    the score check and the checked copy that a LinkDistribution makes."""
+    smallest index: ``decode_argmax(link_probabilities(score_pairs(doc,
+    params)))``, decided without its score check and checked copy, and
+    with a float32 pair layer screening the float64 scores.
+
+    Only the order of a row's scores decides its prediction.  So the pair
+    layer (``_pair_forward``) runs in float32, and the mention side, the
+    sums and the self-link scores stay float64.  For every pair, the
+    float32 pair score h_p . u_p is within E of the float64 one, with
+    gamma_m = m u / (1 - m u), u = 2^-24 (float32) or 2^-53 (float64),
+    c = 4 ulps a bound on numpy's tanh error, and phi the larger of 1 and
+    the largest |pair feature| of the document:
+
+        E = sum over u of [ gamma_{d_p+3} sum_k |u_p,k| (phi ||w_p,k||_1 + |b_p,k|)
+                            + (c u + gamma_{hidden_p+2}) ||u_p||_1 ]  + subnormal terms
+
+    (gamma_{d_p+3}: the casts of phi and [w_p | b_p] and the sum of d_p + 1
+    products that adds the bias; tanh is 1-Lipschitz; |h_p| <= 1 in the
+    output sum; the subnormal terms are 2^-148 per operation and vanish
+    unless some operand is below 2^-126).  A row whose float32 top-two gap
+    exceeds
+
+        2 (E + 2^-48 (||u||_1 + |u_0|)) + 2^-44
+
+    has the same strict winner in float64 (the 2^-48 term covers the
+    float64 sums of the two paths), by a float64 gap above 2^-44, and the
+    float64 row softmax keeps that winner strictly ahead.  Every other row
+    is re-scored in float64 by ``_pair_forward`` on its own contiguous
+    pairs (``tril_pairs`` positions i(i-1)/2 .. i(i+1)/2 - 1 for 0-based
+    row i) and decided by the row softmax.  A document without pairs, or
+    whose features or weights do not fit float32 or give a bound that is
+    not finite, is scored wholly in float64, and so is a document with
+    more than a quarter of its rows to re-score.
+
+    On the benchmark's trained models (seeds 1-10) E is 2.6e-3 to 4.0e-3
+    at n 8-16, hidden 200/700 and 2.3e-5 to 8.6e-5 at n 100-200, hidden
+    24/32, and one document in 46-141 has one row to re-score (README,
+    "Performance notes").
+    """
+    gap = _near_tie_gap(doc, params)
+    if gap is not None:
+        scores, h_a, _ = _forward_scores(doc, params, keep_h_p=False, dtype=np.float32)
+        masked = np.where(doc.candidate_mask, scores, -np.inf)
+        rows = np.arange(doc.n)
+        best = masked.argmax(axis=1)
+        top = masked[rows, best]
+        masked[rows, best] = -np.inf
+        near = np.flatnonzero(top - masked.max(axis=1) <= gap).tolist()
+        if 4 * len(near) <= doc.n:  # else (a saturated model) one float64 pass instead
+            mention_part = h_a @ params.u[:params.hidden_a] if near else None
+            for i in near:
+                start = i * (i - 1) // 2
+                row = scores[i].copy()
+                row[:i] = _pair_forward(doc.pair_feature_matrix[start:start + i], params,
+                                        False)[0]
+                row[:i] += mention_part[i]
+                row[:i] += params.u_0
+                best[i] = np.argmax(masked_softmax(row[None], doc.candidate_mask[i][None]))
+            return tuple((best + 1).tolist())
     probs = masked_softmax(score_pairs(doc, params), doc.candidate_mask)
     return tuple((np.argmax(probs, axis=1) + 1).tolist())
 

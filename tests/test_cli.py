@@ -6,8 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from softcoref import (Clustering, SyntheticConfig, TrainConfig, corpus_report,
-                       report_csv, write_conll_responses)
+from softcoref import (Clustering, ModelParams, SyntheticConfig, TrainConfig,
+                       antecedents_to_clusters, corpus_report, decode_argmax,
+                       format_report, link_probabilities, load_corpus, report_csv,
+                       score_pairs, write_conll_responses)
 from softcoref.cli import run
 
 from conftest import conll_lines, nan_gradient_loss, saturated_params
@@ -211,6 +213,29 @@ class TestEvaluate:
 
     def test_corpus_is_not_a_model_exit_1(self, tiny_corpus):
         assert cli("evaluate", "--corpus", tiny_corpus, "--model", tiny_corpus) == 1
+
+    def test_empty_corpus_exit_1(self, tmp_path, tiny_model, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        assert cli("evaluate", "--corpus", empty, "--model", tiny_model) == 1
+        assert capsys.readouterr().err == f"error: {empty}: empty corpus\n"
+
+    def test_weight_beyond_float32_scores_in_float64(self, tmp_path, tiny_corpus,
+                                                     tiny_model, capsys):
+        """A pair weight of 1e39 is a finite JSON number that the model
+        loader accepts and float32 cannot hold: the report is the float64
+        decoding's, with no overflow warning (which fails the test)."""
+        record = json.loads(tiny_model.read_text())
+        record["w_p"][0] = 1e39
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(record))
+        params, docs = ModelParams.load(big), load_corpus(tiny_corpus)
+        decoded = [decode_argmax(link_probabilities(score_pairs(doc, params))) for doc in docs]
+        expected = format_report(corpus_report(
+            [(doc.gold_clusters, antecedents_to_clusters(ants))
+             for doc, ants in zip(docs, decoded)])) + "\n"
+        assert cli("evaluate", "--corpus", tiny_corpus, "--model", big) == 0
+        assert capsys.readouterr().out == expected
 
     @pytest.mark.parametrize("beta", ["nan", "inf", "0"])
     def test_bad_beta_exit_1(self, tiny_corpus, tiny_model, beta, capsys):

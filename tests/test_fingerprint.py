@@ -1,0 +1,43 @@
+"""scripts/fingerprint.py: the same process fingerprints the same run
+identically, and --against reports drift per artifact."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def fingerprint():
+    spec = importlib.util.spec_from_file_location("fingerprint",
+                                                  ROOT / "scripts" / "fingerprint.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SMALL = dict(short_docs=(4, 2, 6), long_docs=(1, 1, 2), epochs=1)
+
+
+def test_two_runs_in_one_process_are_identical(fingerprint):
+    first, second = fingerprint.fingerprint(**SMALL), fingerprint.fingerprint(**SMALL)
+    assert json.dumps(first) == json.dumps(second)
+    assert sorted(first) == sorted(
+        [f"{kind}/{loss}" for kind in ("params", "history")
+         for loss in ("mr-heuristic", "ec-heuristic", "b3", "lea")]
+        + ["predict/long", "predict/short"])
+    assert all(fingerprint.drift(name, value, second[name]) == "identical"
+               for name, value in first.items())
+
+
+def test_drift_names_what_moved(fingerprint):
+    assert fingerprint.drift("params/b3", [1.0, 2.0], [1.0, 2.5]) == (
+        "largest drift 5.000e-01 (largest |value| 2.500e+00)")
+    old = "epoch,loss\n1,0.5\n2,nan\n"
+    assert fingerprint.drift("history/lea", "epoch,loss\n1,0.25\n2,nan\n", old) == (
+        "largest drift 2.500e-01 (largest |value| 2.000e+00)")
+    assert fingerprint.drift("predict/long", [[1, 1, 2], [1]], [[1, 1, 1], [1]]) == (
+        "1 of 4 antecedents differ")

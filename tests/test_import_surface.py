@@ -24,7 +24,7 @@ def resolves(module: str, name: str) -> bool:
 
 
 @pytest.mark.parametrize("script", ["perfbench/pipeline.py", "perfbench/spans.py",
-                                    "scripts/run_trend.py"])
+                                    "scripts/run_trend.py", "scripts/fingerprint.py"])
 def test_softcoref_imports_resolve(script):
     tree = ast.parse((ROOT / script).read_text(encoding="utf-8"))
     imported = [(node.module, alias.name) for node in ast.walk(tree)

@@ -8,6 +8,7 @@ in-test recomputations that share no code with the implementation.
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from softcoref import (Clustering, ConfigError, CostConfig, Document,
                        FormatError, InputError, LOSS_KINDS, Mention,
-                       ModelParams, document_loss, document_loss_and_grad,
+                       ModelParams, decode_argmax, document_loss, document_loss_and_grad,
                        grad_check, l1_norm, link_probabilities, predict_antecedents,
                        relaxed_b3, relaxed_lea, score_pairs,
                        validate_antecedent_vector)
@@ -596,6 +597,122 @@ class TestPairBlocks:
         params = ModelParams.random(4, 5, hidden_a=24, hidden_p=32, seed=200)
         assert len(doc.pair_feature_matrix) > 2 * model._PAIR_BLOCK
         assert grad_check(doc, params, kind, temperature=0.5, max_coords=12) < 1e-5
+
+
+def singleton_document(n: int, d_p: int, seed: int, pair_features=None) -> Document:
+    """n singleton mentions with N(0, 1) features (d_a 4), built straight
+    from a pair matrix so that long documents are cheap."""
+    rng = np.random.default_rng(seed)
+    mentions = [Mention(i, "proper", i, rng.normal(size=4)) for i in range(1, n + 1)]
+    if pair_features is None:
+        pair_features = rng.normal(size=(n * (n - 1) // 2, d_p))
+    return Document("doc", mentions, pair_features)
+
+
+def float64_slack(doc: Document, params: ModelParams) -> float:
+    """A generous bound on how far two float64 evaluations of one score
+    (the same sums in other orders) can differ."""
+    reach = (doc.pair_feature_max * np.abs(params.w_p).sum(axis=1).max(initial=0.0)
+             + np.abs(params.b_p).max(initial=0.0))
+    return 1e-12 * (1.0 + reach) * (1.0 + np.abs(params.u).sum() + abs(params.u_0))
+
+
+def float64_decoding(doc: Document, params: ModelParams) -> tuple[int, ...]:
+    return decode_argmax(link_probabilities(score_pairs(doc, params)))
+
+
+class TestFloat32Screen:
+    """predict_antecedents screens with a float32 pair layer and decides
+    every near tie in float64."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 200), hidden_a=st.integers(1, 24), hidden_p=st.integers(1, 32),
+           log_scale=st.floats(0.0, 3.0), seed=st.integers(0, 2 ** 16))
+    def test_predictions_are_float64_argmaxes(self, n, hidden_a, hidden_p, log_scale, seed):
+        doc = singleton_document(n, 5, seed)
+        params = ModelParams.random(4, 5, hidden_a, hidden_p, scale=10.0 ** log_scale,
+                                    seed=seed)
+        scores = score_pairs(doc, params)
+        predicted = np.array(predict_antecedents(doc, params)) - 1
+        slack = float64_slack(doc, params)
+        masked = np.where(doc.candidate_mask, scores, -np.inf)
+        rows = np.arange(n)
+        assert np.all(masked[rows, predicted] >= masked.max(axis=1) - slack)
+        top_two = -np.sort(-masked, axis=1)[:, :2]
+        clear = top_two[:, 0] - top_two[:, 1] > slack
+        expected = np.array(float64_decoding(doc, params)) - 1
+        np.testing.assert_array_equal(predicted[clear], expected[clear])
+        gap = model._near_tie_gap(doc, params)
+        if gap is not None:  # the bound E holds for every pair score
+            screened = model._forward_scores(doc, params, False, np.float32)[0]
+            assert np.abs(screened - scores).max() <= (gap - 2.0 ** -44) / 2
+
+    def test_near_tie_is_decided_in_float64(self):
+        """Mention 3's two antecedents have pair features 2^-40 apart: equal
+        in float32, so the screened scores tie and the smaller index would
+        win, while float64 ranks mention 2 first."""
+        n = 8
+        rows, cols = np.tril_indices(n, k=-1)
+        features = (0.1 * cols + 0.01 * rows)[:, None]  # row by row, latest wins by ~0.1
+        features[1:3, 0] = 0.5, 0.5 + 2.0 ** -40        # pairs (1, 3) and (2, 3)
+        doc = singleton_document(n, 1, seed=0, pair_features=features)
+        params = ModelParams(w_a=[[0.0] * 4], b_a=[0.0], w_p=[[1.0]], b_p=[0.0],
+                             u=[0.0, 1.0], u_0=0.0, v=[0.0], v_0=-5.0)
+        screened = model._forward_scores(doc, params, False, np.float32)[0]
+        assert screened[2, 0] == screened[2, 1]
+        scores = score_pairs(doc, params)
+        assert scores[2, 1] > scores[2, 0]
+        predicted = predict_antecedents(doc, params)
+        assert predicted[2] == 2
+        assert predicted == float64_decoding(doc, params) == (1, 1, 2, 3, 4, 5, 6, 7)
+
+    @pytest.mark.parametrize("where", ["w_p", "b_p", "u_p", "w_p and features"])
+    def test_values_beyond_float32_are_scored_in_float64(self, where, tmp_path):
+        """A weight of 1e39 (finite in float64, beyond float32's 3.4e38), or
+        weights and features that fit float32 but whose products do not."""
+        doc = long_document(12, seed=4)
+        params = ModelParams.random(4, 5, hidden_a=3, hidden_p=6, seed=4)
+        if where == "w_p":
+            params.w_p[2, 1] = 1e39
+        elif where == "b_p":
+            params.b_p[0] = -1e39
+        elif where == "u_p":
+            params.u[-1] = 1e39
+        else:
+            params.w_p[...] = 1e20
+            features = doc.pair_feature_matrix.copy()
+            features[5, 3] = 1e20
+            doc = Document(doc.id, doc.mentions, features)
+        path = tmp_path / "model.json"
+        params.save(path)
+        params = ModelParams.load(path)
+        assert model._near_tie_gap(doc, params) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert predict_antecedents(doc, params) == float64_decoding(doc, params)
+
+    def test_stated_tanh_error_bound_holds(self):
+        """The bound takes numpy's float32 tanh to within _TANH_ULPS units of
+        2^-24 of the exact value (float64 tanh stands in for it)."""
+        rng = np.random.default_rng(0)
+        x = np.concatenate([rng.normal(scale=s, size=200_000) for s in (1e-3, 0.3, 1.0, 4.0)])
+        x = x.astype(np.float32)
+        error = np.abs(np.tanh(x).astype(np.float64) - np.tanh(x.astype(np.float64)))
+        assert error.max() <= model._TANH_ULPS * model._F32_UNIT
+
+    def test_predict_peak_is_below_a_pair_layer(self):
+        doc = long_document(200, seed=9)
+        params = ModelParams.random(4, 5, hidden_a=20, hidden_p=200, seed=9)
+        predict_antecedents(doc, params)  # fill the document's cached arrays
+        assert model._near_tie_gap(doc, params) is not None
+        pair_layer_bytes = len(doc.pair_feature_matrix) * params.hidden_p * 8
+        tracemalloc.start()
+        try:
+            predict_antecedents(doc, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < pair_layer_bytes / 4, (peak, pair_layer_bytes)
 
 
 class TestDispatcherAndGradients:

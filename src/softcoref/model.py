@@ -421,8 +421,7 @@ def predict_antecedents(doc: Document, params: ModelParams) -> tuple[int, ...]:
     pairs (``tril_pairs`` positions i(i-1)/2 .. i(i+1)/2 - 1 for 0-based
     row i) and decided by the row softmax.  A document without pairs, or
     whose features or weights do not fit float32 or give a bound that is
-    not finite, is scored wholly in float64, and so is a document with
-    more than a quarter of its rows to re-score.
+    not finite, is scored wholly in float64.
 
     On the benchmark's trained models (seeds 1-10) E is 2.6e-3 to 4.0e-3
     at n 8-16, hidden 200/700 and 2.3e-5 to 8.6e-5 at n 100-200, hidden
@@ -438,17 +437,16 @@ def predict_antecedents(doc: Document, params: ModelParams) -> tuple[int, ...]:
         top = masked[rows, best]
         masked[rows, best] = -np.inf
         near = np.flatnonzero(top - masked.max(axis=1) <= gap).tolist()
-        if 4 * len(near) <= doc.n:  # else (a saturated model) one float64 pass instead
-            mention_part = h_a @ params.u[:params.hidden_a] if near else None
-            for i in near:
-                start = i * (i - 1) // 2
-                row = scores[i].copy()
-                row[:i] = _pair_forward(doc.pair_feature_matrix[start:start + i], params,
-                                        False)[0]
-                row[:i] += mention_part[i]
-                row[:i] += params.u_0
-                best[i] = np.argmax(masked_softmax(row[None], doc.candidate_mask[i][None]))
-            return tuple((best + 1).tolist())
+        mention_part = h_a @ params.u[:params.hidden_a] if near else None
+        for i in near:
+            start = i * (i - 1) // 2
+            row = scores[i].copy()
+            row[:i] = _pair_forward(doc.pair_feature_matrix[start:start + i], params,
+                                    False)[0]
+            row[:i] += mention_part[i]
+            row[:i] += params.u_0
+            best[i] = np.argmax(masked_softmax(row[None], doc.candidate_mask[i][None]))
+        return tuple((best + 1).tolist())
     probs = masked_softmax(score_pairs(doc, params), doc.candidate_mask)
     return tuple((np.argmax(probs, axis=1) + 1).tolist())
 

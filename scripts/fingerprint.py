@@ -8,7 +8,11 @@ Records, as SHA-1 digests and as the raw values behind them:
     epoch) and the bytes of that run's ``history.to_csv()``;
   * the ``predict_antecedents`` tuples of a test corpus at short-document
     sizes (n 8-16, hidden 200/700) and at long-document sizes (n 100-200,
-    hidden 24/32), each under a model trained at those sizes.
+    hidden 24/32), each under a model trained at those sizes;
+  * the exit code (or the exception raised), stdout and stderr of
+    ``softcoref score --csv`` on seeded CoNLL key/response files (nested,
+    same-start and crossing spans, brackets stacked in either order, LF or
+    CRLF lines, tab or space columns) and on a few malformed ones.
 
 ``--against OLD.json`` compares a run with an earlier one and prints, for
 each artifact, "identical" or its largest drift.  softcoref is imported
@@ -26,12 +30,15 @@ every artifact is identical (or nothing was compared), 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import math
+import random
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -69,6 +76,103 @@ def fingerprint(short_docs=(40, 20, 600), long_docs=(4, 4, 60), epochs=3) -> dic
     return artifacts
 
 
+def _conll_block(rng: random.Random, doc_id: str, n_tokens: int, mentions, newline: str) -> str:
+    """One CoNLL block; ``mentions`` are (start, end, entity).  Brackets on a
+    token are stacked in random order, columns split by tabs or spaces."""
+    tags: dict[int, list[str]] = {}
+    for start, end, entity in mentions:
+        if start == end:
+            tags.setdefault(start, []).append(f"({entity})")
+        else:
+            tags.setdefault(start, []).append(f"({entity}")
+            tags.setdefault(end, []).append(f"{entity})")
+    sep = rng.choice(["\t", " ", "  "])
+    lines = [f"#begin document ({doc_id}); part 000"]
+    for t in range(1, n_tokens + 1):
+        here = tags.get(t, [])
+        rng.shuffle(here)
+        # one entity's brackets match last-open-first: its closes go before its opens
+        here.sort(key=lambda tag: tag[0] == "(")
+        lines.append(sep.join([doc_id, "0", str(t - 1), f"w{t}", "|".join(here) or "-"]))
+    return newline.join(lines + ["#end document"]) + newline
+
+
+def _spans(rng: random.Random, n_tokens: int) -> list[tuple[int, int]]:
+    """Distinct spans, nested, crossing or sharing a start."""
+    spans = {(s, min(n_tokens, s + rng.randrange(4)))
+             for s in (rng.randint(1, n_tokens) for _ in range(rng.randrange(2 * n_tokens)))}
+    return sorted(spans)
+
+
+def _entities(rng: random.Random, spans, k: int) -> list[int]:
+    """An entity per span out of k, with a fresh one wherever a span would
+    cross another of its entity."""
+    labels = []
+    for n, (start, end) in enumerate(spans):
+        entity = rng.randrange(k)
+        if any(e == entity and (s < start <= t < end or start < s <= end < t)
+               for (s, t), e in zip(spans, labels)):
+            entity = k + n
+        labels.append(entity)
+    return labels
+
+
+def _score_files(seed: int, count: int) -> list[tuple[str, str, str]]:
+    """(name, key text, response text) of ``count`` seeded pairs and of the
+    malformed cases."""
+    rng = random.Random(seed)
+    cases = []
+    for n in range(count):
+        newline = rng.choice(["\n", "\r\n"])
+        files = ["", ""]  # key, response: the same spans, each with its own entities
+        for d in range(rng.randint(1, 4)):
+            n_tokens = rng.randint(1, 40)
+            spans = _spans(rng, n_tokens)
+            k = rng.randint(1, 6)
+            for side in (0, 1):
+                mentions = [(s, e, lab) for (s, e), lab in zip(spans, _entities(rng, spans, k))]
+                files[side] += _conll_block(rng, f"doc-{d}", n_tokens, mentions, newline)
+        cases.append((f"pair-{n}", *files))
+    good = "#begin document (d)\nw1\t(0\nw2\t(1)\nw3\t0)\n#end document\n"
+    filler = "w\t-\n" * 3000  # pushes what follows past 8 KiB
+    for name, bad in [
+            ("tag-not-an-id", good.replace("(1)", "(x)")),
+            ("left-open", good.replace("0)", "-")),
+            ("close-not-open", good.replace("(0", "-")),
+            ("no-end", good.replace("#end document\n", "")),
+            ("end-without-begin", "#end document\n" + good),
+            ("duplicate-span", good.replace("(1)", "(1)|(2)|(1)")),
+            ("spans-differ", good.replace("(1)", "-")),
+            ("id-2**63", good.replace("(1)", "(9223372036854775808)")),
+            ("id-5000-digits", good.replace("(1)", "(" + "1" * 5000 + ")")),
+            ("id-leading-zeros", good.replace("(1)", "(" + "0" * 30 + "1)")),
+            ("not-utf8", good.replace("w2", "w\udcff2")),
+            ("not-utf8-after-8-kib", good.replace("(1)", "(x)") + filler + "\udcff\n")]:
+        cases.append((name, good, bad))
+    return cases
+
+
+def score_runs(seed: int = 0, count: int = 24) -> list:
+    """[name, exit code or exception, stdout, stderr] of ``softcoref score
+    --csv`` on every pair of ``_score_files``, the directory's path masked."""
+    from softcoref.cli import run
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        key, response = Path(tmp) / "key.conll", Path(tmp) / "response.conll"
+        for name, key_text, response_text in _score_files(seed, count):
+            key.write_bytes(key_text.encode("utf-8", "surrogateescape"))
+            response.write_bytes(response_text.encode("utf-8", "surrogateescape"))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = run(["score", "--key", str(key), "--response", str(response), "--csv"])
+                except Exception as exc:  # noqa: BLE001 - an escaped exception is the outcome
+                    code = f"raised {type(exc).__name__}"
+            runs.append([name, code] + [stream.getvalue().replace(tmp, "<dir>")
+                                        for stream in (out, err)])
+    return runs
+
+
 def digest(value) -> str:
     text = value if isinstance(value, str) else json.dumps(value)
     return hashlib.sha1(text.encode("utf-8")).hexdigest()
@@ -86,6 +190,11 @@ def drift(name: str, new, old) -> str:
     """"identical", or how far ``new`` is from ``old``."""
     if digest(new) == digest(old):
         return "identical"
+    if name.startswith("score/"):
+        if [run[0] for run in new] != [run[0] for run in old]:
+            return "different cases"
+        changed = [a[0] for a, b in zip(new, old) if a != b]
+        return f"{len(changed)} of {len(new)} runs differ: {', '.join(changed)}"
     if name.startswith("predict/"):
         if [len(doc) for doc in new] != [len(doc) for doc in old]:
             return "different documents"
@@ -111,7 +220,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(Path(args.src).resolve()))
     import softcoref
     print(f"softcoref from {Path(softcoref.__file__).parent}")
-    artifacts = fingerprint()
+    artifacts = {**fingerprint(), "score/csv": score_runs()}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump({"artifacts": artifacts}, fh)

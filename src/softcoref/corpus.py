@@ -16,8 +16,9 @@ any order; in memory a document holds them as one matrix (see
 
 Key files use a minimal CoNLL skeleton: ``#begin document (<id>)`` /
 ``#end document`` blocks whose last whitespace-separated column carries
-coreference brackets ``(e``, ``e)``, ``(e)``, possibly ``|``-separated.
-All other columns are ignored.
+coreference brackets ``(e``, ``e)``, ``(e)``, possibly ``|``-separated,
+where ``e`` is a decimal entity id below 2**63.  All other columns are
+ignored.
 """
 
 from __future__ import annotations
@@ -561,20 +562,175 @@ class ConllDocument:
     clustering: Clustering
 
 
-def _conll_document(doc_id: str, found: list, open_stacks: dict) -> ConllDocument:
-    """Close one document: number its mentions in span order (start token,
-    then end token) and group them by entity id.  Raises ValueError for an
-    entity left open or a span tagged twice."""
-    for entity, stack in open_stacks.items():
-        if stack:
-            raise ValueError(
-                f"unbalanced brackets in document {doc_id!r}: entity {entity} left open")
-    found.sort()
-    starts, ends, entities = zip(*found) if found else ((),) * 3
-    spans = tuple(zip(starts, ends))
-    if len(set(spans)) != len(spans):
-        raise ValueError(f"duplicate mention span in document {doc_id!r}")
-    return ConllDocument(doc_id, spans, clusters_from_entity_ids(entities))
+# The code points above ASCII that str.split() takes for whitespace; the
+# ASCII ones are 9-13 and 28-32.
+_WIDE_SPACES = np.array([0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029,
+                         0x202F, 0x205F, 0x3000], dtype=np.uint32)
+_POW10 = 10 ** np.arange(19, dtype=np.uint64)  # every power of ten below 2**63
+_NEWLINE, _HASH, _OPEN, _CLOSE, _BAR, _DASH, _UNDERSCORE, _ZERO, _NINE = map(ord, "\n#()|-_09")
+
+
+def _conll_text(path) -> tuple[str, np.ndarray]:
+    """The whole file as text (decoded before any line is parsed) and its
+    code points: uint8 for ASCII text, uint32 otherwise."""
+    with _utf8_text(path) as fh:
+        text = fh.read()
+    if text.isascii():
+        return text, np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    return text, np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
+
+
+def _line_bounds(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end offsets of every line, its newline excluded."""
+    end = np.flatnonzero(codes == _NEWLINE)
+    if len(codes) and codes[-1] != _NEWLINE:
+        end = np.append(end, len(codes))
+    start = np.zeros_like(end)
+    start[1:] = end[:-1] + 1
+    return start, end
+
+
+def _begin_document_id(line: str) -> str:
+    rest = line[len("#begin document"):].strip()
+    if rest.startswith("("):
+        close = rest.find(")")
+        return rest[1:close] if close != -1 else rest[1:]
+    return rest
+
+
+def _conll_blocks(text: str, codes: np.ndarray, line_start: np.ndarray, line_end: np.ndarray):
+    """The documents that the '#begin document' / '#end document' lines
+    delimit, up to the first such line that is out of place.
+
+    Returns the document ids; the index of each document's #begin line and
+    of the line where it stops; how many documents an #end line closes
+    (the last one stops where reading stopped otherwise); and the error, as
+    ``(line index, message)`` with the line count for the end of the file,
+    or None.
+    """
+    doc_ids, begin, stop, error = [], [], [], None
+    marked = np.flatnonzero(codes[line_start] == _HASH)
+    for k, a, b in zip(marked.tolist(), line_start[marked].tolist(), line_end[marked].tolist()):
+        line = text[a:b]
+        if line.startswith("#begin document"):
+            if len(stop) < len(begin):
+                error = (k, f"document {doc_ids[-1]!r} not terminated by #end document")
+                break
+            begin.append(k)
+            doc_ids.append(_begin_document_id(line))
+        elif line.startswith("#end document"):
+            if len(stop) == len(begin):
+                error = (k, "#end document without #begin")
+                break
+            stop.append(k)
+    closed = len(stop)
+    if closed < len(begin):
+        if error is None:
+            error = (len(line_start), f"document {doc_ids[-1]!r} not terminated by #end document")
+        stop.append(error[0])
+    return doc_ids, np.array(begin, dtype=np.int64), np.array(stop, dtype=np.int64), closed, error
+
+
+def _last_fields(codes: np.ndarray, line_start: np.ndarray,
+                 line_end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end offsets of the last whitespace-separated field of every
+    line, as ``str.rsplit(None, 1)`` finds it; -1 for a blank line."""
+    space = np.ones(len(codes) + 2, dtype=bool)  # one space of padding on either side
+    space[1:-1] = (codes <= 32) & ((codes >= 28) | (codes - 9 <= 4))
+    if codes.dtype != np.uint8:
+        space[1:-1] |= np.isin(codes, _WIDE_SPACES)
+    edges = np.flatnonzero(space[1:] != space[:-1])  # field k is codes[edges[2k]:edges[2k + 1]]
+    del space
+    # a line ends on whitespace, so an even number of edges precede its end
+    last = np.searchsorted(edges, line_end, side="right") - 2
+    blank = (last < 0) | (edges[last] < line_start)  # no field, or only earlier lines'
+    return np.where(blank, -1, edges[last]), np.where(blank, -1, edges[last + 1])
+
+
+def _tag_fields(codes: np.ndarray, line_start: np.ndarray, line_end: np.ndarray,
+                begin: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The last fields of the token lines (the nonblank lines strictly
+    inside a document) that hold a tag, not '-' or '_'.  Per field: the
+    index of its line, its document, its token number in the document
+    (from 1), and its start and end offsets."""
+    field_start, field_end = _last_fields(codes, line_start, line_end)
+    line = np.flatnonzero(field_start >= 0)
+    doc = np.searchsorted(begin, line, side="right") - 1
+    inside = (doc >= 0) & (line > begin[doc]) & (line < stop[doc])
+    line, doc = line[inside], doc[inside]
+    token = np.arange(1, len(line) + 1) - np.searchsorted(line, begin)[doc]
+    start, end = field_start[line], field_end[line]
+    tagged = (end - start > 1) | ((codes[start] != _DASH) & (codes[start] != _UNDERSCORE))
+    return line[tagged], doc[tagged], token[tagged], start[tagged], end[tagged]
+
+
+def _range_sums(values: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """The sums of values[start:end] (counts, for booleans).  Unsigned
+    running sums may wrap modulo 2**64, which leaves every sum below 2**64
+    exact."""
+    running = np.zeros(len(values) + 1, dtype=np.int64 if values.dtype == bool else values.dtype)
+    np.cumsum(values, out=running[1:])
+    return running[end] - running[start]
+
+
+def _tag_parts(codes: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The nonempty '|'-separated parts of the fields codes[start:end], in
+    file order.  Per part: the index of its field; its offset and length
+    in the text; whether it starts with '(' and whether it ends with ')';
+    whether it is valid (it does either, and the rest, its body, is ASCII
+    digits); whether the body is below 2**63; and its value where it is."""
+    width = end - start + 1  # each field and one '|' after it, joined
+    joined_end = np.cumsum(width)
+    index = np.repeat(start - joined_end + width, width)
+    index += np.arange(len(index))  # the text offset of every joined character
+    chars = codes[np.minimum(index, len(codes) - 1)]
+    chars[joined_end - 1] = _BAR
+    bar = np.flatnonzero(chars == _BAR)
+    part_start = np.zeros_like(bar)
+    part_start[1:] = bar[:-1] + 1
+    offset = index[part_start]
+    del index
+    opens, closes = chars[part_start] == _OPEN, chars[bar - 1] == _CLOSE
+    body_start, body_end = part_start + opens, bar - closes
+    digit = (chars >= _ZERO) & (chars <= _NINE)
+    place = np.repeat(body_end - 1, bar - part_start + 1)
+    place -= np.arange(len(place))  # a digit counts digit * 10**place in its part
+    low = digit & (place >= 0) & (place < len(_POW10))
+    terms = np.zeros(len(chars), dtype=np.uint64)
+    terms[low] = (chars[low] - _ZERO).astype(np.uint64) * _POW10[place[low]]
+    value = _range_sums(terms, part_start, bar)
+    del terms
+    high = digit & (place >= len(_POW10)) & (chars != _ZERO)
+    in_range = (_range_sums(high, part_start, bar) == 0) & (value < 2**63)
+    valid = ((opens | closes) & (body_end > body_start)
+             & (_range_sums(~digit, body_start, body_end) == 0))
+    keep = bar > part_start
+    return (np.searchsorted(joined_end, part_start[keep], side="right"), offset[keep],
+            (bar - part_start)[keep], opens[keep], closes[keep], valid[keep], in_range[keep],
+            value[keep].astype(np.int64))
+
+
+def _entity_labels(doc: np.ndarray, entity: np.ndarray) -> np.ndarray:
+    """Per mention, mentions sorted by document: the 0-based cluster of its
+    entity in its document, clusters numbered in order of first mention."""
+    by_entity = np.lexsort((entity, doc))  # stable: each entity's mentions in order
+    doc, entity = doc[by_entity], entity[by_entity]
+    new = np.ones(len(by_entity), dtype=bool)
+    new[1:] = (doc[1:] != doc[:-1]) | (entity[1:] != entity[:-1])
+    firsts = by_entity[new]
+    rank = np.empty_like(firsts)
+    rank[np.argsort(firsts)] = np.arange(len(firsts))
+    labels = np.empty_like(by_entity)
+    labels[by_entity] = rank[np.cumsum(new) - 1] - np.searchsorted(doc[new], doc)
+    return labels
+
+
+def _raise_first(errors: list, path, n_lines: int) -> None:
+    """Raise the first of ``(line index, part, message)`` errors, if any;
+    line index ``n_lines`` is the end of the file."""
+    if errors:
+        k, _, message = min(errors)
+        raise FormatError(message, path=path, line=int(k) + 1 if k < n_lines else None)
 
 
 def parse_conll_documents(path) -> list[ConllDocument]:
@@ -584,71 +740,79 @@ def parse_conll_documents(path) -> list[ConllDocument]:
     two files with the same spans number them alike however their brackets
     are stacked; nested and crossing spans are resolved by matching
     brackets per entity id.  A document must end before the next
-    ``#begin document``.
+    ``#begin document``, and entity ids must be below 2**63.  The first
+    error in file order raises FormatError.
+
+    The whole file is decoded first and parsed in array passes; only the
+    lines that start with '#' are looked at one by one.
     """
-    docs: list[ConllDocument] = []
-    doc_id = None
-    with _utf8_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line[:1] == "#":
-                if line.startswith("#begin document"):
-                    if doc_id is not None:
-                        raise FormatError(f"document {doc_id!r} not terminated by #end document",
-                                          path=path, line=lineno)
-                    rest = line[len("#begin document"):].strip()
-                    if rest.startswith("("):
-                        close = rest.find(")")
-                        doc_id = rest[1:close] if close != -1 else rest[1:]
-                    else:
-                        doc_id = rest
-                    token_no = 0
-                    open_stacks: dict[int, list[int]] = {}  # entity -> open start tokens
-                    found: list[tuple[int, int, int]] = []  # (start, end, entity)
-                    continue
-                if line.startswith("#end document"):
-                    if doc_id is None:
-                        raise FormatError("#end document without #begin", path=path, line=lineno)
-                    try:
-                        docs.append(_conll_document(doc_id, found, open_stacks))
-                    except ValueError as exc:
-                        raise FormatError(str(exc), path=path, line=lineno) from exc
-                    doc_id = None
-                    continue
-            if doc_id is None:
-                continue
-            fields = line.rsplit(None, 1)
-            if not fields:
-                continue
-            token_no += 1
-            field = fields[-1]
-            if field in ("-", "_"):
-                continue
-            for part in field.split("|"):
-                if not part:
-                    continue
-                opens = part[0] == "("
-                closes = part[-1] == ")"
-                body = part[opens:len(part) - closes]
-                if not (opens or closes) or not (body.isascii() and body.isdigit()):
-                    raise FormatError(f"document {doc_id!r}: unrecognized coreference tag {part!r}",
-                                      path=path, line=lineno)
-                entity = int(body)
-                if opens and closes:  # a one-token mention needs no stack
-                    found.append((token_no, token_no, entity))
-                elif opens:
-                    open_stacks.setdefault(entity, []).append(token_no)
-                else:
-                    stack = open_stacks.get(entity)
-                    if not stack:
-                        raise FormatError(
-                            f"unbalanced brackets in document {doc_id!r}: "
-                            f"closing entity {entity} that is not open",
-                            path=path, line=lineno,
-                        )
-                    found.append((stack.pop(), token_no, entity))
-    if doc_id is not None:
-        raise FormatError(f"document {doc_id!r} not terminated by #end document", path=path)
-    return docs
+    text, codes = _conll_text(path)
+    line_start, line_end = _line_bounds(codes)
+    doc_ids, begin, stop, closed, error = _conll_blocks(text, codes, line_start, line_end)
+    errors = [(error[0], -1, error[1])] if error else []  # (line index, part, message)
+    if not doc_ids:
+        _raise_first(errors, path, len(line_start))
+        return []
+    line, doc, token, start, end = _tag_fields(codes, line_start, line_end, begin, stop)
+    field, offset, length, opens, closes, valid, in_range, entity = _tag_parts(codes, start, end)
+    line, doc, token = line[field], doc[field], token[field]
+    good = valid & in_range
+    bad = np.flatnonzero(~good)
+    if len(bad):
+        k = bad[0]
+        tag = text[offset[k]:offset[k] + length[k]]
+        problem = (f"entity id in coreference tag {tag!r} does not fit int64"
+                   if valid[k] else f"unrecognized coreference tag {tag!r}")
+        errors.append((line[k], k, f"document {doc_ids[doc[k]]!r}: {problem}"))
+
+    # Match the brackets of multi-token mentions per (document, entity):
+    # with its brackets in file order and the depth counted after each, a
+    # '(' at depth d pairs with the next ')' that leaves depth d - 1.
+    event = np.flatnonzero(good & (opens != closes))
+    event = event[np.lexsort((entity[event], doc[event]))]
+    event_doc, event_entity, event_opens = doc[event], entity[event], opens[event]
+    head = np.ones(len(event), dtype=bool)
+    head[1:] = (event_doc[1:] != event_doc[:-1]) | (event_entity[1:] != event_entity[:-1])
+    group = np.cumsum(head) - 1
+    step = np.where(event_opens, 1, -1)
+    depth = np.cumsum(step)
+    depth -= (depth - step)[head][group]
+    unopened = event[depth < 0]
+    if len(unopened):  # the first ')' of an entity with none open
+        k = unopened.min()
+        errors.append((line[k], k, f"unbalanced brackets in document {doc_ids[doc[k]]!r}: "
+                                   f"closing entity {entity[k]} that is not open"))
+    tail = np.append(head[1:], True)  # the last bracket of each (document, entity)
+    left_open = group[tail & (depth > 0) & (event_doc < closed)]
+    if len(left_open):  # name the one whose first '(' comes first
+        first_open = np.minimum.reduceat(np.where(event_opens, event, len(good)),
+                                         np.flatnonzero(head))[left_open]
+        k = first_open.min()
+        errors.append((stop[doc[k]], -1, f"unbalanced brackets in document {doc_ids[doc[k]]!r}: "
+                                          f"entity {entity[k]} left open"))
+
+    # Mentions of the documents that close before the first error, whose
+    # brackets all match.
+    ok_docs = int(np.searchsorted(stop[:closed], min(errors)[0] if errors else len(line_start)))
+    matched = event[:np.searchsorted(event_doc, ok_docs)]
+    level = depth[:len(matched)] + ~event_opens[:len(matched)]
+    matched = matched[np.lexsort((level, group[:len(matched)]))]  # '(' then ')' per level
+    single = np.flatnonzero(good & opens & closes & (doc < ok_docs))
+    mention = np.concatenate((single, matched[0::2]))
+    m_doc, m_start, m_entity = doc[mention], token[mention], entity[mention]
+    m_end = token[np.concatenate((single, matched[1::2]))]
+    order = np.lexsort((m_end, m_start, m_doc))
+    m_doc, m_start, m_end, m_entity = m_doc[order], m_start[order], m_end[order], m_entity[order]
+    repeated = (m_doc[1:] == m_doc[:-1]) & (m_start[1:] == m_start[:-1]) & (m_end[1:] == m_end[:-1])
+    if repeated.any():
+        d = m_doc[np.argmax(repeated)]
+        errors.append((stop[d], -1, f"duplicate mention span in document {doc_ids[d]!r}"))
+    _raise_first(errors, path, len(line_start))
+    labels = _entity_labels(m_doc, m_entity)
+    bounds = np.searchsorted(m_doc, np.arange(len(doc_ids) + 1)).tolist()
+    starts, ends = m_start.tolist(), m_end.tolist()
+    return [ConllDocument(doc_id, tuple(zip(starts[a:b], ends[a:b])), Clustering._wrap(labels[a:b]))
+            for doc_id, a, b in zip(doc_ids, bounds, bounds[1:])]
 
 
 def write_conll_responses(items: Iterable[tuple[str, Clustering]], path) -> None:

@@ -269,6 +269,17 @@ class TestScore:
         assert captured.err.startswith("error: beta must be positive and finite")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("entity", ["100000000000000000000000", "1" * 5000],
+                             ids=["10**23", "5000 digits"])
+    def test_entity_id_past_int64_exit_1(self, tmp_path, entity, capsys):
+        key = tmp_path / "key.conll"
+        key.write_text(f"#begin document (d)\nw1\t({entity})\n#end document\n")
+        assert cli("score", "--key", key, "--response", key) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: {key}:2: document 'd': entity id in coreference tag '({entity[:10]}")
+        assert captured.out == ""
+
     def test_span_mismatch_exit_1(self, tmp_path):
         key, resp = tmp_path / "key.conll", tmp_path / "resp.conll"
         write_conll_responses([("d", Clustering([{1, 2}, {3}]))], key)

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from softcoref import (MENTION_TYPES, Clustering, ConfigError, ConllDocument,
 from softcoref.model import correct_set_mask
 
 from conftest import conll_lines, correct_antecedents, make_document
+from oracles import reference_parse_conll_documents
 
 
 def pair_dict(doc: Document) -> dict:
@@ -615,6 +618,86 @@ class TestCorpusIO:
         assert load_corpus(path) == docs
 
 
+def random_conll_file(rng: np.random.Generator) -> tuple[bytes, list[ConllDocument]]:
+    """A CoNLL file of one to three documents, and the documents it holds:
+    multi-token, nested, crossing and same-start spans, stacked brackets,
+    `-`/`_` fillers, whitespace-only lines, space or tab columns and LF or
+    CRLF endings."""
+    lines, expected = [], []
+    for d in range(int(rng.integers(1, 4))):
+        n_tokens = int(rng.integers(1, 16))
+        spans: dict[tuple[int, int], int] = {}
+        for _ in range(int(rng.integers(0, 12))):
+            start = int(rng.integers(1, n_tokens + 1))
+            end = min(n_tokens, start + int(rng.integers(0, 4)))
+            entity = int(rng.integers(0, 4))
+            # one entity's brackets match last-open-first, so its spans may not cross
+            if any(e == entity and (s < start < t < end or start < s < end < t)
+                   for (s, t), e in spans.items()):
+                entity = 100 + len(spans)
+            spans.setdefault((start, end), entity)
+        order = []
+        for t in range(1, n_tokens + 1):
+            here = [(s, e, ent) for (s, e), ent in spans.items() if s == t]
+            here = [here[k] for k in rng.permutation(len(here))]
+            for ent in {m[2] for m in here}:  # one entity opening twice: longer first
+                slots = [k for k, m in enumerate(here) if m[2] == ent]
+                for k, m in zip(slots, sorted((here[k] for k in slots), key=lambda m: -m[1])):
+                    here[k] = m
+            order += here
+        mentions = sorted(order)  # the reader numbers mentions in span order
+        by_entity: dict[int, list[int]] = {}
+        for number, (_, _, ent) in enumerate(mentions, start=1):
+            by_entity.setdefault(ent, []).append(number)
+        expected.append(ConllDocument(f"doc-{d}", tuple((s, e) for s, e, _ in mentions),
+                                      Clustering(by_entity.values())))
+        for line in conll_lines(f"doc-{d}", n_tokens, order):
+            if line.endswith("\t-") and rng.random() < 0.5:
+                line = line[:-1] + "_"
+            if not line.startswith("#") and rng.random() < 0.3:
+                line = line.replace("\t", " ") + " "
+            lines.append(line)
+            if rng.random() < 0.2:
+                lines.append(str(rng.choice(["", " ", "\t ", "  \t"])))
+    newline = "\r\n" if rng.random() < 0.5 else "\n"
+    return (newline.join(lines) + newline).encode("utf-8"), expected
+
+
+# Edits that the differential test makes to valid files: brackets, bars,
+# digits (ids up to and past 2**63, leading zeros), fillers, document
+# lines, line ends and the whitespace that only str.split() knows.
+_CONLL_EDITS = ("(", ")", "|", "0", "7", "-", "_", "#", " ", "\t", "\n", "\r\n", "\r",
+                "\x1c", "\x1f", "\x85", "\xa0", "\u3000", "\u00b2", "(0", "1)", "|(0)", "()",
+                "\n#begin document (x)\n", "\n#end document\n", "#end document",
+                "9223372036854775807", "9223372036854775808", "99999999999999999999",
+                "0" * 30 + "5")
+
+
+def edit_conll_text(rng: np.random.Generator, text: str) -> str:
+    """One to three random edits: insert one of ``_CONLL_EDITS``, delete one
+    to three characters, or move a stretch of up to five characters."""
+    for _ in range(int(rng.integers(1, 4))):
+        i = int(rng.integers(0, len(text) + 1))
+        kind = rng.random()
+        if kind < 0.55:
+            text = text[:i] + str(rng.choice(_CONLL_EDITS)) + text[i:]
+        elif kind < 0.85:
+            text = text[:i] + text[i + int(rng.integers(1, 4)):]
+        else:
+            a, b = sorted((i, int(rng.integers(0, len(text) + 1))))
+            text = text[:a] + text[b:b + 5] + text[a:b] + text[b + 5:]
+    return text
+
+
+def parse_outcome(parse, path):
+    """The documents ``parse`` returns, or the message and line of its
+    FormatError."""
+    try:
+        return parse(path)
+    except FormatError as exc:
+        return str(exc), exc.line
+
+
 class TestConll:
     def _parse(self, tmp_path, body, doc_id="d1"):
         path = tmp_path / "k.conll"
@@ -726,50 +809,93 @@ class TestConll:
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_random_documents_parse_to_what_was_written(self, tmp_path_factory, seed):
-        """Multi-token, nested, crossing and same-start spans, stacked
-        brackets, `-`/`_` fillers, whitespace-only lines, space or tab
-        columns and LF or CRLF endings."""
-        rng = np.random.default_rng(seed)
-        lines, expected = [], []
-        for d in range(int(rng.integers(1, 4))):
-            n_tokens = int(rng.integers(1, 16))
-            spans: dict[tuple[int, int], int] = {}
-            for _ in range(int(rng.integers(0, 12))):
-                start = int(rng.integers(1, n_tokens + 1))
-                end = min(n_tokens, start + int(rng.integers(0, 4)))
-                entity = int(rng.integers(0, 4))
-                # one entity's brackets match last-open-first, so its spans may not cross
-                if any(e == entity and (s < start < t < end or start < s < end < t)
-                       for (s, t), e in spans.items()):
-                    entity = 100 + len(spans)
-                spans.setdefault((start, end), entity)
-            order = []
-            for t in range(1, n_tokens + 1):
-                here = [(s, e, ent) for (s, e), ent in spans.items() if s == t]
-                here = [here[k] for k in rng.permutation(len(here))]
-                for ent in {m[2] for m in here}:  # one entity opening twice: longer first
-                    slots = [k for k, m in enumerate(here) if m[2] == ent]
-                    for k, m in zip(slots, sorted((here[k] for k in slots), key=lambda m: -m[1])):
-                        here[k] = m
-                order += here
-            mentions = sorted(order)  # the reader numbers mentions in span order
-            by_entity: dict[int, list[int]] = {}
-            for number, (_, _, ent) in enumerate(mentions, start=1):
-                by_entity.setdefault(ent, []).append(number)
-            expected.append(ConllDocument(f"doc-{d}", tuple((s, e) for s, e, _ in mentions),
-                                          Clustering(by_entity.values())))
-            for line in conll_lines(f"doc-{d}", n_tokens, order):
-                if line.endswith("\t-") and rng.random() < 0.5:
-                    line = line[:-1] + "_"
-                if not line.startswith("#") and rng.random() < 0.3:
-                    line = line.replace("\t", " ") + " "
-                lines.append(line)
-                if rng.random() < 0.2:
-                    lines.append(str(rng.choice(["", " ", "\t ", "  \t"])))
+        """The documents that ``random_conll_file`` wrote."""
+        data, expected = random_conll_file(np.random.default_rng(seed))
         path = tmp_path_factory.mktemp("conll") / "k.conll"
-        newline = "\r\n" if rng.random() < 0.5 else "\n"
-        path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+        path.write_bytes(data)
         assert parse_conll_documents(path) == expected
+
+    @given(seed=st.integers(0, 2**32 - 1), edit=st.booleans())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_parse_matches_line_by_line_reference(self, tmp_path_factory, seed, edit):
+        """Valid files, and edited ones, give equal documents or the same
+        first error.  The edits are made to the text, so every file is
+        UTF-8, and each is below the 8 KiB that the reference's text-mode
+        reading decodes at a time."""
+        rng = np.random.default_rng(seed)
+        data, _ = random_conll_file(rng)
+        if edit:
+            data = edit_conll_text(rng, data.decode("utf-8")).encode("utf-8")
+        assert len(data) < 8192
+        path = tmp_path_factory.mktemp("conll") / "k.conll"
+        path.write_bytes(data)
+        assert (parse_outcome(parse_conll_documents, path)
+                == parse_outcome(reference_parse_conll_documents, path))
+
+    @pytest.mark.parametrize("tag", ["(9223372036854775808)", "(100000000000000000000000)",
+                                     "(" + "1" * 5000 + ")", "9223372036854775808)",
+                                     "(" + "0" * 5000 + "9223372036854775808"],
+                             ids=["2**63", "10**23", "5000 digits", "closing", "leading zeros"])
+    def test_entity_id_past_int64_rejected(self, tmp_path, tag):
+        with pytest.raises(FormatError) as exc:
+            self._parse(tmp_path, ["w1\t(0)", f"w2\t{tag}"])
+        assert str(exc.value) == (f"{tmp_path / 'k.conll'}:3: document 'd1': "
+                                  f"entity id in coreference tag {tag!r} does not fit int64")
+
+    def test_entity_ids_below_2_63_with_leading_zeros_accepted(self, tmp_path):
+        """``(007)`` is entity 7, however many zeros lead."""
+        [(_, clusters)] = self._parse(tmp_path, [
+            "w1\t(7)", "w2\t(007)", "w3\t(" + "0" * 5000 + "7", "w4\t7)",
+            "w5\t(9223372036854775807)", "w6\t(09223372036854775807)"])
+        assert clusters == Clustering([{1, 2, 3}, {4, 5}])
+
+    def test_bytes_not_utf8_past_the_first_8_kib_win_over_an_earlier_error(self, tmp_path):
+        """The whole file is decoded before any line is parsed."""
+        path = tmp_path / "k.conll"
+        path.write_bytes(b"#begin document (d1)\nw1\t(x)\n" + b"w\t-\n" * 3000
+                         + b"\xff\n#end document\n")
+        with pytest.raises(FormatError, match="not UTF-8 text") as exc:
+            parse_conll_documents(path)
+        assert exc.value.line is None
+
+    @pytest.mark.parametrize("char", [chr(c) for c in range(sys.maxunicode + 1)
+                                      if chr(c).isspace() and chr(c) not in "\n\r"],
+                             ids=lambda char: f"U+{ord(char):04X}")
+    def test_every_str_split_whitespace_separates_columns(self, tmp_path, char):
+        """Columns split where ``str.split()`` splits; a zero-width space
+        (not whitespace to it) does not separate them."""
+        [(_, clusters)] = self._parse(tmp_path, [f"w1{char}(0){char}", f"w2{char}{char}(0)"])
+        assert clusters == Clustering([{1, 2}])
+        field = "w1\u200b(0)"
+        with pytest.raises(FormatError) as exc:
+            self._parse(tmp_path, [field + char])
+        assert str(exc.value).endswith(f"unrecognized coreference tag {field!r}")
+
+    def test_parse_peak_memory_bounded(self, tmp_path):
+        """A file the size of the benchmark's long key files (~350 KB, ~14.5k
+        lines) parses within 4 MiB of traced allocations."""
+        rng = np.random.default_rng(0)
+        lines = []
+        for d in range(16):  # n from 20 to 500 spans of 1-3 tokens, 0-3 tokens apart
+            n, token, mentions = 20 + 480 * d // 15, 0, []
+            for _ in range(n):
+                token += int(rng.integers(0, 4))
+                length = int(rng.integers(1, 4))
+                mentions.append((token + 1, token + length, int(rng.integers(0, n // 6))))
+                token += length
+            lines += conll_lines(f"long-{d:04d}", token + 1, mentions)
+        path = tmp_path / "k.conll"
+        path.write_text("\n".join(lines) + "\n")
+        assert 300_000 < path.stat().st_size < 400_000 and 12_000 < len(lines) < 17_000
+        parse_conll_documents(path)
+        tracemalloc.start()
+        try:
+            docs = parse_conll_documents(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(docs) == 16
+        assert peak <= 4 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_write_parse_round_trip(self, tmp_path):
         clusters = Clustering([{1, 2, 4}, {3}, {5}])

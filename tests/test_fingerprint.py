@@ -41,3 +41,18 @@ def test_drift_names_what_moved(fingerprint):
         "largest drift 2.500e-01 (largest |value| 2.000e+00)")
     assert fingerprint.drift("predict/long", [[1, 1, 2], [1]], [[1, 1, 1], [1]]) == (
         "1 of 4 antecedents differ")
+
+
+def test_score_runs_repeat_and_drift_names_the_cases(fingerprint):
+    first, second = fingerprint.score_runs(count=4), fingerprint.score_runs(count=4)
+    assert first == second
+    outcomes = {name: (code, out, err) for name, code, out, err in first}
+    assert all(outcomes[f"pair-{n}"][0] == 0 and outcomes[f"pair-{n}"][1] for n in range(4))
+    assert outcomes["id-2**63"][0] == 1
+    assert outcomes["id-2**63"][2].startswith("error: <dir>/response.conll:3: document 'd': ")
+    assert outcomes["not-utf8-after-8-kib"][2] == (
+        "error: <dir>/response.conll: not UTF-8 text (invalid start byte)\n")
+    moved = [list(run) for run in first]
+    moved[1][2] += "x"
+    assert fingerprint.drift("score/csv", moved, first) == (
+        f"1 of {len(first)} runs differ: pair-1")

@@ -6,13 +6,17 @@ Records, as SHA-1 digests and as the raw values behind them:
   * for each of the four losses, the parameters that ``train`` returns on
     a small synthetic corpus (n 8-16, hidden 24/32, dev selection every
     epoch) and the bytes of that run's ``history.to_csv()``;
+  * the dev reports that ``beta_sweep`` returns for the b3 loss at two
+    betas on the same corpus;
   * the ``predict_antecedents`` tuples of a test corpus at short-document
     sizes (n 8-16, hidden 200/700) and at long-document sizes (n 100-200,
     hidden 24/32), each under a model trained at those sizes;
   * the exit code (or the exception raised), stdout and stderr of
     ``softcoref score --csv`` on seeded CoNLL key/response files (nested,
     same-start and crossing spans, brackets stacked in either order, LF or
-    CRLF lines, tab or space columns) and on a few malformed ones.
+    CRLF lines, tab or space columns) and on a few malformed ones, and of
+    ``softcoref train`` with and without ``--dev``;
+  * the bytes that ``save_corpus`` and ``ModelParams.save`` write.
 
 ``--against OLD.json`` compares a run with an earlier one and prints, for
 each artifact, "identical" or its largest drift.  softcoref is imported
@@ -39,6 +43,7 @@ import math
 import random
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,7 +61,7 @@ def _corpora(sizes: dict, counts: tuple[int, int, int], seed: int) -> list:
 def fingerprint(short_docs=(40, 20, 600), long_docs=(4, 4, 60), epochs=3) -> dict:
     """Artifact name -> raw value (parameter list, CSV text or antecedent
     lists).  ``short_docs`` and ``long_docs`` are train/dev/test counts."""
-    from softcoref import LOSS_KINDS, TrainConfig, predict_antecedents, train
+    from softcoref import LOSS_KINDS, TrainConfig, beta_sweep, predict_antecedents, train
     artifacts = {}
     train_docs, dev_docs, _ = _corpora(SHORT, short_docs[:2] + (0,), seed=1)
     for loss in LOSS_KINDS:
@@ -65,6 +70,11 @@ def fingerprint(short_docs=(40, 20, 600), long_docs=(4, 4, 60), epochs=3) -> dic
         params, history = train(train_docs, dev_docs, config)
         artifacts[f"params/{loss}"] = params.to_vector().tolist()
         artifacts[f"history/{loss}"] = history.to_csv()
+    sweep = artifacts["sweep/b3"] = []  # per beta: beta, P, R, F of each metric, CoNLL
+    for beta, report in beta_sweep(train_docs, dev_docs, replace(config, loss="b3"),
+                                   betas=(math.sqrt(0.8), 2.0)):
+        sweep.extend([beta, *(x for _, prf in report.rows() for x in prf.as_tuple()),
+                      report.conll])
     for name, sizes, counts, hidden in (("short", SHORT, short_docs, (200, 700)),
                                         ("long", LONG, long_docs, (24, 32))):
         train_docs, dev_docs, test_docs = _corpora(sizes, counts, seed=10)
@@ -152,25 +162,62 @@ def _score_files(seed: int, count: int) -> list[tuple[str, str, str]]:
     return cases
 
 
+def _run_cli(argv: list, tmp: str) -> list:
+    """[exit code or exception, stdout, stderr] of ``cli.run(argv)``, with
+    the directory ``tmp`` masked as ``<dir>``."""
+    from softcoref.cli import run
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run([str(arg) for arg in argv])
+        except Exception as exc:  # noqa: BLE001 - an escaped exception is the outcome
+            code = f"raised {type(exc).__name__}"
+    return [code] + [stream.getvalue().replace(tmp, "<dir>") for stream in (out, err)]
+
+
 def score_runs(seed: int = 0, count: int = 24) -> list:
     """[name, exit code or exception, stdout, stderr] of ``softcoref score
-    --csv`` on every pair of ``_score_files``, the directory's path masked."""
-    from softcoref.cli import run
+    --csv`` on every pair of ``_score_files``."""
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
         key, response = Path(tmp) / "key.conll", Path(tmp) / "response.conll"
         for name, key_text, response_text in _score_files(seed, count):
             key.write_bytes(key_text.encode("utf-8", "surrogateescape"))
             response.write_bytes(response_text.encode("utf-8", "surrogateescape"))
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = run(["score", "--key", str(key), "--response", str(response), "--csv"])
-                except Exception as exc:  # noqa: BLE001 - an escaped exception is the outcome
-                    code = f"raised {type(exc).__name__}"
-            runs.append([name, code] + [stream.getvalue().replace(tmp, "<dir>")
-                                        for stream in (out, err)])
+            runs.append([name] + _run_cli(["score", "--key", key, "--response", response,
+                                           "--csv"], tmp))
     return runs
+
+
+def train_runs(seed: int = 0) -> list:
+    """[name, exit code or exception, stdout, stderr] of ``softcoref train``
+    on a small synthetic corpus, with and without ``--dev``."""
+    from softcoref import save_corpus
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus, dev = Path(tmp) / "train.jsonl", Path(tmp) / "dev.jsonl"
+        for docs, path in zip(_corpora(SHORT, (12, 6), seed), (corpus, dev)):
+            save_corpus(docs, path)
+        for name, flags in (("dev", ["--dev", dev]), ("no-dev", [])):
+            runs.append([name] + _run_cli(
+                ["train", "--corpus", corpus, *flags, "--out", Path(tmp) / "model.json",
+                 "--epochs", 4, "--lr", 0.3, "--hidden-a", 8, "--hidden-p", 8], tmp))
+    return runs
+
+
+def file_bytes(seed: int = 0) -> dict:
+    """The text that ``save_corpus`` writes for a small synthetic corpus
+    (single-mention documents included), and that ``ModelParams.save``
+    writes for a random model."""
+    from softcoref import ModelParams, SyntheticConfig, generate_synthetic, save_corpus
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "file"
+        save_corpus(generate_synthetic(SyntheticConfig(
+            num_docs=6, mentions_per_doc=(1, 12), entities_per_doc=(1, 4), seed=seed)), path)
+        corpus = path.read_text(encoding="utf-8")
+        ModelParams.random(5, 7, hidden_a=3, hidden_p=4, scale=0.5, seed=seed).save(path)
+        model = path.read_text(encoding="utf-8")
+    return {"bytes/save_corpus": corpus, "bytes/model_save": model}
 
 
 def digest(value) -> str:
@@ -190,7 +237,11 @@ def drift(name: str, new, old) -> str:
     """"identical", or how far ``new`` is from ``old``."""
     if digest(new) == digest(old):
         return "identical"
-    if name.startswith("score/"):
+    if name.startswith("bytes/"):
+        at = next((k for k, (a, b) in enumerate(zip(new, old)) if a != b),
+                  min(len(new), len(old)))
+        return f"first difference at character {at} ({len(new)} vs {len(old)} characters)"
+    if name.startswith(("score/", "train/")):
         if [run[0] for run in new] != [run[0] for run in old]:
             return "different cases"
         changed = [a[0] for a, b in zip(new, old) if a != b]
@@ -220,7 +271,8 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(Path(args.src).resolve()))
     import softcoref
     print(f"softcoref from {Path(softcoref.__file__).parent}")
-    artifacts = {**fingerprint(), "score/csv": score_runs()}
+    artifacts = {**fingerprint(), "score/csv": score_runs(), "train/stdout": train_runs(),
+                 **file_bytes()}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump({"artifacts": artifacts}, fh)

@@ -90,8 +90,8 @@ def main(argv=None) -> int:
                              epochs=args.tune_epochs, seed=seed,
                              init_model=baseline, hidden_a=args.hidden_a,
                              hidden_p=args.hidden_p)
-        tuned, _ = train(train_docs, dev_docs, config)
-        tuned_f = evaluate_corpus(dev_docs, tuned).b_cubed.f
+        _, history = train(train_docs, dev_docs, config)
+        tuned_f = history.best.dev.b_cubed.f
         win = tuned_f >= base_report.b_cubed.f - 1e-12
         wins += win
         print(f"  seed {seed}: dev B3 {tuned_f:.4f} "

@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -116,6 +117,8 @@ def _cmd_train(args) -> int:
     for path in filter(None, (args.out, args.history)):  # fail before training, not after
         if not Path(path).parent.is_dir():
             raise InputError(f"{path}: no such file")
+        if Path(path).is_dir():
+            raise InputError(f"{path}: is a directory")
     train_docs = _load_nonempty(args.corpus)
     dev_docs = _load_nonempty(args.dev) if args.dev else []
     init = ModelParams.load(args.init) if args.init else None
@@ -131,12 +134,10 @@ def _cmd_train(args) -> int:
     if args.history:
         with open(args.history, "w", encoding="utf-8") as fh:
             fh.write(history.to_csv())
-    last = history.records[-1]
-    if last.dev is not None:
-        best = max(r.dev.conll for r in history.records)
-        print(f"trained {args.loss} for {args.epochs} epochs; best dev CoNLL {best:.4f}")
-    else:
-        print(f"trained {args.loss} for {args.epochs} epochs; final mean loss {last.mean_loss:.4f}")
+    best = history.best
+    summary = (f"best dev CoNLL {best.dev.conll:.4f}" if best.dev is not None
+               else f"final mean loss {best.mean_loss:.4f}")
+    print(f"trained {args.loss} for {args.epochs} epochs; {summary}")
     print(f"wrote model to {args.out}")
     return 0
 
@@ -197,6 +198,10 @@ def _cmd_errors(args) -> int:
 def _cmd_gradcheck(args) -> int:
     if args.ndocs < 1:
         raise ConfigError(f"--ndocs must be at least 1, got {args.ndocs}")
+    if not 0 < args.tol < math.inf:
+        raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     docs = _load_nonempty(args.corpus)
     if args.model:
         params = ModelParams.load(args.model)

@@ -24,6 +24,7 @@ ignored.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -376,8 +377,10 @@ class SyntheticConfig:
             raise ConfigError(f"empty entities_per_doc range {self.entities_per_doc}")
         if self.d_a < 1 or self.d_p < 1:
             raise ConfigError("feature dimensions must be at least 1")
-        if self.noise < 0:
-            raise ConfigError("noise level must be nonnegative")
+        if not 0 <= self.noise < math.inf:
+            raise ConfigError(f"noise level must be nonnegative and finite, got {self.noise}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
 def _fit_length(vec: np.ndarray, d: int) -> np.ndarray:

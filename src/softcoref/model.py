@@ -625,10 +625,10 @@ def _check_loss_settings(kind: str, beta: float, temperature: float, lam: float)
 
 def _loss_and_backward(doc: Document, params: ModelParams, kind: str,
                        costs: Optional[CostConfig], beta: float,
-                       temperature: float, lam: float):
+                       temperature: float, lam: float, keep_h_p: bool = True):
     _check_loss_settings(kind, beta, temperature, lam)
     costs = costs if costs is not None else CostConfig()
-    scores, h_a, h_p = _forward_scores(doc, params)
+    scores, h_a, h_p = _forward_scores(doc, params, keep_h_p)
     with np.errstate(divide="ignore"):  # log(0) is reported just below
         loss, backward = _LOSSES[kind](doc, scores, costs, beta, temperature)
     if not np.isfinite(loss):
@@ -642,9 +642,11 @@ def document_loss(doc: Document, params: ModelParams, kind: str, *,
                   costs: Optional[CostConfig] = None, beta: float = 1.0,
                   temperature: float = 1.0, lam: float = 0.0) -> float:
     """Loss of one document under any of the LOSS_KINDS objectives, plus
-    lam * L1; forward pass only.  A non-finite objective raises
+    lam * L1; forward pass only, so no n_pairs x hidden_p pair layer is
+    kept (see ``_pair_forward``).  A non-finite objective raises
     TrainingError naming the document."""
-    _, loss, _ = _loss_and_backward(doc, params, kind, costs, beta, temperature, lam)
+    _, loss, _ = _loss_and_backward(doc, params, kind, costs, beta, temperature, lam,
+                                    keep_h_p=False)
     return loss
 
 

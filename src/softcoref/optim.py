@@ -52,6 +52,8 @@ class TrainConfig:
                 f"learning rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.hidden_a < 1 or self.hidden_p < 1:
             raise ConfigError("hidden sizes must be at least 1")
         if not 0 <= self.init_scale < math.inf:
@@ -72,15 +74,21 @@ class TrainHistory:
 
     CSV_HEADER = "epoch,loss,muc,b3,ceaf_m,ceaf_e,blanc,lea,conll"
 
+    @property
+    def best(self) -> EpochRecord:
+        """The epoch whose parameters ``train`` returns: the first with the
+        highest dev CoNLL, or the last when there is no dev set."""
+        if self.records[-1].dev is None:
+            return self.records[-1]
+        return max(self.records, key=lambda rec: rec.dev.conll)
+
     def to_csv(self) -> str:
         lines = [self.CSV_HEADER]
         for rec in self.records:
             if rec.dev is None:
                 metrics = ["nan"] * 7
             else:
-                d = rec.dev
-                metrics = [f"{x:.6f}" for x in (d.muc.f, d.b_cubed.f, d.ceaf_m.f,
-                                                d.ceaf_e.f, d.blanc.f, d.lea.f, d.conll)]
+                metrics = [f"{prf.f:.6f}" for _, prf in rec.dev.rows()] + [f"{rec.dev.conll:.6f}"]
             lines.append(f"{rec.epoch},{rec.mean_loss:.6f}," + ",".join(metrics))
         return "\n".join(lines) + "\n"
 
@@ -112,10 +120,9 @@ def _initial_params(corpus: Sequence[Document], config: TrainConfig) -> ModelPar
 
 def train(corpus: Sequence[Document], dev: Sequence[Document],
           config: TrainConfig) -> tuple[ModelParams, TrainHistory]:
-    """Train on one-document mini-batches; return the best-dev params.
-
-    Model selection uses the dev CoNLL average; with an empty dev set
-    the final epoch's parameters are returned and dev columns are NaN.
+    """Train on one-document mini-batches; return the parameters of the
+    epoch ``history.best`` names.  With an empty dev set the dev columns
+    of the history are NaN.
     """
     if not corpus:
         raise ConfigError("training corpus is empty")
@@ -130,8 +137,6 @@ def train(corpus: Sequence[Document], dev: Sequence[Document],
     shuffle_rng = np.random.default_rng([config.seed, 1])
 
     history = TrainHistory()
-    best_conll = -np.inf
-    best_params = params.copy()
     for epoch in range(1, config.epochs + 1):
         start = time.perf_counter()
         losses = []
@@ -146,15 +151,12 @@ def train(corpus: Sequence[Document], dev: Sequence[Document],
                 raise TrainingError(f"non-finite parameters after the update on document {doc.id}")
             params = ModelParams._wrap(vec, params._shapes)
             losses.append(loss)
-        report = evaluate_corpus(dev, params) if dev else None
         history.records.append(EpochRecord(
-            epoch=epoch, mean_loss=float(np.mean(losses)), dev=report,
+            epoch=epoch, mean_loss=float(np.mean(losses)),
+            dev=evaluate_corpus(dev, params) if dev else None,
             seconds=time.perf_counter() - start,
         ))
-        if report is None:
-            best_params = params.copy()
-        elif report.conll > best_conll:
-            best_conll = report.conll
+        if history.best is history.records[-1]:
             best_params = params.copy()
     return best_params, history
 
@@ -201,11 +203,9 @@ def grad_check(doc: Document, params: ModelParams, kind: str, h: float = 1e-5,
 def beta_sweep(corpus: Sequence[Document], dev: Sequence[Document],
                config: TrainConfig,
                betas: Sequence[float] = BETA_GRID) -> list[tuple[float, MetricReport]]:
-    """Train one model per beta and report dev metrics for each."""
+    """Train one model per beta; report each run's ``history.best.dev``,
+    the dev metrics of the epoch that ``train`` returns."""
     if not dev:
         raise ConfigError("beta sweep needs a dev set to report on")
-    results = []
-    for beta in betas:
-        params, _ = train(corpus, dev, replace(config, beta=beta))
-        results.append((float(beta), evaluate_corpus(dev, params)))
-    return results
+    return [(float(beta), train(corpus, dev, replace(config, beta=beta))[1].best.dev)
+            for beta in betas]

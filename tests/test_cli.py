@@ -65,6 +65,16 @@ class TestGenerate:
         assert cli("generate", "--docs", 1,
                    "--out", tmp_path / "no" / "dir" / "c.jsonl") == 1
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--seed", -1), "seed must be nonnegative, got -1"),
+        (("--noise", "nan"), "noise level must be nonnegative and finite, got nan"),
+        (("--noise", "inf"), "noise level must be nonnegative and finite, got inf")])
+    def test_bad_seed_or_noise_exit_1(self, tmp_path, flags, message, capsys):
+        out = tmp_path / "c.jsonl"
+        assert cli("generate", "--docs", 1, "--out", out, *flags) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestTrain:
     def test_with_dev_and_history(self, tmp_path, tiny_corpus, capsys):
@@ -138,7 +148,7 @@ class TestTrain:
         (("--beta", "nan"), "beta"), (("--temp", "inf"), "temperature"),
         (("--lr", "inf"), "learning rate"), (("--lr", "nan"), "learning rate"),
         (("--l1", "nan"), "l1 weight"), (("--scale", "-1"), "init scale"),
-        (("--alphas", "nan", 1, 1), "alphas")])
+        (("--alphas", "nan", 1, 1), "alphas"), (("--seed", -1), "seed")])
     def test_non_finite_setting_exit_1(self, tmp_path, tiny_corpus, flags, setting, capsys):
         model = tmp_path / "m.json"
         assert cli("train", "--corpus", tiny_corpus, "--loss", "mr-heuristic",
@@ -172,6 +182,31 @@ class TestTrain:
         assert cli("train", "--corpus", tiny_corpus, "--out", paths["--out"],
                    "--history", paths["--history"]) == 1
         assert capsys.readouterr().err == f"error: {missing}: no such file\n"
+
+    @pytest.mark.parametrize("flag", ["--out", "--history"])
+    def test_output_path_is_a_directory_exit_1_before_training(
+            self, tmp_path, tiny_corpus, monkeypatch, capsys, flag):
+        from softcoref import optim
+
+        def no_training(*args):
+            raise AssertionError("trained before checking the output paths")
+
+        monkeypatch.setattr(optim, "train", no_training)
+        paths = {"--out": tmp_path / "m.json", "--history": tmp_path / "h.csv"}
+        paths[flag] = directory = tmp_path / "dir"
+        directory.mkdir()
+        assert cli("train", "--corpus", tiny_corpus, "--out", paths["--out"],
+                   "--history", paths["--history"]) == 1
+        assert capsys.readouterr().err == f"error: {directory}: is a directory\n"
+        assert not paths["--out"].is_file()
+
+    def test_summary_without_dev_reports_the_final_loss(self, tmp_path, tiny_corpus, capsys):
+        model = tmp_path / "m.json"
+        assert cli("train", "--corpus", tiny_corpus, "--out", model, "--epochs", 2,
+                   "--hidden-a", 4, "--hidden-p", 4) == 0
+        summary, wrote = capsys.readouterr().out.splitlines()
+        assert summary.startswith("trained mr-heuristic for 2 epochs; final mean loss ")
+        assert wrote == f"wrote model to {model}"
 
     def test_unknown_loss_exit_1(self, tmp_path, tiny_corpus):
         assert cli("train", "--corpus", tiny_corpus,
@@ -403,6 +438,18 @@ class TestGradcheck:
     def test_fail_exit_2(self, tiny_corpus, capsys):
         assert cli("gradcheck", "--corpus", tiny_corpus, "--tol", 1e-16) == 2
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tol", ["nan", 0, -0.5, "inf"])
+    def test_tol_outside_zero_to_inf_exit_1(self, tiny_corpus, tol, capsys):
+        """A NaN, zero or negative tolerance used to FAIL every check
+        (exit 2), and an infinite one to PASS every check."""
+        assert cli("gradcheck", "--corpus", tiny_corpus, "--tol", tol) == 1
+        out = capsys.readouterr()
+        assert not out.out and out.err.startswith("error: --tol must be positive and finite")
+
+    def test_negative_seed_exit_1(self, tiny_corpus, capsys):
+        assert cli("gradcheck", "--corpus", tiny_corpus, "--seed", -1) == 1
+        assert capsys.readouterr().err == "error: --seed must be nonnegative, got -1\n"
 
     def test_bad_step_exit_1(self, tiny_corpus):
         assert cli("gradcheck", "--corpus", tiny_corpus, "--h", 1e-9) == 1

@@ -311,6 +311,16 @@ class TestSyntheticConfig:
         with pytest.raises(ConfigError):
             SyntheticConfig(num_docs=1, noise=-0.1)
 
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf")])
+    def test_rejects_non_finite_noise(self, noise):
+        """Used to surface only later, as non-finite features at mention 1."""
+        with pytest.raises(ConfigError, match="noise level must be nonnegative and finite"):
+            SyntheticConfig(num_docs=1, noise=noise)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed must be nonnegative, got -1"):
+            SyntheticConfig(num_docs=1, seed=-1)
+
 
 def loop_generate_synthetic(config: SyntheticConfig) -> list[Document]:
     """Reference generator: the same draws, with one feature vector per pair."""

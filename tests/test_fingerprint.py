@@ -28,7 +28,8 @@ def test_two_runs_in_one_process_are_identical(fingerprint):
     assert sorted(first) == sorted(
         [f"{kind}/{loss}" for kind in ("params", "history")
          for loss in ("mr-heuristic", "ec-heuristic", "b3", "lea")]
-        + ["predict/long", "predict/short"])
+        + ["predict/long", "predict/short", "sweep/b3"])
+    assert len(first["sweep/b3"]) == 2 * (1 + 3 * 6 + 1)
     assert all(fingerprint.drift(name, value, second[name]) == "identical"
                for name, value in first.items())
 
@@ -56,3 +57,24 @@ def test_score_runs_repeat_and_drift_names_the_cases(fingerprint):
     moved[1][2] += "x"
     assert fingerprint.drift("score/csv", moved, first) == (
         f"1 of {len(first)} runs differ: pair-1")
+
+
+def test_train_runs_and_file_bytes_repeat(fingerprint):
+    runs = fingerprint.train_runs()
+    assert runs == fingerprint.train_runs()
+    assert [run[:2] for run in runs] == [["dev", 0], ["no-dev", 0]]
+    assert "; best dev CoNLL " in runs[0][2] and "; final mean loss " in runs[1][2]
+    assert all(run[2].endswith("wrote model to <dir>/model.json\n") for run in runs)
+    files = fingerprint.file_bytes()
+    assert files == fingerprint.file_bytes()
+    assert sorted(files) == ["bytes/model_save", "bytes/save_corpus"]
+    moved = [list(run) for run in runs]
+    moved[1][2] += "x"
+    assert fingerprint.drift("train/stdout", moved, runs) == "1 of 2 runs differ: no-dev"
+
+
+def test_drift_of_file_bytes_names_the_first_difference(fingerprint):
+    assert fingerprint.drift("bytes/model_save", '{"a": 1.5}', '{"a": 1.25}') == (
+        "first difference at character 8 (10 vs 11 characters)")
+    assert fingerprint.drift("bytes/save_corpus", "ab\n", "ab") == (
+        "first difference at character 2 (3 vs 2 characters)")

@@ -592,6 +592,24 @@ class TestPairBlocks:
         assert peak < pair_layer_bytes / 4, (peak, pair_layer_bytes)
 
     @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_document_loss_peak_is_below_a_pair_layer(self, kind):
+        """The forward-only loss, which grad_check calls twice per checked
+        coordinate, keeps no pair layer either, and its value is the one
+        that the training path computes with h_p kept."""
+        doc = long_document(200, seed=9)
+        params = ModelParams.random(4, 5, hidden_a=20, hidden_p=200, seed=9)
+        kept, _ = document_loss_and_grad(doc, params, kind)
+        pair_layer_bytes = len(doc.pair_feature_matrix) * params.hidden_p * 8
+        tracemalloc.start()
+        try:
+            loss = document_loss(doc, params, kind)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loss == kept
+        assert peak < pair_layer_bytes / 4, (peak, pair_layer_bytes)
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_gradients_at_200_mentions(self, kind):
         doc = long_document(200, seed=200)
         params = ModelParams.random(4, 5, hidden_a=24, hidden_p=32, seed=200)

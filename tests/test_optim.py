@@ -1,12 +1,14 @@
 """AdaGrad updates, the training loop, model selection and grad checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from softcoref import (BETA_GRID, ConfigError, CostConfig, ModelParams,
-                       TrainConfig, TrainingError, adagrad_step, beta_sweep,
-                       evaluate_corpus, grad_check, train)
-from softcoref.optim import ADAGRAD_EPS, TrainHistory
+from softcoref import (BETA_GRID, PRF, ConfigError, CostConfig, MetricReport,
+                       ModelParams, TrainConfig, TrainingError, adagrad_step,
+                       beta_sweep, evaluate_corpus, grad_check, optim, train)
+from softcoref.optim import ADAGRAD_EPS, EpochRecord, TrainHistory
 
 from conftest import make_document, saturated_params, small_corpus
 
@@ -75,6 +77,7 @@ class TestTrainConfig:
         dict(init_scale=float("inf")),
         dict(hidden_p=0),
         dict(learning_rate=-0.1),
+        dict(seed=-1),
     ])
     def test_rejects_bad_values(self, kwargs):
         (setting,) = kwargs
@@ -121,6 +124,28 @@ class TestTrain:
         returned = evaluate_corpus(dev, params).conll
         best = max(rec.dev.conll for rec in history.records)
         assert abs(returned - best) < 1e-12
+
+    @pytest.mark.parametrize("dev_conll, best", [
+        ([0.5, 0.7, 0.7, 0.6], 2), ([0.9, 0.1], 1), ([0.3], 1), ([None, None, None], 3)])
+    def test_history_best_is_the_first_highest_dev_conll(self, dev_conll, best):
+        """Or the last epoch when there is no dev set."""
+        perfect = PRF(1.0, 1.0, 1.0)
+        reports = [None if c is None else MetricReport(*[perfect] * 6, conll=c)
+                   for c in dev_conll]
+        history = TrainHistory([EpochRecord(k, 1.0, dev, 0.0)
+                                for k, dev in enumerate(reports, start=1)])
+        assert history.best is history.records[best - 1]
+
+    @pytest.mark.parametrize("with_dev", [True, False])
+    def test_returns_the_parameters_of_history_best(self, with_dev):
+        """The returned parameters are those after the epoch that
+        ``history.best`` names: training with that many epochs ends on them."""
+        corpus, dev = small_corpus(5, seed=7), small_corpus(3, seed=8) if with_dev else []
+        params, history = train(corpus, dev, _fast_config(epochs=4, learning_rate=0.3))
+        assert (history.best.epoch < 4) == with_dev  # dev picks epoch 2, tied with 3
+        again, _ = train(corpus, dev[:0], _fast_config(epochs=history.best.epoch,
+                                                       learning_rate=0.3))
+        np.testing.assert_array_equal(params.to_vector(), again.to_vector())
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ConfigError):
@@ -240,6 +265,25 @@ class TestBetaSweep:
         results = beta_sweep(corpus, dev, config, betas=(0.5, 2.0))
         assert [b for b, _ in results] == [0.5, 2.0]
         assert all(0.0 <= rep.conll <= 1.0 for _, rep in results)
+
+    def test_reports_history_best_without_evaluating_again(self, monkeypatch):
+        """One dev evaluation per epoch and beta, and each report equals an
+        independent evaluation of that run's returned parameters."""
+        corpus, dev = small_corpus(3, seed=1), small_corpus(2, seed=2)
+        config = _fast_config(loss="b3", epochs=3)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return evaluate_corpus(*args, **kwargs)
+
+        monkeypatch.setattr(optim, "evaluate_corpus", counted)
+        results = beta_sweep(corpus, dev, config, betas=(0.5, 2.0))
+        assert len(calls) == 2 * config.epochs
+        monkeypatch.undo()
+        for beta, report in results:
+            params, _ = train(corpus, dev, dataclasses.replace(config, beta=beta))
+            assert report == evaluate_corpus(dev, params)
 
     def test_needs_dev(self):
         corpus = small_corpus(2, seed=1)

@@ -16,7 +16,9 @@ Records, as SHA-1 digests and as the raw values behind them:
     same-start and crossing spans, brackets stacked in either order, LF or
     CRLF lines, tab or space columns) and on a few malformed ones, and of
     ``softcoref train`` with and without ``--dev``;
-  * the bytes that ``save_corpus`` and ``ModelParams.save`` write.
+  * the bytes that ``save_corpus`` and ``ModelParams.save`` write;
+  * the relaxed B3 and LEA (value, P, R) on a few thousand seeded random
+    membership matrices; their drift counts the cases that moved.
 
 ``--against OLD.json`` compares a run with an earlier one and prints, for
 each artifact, "identical" or its largest drift.  softcoref is imported
@@ -45,6 +47,8 @@ import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SHORT = dict(mentions_per_doc=(8, 16), entities_per_doc=(3, 6))
@@ -83,7 +87,29 @@ def fingerprint(short_docs=(40, 20, 600), long_docs=(4, 4, 60), epochs=3) -> dic
         params, _ = train(train_docs, dev_docs, config)
         artifacts[f"predict/{name}"] = [list(predict_antecedents(doc, params))
                                         for doc in test_docs]
+    artifacts["relaxed/scores"] = relaxed_scores()
     return artifacts
+
+
+def relaxed_scores(seed: int = 0, count: int = 2000) -> list:
+    """[n, T, beta, then (value, P, R) of ``relaxed_b3`` and of
+    ``relaxed_lea``] on ``count`` seeded random membership matrices (n
+    1-40, T 0.01-10, beta 0.25-4) against random gold clusterings."""
+    from softcoref import (LinkDistribution, clusters_from_entity_ids, membership,
+                           relaxed_b3, relaxed_lea)
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(count):
+        n = int(rng.integers(1, 41))
+        temperature, beta = 10.0 ** rng.uniform(-2, 1), 4.0 ** rng.uniform(-1, 1)
+        # Dirichlet link rows from normalised gamma draws, peaked to flat
+        weights = np.tril(rng.gamma(10.0 ** rng.uniform(-1, 1), size=(n, n)))
+        soft = membership(LinkDistribution(weights / weights.sum(axis=1, keepdims=True)))
+        gold = clusters_from_entity_ids(rng.integers(0, int(rng.integers(1, n + 1)), size=n))
+        scores = [relaxed(soft, gold, beta, temperature) for relaxed in (relaxed_b3, relaxed_lea)]
+        cases.append([n, temperature, beta]
+                     + [x for r in scores for x in (r.value, r.precision, r.recall)])
+    return cases
 
 
 def _conll_block(rng: random.Random, doc_id: str, n_tokens: int, mentions, newline: str) -> str:
@@ -233,6 +259,13 @@ def _numbers(value) -> list[float]:
     return [float(cell) for row in rows for cell in row]
 
 
+def _gap(x: float, y: float) -> float:
+    """|x - y|, with two NaNs equal and one NaN infinitely far."""
+    if math.isnan(x) or math.isnan(y):
+        return 0.0 if math.isnan(x) and math.isnan(y) else math.inf
+    return abs(x - y)
+
+
 def drift(name: str, new, old) -> str:
     """"identical", or how far ``new`` is from ``old``."""
     if digest(new) == digest(old):
@@ -252,11 +285,16 @@ def drift(name: str, new, old) -> str:
         changed = sum(a != b for doc_new, doc_old in zip(new, old)
                       for a, b in zip(doc_new, doc_old))
         return f"{changed} of {sum(map(len, new))} antecedents differ"
+    if name.startswith("relaxed/"):
+        if [case[:3] for case in new] != [case[:3] for case in old]:
+            return "different cases"
+        gaps = [max(map(_gap, a[3:], b[3:])) for a, b in zip(new, old)]
+        return (f"{sum(g > 0 for g in gaps)} of {len(new)} cases differ, "
+                f"largest drift {max(gaps):.3e}")
     a, b = _numbers(new), _numbers(old)
     if len(a) != len(b):
         return f"different length ({len(a)} vs {len(b)} numbers)"
-    gaps = (0.0 if math.isnan(x) and math.isnan(y) else abs(x - y) for x, y in zip(a, b))
-    worst = max((math.inf if math.isnan(g) else g for g in gaps), default=0.0)
+    worst = max(map(_gap, a, b), default=0.0)
     scale = max((abs(y) for y in b if not math.isnan(y)), default=0.0)
     return f"largest drift {worst:.3e} (largest |value| {scale:.3e})"
 

@@ -9,117 +9,105 @@ Runs the full experiment pipeline on a synthetic corpus:
   3. sweep beta for the relaxed objective from random initializations
      and report how recall and precision rank against beta (Spearman).
 
-The defaults mirror the regime exercised by tests/test_acceptance.py;
-flags allow exploring other corpus shapes or training lengths.
+``trend()`` runs the study and returns its numbers; acceptance 7 in
+tests/test_acceptance.py judges them, and ``main`` prints them.
 
 Usage:
     python scripts/run_trend.py
-    python scripts/run_trend.py --docs 260 --dev-docs 60 --sweep-loss lea
 """
 
-import argparse
 import sys
 import time
+from dataclasses import dataclass, replace
 
 from scipy.stats import spearmanr
 
-from softcoref import (SyntheticConfig, TrainConfig, beta_sweep,
-                       evaluate_corpus, format_report, generate_synthetic,
-                       train)
+from softcoref import (MetricReport, SyntheticConfig, TrainConfig, beta_sweep,
+                       evaluate_corpus, format_report, generate_synthetic, train)
+
+CORPUS = SyntheticConfig(num_docs=130, mentions_per_doc=(8, 16), entities_per_doc=(3, 6),
+                         noise=0.1, seed=42)
+DEV_DOCS = 30
+HIDDEN = dict(hidden_a=24, hidden_p=32)
+# baseline trained without dev selection, so fine-tuning below starts
+# from a model that has not already saturated the dev metrics
+BASELINE = TrainConfig(loss="mr-heuristic", learning_rate=0.1, epochs=6, seed=0, **HIDDEN)
+TUNE = TrainConfig(loss="b3", beta=1.0, temperature=0.5, learning_rate=0.02, epochs=5,
+                   **HIDDEN)
+TUNE_SEEDS = range(5)
+# random initializations pooled so that the rank correlations smooth over
+# per-seed optimization noise
+SWEEP = TrainConfig(loss="b3", learning_rate=0.1, epochs=6, **HIDDEN)
+SWEEP_SEEDS = (0, 1, 2)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--docs", type=int, default=130,
-                        help="total synthetic documents (default 130)")
-    parser.add_argument("--dev-docs", type=int, default=30,
-                        help="documents held out for dev (default 30)")
-    parser.add_argument("--mentions", type=int, nargs=2, default=(8, 16),
-                        metavar=("LO", "HI"), help="mentions per document")
-    parser.add_argument("--entities", type=int, nargs=2, default=(3, 6),
-                        metavar=("LO", "HI"), help="entities per document")
-    parser.add_argument("--noise", type=float, default=0.1,
-                        help="feature noise sigma (default 0.1)")
-    parser.add_argument("--corpus-seed", type=int, default=42)
-    parser.add_argument("--hidden-a", type=int, default=24)
-    parser.add_argument("--hidden-p", type=int, default=32)
-    parser.add_argument("--base-epochs", type=int, default=6,
-                        help="mention-ranking baseline epochs (default 6)")
-    parser.add_argument("--base-lr", type=float, default=0.1)
-    parser.add_argument("--tune-epochs", type=int, default=5)
-    parser.add_argument("--tune-lr", type=float, default=0.02)
-    parser.add_argument("--tune-temp", type=float, default=0.5)
-    parser.add_argument("--tune-seeds", type=int, default=5,
-                        help="fine-tuning seeds 0..N-1 (default 5)")
-    parser.add_argument("--sweep-loss", choices=("b3", "lea"), default="b3")
-    parser.add_argument("--sweep-epochs", type=int, default=6)
-    parser.add_argument("--sweep-lr", type=float, default=0.1)
-    parser.add_argument("--sweep-seeds", type=int, nargs="+", default=(0, 1, 2),
-                        help="random-init seeds pooled for the sweep")
-    return parser
+@dataclass(frozen=True)
+class Trend:
+    """The numbers of one run of the study: the baseline's dev report, the
+    dev B3 F of each fine-tune seed (``history.best.dev``), each sweep
+    seed's (beta, dev report) list, and the Spearman rho of beta against
+    the pooled sweep's dev B3 recall and precision."""
+
+    baseline: MetricReport
+    tuned_b3: list[float]
+    sweep: dict[int, list[tuple[float, MetricReport]]]
+    rho_recall: float
+    rho_precision: float
+
+    def wins(self) -> list[bool]:
+        """Per fine-tune seed: dev B3 matches or beats the baseline's."""
+        return [f >= self.baseline.b_cubed.f - 1e-12 for f in self.tuned_b3]
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    started = time.perf_counter()
-
-    docs = generate_synthetic(SyntheticConfig(
-        num_docs=args.docs, mentions_per_doc=tuple(args.mentions),
-        entities_per_doc=tuple(args.entities), noise=args.noise,
-        seed=args.corpus_seed))
-    split = args.docs - args.dev_docs
-    train_docs, dev_docs = docs[:split], docs[split:]
-    print(f"corpus: {len(train_docs)} train / {len(dev_docs)} dev documents")
-
-    # baseline trained without dev selection, so fine-tuning below starts
-    # from a model that has not already saturated the dev metrics
-    base_config = TrainConfig(loss="mr-heuristic", learning_rate=args.base_lr,
-                              epochs=args.base_epochs, seed=0,
-                              hidden_a=args.hidden_a, hidden_p=args.hidden_p)
-    baseline, _ = train(train_docs, [], base_config)
+def trend() -> Trend:
+    docs = generate_synthetic(CORPUS)
+    train_docs, dev_docs = docs[:-DEV_DOCS], docs[-DEV_DOCS:]
+    baseline, _ = train(train_docs, [], BASELINE)
     base_report = evaluate_corpus(dev_docs, baseline)
+    tuned_b3 = [train(train_docs, dev_docs,
+                      replace(TUNE, seed=seed, init_model=baseline))[1].best.dev.b_cubed.f
+                for seed in TUNE_SEEDS]
+    sweep = {seed: beta_sweep(train_docs, dev_docs, replace(SWEEP, seed=seed))
+             for seed in SWEEP_SEEDS}
+    points = [(beta, report.b_cubed) for runs in sweep.values() for beta, report in runs]
+    betas = [beta for beta, _ in points]
+    return Trend(
+        baseline=base_report, tuned_b3=tuned_b3, sweep=sweep,
+        rho_recall=float(spearmanr(betas, [b3.recall for _, b3 in points]).statistic),
+        rho_precision=float(spearmanr(betas, [b3.precision for _, b3 in points]).statistic))
+
+
+def main() -> int:
+    started = time.perf_counter()
+    result = trend()
+    print(f"corpus: {CORPUS.num_docs - DEV_DOCS} train / {DEV_DOCS} dev documents")
+
     print("\nmention-ranking baseline, dev metrics:")
-    print(format_report(base_report))
+    print(format_report(result.baseline))
 
-    print(f"\nfine-tuning relaxed B3 (T={args.tune_temp}, "
-          f"lr={args.tune_lr}, {args.tune_epochs} epochs):")
-    wins = 0
-    for seed in range(args.tune_seeds):
-        config = TrainConfig(loss="b3", beta=1.0, temperature=args.tune_temp,
-                             learning_rate=args.tune_lr,
-                             epochs=args.tune_epochs, seed=seed,
-                             init_model=baseline, hidden_a=args.hidden_a,
-                             hidden_p=args.hidden_p)
-        _, history = train(train_docs, dev_docs, config)
-        tuned_f = history.best.dev.b_cubed.f
-        win = tuned_f >= base_report.b_cubed.f - 1e-12
-        wins += win
+    print(f"\nfine-tuning relaxed B3 (T={TUNE.temperature}, "
+          f"lr={TUNE.learning_rate}, {TUNE.epochs} epochs):")
+    base_f = result.baseline.b_cubed.f
+    for seed, tuned_f, win in zip(TUNE_SEEDS, result.tuned_b3, result.wins()):
         print(f"  seed {seed}: dev B3 {tuned_f:.4f} "
-              f"({'>=' if win else '< '} baseline {base_report.b_cubed.f:.4f})")
-    print(f"  wins: {wins}/{args.tune_seeds}")
+              f"({'>=' if win else '< '} baseline {base_f:.4f})")
+    print(f"  wins: {sum(result.wins())}/{len(TUNE_SEEDS)}")
 
-    print(f"\nbeta sweep with the relaxed {args.sweep_loss.upper()} objective "
-          f"from random initializations (seeds {list(args.sweep_seeds)}):")
-    betas, recalls, precisions = [], [], []
-    for seed in args.sweep_seeds:
-        config = TrainConfig(loss=args.sweep_loss, learning_rate=args.sweep_lr,
-                             epochs=args.sweep_epochs, seed=seed,
-                             hidden_a=args.hidden_a, hidden_p=args.hidden_p)
+    print(f"\nbeta sweep with the relaxed {SWEEP.loss.upper()} objective "
+          f"from random initializations (seeds {list(SWEEP_SEEDS)}):")
+    for seed, runs in result.sweep.items():
         print(f"  seed {seed}:  beta    B3-P    B3-R    B3-F")
-        for beta_value, report in beta_sweep(train_docs, dev_docs, config):
-            betas.append(beta_value)
-            recalls.append(report.b_cubed.recall)
-            precisions.append(report.b_cubed.precision)
-            print(f"          {beta_value:6.3f}  {report.b_cubed.precision:.4f}"
+        for beta, report in runs:
+            print(f"          {beta:6.3f}  {report.b_cubed.precision:.4f}"
                   f"  {report.b_cubed.recall:.4f}  {report.b_cubed.f:.4f}")
-    rho_recall = float(spearmanr(betas, recalls).statistic)
-    rho_precision = float(spearmanr(betas, precisions).statistic)
-    print(f"  Spearman rho(beta, recall)    = {rho_recall:+.3f}")
-    print(f"  Spearman rho(beta, precision) = {rho_precision:+.3f}")
+    print(f"  Spearman rho(beta, recall)    = {result.rho_recall:+.3f}")
+    print(f"  Spearman rho(beta, precision) = {result.rho_precision:+.3f}")
 
     print(f"\ndone in {time.perf_counter() - started:.1f}s")
     return 0
 
 
 if __name__ == "__main__":
+    if sys.argv[1:]:
+        sys.exit(f"usage: {sys.argv[0]}  (the study takes no options; its settings are constants)")
     sys.exit(main())

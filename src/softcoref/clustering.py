@@ -11,13 +11,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Clustering
+from .corpus import Clustering, _integer_array
 from .errors import InputError
 from .membership import LinkDistribution
 
 
 def validate_antecedent_vector(antecedents: Sequence[int]) -> None:
-    a = np.asarray(antecedents)
+    """InputError unless every a_i is an integer (not a bool) in 1..i."""
+    a = _integer_array(antecedents, "antecedent vector")
     bad = (a < 1) | (a > np.arange(1, len(a) + 1))
     if bad.any():
         i = int(np.argmax(bad)) + 1
@@ -27,7 +28,7 @@ def validate_antecedent_vector(antecedents: Sequence[int]) -> None:
 def antecedents_to_clusters(antecedents: Sequence[int]) -> Clustering:
     """Partition mentions by following antecedent links in one pass: a
     self-link opens the next cluster, any other link joins its target's."""
-    a = np.asarray(antecedents, dtype=np.int64)
+    a = np.asarray(antecedents)
     validate_antecedent_vector(a)
     labels, opened = [], 0
     for i, j in enumerate(a.tolist(), start=1):

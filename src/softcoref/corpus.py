@@ -51,6 +51,25 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _as_int(value, what: str) -> int:
+    """``value`` as an ``int``: a Python or numpy integer, not a bool."""
+    if type(value) is int:  # the common case (a bool's type is bool)
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{what} {value!r} is not an integer")
+    return int(value)
+
+
+def _integer_array(values: Sequence[int], what: str) -> np.ndarray:
+    """``values`` as an array, InputError unless its dtype is an integer
+    one (not bool).  Judged once by the dtype numpy gives the whole
+    sequence, so a float anywhere fails; an empty sequence passes."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iu" and array.size:
+        raise InputError(f"{what} must hold integers, not {array.dtype}")
+    return array
+
+
 class Clustering:
     """A partition of the 1-based mention indices 1..n into entities.
 
@@ -65,7 +84,7 @@ class Clustering:
     def __init__(self, clusters: Iterable[Iterable[int]] = ()):
         sets = []  # a list, so that a repeated cluster fails the disjointness check
         for cluster in clusters:
-            fs = frozenset(int(m) for m in cluster)
+            fs = frozenset(_as_int(m, "cluster member") for m in cluster)
             if not fs:
                 raise InputError("clusters must be nonempty")
             sets.append(fs)
@@ -131,10 +150,10 @@ class Clustering:
 
 def clusters_from_entity_ids(entity_ids: Sequence[int]) -> Clustering:
     """Build a Clustering from per-mention entity labels: mentions that
-    share a label share a cluster, whatever the label values are."""
+    share a label share a cluster, whatever the integer label values are."""
     first: dict[int, int] = {}
     labels = [first.setdefault(e, len(first))
-              for e in np.asarray(entity_ids, dtype=np.int64).tolist()]
+              for e in _integer_array(entity_ids, "entity ids").tolist()]
     return Clustering._wrap(np.array(labels, dtype=np.int64))
 
 
@@ -151,11 +170,8 @@ class Mention:
     def __post_init__(self):
         for name in ("index", "gold_entity"):
             value = getattr(self, name)
-            if type(value) is int:  # already normalised (a bool's type is bool)
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise InputError(f"mention {name} {value!r} is not an integer")
-            object.__setattr__(self, name, int(value))
+            if type(value) is not int:
+                object.__setattr__(self, name, _as_int(value, f"mention {name}"))
         if self.mention_type not in MENTION_TYPES:
             raise InputError(f"unknown mention type {self.mention_type!r}")
         object.__setattr__(self, "features_a", _read_only(np.array(self.features_a, dtype=float)))

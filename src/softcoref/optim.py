@@ -174,6 +174,8 @@ def grad_check(doc: Document, params: ModelParams, kind: str, h: float = 1e-5,
     """
     if not (1e-6 <= h <= 1e-4):
         raise ConfigError(f"step size {h} outside the supported range [1e-6, 1e-4]")
+    if max_coords < 1:  # no coordinate checked would read as a pass
+        raise ConfigError(f"max_coords must be at least 1, got {max_coords}")
     _, grad = document_loss_and_grad(doc, params, kind, costs=costs, beta=beta,
                                      temperature=temperature, lam=0.0)
     gvec = grad.to_vector()

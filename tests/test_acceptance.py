@@ -16,31 +16,31 @@ any run.  The criteria:
      of the decoded clustering as the temperature is lowered;
   6. all four training losses pass finite-difference gradient checks on
      20 random documents, in under 60 seconds;
-  7. on a fixed synthetic corpus (100 train / 30 dev, noise 0.1,
-     seed 42): mention-ranking training reaches dev CoNLL >= 0.95,
-     fine-tuning the relaxed B3 objective from that baseline matches or
-     beats its dev B3 on at least 3 of 5 seeds, and the beta sweep moves
-     recall up and precision down (Spearman), all in under 10 minutes;
+  7. in the trend study of scripts/run_trend.py, the mention-ranking
+     baseline reaches dev CoNLL >= 0.95, fine-tuning the relaxed B3
+     objective from it matches or beats its dev B3 on at least 3 seeds,
+     and the beta sweep moves recall up and precision down (Spearman),
+     all in under 10 minutes;
   8. the error breakdown partitions mentions across FA / FN / WL /
      correct on 500 random predictions, and each error type is hit by a
      dedicated crafted case;
   9. corpus generation and training are bit-identical across reruns.
 """
 
+import importlib.util
 import itertools
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import spearmanr
 
 from softcoref import (Clustering, LinkDistribution, ModelParams,
-                       SyntheticConfig, TrainConfig, b_cubed, beta_sweep,
-                       blanc, ceaf_e, ceaf_m,
-                       decode_clusters, error_breakdown, evaluate_corpus,
-                       generate_synthetic, grad_check, lea, membership, muc,
-                       relaxed_b3, relaxed_lea, save_corpus, train)
+                       SyntheticConfig, TrainConfig, b_cubed, blanc, ceaf_e, ceaf_m,
+                       decode_clusters, error_breakdown, generate_synthetic,
+                       grad_check, lea, membership, muc, relaxed_b3, relaxed_lea,
+                       save_corpus, train)
 from softcoref.analysis import ERROR_KINDS
 from softcoref.corpus import MENTION_TYPES
 from softcoref.model import LOSS_KINDS
@@ -49,6 +49,7 @@ from conftest import (make_document, random_clustering,
                       random_link_distribution)
 from oracles import brute_force_membership
 
+ROOT = Path(__file__).resolve().parents[1]
 TEMPERATURE_GRID = (1.0, 0.3, 0.1, 0.03, 0.01)
 
 # one line per criterion; echoed after the run by a conftest summary hook
@@ -246,50 +247,21 @@ def test_6_analytic_gradients_match_finite_differences():
 
 def test_7_training_trends_on_synthetic_corpus():
     start = time.perf_counter()
-    docs = generate_synthetic(SyntheticConfig(
-        num_docs=130, mentions_per_doc=(8, 16), entities_per_doc=(3, 6),
-        noise=0.1, seed=42))
-    train_docs, dev_docs = docs[:100], docs[100:]
-
-    # (a) mention-ranking baseline, trained without dev selection so the
-    # relaxed fine-tune below has headroom left on the dev metrics.
-    base_config = TrainConfig(loss="mr-heuristic", learning_rate=0.1,
-                              epochs=6, seed=0, hidden_a=24, hidden_p=32)
-    baseline, _ = train(train_docs, [], base_config)
-    base_report = evaluate_corpus(dev_docs, baseline)
-    conll_ok = base_report.conll >= 0.95
-
-    # (b) relaxed-B3 fine-tuning from that baseline across five seeds.
-    wins = 0
-    for seed in range(5):
-        config = TrainConfig(loss="b3", beta=1.0, temperature=0.5,
-                             learning_rate=0.02, epochs=5, seed=seed,
-                             init_model=baseline, hidden_a=24, hidden_p=32)
-        tuned, _ = train(train_docs, dev_docs, config)
-        wins += evaluate_corpus(dev_docs, tuned).b_cubed.f >= \
-            base_report.b_cubed.f - 1e-12
+    spec = importlib.util.spec_from_file_location("run_trend", ROOT / "scripts" / "run_trend.py")
+    run_trend = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_trend)
+    trend = run_trend.trend()
+    conll_ok = trend.baseline.conll >= 0.95
+    wins = sum(trend.wins())
     wins_ok = wins >= 3
-
-    # (c) beta sweep from random initializations, pooled over three seeds
-    # so the rank correlations smooth over per-seed optimization noise.
-    betas, recalls, precisions = [], [], []
-    for seed in (0, 1, 2):
-        config = TrainConfig(loss="b3", learning_rate=0.1, epochs=6,
-                             seed=seed, hidden_a=24, hidden_p=32)
-        for beta_value, report in beta_sweep(train_docs, dev_docs, config):
-            betas.append(beta_value)
-            recalls.append(report.b_cubed.recall)
-            precisions.append(report.b_cubed.precision)
-    rho_recall = float(spearmanr(betas, recalls).statistic)
-    rho_precision = float(spearmanr(betas, precisions).statistic)
-    sweep_ok = rho_recall >= 0.6 and rho_precision <= -0.6
-
+    sweep_ok = trend.rho_recall >= 0.6 and trend.rho_precision <= -0.6
     elapsed = time.perf_counter() - start
     _verdict(7, "training trends on the synthetic corpus",
              conll_ok and wins_ok and sweep_ok and elapsed < 600.0,
-             f"dev CoNLL {base_report.conll:.4f}, fine-tune wins {wins}/5, "
-             f"rho(beta, recall) {rho_recall:+.3f}, "
-             f"rho(beta, precision) {rho_precision:+.3f}, {elapsed:.0f}s")
+             f"dev CoNLL {trend.baseline.conll:.4f}, "
+             f"fine-tune wins {wins}/{len(trend.tuned_b3)}, "
+             f"rho(beta, recall) {trend.rho_recall:+.3f}, "
+             f"rho(beta, precision) {trend.rho_precision:+.3f}, {elapsed:.0f}s")
 
 
 def test_8_error_breakdown_partitions_mentions():

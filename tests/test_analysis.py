@@ -91,6 +91,11 @@ class TestErrorBreakdown:
         with pytest.raises(InputError):
             error_breakdown(doc, (1, 3))
 
+    @pytest.mark.parametrize("predicted", [(1.0, 1.0), (1, 1.5), (True, True)])
+    def test_non_integer_antecedent_rejected(self, predicted):
+        with pytest.raises(InputError, match="must hold integers"):
+            error_breakdown(make_document("d", [1, 1]), predicted)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(InputError):
             ErrorBreakdown().total("typo")

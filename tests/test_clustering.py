@@ -35,6 +35,15 @@ class TestValidation:
 
     def test_valid_vector_passes(self):
         validate_antecedent_vector([1, 1, 2, 4])
+        validate_antecedent_vector(np.array([1, 2], dtype=np.uint8))
+        validate_antecedent_vector([])
+
+    @pytest.mark.parametrize("antecedents", [[1, 1.5], [1.0, 1.0], [True], np.array([1.0])])
+    def test_non_integer_antecedent_rejected(self, antecedents):
+        with pytest.raises(InputError, match="must hold integers"):
+            validate_antecedent_vector(antecedents)
+        with pytest.raises(InputError, match="must hold integers"):
+            antecedents_to_clusters(antecedents)
 
 
 class TestAntecedentsToClusters:

@@ -70,6 +70,18 @@ class TestClustering:
 
     def test_from_entity_ids(self):
         assert clusters_from_entity_ids([1, 1, 3, 3]) == Clustering([{1, 2}, {3, 4}])
+        assert clusters_from_entity_ids(np.array([4, 4])) == Clustering([[np.int64(1), 2]])
+        assert clusters_from_entity_ids([]) == Clustering()
+
+    @pytest.mark.parametrize("clusters", [[[1.5, 2]], [[True, 2]], [[1, 2.0]], [["1"]]])
+    def test_rejects_non_integer_member(self, clusters):
+        with pytest.raises(InputError, match="is not an integer"):
+            Clustering(clusters)
+
+    @pytest.mark.parametrize("entity_ids", [[1.2, 1.7, 2.5], [1.0, 1.0], [True, False]])
+    def test_from_entity_ids_rejects_non_integer_labels(self, entity_ids):
+        with pytest.raises(InputError, match="must hold integers"):
+            clusters_from_entity_ids(entity_ids)
 
     def test_iterates_and_prints_sorted_clusters(self):
         c = Clustering([{3}, {2, 1}])

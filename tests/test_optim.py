@@ -245,6 +245,13 @@ class TestGradCheck:
         with pytest.raises(ConfigError):
             grad_check(doc, params, "mr-heuristic", h=1e-2)
 
+    def test_rejects_checking_no_coordinate(self):
+        doc = make_document("d", [1, 1], seed=1)
+        params = ModelParams.random(4, 5, hidden_a=2, hidden_p=2, seed=1)
+        for max_coords in (0, -1):
+            with pytest.raises(ConfigError, match="max_coords"):
+                grad_check(doc, params, "mr-heuristic", max_coords=max_coords)
+
     def test_low_temperature_still_reasonable(self):
         doc = make_document("d", [1, 2, 1, 2], seed=3)
         params = ModelParams.random(4, 5, hidden_a=3, hidden_p=4, seed=3)

@@ -18,10 +18,16 @@ Records, as SHA-1 digests and as the raw values behind them:
     ``softcoref train`` with and without ``--dev``;
   * the bytes that ``save_corpus`` and ``ModelParams.save`` write;
   * the relaxed B3 and LEA (value, P, R) on a few thousand seeded random
-    membership matrices; their drift counts the cases that moved.
+    membership matrices; their drift counts the cases that moved;
+  * ``float.hex`` of every P, R and F of ``corpus_report`` on a thousand
+    seeded random corpora, and of ``lea_counts`` with singleton
+    self-links; ``score --csv`` rounds to six digits, so this is what
+    shows the exact scorers bit-identical.
 
 ``--against OLD.json`` compares a run with an earlier one and prints, for
-each artifact, "identical" or its largest drift.  softcoref is imported
+each artifact, "identical" or its largest drift; an artifact that only
+this run has is "new", and one that only the old file has is "missing".
+softcoref is imported
 from ``--src`` (default: ``src/`` of this checkout), and only long-standing
 public names are used, so the same script fingerprints a parent commit
 checked out with ``git worktree`` or ``git archive``:
@@ -29,8 +35,8 @@ checked out with ``git worktree`` or ``git archive``:
     python scripts/fingerprint.py --src ../parent/src --out parent.json
     python scripts/fingerprint.py --against parent.json
 
-A run takes a few seconds with one BLAS thread.  Exit code 0 when
-every artifact is identical (or nothing was compared), 1 otherwise.
+A run takes a few seconds with one BLAS thread.  Exit code 1 when an
+artifact of the old file drifted or is missing, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -109,6 +115,44 @@ def relaxed_scores(seed: int = 0, count: int = 2000) -> list:
         scores = [relaxed(soft, gold, beta, temperature) for relaxed in (relaxed_b3, relaxed_lea)]
         cases.append([n, temperature, beta]
                      + [x for r in scores for x in (r.value, r.precision, r.recall)])
+    return cases
+
+
+def corpus_reports(seed: int = 0, count: int = 1000) -> list:
+    """Per corpus, ``float.hex`` of every P, R and F and the CoNLL score of
+    ``corpus_report`` at beta 1 and 2, then of the four counts of each
+    pair's ``lea_counts(..., singleton_self_links=True)``, on ``count``
+    seeded random corpora of 1-8 documents (n 0-60, with n = 0 and 1
+    common) whose responses are the gold clustering, all singletons,
+    random, or gold with about a fifth of the mentions moved."""
+    from softcoref import clusters_from_entity_ids, corpus_report, lea_counts
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(count):
+        pairs = []
+        for _ in range(int(rng.integers(1, 9))):
+            n = int(rng.integers(0, 61 if rng.random() < 0.8 else 2))
+            gold = rng.integers(0, int(rng.integers(1, n + 1)) if n else 1, size=n)
+            kind = rng.integers(4)
+            if kind == 0:
+                response = gold
+            elif kind == 1:
+                response = np.arange(n)
+            elif kind == 2:
+                response = rng.integers(0, int(rng.integers(1, n + 1)) if n else 1, size=n)
+            else:
+                response = gold.copy()
+                moved = rng.random(n) < 0.2
+                response[moved] = n + rng.integers(0, 3, size=int(moved.sum()))
+            pairs.append((clusters_from_entity_ids(gold), clusters_from_entity_ids(response)))
+        values = []
+        for beta in (1.0, 2.0):
+            report = corpus_report(pairs, beta)
+            values += [x for _, prf in report.rows() for x in prf.as_tuple()] + [report.conll]
+        for gold, response in pairs:
+            counts = lea_counts(gold, response, singleton_self_links=True)
+            values += [counts.p_num, counts.p_den, counts.r_num, counts.r_den]
+        cases.append([float(x).hex() for x in values])
     return cases
 
 
@@ -285,6 +329,10 @@ def drift(name: str, new, old) -> str:
         changed = sum(a != b for doc_new, doc_old in zip(new, old)
                       for a, b in zip(doc_new, doc_old))
         return f"{changed} of {sum(map(len, new))} antecedents differ"
+    if name.startswith("report/"):
+        if len(new) != len(old):
+            return "different cases"
+        return f"{sum(a != b for a, b in zip(new, old))} of {len(new)} corpora differ"
     if name.startswith("relaxed/"):
         if [case[:3] for case in new] != [case[:3] for case in old]:
             return "different cases"
@@ -299,6 +347,21 @@ def drift(name: str, new, old) -> str:
     return f"largest drift {worst:.3e} (largest |value| {scale:.3e})"
 
 
+def compare(artifacts: dict, old: dict) -> tuple[list[str], int]:
+    """One line per artifact of either run with its verdict, and the exit
+    code: 1 when an artifact of ``old`` drifted or is missing from
+    ``artifacts``, 0 otherwise; one that ``old`` lacks is "new"."""
+    lines, differ = [], 0
+    for name, value in artifacts.items():
+        verdict = drift(name, value, old[name]) if name in old else "new"
+        differ += verdict not in ("identical", "new")
+        lines.append(f"{name:<22} {digest(value)}  {verdict}")
+    for name in [name for name in old if name not in artifacts]:
+        lines.append(f"{name:<22} {'':<40}  missing")
+        differ += 1
+    return lines, int(differ > 0)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"),
@@ -310,21 +373,19 @@ def main(argv=None) -> int:
     import softcoref
     print(f"softcoref from {Path(softcoref.__file__).parent}")
     artifacts = {**fingerprint(), "score/csv": score_runs(), "train/stdout": train_runs(),
-                 **file_bytes()}
+                 **file_bytes(), "report/corpus": corpus_reports()}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump({"artifacts": artifacts}, fh)
             fh.write("\n")
-    old = {}
-    if args.against:
-        with open(args.against, encoding="utf-8") as fh:
-            old = json.load(fh)["artifacts"]
-    differ = 0
-    for name, value in artifacts.items():
-        verdict = drift(name, value, old[name]) if name in old else "not in the old file"
-        differ += verdict != "identical" and bool(old)
-        print(f"{name:<22} {digest(value)}  {verdict if old else ''}".rstrip())
-    return 1 if differ else 0
+    if not args.against:
+        for name, value in artifacts.items():
+            print(f"{name:<22} {digest(value)}")
+        return 0
+    with open(args.against, encoding="utf-8") as fh:
+        lines, code = compare(artifacts, json.load(fh)["artifacts"])
+    print("\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

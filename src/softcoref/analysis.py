@@ -19,11 +19,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .clustering import antecedents_to_clusters, validate_antecedent_vector
+from .clustering import _follow_links, validate_antecedent_vector
 from .corpus import MENTION_TYPES, Clustering, Document
 from .errors import InputError
-from .metrics import COUNTS_FROM_OVERLAPS, PRF, _overlaps, conll_average
-from .model import ModelParams, correct_set_mask, predict_antecedents
+from .metrics import COUNTS_FROM_OVERLAPS, PRF, _contingency, conll_average
+from .model import ModelParams, _antecedents, _tie_bounds, correct_set_mask
 
 ERROR_KINDS = ("fa", "fn", "wl", "correct")
 
@@ -108,9 +108,8 @@ def corpus_report(pairs: Sequence[tuple[Clustering, Clustering]],
     """Micro-aggregated metrics over (gold, response) document pairs."""
     if not pairs:
         raise InputError("no documents to score")
-    overlaps = [_overlaps(gold, response) for gold, response in pairs]
-    prfs = {name: sum(fn(x) for x in overlaps).prf(beta)
-            for name, fn in COUNTS_FROM_OVERLAPS.items()}
+    table = _contingency(pairs)
+    prfs = {name: fn(table).prf(beta) for name, fn in COUNTS_FROM_OVERLAPS.items()}
     return MetricReport(
         conll=conll_average(prfs["muc"].f, prfs["b_cubed"].f, prfs["ceaf_e"].f),
         **prfs,
@@ -119,11 +118,11 @@ def corpus_report(pairs: Sequence[tuple[Clustering, Clustering]],
 
 def evaluate_corpus(docs: Sequence[Document], params: ModelParams,
                     beta: float = 1.0) -> MetricReport:
-    """Decode every document with the model and score against gold."""
-    pairs = [
-        (doc.gold_clusters, antecedents_to_clusters(predict_antecedents(doc, params)))
-        for doc in docs
-    ]
+    """Decode every document with the model (``predict_antecedents``) and
+    score against gold."""
+    bounds = _tie_bounds(params)
+    pairs = [(doc.gold_clusters, _follow_links(_antecedents(doc, params, bounds).tolist()))
+             for doc in docs]
     return corpus_report(pairs, beta)
 
 

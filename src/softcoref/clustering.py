@@ -28,10 +28,14 @@ def validate_antecedent_vector(antecedents: Sequence[int]) -> None:
 def antecedents_to_clusters(antecedents: Sequence[int]) -> Clustering:
     """Partition mentions by following antecedent links in one pass: a
     self-link opens the next cluster, any other link joins its target's."""
-    a = np.asarray(antecedents)
-    validate_antecedent_vector(a)
+    validate_antecedent_vector(antecedents)
+    return _follow_links(np.asarray(antecedents).tolist())
+
+
+def _follow_links(antecedents: list[int]) -> Clustering:
+    """``antecedents_to_clusters`` of a vector known to be valid."""
     labels, opened = [], 0
-    for i, j in enumerate(a.tolist(), start=1):
+    for i, j in enumerate(antecedents, start=1):
         if j == i:
             labels.append(opened)
             opened += 1

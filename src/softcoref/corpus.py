@@ -62,8 +62,12 @@ def _as_int(value, what: str) -> int:
 
 def _integer_array(values: Sequence[int], what: str) -> np.ndarray:
     """``values`` as an array, InputError unless its dtype is an integer
-    one (not bool).  Judged once by the dtype numpy gives the whole
-    sequence, so a float anywhere fails; an empty sequence passes."""
+    one (not bool).  Judged by the dtype numpy gives the whole sequence, so
+    a float anywhere fails; a list or tuple is also checked for a bool
+    among integers, which numpy would read as 0 or 1.  An empty sequence
+    passes."""
+    if isinstance(values, (list, tuple)) and {bool, np.bool_} & {*map(type, values)}:
+        raise InputError(f"{what} must hold integers, not bool")
     array = np.asarray(values)
     if array.dtype.kind not in "iu" and array.size:
         raise InputError(f"{what} must hold integers, not {array.dtype}")

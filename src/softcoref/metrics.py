@@ -5,15 +5,32 @@ expressed as count quadruples (precision numerator / denominator, recall
 numerator / denominator) so that document-level counts can be summed for
 micro-averaged corpus scores before any division happens.
 
-Every scorer is a closed form over one integer contingency matrix
-``x[v, u] = |G_v & S_u|`` between the gold clusters G_v and the response
-clusters S_u (both in ``Clustering.cluster_index`` order), built by
-``_overlaps`` with one ``bincount``.  Its row and column sums are the
-cluster sizes, and ``pairs(k) = k (k - 1) / 2`` counts the links inside
-a set of k mentions, so MUC, B-cubed, BLANC and LEA need only sums over
-x, and both CEAF variants align clusters on x itself or on
-``2 x / (|G_v| + |S_u|)``.  ``corpus_report`` builds x once per document
-pair and hands it to every entry of ``COUNTS_FROM_OVERLAPS``.
+Every scorer is a closed form over each document's integer contingency
+table ``x[v, u] = |G_v & S_u|`` between the gold clusters G_v and the
+response clusters S_u (both in ``Clustering.cluster_index`` order).
+``_contingency`` builds it for a whole corpus at once, as its nonzero
+cells: each document's clusters are numbered after those of the
+documents before it, one ``np.unique`` over the (gold, response) cluster
+pair of every mention gives each overlap with its two clusters, and two
+``bincount`` calls give the cluster sizes.  With ``pairs(k) = k (k - 1) /
+2`` the links inside a set of k mentions:
+
+  * MUC and BLANC are integer sums over the cells and the sizes;
+  * B-cubed and LEA add one term per cluster, a ``bincount`` of the cells;
+  * both CEAF variants align clusters on x itself or on
+    ``2 x / (|G_v| + |S_u|)``, one ``linear_sum_assignment`` for each
+    document whose partitions differ; identical partitions align every
+    cluster with itself, which scores n and k exactly.
+
+``corpus_report`` builds the table once and hands it to every entry of
+``COUNTS_FROM_OVERLAPS``; each public ``*_counts`` runs the same function
+on a one-pair table.  Floats are added in one fixed order, that of
+scoring each document alone and adding the counts in document order:
+B-cubed sums its cluster terms per document with builtin ``sum``, LEA
+with numpy's ``sum`` over the document's clusters of size > 1, CEAF_e
+takes each document's alignment total, and then the documents are added
+left to right.  Integer counts, and LEA terms that are all whole
+numbers, are exact in any order, so they are summed in bulk.
 
 Implemented: MUC link-based scoring, B-cubed per-mention overlap, CEAF
 under both the mention-overlap and normalized-entity similarities (with
@@ -25,6 +42,8 @@ link-resolution score weighted by cluster size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -78,49 +97,131 @@ class MetricCounts:
         return PRF(p, r, f_beta(p, r, beta), beta)
 
 
-def _overlaps(gold: Clustering, response: Clustering) -> np.ndarray:
-    """The int64 contingency matrix x[v, u] = |G_v & S_u|, clusters in
-    ``cluster_index`` order on both sides."""
-    rows, cols = gold.cluster_index(), response.cluster_index()
-    # Both cover 1..n, so equal sizes mean equal mention sets.
-    if len(rows) != len(cols):
-        raise InputError(
-            f"gold and response cover different mentions ({len(rows)} vs {len(cols)})"
-        )
-    shape = (len(gold), len(response))
-    return np.bincount(rows * shape[1] + cols, minlength=shape[0] * shape[1]).reshape(shape)
+class _Side(NamedTuple):
+    """One side's clusters over a corpus, numbered document by document."""
+
+    sizes: np.ndarray  # of every cluster
+    doc: np.ndarray    # the document of every cluster
+    bounds: list[int]  # document d owns clusters bounds[d]:bounds[d + 1]
+    cell: np.ndarray   # the cluster of every nonzero overlap
+
+
+@dataclass(frozen=True, eq=False)
+class _Contingency:
+    """The nonzero overlaps |G_v & S_u| of a corpus of (gold, response)
+    pairs, document by document, sorted by gold then response cluster."""
+
+    counts: np.ndarray
+    cell_bounds: list[int]  # document d owns cells cell_bounds[d]:cell_bounds[d + 1]
+    mentions: np.ndarray    # n of every document
+    gold: _Side
+    response: _Side
+
+    @cached_property
+    def differing(self) -> list[tuple[int, np.ndarray]]:
+        """(d, x) for every document d whose partitions differ, x its dense
+        int64 contingency matrix.  The partitions agree exactly when every
+        cluster on either side overlaps one cluster of the other."""
+        cells = np.diff(self.cell_bounds)
+        k_gold, k_response = np.diff(self.gold.bounds), np.diff(self.response.bounds)
+        dense = []
+        for d in np.flatnonzero((cells != k_gold) | (cells != k_response)).tolist():
+            a, b = self.cell_bounds[d], self.cell_bounds[d + 1]
+            x = np.zeros((k_gold[d], k_response[d]), dtype=np.int64)
+            x[self.gold.cell[a:b] - self.gold.bounds[d],
+              self.response.cell[a:b] - self.response.bounds[d]] = self.counts[a:b]
+            dense.append((d, x))
+        return dense
+
+
+def _number(labels: list[np.ndarray], mentions: np.ndarray,
+            firsts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Corpus-wide cluster ids of every mention, and each document's first
+    id with the total last.  ``firsts`` are the positions of the first
+    mention of each nonempty document."""
+    flat = np.concatenate(labels)
+    clusters = np.zeros(len(labels), dtype=np.int64)
+    clusters[mentions > 0] = np.maximum.reduceat(flat, firsts) + 1
+    bounds = np.concatenate(([0], np.cumsum(clusters)))
+    return flat + np.repeat(bounds[:-1], mentions), bounds
+
+
+def _side(ids: np.ndarray, bounds: np.ndarray, cell: np.ndarray) -> _Side:
+    return _Side(np.bincount(ids, minlength=bounds[-1]),
+                 np.repeat(np.arange(len(bounds) - 1), np.diff(bounds)), bounds.tolist(), cell)
+
+
+def _contingency(pairs: Sequence[tuple[Clustering, Clustering]]) -> _Contingency:
+    """The contingency table of one or more (gold, response) pairs."""
+    rows, cols = [], []
+    for gold, response in pairs:
+        r, c = gold.cluster_index(), response.cluster_index()
+        # Both cover 1..n, so equal sizes mean equal mention sets.
+        if len(r) != len(c):
+            raise InputError(
+                f"gold and response cover different mentions ({len(r)} vs {len(c)})"
+            )
+        rows.append(r)
+        cols.append(c)
+    mentions = np.array([len(r) for r in rows], dtype=np.int64)
+    firsts = (np.cumsum(mentions) - mentions)[mentions > 0]
+    gold_ids, gold_bounds = _number(rows, mentions, firsts)
+    response_ids, response_bounds = _number(cols, mentions, firsts)
+    width = max(int(response_bounds[-1]), 1)
+    cells, counts = np.unique(gold_ids * width + response_ids, return_counts=True)
+    gold_cell, response_cell = np.divmod(cells, width)
+    return _Contingency(
+        counts=counts,
+        cell_bounds=np.searchsorted(gold_cell, gold_bounds).tolist(),
+        mentions=mentions,
+        gold=_side(gold_ids, gold_bounds, gold_cell),
+        response=_side(response_ids, response_bounds, response_cell),
+    )
 
 
 def _pairs(k):
     return k * (k - 1) // 2
 
 
+def _fold(values) -> float:
+    """Per-document values added left to right, as adding the documents'
+    ``MetricCounts`` in order does."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 # ---------------------------------------------------------------------------
 # MUC
 # ---------------------------------------------------------------------------
 
-def _muc(x: np.ndarray) -> MetricCounts:
+def _muc(t: _Contingency) -> MetricCounts:
     """Link-based counts: a cluster of size k contributes k - 1 links and
     loses one per part it is split into by the other side, so both sides
-    resolve n - nnz(x) links."""
-    n = int(x.sum())
-    resolved = float(n - np.count_nonzero(x))
-    return MetricCounts(resolved, float(n - x.shape[1]), resolved, float(n - x.shape[0]))
+    resolve n - (number of nonzero overlaps) links."""
+    n = int(t.mentions.sum())
+    resolved = float(n - len(t.counts))
+    return MetricCounts(resolved, float(n - len(t.response.sizes)),
+                        resolved, float(n - len(t.gold.sizes)))
 
 
 # ---------------------------------------------------------------------------
 # B-cubed
 # ---------------------------------------------------------------------------
 
-def _b_cubed(x: np.ndarray) -> MetricCounts:
+def _b_cubed(t: _Contingency) -> MetricCounts:
     """Per-mention counts: each mention scores the squared overlap of its
     gold and response clusters over the cluster size on each side."""
-    x2 = x * x
-    n = float(x.sum())
-    # Builtin sum over clusters in order fixes the rounding of the totals.
-    r_num = float(sum((x2.sum(axis=1) / x.sum(axis=1)).tolist()))
-    p_num = float(sum((x2.sum(axis=0) / x.sum(axis=0)).tolist()))
-    return MetricCounts(p_num, n, r_num, n)
+    squares = t.counts * t.counts
+
+    def side(s: _Side) -> float:
+        terms = (np.bincount(s.cell, squares, len(s.sizes)) / s.sizes).tolist()
+        # Builtin sum over each document's clusters in order fixes the rounding.
+        return _fold(sum(terms[a:b]) for a, b in zip(s.bounds, s.bounds[1:]))
+
+    n = float(t.mentions.sum())
+    return MetricCounts(side(t.response), n, side(t.gold), n)
 
 
 # ---------------------------------------------------------------------------
@@ -133,18 +234,28 @@ def _optimal_alignment_total(similarity: np.ndarray) -> float:
     return float(similarity[rows, cols].sum())
 
 
-def _ceaf_m(x: np.ndarray) -> MetricCounts:
+def _aligned(t: _Contingency, similarity, identical: list) -> float:
+    """Each document's best alignment total under ``similarity`` of its
+    contingency matrix, ``identical[d]`` where its partitions agree, added
+    in document order."""
+    best = list(map(float, identical))
+    for d, x in t.differing:
+        best[d] = _optimal_alignment_total(similarity(x))
+    return _fold(best)
+
+
+def _ceaf_m(t: _Contingency) -> MetricCounts:
     """Mention-overlap similarity phi(G, S) = |G & S|."""
-    best = _optimal_alignment_total(x)
-    n = float(x.sum())
+    best = _aligned(t, lambda x: x, t.mentions.tolist())
+    n = float(t.mentions.sum())
     return MetricCounts(best, n, best, n)
 
 
-def _ceaf_e(x: np.ndarray) -> MetricCounts:
+def _ceaf_e(t: _Contingency) -> MetricCounts:
     """Normalized similarity phi(G, S) = 2|G & S| / (|G| + |S|)."""
-    phi = 2.0 * x / (x.sum(axis=1)[:, None] + x.sum(axis=0)[None, :])
-    best = _optimal_alignment_total(phi)
-    return MetricCounts(best, float(x.shape[1]), best, float(x.shape[0]))
+    best = _aligned(t, lambda x: 2.0 * x / (x.sum(axis=1)[:, None] + x.sum(axis=0)[None, :]),
+                    np.diff(t.gold.bounds).tolist())
+    return MetricCounts(best, float(len(t.response.sizes)), best, float(len(t.gold.sizes)))
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +296,13 @@ class BlancCounts:
         )
 
 
-def _blanc(x: np.ndarray) -> BlancCounts:
+def _blanc(t: _Contingency) -> BlancCounts:
     """Coreferent pairs in both partitions are the pairs inside each
     overlap; the non-coreferent pairs follow by inclusion-exclusion."""
-    total = _pairs(int(x.sum()))
-    both = int(_pairs(x).sum())
-    gold = int(_pairs(x.sum(axis=1)).sum())
-    response = int(_pairs(x.sum(axis=0)).sum())
+    total = int(_pairs(t.mentions).sum())
+    both = int(_pairs(t.counts).sum())
+    gold = int(_pairs(t.gold.sizes).sum())
+    response = int(_pairs(t.response.sizes).sum())
     neither = total - gold - response + both
     return BlancCounts(
         coref=MetricCounts(float(both), float(response), float(both), float(gold)),
@@ -204,24 +315,35 @@ def _blanc(x: np.ndarray) -> BlancCounts:
 # LEA
 # ---------------------------------------------------------------------------
 
-def _lea(x: np.ndarray, singleton_self_links: bool = False) -> MetricCounts:
-    """Each side reads its own clusters as the rows (x, then x.T): a
-    cluster of size k > 1 resolves sum_u pairs(x[v, u]) of its pairs(k)
-    links, so it adds k * resolved / pairs(k) = 2 * resolved / (k - 1)."""
-    def side(x: np.ndarray) -> tuple[float, float]:
-        sizes = x.sum(axis=1)
-        multi = sizes > 1
-        num = (2 * _pairs(x[multi]).sum(axis=1) / (sizes[multi] - 1)).sum()
+def _lea(t: _Contingency, singleton_self_links: bool = False) -> MetricCounts:
+    """Each side reads its own clusters as the keys: a cluster of size
+    k > 1 resolves the pairs(|overlap|) links of each of its overlaps, out
+    of pairs(k), so it adds k * resolved / pairs(k) = 2 * resolved / (k - 1)."""
+    links = _pairs(t.counts)
+    docs = len(t.mentions)
+    if singleton_self_links:  # a singleton on both sides resolves its self-link
+        hits = (t.gold.sizes[t.gold.cell] == 1) & (t.response.sizes[t.response.cell] == 1)
+        self_links = np.bincount(t.gold.doc[t.gold.cell[hits]], minlength=docs)
+
+    def side(s: _Side) -> float:
+        multi = s.sizes > 1
+        terms = 2 * np.bincount(s.cell, links, len(s.sizes))[multi] / (s.sizes[multi] - 1)
+        doc = s.doc[multi]
+        # A sum of whole numbers is exact in any order; a document with a
+        # fraction among its terms is summed as numpy sums it alone.
+        nums = np.bincount(doc, terms, docs)
+        bounds = np.searchsorted(doc, np.arange(docs + 1)).tolist()
+        for d in np.unique(doc[terms % 1 != 0]).tolist():
+            nums[d] = terms[bounds[d]:bounds[d + 1]].sum()
         if singleton_self_links:
-            num += np.count_nonzero(x[sizes == 1][:, x.sum(axis=0) == 1])
-        return float(num), float(sizes.sum())
+            nums += self_links
+        return _fold(nums.tolist())
 
-    r_num, r_den = side(x)
-    p_num, p_den = side(x.T)
-    return MetricCounts(p_num, p_den, r_num, r_den)
+    n = float(t.mentions.sum())
+    return MetricCounts(side(t.response), n, side(t.gold), n)
 
 
-# Every scorer as a function of the contingency matrix, in report order.
+# Every scorer as a function of the contingency table, in report order.
 COUNTS_FROM_OVERLAPS = {
     "muc": _muc, "b_cubed": _b_cubed, "ceaf_m": _ceaf_m,
     "ceaf_e": _ceaf_e, "blanc": _blanc, "lea": _lea,
@@ -229,23 +351,23 @@ COUNTS_FROM_OVERLAPS = {
 
 
 def muc_counts(gold: Clustering, response: Clustering) -> MetricCounts:
-    return _muc(_overlaps(gold, response))
+    return _muc(_contingency([(gold, response)]))
 
 
 def b_cubed_counts(gold: Clustering, response: Clustering) -> MetricCounts:
-    return _b_cubed(_overlaps(gold, response))
+    return _b_cubed(_contingency([(gold, response)]))
 
 
 def ceaf_m_counts(gold: Clustering, response: Clustering) -> MetricCounts:
-    return _ceaf_m(_overlaps(gold, response))
+    return _ceaf_m(_contingency([(gold, response)]))
 
 
 def ceaf_e_counts(gold: Clustering, response: Clustering) -> MetricCounts:
-    return _ceaf_e(_overlaps(gold, response))
+    return _ceaf_e(_contingency([(gold, response)]))
 
 
 def blanc_counts(gold: Clustering, response: Clustering) -> BlancCounts:
-    return _blanc(_overlaps(gold, response))
+    return _blanc(_contingency([(gold, response)]))
 
 
 def lea_counts(gold: Clustering, response: Clustering, *,
@@ -258,7 +380,7 @@ def lea_counts(gold: Clustering, response: Clustering, *,
     exactly when the mention is also a singleton on the other side;
     otherwise singletons resolve nothing.
     """
-    return _lea(_overlaps(gold, response), singleton_self_links)
+    return _lea(_contingency([(gold, response)]), singleton_self_links)
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -363,29 +363,49 @@ def _gamma(m: int, unit: float) -> float:
     return m * unit / (1.0 - m * unit)
 
 
-def _near_tie_gap(doc: Document, params: ModelParams) -> Optional[float]:
+class _TieBounds(NamedTuple):
+    """The terms of ``_near_tie_gap`` that depend on the parameters alone."""
+
+    abs_u_p: np.ndarray
+    abs_w_p: np.ndarray
+    abs_b_p: np.ndarray
+    u_p_l1: float        # ||u_p||_1
+    u_l1_and_u_0: float  # ||u||_1 + |u_0|
+
+
+def _tie_bounds(params: ModelParams) -> _TieBounds:
+    """``_near_tie_gap``'s parameter terms.  Training changes ``params`` in
+    place, so the caller computes them again for each use of the model."""
+    abs_u = np.abs(params.u)
+    abs_u_p = abs_u[params.hidden_a:]
+    return _TieBounds(abs_u_p, np.abs(params.w_p), np.abs(params.b_p),
+                      float(abs_u_p.sum()), float(abs_u.sum()) + abs(params.u_0))
+
+
+def _near_tie_gap(doc: Document, params: ModelParams,
+                  bounds: Optional[_TieBounds] = None) -> Optional[float]:
     """The top-two score gap at or below which ``predict_antecedents``
     re-scores a row in float64, or None when the float32 pair layer is not
     used on ``doc``: no pairs, a value or partial sum that float32 cannot
-    hold, or a bound that is not finite.  See ``predict_antecedents``."""
+    hold, or a bound that is not finite.  See ``predict_antecedents``.
+    ``bounds`` are ``_tie_bounds(params)``, computed here when not given."""
     if doc.n < 2:
         return None
+    if bounds is None:
+        bounds = _tie_bounds(params)
     phi, d, hidden = doc.pair_feature_max, params.d_p, params.hidden_p
-    abs_u = np.abs(params.u)
-    abs_u_p = abs_u[params.hidden_a:]
-    abs_w = np.abs(params.w_p)
     # reach[k] = max(phi, 1) ||w_k||_1 + |b_k| bounds |w_k|, |b_k| and every
     # partial sum of the GEMM that adds the bias; ||u_p||_1 bounds those of h_p u_p
-    reach = abs_w @ np.full(d, max(phi, 1.0))
-    reach += np.abs(params.b_p)
-    u_l1 = float(abs_u_p.sum())
+    reach = bounds.abs_w_p @ np.full(d, max(phi, 1.0))
+    reach += bounds.abs_b_p
+    u_l1 = bounds.u_p_l1
     if not max(phi, reach.max(initial=0.0), u_l1) < _F32_LIMIT:
         return None
-    lin = float(abs_u_p @ reach)
+    lin = float(bounds.abs_u_p @ reach)
     error = _F32_TINY * (lin + u_l1 * (d * (phi + 1.0) + 2.0) + 2.0 * hidden + 2.0)
     for unit in (_F32_UNIT, _F64_UNIT):
         error += _gamma(d + 3, unit) * lin + (_TANH_ULPS * unit + _gamma(hidden + 2, unit)) * u_l1
-    gap = 2.0 * (error + 2.0 ** -48 * (float(abs_u.sum()) + abs(params.u_0))) + 2.0 ** -44
+    gap = 2.0 * (error + 2.0 ** -48 * bounds.u_l1_and_u_0) + 2.0 ** -44
     return gap if math.isfinite(gap) else None
 
 
@@ -428,7 +448,14 @@ def predict_antecedents(doc: Document, params: ModelParams) -> tuple[int, ...]:
     24/32, and one document in 46-141 has one row to re-score (README,
     "Performance notes").
     """
-    gap = _near_tie_gap(doc, params)
+    return tuple(_antecedents(doc, params).tolist())
+
+
+def _antecedents(doc: Document, params: ModelParams,
+                 bounds: Optional[_TieBounds] = None) -> np.ndarray:
+    """``predict_antecedents`` as an int64 array; ``bounds`` as for
+    ``_near_tie_gap``."""
+    gap = _near_tie_gap(doc, params, bounds)
     if gap is not None:
         scores, h_a, _ = _forward_scores(doc, params, keep_h_p=False, dtype=np.float32)
         masked = np.where(doc.candidate_mask, scores, -np.inf)
@@ -446,9 +473,9 @@ def predict_antecedents(doc: Document, params: ModelParams) -> tuple[int, ...]:
             row[:i] += mention_part[i]
             row[:i] += params.u_0
             best[i] = np.argmax(masked_softmax(row[None], doc.candidate_mask[i][None]))
-        return tuple((best + 1).tolist())
+        return best + 1
     probs = masked_softmax(score_pairs(doc, params), doc.candidate_mask)
-    return tuple((np.argmax(probs, axis=1) + 1).tolist())
+    return np.argmax(probs, axis=1) + 1
 
 
 def _softmax_backward(probs: np.ndarray, d_probs: np.ndarray) -> np.ndarray:

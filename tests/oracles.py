@@ -4,14 +4,18 @@ The scalar softmax-margin costs spell out, case by case, what
 ``model.delta_matrix`` / ``model.gamma_matrix`` compute for a whole
 document; the brute-force membership enumerates every antecedent vector
 and is the oracle of acceptance 3; the line-by-line CoNLL reader is the
-reference that ``corpus.parse_conll_documents`` is compared against.
-None of them is part of the method.
+reference that ``corpus.parse_conll_documents`` is compared against; the
+dense per-document scorers, one contingency matrix per (gold, response)
+pair summed in document order, are the reference of ``metrics``' corpus-wide
+table.  None of them is part of the method.
 """
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
-from softcoref import (Clustering, ConllDocument, CostConfig, FormatError, InputError,
-                       LinkDistribution, MembershipMatrix)
+from softcoref import (BlancCounts, Clustering, ConllDocument, CostConfig, FormatError,
+                       InputError, LinkDistribution, MembershipMatrix, MetricCounts,
+                       MetricReport, conll_average)
 from softcoref.corpus import _utf8_text
 
 # Softmax-margin costs that are zero in every case: the heuristic losses
@@ -168,3 +172,114 @@ def reference_parse_conll_documents(path) -> list[ConllDocument]:
     if doc_id is not None:
         raise FormatError(f"document {doc_id!r} not terminated by #end document", path=path)
     return docs
+
+
+# ---------------------------------------------------------------------------
+# Exact metrics, one dense contingency matrix per document
+# ---------------------------------------------------------------------------
+
+def _overlaps(gold: Clustering, response: Clustering) -> np.ndarray:
+    """The int64 contingency matrix x[v, u] = |G_v & S_u|, clusters in
+    ``cluster_index`` order on both sides."""
+    rows, cols = gold.cluster_index(), response.cluster_index()
+    # Both cover 1..n, so equal sizes mean equal mention sets.
+    if len(rows) != len(cols):
+        raise InputError(
+            f"gold and response cover different mentions ({len(rows)} vs {len(cols)})"
+        )
+    shape = (len(gold), len(response))
+    return np.bincount(rows * shape[1] + cols, minlength=shape[0] * shape[1]).reshape(shape)
+
+
+def _pairs(k):
+    return k * (k - 1) // 2
+
+
+def _muc(x: np.ndarray) -> MetricCounts:
+    """Link-based counts: a cluster of size k contributes k - 1 links and
+    loses one per part it is split into by the other side, so both sides
+    resolve n - nnz(x) links."""
+    n = int(x.sum())
+    resolved = float(n - np.count_nonzero(x))
+    return MetricCounts(resolved, float(n - x.shape[1]), resolved, float(n - x.shape[0]))
+
+
+def _b_cubed(x: np.ndarray) -> MetricCounts:
+    """Per-mention counts: each mention scores the squared overlap of its
+    gold and response clusters over the cluster size on each side."""
+    x2 = x * x
+    n = float(x.sum())
+    # Builtin sum over clusters in order fixes the rounding of the totals.
+    r_num = float(sum((x2.sum(axis=1) / x.sum(axis=1)).tolist()))
+    p_num = float(sum((x2.sum(axis=0) / x.sum(axis=0)).tolist()))
+    return MetricCounts(p_num, n, r_num, n)
+
+
+def _optimal_alignment_total(similarity: np.ndarray) -> float:
+    """Best one-to-one cluster alignment score (rectangular allowed)."""
+    rows, cols = linear_sum_assignment(-similarity)
+    return float(similarity[rows, cols].sum())
+
+
+def _ceaf_m(x: np.ndarray) -> MetricCounts:
+    """Mention-overlap similarity phi(G, S) = |G & S|."""
+    best = _optimal_alignment_total(x)
+    n = float(x.sum())
+    return MetricCounts(best, n, best, n)
+
+
+def _ceaf_e(x: np.ndarray) -> MetricCounts:
+    """Normalized similarity phi(G, S) = 2|G & S| / (|G| + |S|)."""
+    phi = 2.0 * x / (x.sum(axis=1)[:, None] + x.sum(axis=0)[None, :])
+    best = _optimal_alignment_total(phi)
+    return MetricCounts(best, float(x.shape[1]), best, float(x.shape[0]))
+
+
+def _blanc(x: np.ndarray) -> BlancCounts:
+    """Coreferent pairs in both partitions are the pairs inside each
+    overlap; the non-coreferent pairs follow by inclusion-exclusion."""
+    total = _pairs(int(x.sum()))
+    both = int(_pairs(x).sum())
+    gold = int(_pairs(x.sum(axis=1)).sum())
+    response = int(_pairs(x.sum(axis=0)).sum())
+    neither = total - gold - response + both
+    return BlancCounts(
+        coref=MetricCounts(float(both), float(response), float(both), float(gold)),
+        non_coref=MetricCounts(float(neither), float(total - response),
+                               float(neither), float(total - gold)),
+    )
+
+
+def _lea(x: np.ndarray, singleton_self_links: bool = False) -> MetricCounts:
+    """Each side reads its own clusters as the rows (x, then x.T): a
+    cluster of size k > 1 resolves sum_u pairs(x[v, u]) of its pairs(k)
+    links, so it adds k * resolved / pairs(k) = 2 * resolved / (k - 1)."""
+    def side(x: np.ndarray) -> tuple[float, float]:
+        sizes = x.sum(axis=1)
+        multi = sizes > 1
+        num = (2 * _pairs(x[multi]).sum(axis=1) / (sizes[multi] - 1)).sum()
+        if singleton_self_links:
+            num += np.count_nonzero(x[sizes == 1][:, x.sum(axis=0) == 1])
+        return float(num), float(sizes.sum())
+
+    r_num, r_den = side(x)
+    p_num, p_den = side(x.T)
+    return MetricCounts(p_num, p_den, r_num, r_den)
+
+
+REFERENCE_COUNTS = {
+    "muc": _muc, "b_cubed": _b_cubed, "ceaf_m": _ceaf_m,
+    "ceaf_e": _ceaf_e, "blanc": _blanc, "lea": _lea,
+}
+
+
+def reference_corpus_report(pairs, beta: float = 1.0) -> MetricReport:
+    """``corpus_report`` as each document scored on its own, the counts
+    added in document order."""
+    overlaps = [_overlaps(gold, response) for gold, response in pairs]
+    prfs = {name: sum(fn(x) for x in overlaps).prf(beta)
+            for name, fn in REFERENCE_COUNTS.items()}
+    return MetricReport(
+        conll=conll_average(prfs["muc"].f, prfs["b_cubed"].f, prfs["ceaf_e"].f),
+        **prfs,
+    )

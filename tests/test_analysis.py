@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import softcoref.analysis
 from softcoref import (Clustering, ErrorBreakdown, InputError, ModelParams,
                        b_cubed, b_cubed_counts, blanc, blanc_counts, ceaf_e,
-                       ceaf_e_counts, ceaf_m, ceaf_m_counts, conll_average,
-                       corpus_report, error_breakdown, evaluate_corpus,
+                       ceaf_e_counts, ceaf_m, ceaf_m_counts, clusters_from_entity_ids,
+                       conll_average, corpus_report, error_breakdown, evaluate_corpus,
                        format_breakdown, format_report, lea, lea_counts,
                        muc, muc_counts, predict_antecedents, report_csv)
 from softcoref.analysis import ERROR_KINDS
@@ -17,6 +17,7 @@ from softcoref.clustering import antecedents_to_clusters
 
 from conftest import (correct_antecedents, make_document, random_clustering,
                       small_corpus)
+from oracles import REFERENCE_COUNTS, _overlaps, reference_corpus_report
 
 
 def loop_breakdown(doc, predicted) -> ErrorBreakdown:
@@ -91,7 +92,7 @@ class TestErrorBreakdown:
         with pytest.raises(InputError):
             error_breakdown(doc, (1, 3))
 
-    @pytest.mark.parametrize("predicted", [(1.0, 1.0), (1, 1.5), (True, True)])
+    @pytest.mark.parametrize("predicted", [(1.0, 1.0), (1, 1.5), (True, True), (1, True)])
     def test_non_integer_antecedent_rejected(self, predicted):
         with pytest.raises(InputError, match="must hold integers"):
             error_breakdown(make_document("d", [1, 1]), predicted)
@@ -204,13 +205,22 @@ class TestReports:
         for name, counts in public.items():
             assert getattr(report, name) == sum(counts(g, r) for g, r in pairs).prf()
 
-    def test_overlaps_built_once_per_pair(self, monkeypatch, fixture_gold, fixture_sys):
+    def test_contingency_built_once_per_call(self, monkeypatch, fixture_gold, fixture_sys):
         calls = []
-        build = softcoref.analysis._overlaps
-        monkeypatch.setattr(softcoref.analysis, "_overlaps",
-                            lambda g, r: calls.append(1) or build(g, r))
+        build = softcoref.analysis._contingency
+        monkeypatch.setattr(softcoref.analysis, "_contingency",
+                            lambda pairs: calls.append(len(pairs)) or build(pairs))
         corpus_report([(fixture_gold, fixture_sys)] * 3)
-        assert len(calls) == 3
+        assert calls == [3]
+
+    def test_mismatched_mentions_name_the_first_bad_pair(self, fixture_gold, fixture_sys):
+        two, three = Clustering([{1, 2}]), Clustering([{1}, {2, 3}])
+        pairs = [(fixture_gold, fixture_sys), (two, three), (three, fixture_gold)]
+        message = r"^gold and response cover different mentions \(2 vs 3\)$"
+        with pytest.raises(InputError, match=message):
+            corpus_report(pairs)
+        with pytest.raises(InputError, match=message):
+            lea_counts(two, three, singleton_self_links=True)
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(InputError):
@@ -227,6 +237,62 @@ class TestReports:
             for doc in docs
         ]
         assert report == corpus_report(pairs)
+
+    def test_evaluate_corpus_takes_parameter_terms_once_per_call(self, monkeypatch):
+        docs = small_corpus(3, seed=6)
+        params = ModelParams.random(docs[0].d_a, docs[0].d_p, hidden_a=4, hidden_p=5, seed=6)
+        calls = []
+        terms = softcoref.analysis._tie_bounds
+        monkeypatch.setattr(softcoref.analysis, "_tie_bounds",
+                            lambda p: calls.append(1) or terms(p))
+        evaluate_corpus(docs, params)
+        params.u *= -1.0  # as training does, in place
+        report = evaluate_corpus(docs, params)
+        assert len(calls) == 2
+        assert report == corpus_report([
+            (doc.gold_clusters, antecedents_to_clusters(predict_antecedents(doc, params)))
+            for doc in docs])
+
+
+@st.composite
+def scored_corpora(draw):
+    """1-6 (gold, response) pairs of n 0-90: responses identical to gold,
+    all singletons, random, or gold with about a fifth of the mentions
+    moved to other or new clusters."""
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.one_of(st.integers(0, 2), st.integers(0, 90)))
+        gold = draw(st.lists(st.integers(0, max(n // 3, 1)), min_size=n, max_size=n))
+        kind = draw(st.sampled_from(["identical", "singletons", "random", "perturbed"]))
+        if kind == "identical":
+            response = gold
+        elif kind == "singletons":
+            response = list(range(n))
+        elif kind == "random":
+            response = draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n))
+        else:
+            moved = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+            response = [label if m > 1 else n + m * label for label, m in zip(gold, moved)]
+        pairs.append((clusters_from_entity_ids(gold), clusters_from_entity_ids(response)))
+    return pairs
+
+
+class TestCorpusTable:
+    """``corpus_report`` and every public ``*_counts`` equal, down to the
+    last bit, the dense per-document scorers of ``tests/oracles.py``."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(pairs=scored_corpora(), beta=st.sampled_from([1.0, 2.0]))
+    def test_matches_dense_per_document_scorers(self, pairs, beta):
+        assert corpus_report(pairs, beta) == reference_corpus_report(pairs, beta)
+        public = {"muc": muc_counts, "b_cubed": b_cubed_counts, "ceaf_m": ceaf_m_counts,
+                  "ceaf_e": ceaf_e_counts, "blanc": blanc_counts, "lea": lea_counts}
+        for gold, response in pairs:
+            x = _overlaps(gold, response)
+            for name, counts in public.items():
+                assert counts(gold, response) == REFERENCE_COUNTS[name](x)
+            assert (lea_counts(gold, response, singleton_self_links=True)
+                    == REFERENCE_COUNTS["lea"](x, singleton_self_links=True))
 
 
 class TestRendering:

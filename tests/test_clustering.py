@@ -38,7 +38,8 @@ class TestValidation:
         validate_antecedent_vector(np.array([1, 2], dtype=np.uint8))
         validate_antecedent_vector([])
 
-    @pytest.mark.parametrize("antecedents", [[1, 1.5], [1.0, 1.0], [True], np.array([1.0])])
+    @pytest.mark.parametrize("antecedents", [[1, 1.5], [1.0, 1.0], [True], np.array([1.0]),
+                                             [1, True], (1, 1, np.True_)])
     def test_non_integer_antecedent_rejected(self, antecedents):
         with pytest.raises(InputError, match="must hold integers"):
             validate_antecedent_vector(antecedents)

@@ -78,7 +78,8 @@ class TestClustering:
         with pytest.raises(InputError, match="is not an integer"):
             Clustering(clusters)
 
-    @pytest.mark.parametrize("entity_ids", [[1.2, 1.7, 2.5], [1.0, 1.0], [True, False]])
+    @pytest.mark.parametrize("entity_ids", [[1.2, 1.7, 2.5], [1.0, 1.0], [True, False],
+                                            [True, 1, 2], (3, np.bool_(False))])
     def test_from_entity_ids_rejects_non_integer_labels(self, entity_ids):
         with pytest.raises(InputError, match="must hold integers"):
             clusters_from_entity_ids(entity_ids)

@@ -83,3 +83,25 @@ def test_drift_of_file_bytes_names_the_first_difference(fingerprint):
         "first difference at character 8 (10 vs 11 characters)")
     assert fingerprint.drift("bytes/save_corpus", "ab\n", "ab") == (
         "first difference at character 2 (3 vs 2 characters)")
+
+
+def test_corpus_reports_repeat_and_drift_counts_the_corpora(fingerprint):
+    first = fingerprint.corpus_reports(count=20)
+    assert first == fingerprint.corpus_reports(count=20)
+    # per beta 6 x (P, R, F) and CoNLL, then 4 LEA counts per document
+    assert all(len(case) > 38 and (len(case) - 38) % 4 == 0 for case in first)
+    moved = [list(case) for case in first]
+    moved[3][5] = (float.fromhex(moved[3][5]) + 0.5).hex()
+    assert fingerprint.drift("report/corpus", moved, first) == "1 of 20 corpora differ"
+
+
+def test_against_reports_new_and_missing_artifacts(fingerprint):
+    old = {"params/b3": [1.0, 2.0], "bytes/model_save": "{}"}
+    lines, code = fingerprint.compare({**old, "report/corpus": [["0x1p+0"]]}, old)
+    assert code == 0
+    assert [line.split()[-1] for line in lines] == ["identical", "identical", "new"]
+    lines, code = fingerprint.compare({"params/b3": [1.0, 2.0]}, old)
+    assert code == 1
+    assert lines[-1].split() == ["bytes/model_save", "missing"]
+    _, code = fingerprint.compare({**old, "params/b3": [1.0, 2.5]}, old)
+    assert code == 1

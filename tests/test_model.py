@@ -718,6 +718,17 @@ class TestFloat32Screen:
         error = np.abs(np.tanh(x).astype(np.float64) - np.tanh(x.astype(np.float64)))
         assert error.max() <= model._TANH_ULPS * model._F32_UNIT
 
+    def test_shared_parameter_terms_give_the_same_gap(self):
+        """``evaluate_corpus`` takes ``_tie_bounds`` once for all its
+        documents; each gap is bit-identical to the one computed alone."""
+        params = ModelParams.random(4, 5, hidden_a=3, hidden_p=6, scale=3.0, seed=5)
+        bounds = model._tie_bounds(params)
+        for n in (1, 2, 9, 40):
+            doc = singleton_document(n, 5, seed=n)
+            gap = model._near_tie_gap(doc, params, bounds)
+            assert gap == model._near_tie_gap(doc, params)
+            assert (gap is None) == (n < 2)
+
     def test_predict_peak_is_below_a_pair_layer(self):
         doc = long_document(200, seed=9)
         params = ModelParams.random(4, 5, hidden_a=20, hidden_p=200, seed=9)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .clustering import _follow_links, validate_antecedent_vector
 from .corpus import MENTION_TYPES, Clustering, Document
-from .errors import InputError
+from .errors import InputError, _check_range
 from .metrics import COUNTS_FROM_OVERLAPS, PRF, _contingency, conll_average
 from .model import ModelParams, _antecedents, _tie_bounds, correct_set_mask
 
@@ -106,6 +106,7 @@ class MetricReport:
 def corpus_report(pairs: Sequence[tuple[Clustering, Clustering]],
                   beta: float = 1.0) -> MetricReport:
     """Micro-aggregated metrics over (gold, response) document pairs."""
+    _check_range("beta", beta)
     if not pairs:
         raise InputError("no documents to score")
     table = _contingency(pairs)
@@ -120,6 +121,7 @@ def evaluate_corpus(docs: Sequence[Document], params: ModelParams,
                     beta: float = 1.0) -> MetricReport:
     """Decode every document with the model (``predict_antecedents``) and
     score against gold."""
+    _check_range("beta", beta)
     bounds = _tie_bounds(params)
     pairs = [(doc.gold_clusters, _follow_links(_antecedents(doc, params, bounds).tolist()))
              for doc in docs]

@@ -10,14 +10,13 @@ failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
 from . import analysis, corpus, optim
 from .corpus import SyntheticConfig
-from .errors import ConfigError, FormatError, InputError, SoftcorefError
-from .model import LOSS_KINDS, CostConfig, ModelParams, predict_antecedents
+from .errors import ConfigError, FormatError, InputError, SoftcorefError, _check_range
+from .model import LOSS_KINDS, CostConfig, ModelParams, _antecedents, _corpus_dims, _tie_bounds
 from .optim import TrainConfig
 
 
@@ -114,11 +113,20 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    for path in filter(None, (args.out, args.history)):  # fail before training, not after
+    # fail before training, not after; no output may name an input or the
+    # other output, which writing it would overwrite
+    named = {"--corpus": args.corpus, "--dev": args.dev, "--init": args.init}
+    for flag, path in (("--out", args.out), ("--history", args.history)):
+        if path is None:
+            continue
         if not Path(path).parent.is_dir():
             raise InputError(f"{path}: no such file")
         if Path(path).is_dir():
             raise InputError(f"{path}: is a directory")
+        for other, taken in named.items():
+            if taken is not None and Path(taken).resolve() == Path(path).resolve():
+                raise InputError(f"{path}: {flag} names the same file as {other}")
+        named[flag] = path
     train_docs = _load_nonempty(args.corpus)
     dev_docs = _load_nonempty(args.dev) if args.dev else []
     init = ModelParams.load(args.init) if args.init else None
@@ -187,10 +195,8 @@ def _load_nonempty(path) -> list[corpus.Document]:
 def _cmd_errors(args) -> int:
     docs = _load_nonempty(args.corpus)
     params = ModelParams.load(args.model)
-    total = sum(
-        analysis.error_breakdown(doc, predict_antecedents(doc, params))
-        for doc in docs
-    )
+    bounds = _tie_bounds(params)
+    total = sum(analysis.error_breakdown(doc, _antecedents(doc, params, bounds)) for doc in docs)
     print(analysis.format_breakdown(total))
     return 0
 
@@ -198,17 +204,13 @@ def _cmd_errors(args) -> int:
 def _cmd_gradcheck(args) -> int:
     if args.ndocs < 1:
         raise ConfigError(f"--ndocs must be at least 1, got {args.ndocs}")
-    if not 0 < args.tol < math.inf:
-        raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+    _check_range("--tol", args.tol)
+    _check_range("--seed", args.seed, positive=False)
     docs = _load_nonempty(args.corpus)
     if args.model:
         params = ModelParams.load(args.model)
     else:
-        d_a = docs[0].d_a
-        d_p = max((d.d_p for d in docs), default=1) or 1
-        params = ModelParams.random(d_a, d_p, args.hidden_a, args.hidden_p,
+        params = ModelParams.random(*_corpus_dims(docs), args.hidden_a, args.hidden_p,
                                     scale=0.1, seed=args.seed)
     worst = 0.0
     for doc in docs[: args.ndocs]:

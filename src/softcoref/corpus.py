@@ -24,7 +24,6 @@ ignored.
 from __future__ import annotations
 
 import json
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,7 +32,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, InputError
+from .errors import ConfigError, FormatError, InputError, _check_range
 
 MENTION_TYPES = ("proper", "nominal", "pronominal")
 
@@ -389,18 +388,15 @@ class SyntheticConfig:
     def __post_init__(self):
         lo, hi = self.mentions_per_doc
         elo, ehi = self.entities_per_doc
-        if self.num_docs < 0:
-            raise ConfigError("num_docs must be nonnegative")
+        _check_range("num_docs", self.num_docs, positive=False)
         if not (1 <= lo <= hi):
             raise ConfigError(f"empty mentions_per_doc range {self.mentions_per_doc}")
         if not (1 <= elo <= ehi):
             raise ConfigError(f"empty entities_per_doc range {self.entities_per_doc}")
         if self.d_a < 1 or self.d_p < 1:
             raise ConfigError("feature dimensions must be at least 1")
-        if not 0 <= self.noise < math.inf:
-            raise ConfigError(f"noise level must be nonnegative and finite, got {self.noise}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        _check_range("noise level", self.noise, positive=False)
+        _check_range("seed", self.seed, positive=False)
 
 
 def _fit_length(vec: np.ndarray, d: int) -> np.ndarray:
@@ -839,7 +835,14 @@ def parse_conll_documents(path) -> list[ConllDocument]:
 
 
 def write_conll_responses(items: Iterable[tuple[str, Clustering]], path) -> None:
-    """Write clusterings as one-token-per-mention CoNLL response blocks."""
+    """Write clusterings as one-token-per-mention CoNLL response blocks.
+    A document id must not hold ')' or a line break ('\\n' or '\\r', which
+    text-mode reading takes for one): either would end it early on
+    reading.  InputError before anything is written."""
+    items = list(items)
+    for doc_id, _ in items:
+        if any(c in doc_id for c in ")\n\r"):
+            raise InputError(f"document id {doc_id!r} holds ')' or a line break")
     with open(path, "w", encoding="utf-8") as fh:
         for doc_id, clustering in items:
             fh.write(f"#begin document ({doc_id}); part 000\n")

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the range rule of its
+settings."""
+
+import math
+from numbers import Integral
 
 
 class SoftcorefError(Exception):
@@ -6,12 +10,13 @@ class SoftcorefError(Exception):
 
 
 class ConfigError(SoftcorefError):
-    """Invalid configuration: bad ranges, dimensions, or flag values."""
+    """A setting out of range, seeds included, or a bad flag value."""
 
 
 class InputError(SoftcorefError):
     """Structurally invalid runtime input, e.g. mismatched mention sets,
-    a non-stochastic link distribution, or inconsistent dimensions."""
+    a non-stochastic link distribution, or a document that does not fit
+    the model."""
 
 
 class FormatError(SoftcorefError):
@@ -28,3 +33,14 @@ class FormatError(SoftcorefError):
 
 class TrainingError(SoftcorefError):
     """Training aborted, e.g. a non-finite loss or gradient."""
+
+
+def _check_range(name: str, value, *, positive: bool = True) -> None:
+    """ConfigError unless ``value`` is finite and > 0, or finite and >= 0
+    when not ``positive``.  Every range check of a setting is this one; an
+    integer (a seed, say) is finite by its type, so its message leaves the
+    word out."""
+    if not ((value > 0 if positive else value >= 0) and value < math.inf):
+        finite = "" if isinstance(value, Integral) else " and finite"
+        rule = "positive" if positive else "nonnegative"
+        raise ConfigError(f"{name} must be {rule}{finite}, got {value}")

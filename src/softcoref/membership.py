@@ -37,7 +37,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .corpus import _read_only
-from .errors import InputError
+from .errors import InputError, _check_range
 
 ROW_SUM_TOL = 1e-9
 
@@ -134,8 +134,7 @@ def temper_array(q: np.ndarray, temperature: float) -> np.ndarray:
     exact zero entries keep zero mass at every temperature.  At T = 1 the
     rows are already distributions and ``q`` itself is returned.
     """
-    if not 0 < temperature < np.inf:
-        raise InputError(f"temperature must be positive and finite, got {temperature}")
+    _check_range("temperature", temperature)
     if temperature == 1.0:
         return q
     support = q > 0.0

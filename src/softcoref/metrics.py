@@ -49,13 +49,12 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .corpus import Clustering
-from .errors import InputError
+from .errors import InputError, _check_range
 
 
 def f_beta(precision: float, recall: float, beta: float = 1.0) -> float:
     """Weighted harmonic mean; beta > 1 favors recall.  0 when P = R = 0."""
-    if not 0 < beta < np.inf:
-        raise InputError(f"beta must be positive and finite, got {beta}")
+    _check_range("beta", beta)
     denom = beta * beta * precision + recall
     if denom == 0:
         return 0.0

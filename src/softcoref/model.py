@@ -72,12 +72,12 @@ import json
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .corpus import Document, _json_numbers, _utf8_text
-from .errors import ConfigError, FormatError, InputError, TrainingError
+from .errors import ConfigError, FormatError, InputError, TrainingError, _check_range
 from .membership import (LinkDistribution, masked_softmax, membership_array,
                          membership_backward, temper_array, temper_backward)
 from .relaxed import b3_soft_grad, gold_index_arrays, lea_soft_grad
@@ -98,8 +98,10 @@ class CostConfig:
 
     def __post_init__(self):
         for name, triple in (("alphas", self.alphas), ("gammas", self.gammas)):
-            if len(triple) != 3 or not all(0 <= c < math.inf for c in triple):
-                raise ConfigError(f"{name} must be three finite nonnegative costs, got {triple}")
+            if len(triple) != 3:
+                raise ConfigError(f"{name} must be three costs, got {triple}")
+            for cost in triple:
+                _check_range(name, cost, positive=False)
 
 
 _FIELDS = ("w_a", "b_a", "w_p", "b_p", "u", "u_0", "v", "v_0")
@@ -183,10 +185,13 @@ class ModelParams:
     @classmethod
     def random(cls, d_a: int, d_p: int, hidden_a: int = 200, hidden_p: int = 700,
                scale: float = 0.1, seed=0) -> "ModelParams":
-        """Every parameter drawn from N(0, scale^2), in flat-vector order."""
-        if min(d_a, d_p, hidden_a, hidden_p) < 0 or not 0 <= scale < math.inf:
-            raise ConfigError(f"random init needs nonnegative sizes and a finite scale >= 0, "
-                              f"got sizes {(d_a, d_p, hidden_a, hidden_p)}, scale {scale}")
+        """Every parameter drawn from N(0, scale^2), in flat-vector order.
+        ``seed`` is a nonnegative integer or a sequence of them."""
+        if min(d_a, d_p, hidden_a, hidden_p) < 0:
+            raise ConfigError(f"random init needs nonnegative sizes, "
+                              f"got {(d_a, d_p, hidden_a, hidden_p)}")
+        _check_range("random init needs nonnegative sizes, and its scale", scale, positive=False)
+        _check_range("seed", int(np.min(seed)), positive=False)
         shapes = _layout(hidden_a, d_a, hidden_p, d_p)
         size = sum(math.prod(shape) for shape in shapes)
         return cls._wrap(np.random.default_rng(seed).normal(0.0, scale, size), shapes)
@@ -248,6 +253,20 @@ class ModelParams:
             raise FormatError(f"bad model record: {exc}", path=path) from exc
 
 
+def _corpus_dims(docs: Sequence[Document]) -> tuple[int, int]:
+    """(d_a, d_p) of a model for ``docs``: d_p is 1 when no document has
+    pairs."""
+    return docs[0].d_a, max(doc.d_p for doc in docs) or 1
+
+
+def _check_fits(doc: Document, params: ModelParams) -> None:
+    """InputError unless ``doc``'s feature dims are the model's; a
+    document of one mention has no pairs, so any d_p fits."""
+    if doc.d_a != params.d_a or (doc.n > 1 and doc.d_p != params.d_p):
+        raise InputError(f"document {doc.id}: feature dims (d_a {doc.d_a}, d_p {doc.d_p}) "
+                         f"!= model (d_a {params.d_a}, d_p {params.d_p})")
+
+
 def l1_norm(params: ModelParams) -> float:
     """Sum of absolute values over every learnable coordinate."""
     return float(np.abs(params._vec).sum())
@@ -272,14 +291,7 @@ def _forward_scores(doc: Document, params: ModelParams, keep_h_p: bool = True,
     """(scores, h_a, h_p) of the scorer; h_p is None unless ``keep_h_p``.
     The pair layer runs in ``dtype`` (see ``_pair_forward``); everything
     else, and the scores, in float64."""
-    if doc.d_a != params.d_a:
-        raise InputError(
-            f"document {doc.id}: mention feature dim {doc.d_a} != model d_a {params.d_a}"
-        )
-    if doc.n > 1 and doc.d_p != params.d_p:
-        raise InputError(
-            f"document {doc.id}: pair feature dim {doc.d_p} != model d_p {params.d_p}"
-        )
+    _check_fits(doc, params)
     h_a = _hidden(doc.mention_feature_matrix, params.w_a, params.b_a)
     pair_scores, h_p = _pair_forward(doc.pair_feature_matrix, params, keep_h_p, dtype)
     pair_scores += (h_a @ params.u[:params.hidden_a])[doc.tril_pairs[0]]
@@ -375,24 +387,21 @@ class _TieBounds(NamedTuple):
 
 def _tie_bounds(params: ModelParams) -> _TieBounds:
     """``_near_tie_gap``'s parameter terms.  Training changes ``params`` in
-    place, so the caller computes them again for each use of the model."""
+    place, so each prediction entry point computes them once per call."""
     abs_u = np.abs(params.u)
     abs_u_p = abs_u[params.hidden_a:]
     return _TieBounds(abs_u_p, np.abs(params.w_p), np.abs(params.b_p),
                       float(abs_u_p.sum()), float(abs_u.sum()) + abs(params.u_0))
 
 
-def _near_tie_gap(doc: Document, params: ModelParams,
-                  bounds: Optional[_TieBounds] = None) -> Optional[float]:
+def _near_tie_gap(doc: Document, params: ModelParams, bounds: _TieBounds) -> Optional[float]:
     """The top-two score gap at or below which ``predict_antecedents``
     re-scores a row in float64, or None when the float32 pair layer is not
     used on ``doc``: no pairs, a value or partial sum that float32 cannot
     hold, or a bound that is not finite.  See ``predict_antecedents``.
-    ``bounds`` are ``_tie_bounds(params)``, computed here when not given."""
+    ``bounds`` are ``_tie_bounds(params)``."""
     if doc.n < 2:
         return None
-    if bounds is None:
-        bounds = _tie_bounds(params)
     phi, d, hidden = doc.pair_feature_max, params.d_p, params.hidden_p
     # reach[k] = max(phi, 1) ||w_k||_1 + |b_k| bounds |w_k|, |b_k| and every
     # partial sum of the GEMM that adds the bias; ||u_p||_1 bounds those of h_p u_p
@@ -448,13 +457,12 @@ def predict_antecedents(doc: Document, params: ModelParams) -> tuple[int, ...]:
     24/32, and one document in 46-141 has one row to re-score (README,
     "Performance notes").
     """
-    return tuple(_antecedents(doc, params).tolist())
+    return tuple(_antecedents(doc, params, _tie_bounds(params)).tolist())
 
 
-def _antecedents(doc: Document, params: ModelParams,
-                 bounds: Optional[_TieBounds] = None) -> np.ndarray:
-    """``predict_antecedents`` as an int64 array; ``bounds`` as for
-    ``_near_tie_gap``."""
+def _antecedents(doc: Document, params: ModelParams, bounds: _TieBounds) -> np.ndarray:
+    """``predict_antecedents`` as an int64 array, given ``_tie_bounds(params)``;
+    a caller that decodes many documents computes those terms once."""
     gap = _near_tie_gap(doc, params, bounds)
     if gap is not None:
         scores, h_a, _ = _forward_scores(doc, params, keep_h_p=False, dtype=np.float32)
@@ -642,12 +650,9 @@ def _check_loss_settings(kind: str, beta: float, temperature: float, lam: float)
     """Reject loss settings that no objective accepts."""
     if kind not in _LOSSES:
         raise ConfigError(f"unknown loss kind {kind!r} (expected one of {LOSS_KINDS})")
-    if not 0 < beta < math.inf:
-        raise ConfigError(f"beta must be positive and finite, got {beta}")
-    if not 0 < temperature < math.inf:
-        raise ConfigError(f"temperature must be positive and finite, got {temperature}")
-    if not 0 <= lam < math.inf:
-        raise ConfigError(f"l1 weight must be nonnegative and finite, got {lam}")
+    _check_range("beta", beta)
+    _check_range("temperature", temperature)
+    _check_range("l1 weight", lam, positive=False)
 
 
 def _loss_and_backward(doc: Document, params: ModelParams, kind: str,

@@ -19,9 +19,9 @@ import numpy as np
 
 from .analysis import MetricReport, evaluate_corpus
 from .corpus import Document
-from .errors import ConfigError, TrainingError
-from .model import (CostConfig, ModelParams, _check_loss_settings,
-                    document_loss, document_loss_and_grad)
+from .errors import ConfigError, TrainingError, _check_range
+from .model import (CostConfig, ModelParams, _check_fits, _check_loss_settings,
+                    _corpus_dims, document_loss, document_loss_and_grad)
 
 ADAGRAD_EPS = 1e-8
 
@@ -47,17 +47,13 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_loss_settings(self.loss, self.beta, self.temperature, self.lam)
-        if not 0 < self.learning_rate < math.inf:
-            raise ConfigError(
-                f"learning rate must be positive and finite, got {self.learning_rate}")
+        _check_range("learning rate", self.learning_rate)
         if self.epochs < 1:
             raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        _check_range("seed", self.seed, positive=False)
         if self.hidden_a < 1 or self.hidden_p < 1:
             raise ConfigError("hidden sizes must be at least 1")
-        if not 0 <= self.init_scale < math.inf:
-            raise ConfigError(f"init scale must be nonnegative and finite, got {self.init_scale}")
+        _check_range("init scale", self.init_scale, positive=False)
 
 
 @dataclass(frozen=True)
@@ -112,9 +108,7 @@ def adagrad_step(params: np.ndarray, grads: np.ndarray, accum: np.ndarray,
 def _initial_params(corpus: Sequence[Document], config: TrainConfig) -> ModelParams:
     if config.init_model is not None:
         return config.init_model.copy()
-    d_a = corpus[0].d_a
-    d_p = max((doc.d_p for doc in corpus), default=1) or 1
-    return ModelParams.random(d_a, d_p, config.hidden_a, config.hidden_p,
+    return ModelParams.random(*_corpus_dims(corpus), config.hidden_a, config.hidden_p,
                               scale=config.init_scale, seed=[config.seed, 0])
 
 
@@ -128,11 +122,7 @@ def train(corpus: Sequence[Document], dev: Sequence[Document],
         raise ConfigError("training corpus is empty")
     params = _initial_params(corpus, config)
     for doc in list(corpus) + list(dev):
-        if doc.d_a != params.d_a or (doc.n > 1 and doc.d_p != params.d_p):
-            raise ConfigError(
-                f"document {doc.id}: feature dims (d_a {doc.d_a}, d_p {doc.d_p}) != "
-                f"model (d_a {params.d_a}, d_p {params.d_p})"
-            )
+        _check_fits(doc, params)
     accum = np.zeros(params.num_params)
     shuffle_rng = np.random.default_rng([config.seed, 1])
 
@@ -176,6 +166,7 @@ def grad_check(doc: Document, params: ModelParams, kind: str, h: float = 1e-5,
         raise ConfigError(f"step size {h} outside the supported range [1e-6, 1e-4]")
     if max_coords < 1:  # no coordinate checked would read as a pass
         raise ConfigError(f"max_coords must be at least 1, got {max_coords}")
+    _check_range("seed", seed, positive=False)
     _, grad = document_loss_and_grad(doc, params, kind, costs=costs, beta=beta,
                                      temperature=temperature, lam=0.0)
     gvec = grad.to_vector()

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Clustering
-from .errors import ConfigError, InputError
+from .errors import InputError, _check_range
 from .membership import MembershipMatrix, temper_array
 
 GUARD_EPS = 1e-12
@@ -156,8 +156,7 @@ def lea_soft_grad(q: np.ndarray, gold_of: np.ndarray, sizes: np.ndarray,
 
 def _relaxed(soft_grad, memberships: MembershipMatrix, gold: Clustering,
              beta: float, temperature: float) -> RelaxedScore:
-    if not 0 < beta < np.inf:
-        raise ConfigError(f"beta must be positive and finite, got {beta}")
+    _check_range("beta", beta)
     q = temper_array(memberships.probs, temperature)
     gold_of, sizes = gold_index_arrays(gold, memberships.n)
     precision, recall, f, _ = soft_grad(q, gold_of, sizes, beta)

@@ -200,6 +200,32 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {directory}: is a directory\n"
         assert not paths["--out"].is_file()
 
+    @pytest.mark.parametrize("flag, other", [
+        ("--history", "--out"), ("--out", "--corpus"), ("--history", "--corpus"),
+        ("--out", "--dev"), ("--history", "--init"), ("--out", "--init")])
+    def test_output_naming_another_file_exit_1_before_training(
+            self, tmp_path, tiny_corpus, tiny_model, monkeypatch, capsys, flag, other):
+        """``--out m.json --history m.json`` used to exit 0 with the history
+        in m.json, and ``--out`` naming ``--corpus`` to overwrite the corpus."""
+        from softcoref import optim
+
+        def no_training(*args):
+            raise AssertionError("trained before checking the output paths")
+
+        monkeypatch.setattr(optim, "train", no_training)
+        dev = tmp_path / "dev.jsonl"
+        dev.write_bytes(tiny_corpus.read_bytes())
+        paths = {"--corpus": tiny_corpus, "--dev": dev, "--init": tiny_model,
+                 "--out": tmp_path / "m.json", "--history": tmp_path / "h.csv"}
+        paths[flag] = paths[other]
+        if flag == "--out" and other == "--corpus":  # the same file by another name
+            paths[flag] = tmp_path / "." / tiny_corpus.name
+        before = {path: path.read_bytes() for path in paths.values() if path.exists()}
+        assert cli("train", *[a for item in paths.items() for a in item]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {paths[flag]}: {flag} names the same file as {other}\n")
+        assert {path: path.read_bytes() for path in paths.values() if path.exists()} == before
+
     def test_summary_without_dev_reports_the_final_loss(self, tmp_path, tiny_corpus, capsys):
         model = tmp_path / "m.json"
         assert cli("train", "--corpus", tiny_corpus, "--out", model, "--epochs", 2,

@@ -941,6 +941,27 @@ class TestConll:
         assert parsed.doc_id == "doc"
         assert parsed.clustering == Clustering()
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(doc_ids=st.lists(st.text(st.characters(blacklist_characters=")\n\r",
+                                                  blacklist_categories=("Cs",))),
+                            min_size=1, max_size=4)
+           | st.just(["", " ", "  spaced id ", "d\u00e9j\u00e0 vu", "\u6587\u66f8 7", "a(b", "x\ty"]))
+    def test_accepted_ids_round_trip(self, tmp_path_factory, doc_ids):
+        """Empty, spaced and non-ASCII ids come back as written."""
+        path = tmp_path_factory.mktemp("conll") / "r.conll"
+        write_conll_responses([(doc_id, Clustering([{1, 3}, {2}])) for doc_id in doc_ids], path)
+        assert [doc.doc_id for doc in parse_conll_documents(path)] == doc_ids
+
+    @pytest.mark.parametrize("doc_id", ["x)y", "a\nb", "a\rb", "a\r\nb", ")"])
+    def test_id_that_cannot_be_read_back_rejected(self, tmp_path, doc_id):
+        """"x)y" used to come back as "x", and a line break to make a file
+        that fails to parse."""
+        path = tmp_path / "r.conll"
+        with pytest.raises(InputError, match="holds '\\)' or a line break"):
+            write_conll_responses([("fine", Clustering([{1}])), (doc_id, Clustering([{1}]))],
+                                  path)
+        assert not path.exists()
+
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 12))
     @settings(max_examples=30, deadline=None)
     def test_random_round_trip(self, tmp_path_factory, seed, n):

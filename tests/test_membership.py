@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softcoref import (LOSS_KINDS, InputError, LinkDistribution,
+from softcoref import (LOSS_KINDS, ConfigError, InputError, LinkDistribution,
                        MembershipMatrix, ModelParams, grad_check, membership,
                        tempered_membership)
 from softcoref.membership import (masked_softmax, membership_array, membership_backward,
@@ -230,7 +230,7 @@ class TestTemper:
     def test_rejects_nonpositive_temperature(self, links3):
         q = membership(links3)
         for temp in (0.0, -1.0, np.nan, np.inf):
-            with pytest.raises(InputError, match="temperature must be positive and finite"):
+            with pytest.raises(ConfigError, match="temperature must be positive and finite"):
                 tempered_membership(q, temp)
 
     def test_rejects_row_without_mass(self):

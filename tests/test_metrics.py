@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softcoref import (Clustering, InputError, MetricCounts, PRF, b_cubed,
+from softcoref import (Clustering, ConfigError, InputError, MetricCounts, PRF, b_cubed,
                        b_cubed_counts, blanc, blanc_counts, ceaf_e,
                        ceaf_e_counts, ceaf_m, ceaf_m_counts, conll_average,
                        f_beta, lea, lea_counts, muc, muc_counts)
@@ -206,7 +206,7 @@ class TestFBeta:
 
     def test_rejects_nonpositive_beta(self):
         for beta in (0.0, -1.0, float("nan"), float("inf")):
-            with pytest.raises(InputError):
+            with pytest.raises(ConfigError):
                 f_beta(0.5, 0.5, beta)
 
     def test_beta_weights_recall(self):

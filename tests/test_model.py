@@ -83,6 +83,12 @@ class TestModelParams:
         np.testing.assert_array_equal(a.to_vector(), b.to_vector())
         assert not np.array_equal(a.to_vector(), c.to_vector())
 
+    @pytest.mark.parametrize("seed", [-1, [3, -1]])
+    def test_random_rejects_negative_seed(self, seed):
+        """Used to escape as numpy's ValueError."""
+        with pytest.raises(ConfigError, match="^seed must be nonnegative, got -1$"):
+            ModelParams.random(3, 4, hidden_a=2, hidden_p=3, seed=seed)
+
     @pytest.mark.parametrize("sizes,scale", [((3, 4, -1, 5), 0.1), ((3, 4, 2, 3), np.nan),
                                              ((3, 4, 2, 3), np.inf)])
     def test_random_rejects_negative_sizes_and_bad_scale(self, sizes, scale):
@@ -660,7 +666,7 @@ class TestFloat32Screen:
         clear = top_two[:, 0] - top_two[:, 1] > slack
         expected = np.array(float64_decoding(doc, params)) - 1
         np.testing.assert_array_equal(predicted[clear], expected[clear])
-        gap = model._near_tie_gap(doc, params)
+        gap = model._near_tie_gap(doc, params, model._tie_bounds(params))
         if gap is not None:  # the bound E holds for every pair score
             screened = model._forward_scores(doc, params, False, np.float32)[0]
             assert np.abs(screened - scores).max() <= (gap - 2.0 ** -44) / 2
@@ -704,7 +710,7 @@ class TestFloat32Screen:
         path = tmp_path / "model.json"
         params.save(path)
         params = ModelParams.load(path)
-        assert model._near_tie_gap(doc, params) is None
+        assert model._near_tie_gap(doc, params, model._tie_bounds(params)) is None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert predict_antecedents(doc, params) == float64_decoding(doc, params)
@@ -726,14 +732,14 @@ class TestFloat32Screen:
         for n in (1, 2, 9, 40):
             doc = singleton_document(n, 5, seed=n)
             gap = model._near_tie_gap(doc, params, bounds)
-            assert gap == model._near_tie_gap(doc, params)
+            assert gap == model._near_tie_gap(doc, params, model._tie_bounds(params))
             assert (gap is None) == (n < 2)
 
     def test_predict_peak_is_below_a_pair_layer(self):
         doc = long_document(200, seed=9)
         params = ModelParams.random(4, 5, hidden_a=20, hidden_p=200, seed=9)
         predict_antecedents(doc, params)  # fill the document's cached arrays
-        assert model._near_tie_gap(doc, params) is not None
+        assert model._near_tie_gap(doc, params, model._tie_bounds(params)) is not None
         pair_layer_bytes = len(doc.pair_feature_matrix) * params.hidden_p * 8
         tracemalloc.start()
         try:

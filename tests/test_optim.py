@@ -5,8 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from softcoref import (BETA_GRID, PRF, ConfigError, CostConfig, MetricReport,
-                       ModelParams, TrainConfig, TrainingError, adagrad_step,
+from softcoref import (BETA_GRID, PRF, ConfigError, CostConfig, InputError,
+                       MetricReport, ModelParams, TrainConfig, TrainingError, adagrad_step,
                        beta_sweep, evaluate_corpus, grad_check, optim, train)
 from softcoref.optim import ADAGRAD_EPS, EpochRecord, TrainHistory
 
@@ -163,7 +163,7 @@ class TestTrain:
             (corpus, other_dp, _fast_config(), other_dp[0].id),
             (corpus, [], _fast_config(init_model=init), corpus[0].id),
         ]:
-            with pytest.raises(ConfigError, match=f"document {doc_id}: feature dims"):
+            with pytest.raises(InputError, match=f"document {doc_id}: feature dims"):
                 train(train_docs, dev_docs, config)
 
     def test_init_model_used(self):
@@ -251,6 +251,14 @@ class TestGradCheck:
         for max_coords in (0, -1):
             with pytest.raises(ConfigError, match="max_coords"):
                 grad_check(doc, params, "mr-heuristic", max_coords=max_coords)
+
+    def test_rejects_negative_seed(self):
+        """Sampling coordinates with a negative seed used to escape as
+        numpy's ValueError."""
+        doc = make_document("d", [1, 1, 3], seed=2)
+        params = ModelParams.random(4, 5, hidden_a=10, hidden_p=20, seed=2)
+        with pytest.raises(ConfigError, match="^seed must be nonnegative, got -1$"):
+            grad_check(doc, params, "mr-heuristic", seed=-1, max_coords=50)
 
     def test_low_temperature_still_reasonable(self):
         doc = make_document("d", [1, 2, 1, 2], seed=3)

@@ -239,7 +239,7 @@ class TestRelaxedFixtures:
     @pytest.mark.parametrize("fn", [relaxed_b3, relaxed_lea])
     @pytest.mark.parametrize("temperature", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_bad_temperature(self, links3, fn, temperature):
-        with pytest.raises(InputError, match="temperature must be positive and finite"):
+        with pytest.raises(ConfigError, match="temperature must be positive and finite"):
             fn(membership(links3), Clustering([{1, 2}, {3}]), temperature=temperature)
 
     def test_slack_above_the_diagonal_is_dropped(self):

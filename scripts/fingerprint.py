@@ -10,7 +10,10 @@ Records, as SHA-1 digests and as the raw values behind them:
     betas on the same corpus;
   * the ``predict_antecedents`` tuples of a test corpus at short-document
     sizes (n 8-16, hidden 200/700) and at long-document sizes (n 100-200,
-    hidden 24/32), each under a model trained at those sizes;
+    hidden 24/32), each under a model trained at those sizes, and
+    ``float.hex`` of every P, R and F and the CoNLL score of
+    ``evaluate_corpus`` on that corpus under that model, which decodes the
+    corpus in one pass rather than one document at a time;
   * the exit code (or the exception raised), stdout and stderr of
     ``softcoref score --csv`` on seeded CoNLL key/response files (nested,
     same-start and crossing spans, brackets stacked in either order, LF or
@@ -71,7 +74,8 @@ def _corpora(sizes: dict, counts: tuple[int, int, int], seed: int) -> list:
 def fingerprint(short_docs=(40, 20, 600), long_docs=(4, 4, 60), epochs=3) -> dict:
     """Artifact name -> raw value (parameter list, CSV text or antecedent
     lists).  ``short_docs`` and ``long_docs`` are train/dev/test counts."""
-    from softcoref import LOSS_KINDS, TrainConfig, beta_sweep, predict_antecedents, train
+    from softcoref import (LOSS_KINDS, TrainConfig, beta_sweep, evaluate_corpus,
+                           predict_antecedents, train)
     artifacts = {}
     train_docs, dev_docs, _ = _corpora(SHORT, short_docs[:2] + (0,), seed=1)
     for loss in LOSS_KINDS:
@@ -93,6 +97,9 @@ def fingerprint(short_docs=(40, 20, 600), long_docs=(4, 4, 60), epochs=3) -> dic
         params, _ = train(train_docs, dev_docs, config)
         artifacts[f"predict/{name}"] = [list(predict_antecedents(doc, params))
                                         for doc in test_docs]
+        report = evaluate_corpus(test_docs, params)
+        artifacts[f"evaluate/{name}"] = [float(x).hex() for _, prf in report.rows()
+                                         for x in prf.as_tuple()] + [report.conll.hex()]
     artifacts["relaxed/scores"] = relaxed_scores()
     return artifacts
 
@@ -296,9 +303,10 @@ def digest(value) -> str:
 
 
 def _numbers(value) -> list[float]:
-    """The numbers of a parameter list or of a history CSV, in order."""
+    """The numbers of a parameter list, of a list of ``float.hex`` strings
+    or of a history CSV, in order."""
     if isinstance(value, list):
-        return [float(x) for x in value]
+        return [float.fromhex(x) if isinstance(x, str) else float(x) for x in value]
     rows = list(csv.reader(io.StringIO(value)))[1:]
     return [float(cell) for row in rows for cell in row]
 

@@ -23,7 +23,7 @@ from .clustering import _follow_links, validate_antecedent_vector
 from .corpus import MENTION_TYPES, Clustering, Document
 from .errors import InputError, _check_range
 from .metrics import COUNTS_FROM_OVERLAPS, PRF, _contingency, conll_average
-from .model import ModelParams, _antecedents, _tie_bounds, correct_set_mask
+from .model import ModelParams, _predict_corpus, correct_set_mask
 
 ERROR_KINDS = ("fa", "fn", "wl", "correct")
 
@@ -122,9 +122,8 @@ def evaluate_corpus(docs: Sequence[Document], params: ModelParams,
     """Decode every document with the model (``predict_antecedents``) and
     score against gold."""
     _check_range("beta", beta)
-    bounds = _tie_bounds(params)
-    pairs = [(doc.gold_clusters, _follow_links(_antecedents(doc, params, bounds).tolist()))
-             for doc in docs]
+    pairs = [(doc.gold_clusters, _follow_links(predicted.tolist()))
+             for doc, predicted in zip(docs, _predict_corpus(docs, params))]
     return corpus_report(pairs, beta)
 
 

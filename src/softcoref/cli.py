@@ -16,7 +16,7 @@ from pathlib import Path
 from . import analysis, corpus, optim
 from .corpus import SyntheticConfig
 from .errors import ConfigError, FormatError, InputError, SoftcorefError, _check_range
-from .model import LOSS_KINDS, CostConfig, ModelParams, _antecedents, _corpus_dims, _tie_bounds
+from .model import LOSS_KINDS, CostConfig, ModelParams, _corpus_dims, _predict_corpus
 from .optim import TrainConfig
 
 
@@ -195,8 +195,8 @@ def _load_nonempty(path) -> list[corpus.Document]:
 def _cmd_errors(args) -> int:
     docs = _load_nonempty(args.corpus)
     params = ModelParams.load(args.model)
-    bounds = _tie_bounds(params)
-    total = sum(analysis.error_breakdown(doc, _antecedents(doc, params, bounds)) for doc in docs)
+    total = sum(analysis.error_breakdown(doc, predicted)
+                for doc, predicted in zip(docs, _predict_corpus(docs, params)))
     print(analysis.format_breakdown(total))
     return 0
 

@@ -838,11 +838,17 @@ def write_conll_responses(items: Iterable[tuple[str, Clustering]], path) -> None
     """Write clusterings as one-token-per-mention CoNLL response blocks.
     A document id must not hold ')' or a line break ('\\n' or '\\r', which
     text-mode reading takes for one): either would end it early on
-    reading.  InputError before anything is written."""
+    reading.  It must be UTF-8 encodable (no lone surrogate).  InputError
+    before the file is opened."""
     items = list(items)
     for doc_id, _ in items:
         if any(c in doc_id for c in ")\n\r"):
             raise InputError(f"document id {doc_id!r} holds ')' or a line break")
+        try:
+            doc_id.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise InputError(f"document id {doc_id!r} is not UTF-8 encodable ({exc.reason})"
+                             ) from None
     with open(path, "w", encoding="utf-8") as fh:
         for doc_id, clustering in items:
             fh.write(f"#begin document ({doc_id}); part 000\n")

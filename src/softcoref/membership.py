@@ -132,9 +132,10 @@ def temper_array(q: np.ndarray, temperature: float) -> np.ndarray:
 
     Row i is softmax(log q[i, u] / T) over u <= i; structural zeros and
     exact zero entries keep zero mass at every temperature.  At T = 1 the
-    rows are already distributions and ``q`` itself is returned.
+    rows are already distributions and ``q`` itself is returned.  The
+    callers check the temperature (``tempered_membership``, the relaxed
+    metrics and the loss entry points), so a training step does not.
     """
-    _check_range("temperature", temperature)
     if temperature == 1.0:
         return q
     support = q > 0.0
@@ -163,4 +164,5 @@ def temper_backward(q: np.ndarray, qt: np.ndarray, temperature: float,
 
 def tempered_membership(memberships: MembershipMatrix, temperature: float) -> MembershipMatrix:
     """Sharpen (T < 1) or flatten (T > 1) membership rows; T = 1 is identity."""
+    _check_range("temperature", temperature)
     return MembershipMatrix(temper_array(memberships.probs, temperature))

@@ -23,11 +23,13 @@ loss and a ``backward()`` that gives its gradient on the scores:
     B-cubed or LEA surrogate at a temperature.
 
 ``document_loss`` (forward only, for the gradient checker) and
-``document_loss_and_grad`` (training) share one path: check the
-settings, score the document, look the loss up, add lam * L1; the
-latter then runs ``backward()`` and the scorer's reverse pass.  All
-gradients are closed-form reverse passes (tanh, softmax, the membership
-recursion, and the metric expressions); no autodiff.
+``document_loss_and_grad`` check the settings, then share one path:
+score the document, look the loss up, add lam * L1; the latter then
+runs ``backward()`` and the scorer's reverse pass.  Training takes that
+path without the check (``_loss_and_grad``), since its TrainConfig
+checked the settings once.  All gradients are closed-form reverse
+passes (tanh, softmax, the membership recursion, and the metric
+expressions); no autodiff.
 
 ModelParams' fields are views into one flat vector, so the reverse pass
 writes each gradient block in place and an AdaGrad step is one vector
@@ -52,18 +54,25 @@ of at most _PAIR_BLOCK pairs is one block and makes the numpy calls of an
 unblocked layer.  Pair scores go into the score matrix, and d_pair comes
 out of its gradient, through the document's strict-lower-triangular mask.
 
-Prediction needs only the order of each row's scores, so
-``predict_antecedents`` runs the pair layer in float32: the weights are
-cast once per call and each block of features into one block-sized
-float32 buffer, so no float32 copy of the pair matrix persists.  The
-mention side and the sums stay float64.  A bound E on the float32 error of
-a pair score, worked out per document from the weights and the largest
-feature, marks the rows whose top-two gap float32 could have decided
-wrongly; those rows are re-scored in float64, so every prediction is a
-float64 argmax.  On the benchmark's trained models E is ~3e-3 (n 8-16,
-hidden 200/700) and ~7e-5 (n 100-200, hidden 24/32), and about one
-document in 46-141 has a row to re-score.  ``score_pairs``, training and
-the gradient checker run in float64 only.
+Prediction needs only the order of each row's scores, so it runs the
+pair layer in float32, in one pass over a corpus (``_predict_corpus``;
+``predict_antecedents`` is that pass on one document).  The pass walks
+the pair rows of consecutive documents in shared blocks of at most
+_PAIR_BLOCK rows, a document longer than a block spanning several: each
+block is cast into one block-sized float32 buffer and takes one GEMM,
+one tanh and one @ u_p, so no float32 copy of a pair matrix, and no
+concatenation of a corpus, is made.  The weights are cast once per pass,
+and only once some document is screened.  Each document is finished as
+soon as its last pair is scored, and everything after the pair layer is
+per document: the mention side and the sums stay float64.  A bound E on
+the float32 error of a pair score, worked out per document from the
+weights and the largest feature, marks the rows whose top-two gap
+float32 could have decided wrongly; E holds row by row, so it holds
+whatever rows share a GEMM.  Those rows are re-scored in float64, so
+every prediction is a float64 argmax.  On the benchmark's trained models
+E is ~3e-3 (n 8-16, hidden 200/700) and ~7e-5 (n 100-200, hidden
+24/32), and about one document in 46-141 has a row to re-score.
+``score_pairs``, training and the gradient checker run in float64 only.
 """
 
 from __future__ import annotations
@@ -285,21 +294,25 @@ def l1_norm(params: ModelParams) -> float:
 _PAIR_BLOCK = 1024
 
 
-def _forward_scores(doc: Document, params: ModelParams, keep_h_p: bool = True,
-                    dtype=np.float64
+def _forward_scores(doc: Document, params: ModelParams, keep_h_p: bool = True
                     ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """(scores, h_a, h_p) of the scorer; h_p is None unless ``keep_h_p``.
-    The pair layer runs in ``dtype`` (see ``_pair_forward``); everything
-    else, and the scores, in float64."""
+    """(scores, h_a, h_p) of the scorer; h_p is None unless ``keep_h_p``."""
     _check_fits(doc, params)
+    pair_scores, h_p = _pair_forward(doc.pair_feature_matrix, params, keep_h_p)
+    return (*_score_matrix(doc, params, pair_scores), h_p)
+
+
+def _score_matrix(doc: Document, params: ModelParams,
+                  pair_scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(scores, h_a) given the pair halves h_p @ u_p of ``doc``'s pairs, as
+    float64; the mention half and u_0 are added to ``pair_scores`` in place."""
     h_a = _hidden(doc.mention_feature_matrix, params.w_a, params.b_a)
-    pair_scores, h_p = _pair_forward(doc.pair_feature_matrix, params, keep_h_p, dtype)
     pair_scores += (h_a @ params.u[:params.hidden_a])[doc.tril_pairs[0]]
     pair_scores += params.u_0
     scores = np.zeros((doc.n, doc.n))
     scores[doc.tril_mask] = pair_scores
     np.fill_diagonal(scores, h_a @ params.v + params.v_0)
-    return scores, h_a, h_p
+    return scores, h_a
 
 
 def _hidden(phi: np.ndarray, w: np.ndarray, b: np.ndarray,
@@ -310,36 +323,21 @@ def _hidden(phi: np.ndarray, w: np.ndarray, b: np.ndarray,
     return np.tanh(h, out=h)
 
 
-def _pair_forward(phi_p: np.ndarray, params: ModelParams, keep_h_p: bool,
-                  dtype=np.float64) -> tuple[np.ndarray, Optional[np.ndarray]]:
+def _pair_forward(phi_p: np.ndarray, params: ModelParams,
+                  keep_h_p: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """The pair half h_p @ u_p of every pair's score, one block of rows at
     a time, and h_p itself when ``keep_h_p``; otherwise one block-sized
-    buffer serves every block and no n_pairs x hidden_p array is made.
-
-    With ``dtype`` float32, ``[w_p | b_p]`` and u_p are cast once, each
-    block of ``phi_p`` is cast into one block-sized buffer whose last
-    column is ones, so that one GEMM adds the bias too, and the pair scores
-    come back as float64.  The caller makes sure that every value fits
-    float32."""
+    buffer serves every block and no n_pairs x hidden_p array is made."""
     n_pairs, rows = len(phi_p), min(len(phi_p), _PAIR_BLOCK)
-    u_p = params.u[params.hidden_a:].astype(dtype, copy=False)
-    h_p = np.empty((n_pairs if keep_h_p else rows, params.hidden_p), dtype)
-    pair_scores = np.empty(n_pairs, dtype)
-    cast = np.dtype(dtype) != phi_p.dtype
-    if cast:
-        w_b = np.hstack([params.w_p, params.b_p[:, None]]).astype(dtype).T
-        phi = np.ones((rows, params.d_p + 1), dtype)
+    u_p = params.u[params.hidden_a:]
+    h_p = np.empty((n_pairs if keep_h_p else rows, params.hidden_p))
+    pair_scores = np.empty(n_pairs)
     for start in range(0, n_pairs, _PAIR_BLOCK):
         stop = min(start + _PAIR_BLOCK, n_pairs)
         h = h_p[start:stop] if keep_h_p else h_p[:stop - start]
-        if cast:
-            x = phi[:stop - start]
-            x[:, :-1] = phi_p[start:stop]
-            np.tanh(np.matmul(x, w_b, out=h), out=h)
-        else:
-            _hidden(phi_p[start:stop], params.w_p, params.b_p, out=h)
+        _hidden(phi_p[start:stop], params.w_p, params.b_p, out=h)
         np.matmul(h, u_p, out=pair_scores[start:stop])
-    return pair_scores.astype(np.float64, copy=False), (h_p if keep_h_p else None)
+    return pair_scores, (h_p if keep_h_p else None)
 
 
 def score_pairs(doc: Document, params: ModelParams) -> np.ndarray:
@@ -424,13 +422,17 @@ def predict_antecedents(doc: Document, params: ModelParams) -> tuple[int, ...]:
     params)))``, decided without its score check and checked copy, and
     with a float32 pair layer screening the float64 scores.
 
-    Only the order of a row's scores decides its prediction.  So the pair
-    layer (``_pair_forward``) runs in float32, and the mention side, the
-    sums and the self-link scores stay float64.  For every pair, the
-    float32 pair score h_p . u_p is within E of the float64 one, with
-    gamma_m = m u / (1 - m u), u = 2^-24 (float32) or 2^-53 (float64),
-    c = 4 ulps a bound on numpy's tanh error, and phi the larger of 1 and
-    the largest |pair feature| of the document:
+    This is the corpus pass ``_predict_corpus`` on ``[doc]``; the same
+    pass decodes a whole corpus for ``evaluate_corpus`` and ``softcoref
+    errors``.  Only the order of a row's scores decides its prediction.
+    So the pair layer runs in float32, in blocks that the pair rows of
+    consecutive documents share (``_float32_pair_halves``), and the mention
+    side, the sums and the self-link scores stay float64, per document.
+    For every pair, the float32 pair score h_p . u_p is within E of the
+    float64 one, whatever other rows share its GEMM, with gamma_m = m u /
+    (1 - m u), u = 2^-24 (float32) or 2^-53 (float64), c = 4 ulps a bound
+    on numpy's tanh error, and phi the larger of 1 and the largest |pair
+    feature| of the document:
 
         E = sum over u of [ gamma_{d_p+3} sum_k |u_p,k| (phi ||w_p,k||_1 + |b_p,k|)
                             + (c u + gamma_{hidden_p+2}) ||u_p||_1 ]  + subnormal terms
@@ -457,33 +459,89 @@ def predict_antecedents(doc: Document, params: ModelParams) -> tuple[int, ...]:
     24/32, and one document in 46-141 has one row to re-score (README,
     "Performance notes").
     """
-    return tuple(_antecedents(doc, params, _tie_bounds(params)).tolist())
+    return tuple(_predict_corpus([doc], params)[0].tolist())
 
 
-def _antecedents(doc: Document, params: ModelParams, bounds: _TieBounds) -> np.ndarray:
-    """``predict_antecedents`` as an int64 array, given ``_tie_bounds(params)``;
-    a caller that decodes many documents computes those terms once."""
-    gap = _near_tie_gap(doc, params, bounds)
-    if gap is not None:
-        scores, h_a, _ = _forward_scores(doc, params, keep_h_p=False, dtype=np.float32)
-        masked = np.where(doc.candidate_mask, scores, -np.inf)
-        rows = np.arange(doc.n)
-        best = masked.argmax(axis=1)
-        top = masked[rows, best]
-        masked[rows, best] = -np.inf
-        near = np.flatnonzero(top - masked.max(axis=1) <= gap).tolist()
-        mention_part = h_a @ params.u[:params.hidden_a] if near else None
-        for i in near:
-            start = i * (i - 1) // 2
-            row = scores[i].copy()
-            row[:i] = _pair_forward(doc.pair_feature_matrix[start:start + i], params,
-                                    False)[0]
-            row[:i] += mention_part[i]
-            row[:i] += params.u_0
-            best[i] = np.argmax(masked_softmax(row[None], doc.candidate_mask[i][None]))
-        return best + 1
-    probs = masked_softmax(score_pairs(doc, params), doc.candidate_mask)
-    return np.argmax(probs, axis=1) + 1
+def _predict_corpus(docs: Sequence[Document], params: ModelParams) -> list[np.ndarray]:
+    """``predict_antecedents`` of every document of ``docs``, as 1-based
+    int64 arrays, in one pass: ``_tie_bounds`` is taken once, and the
+    documents that the float32 screen takes share its pair-layer blocks."""
+    bounds = _tie_bounds(params)
+    gaps = []
+    for doc in docs:
+        _check_fits(doc, params)
+        gaps.append(_near_tie_gap(doc, params, bounds))
+    # a generator: nothing is cast to float32 until a screened document asks
+    halves = _float32_pair_halves([doc for doc, gap in zip(docs, gaps) if gap is not None],
+                                  params)
+    predictions = []
+    for doc, gap in zip(docs, gaps):
+        if gap is None:
+            probs = masked_softmax(score_pairs(doc, params), doc.candidate_mask)
+            predictions.append(np.argmax(probs, axis=1) + 1)
+        else:
+            predictions.append(_screened_argmax(doc, params, next(halves), gap))
+    return predictions
+
+
+def _float32_pair_halves(docs: Sequence[Document], params: ModelParams):
+    """Yield each document's pair halves h_p @ u_p from a float32 pair
+    layer, as float64 and in order, each as soon as its last pair is scored.
+
+    The pair rows of consecutive documents share blocks of at most
+    _PAIR_BLOCK rows, and a document longer than a block spans several.
+    Each block is cast into one float32 buffer whose last column is ones,
+    so that one GEMM adds the bias too, and one tanh and one @ u_p finish
+    it.  ``[w_p | b_p]`` and u_p are cast once, when the first document is
+    asked for; the caller makes sure that every value fits float32."""
+    left = sum(len(doc.pair_feature_matrix) for doc in docs)  # pairs not yet in a block
+    rows = min(_PAIR_BLOCK, left)
+    w_b = np.hstack([params.w_p, params.b_p[:, None]]).astype(np.float32).T
+    u_p = params.u[params.hidden_a:].astype(np.float32)
+    phi = np.ones((rows, params.d_p + 1), np.float32)
+    h = np.empty((rows, params.hidden_p), np.float32)
+    pieces, fill = [], 0  # (halves of a document, its first pair here, block row, rows)
+    for doc in docs:
+        pairs = doc.pair_feature_matrix
+        halves, first = np.empty(len(pairs)), 0
+        while first < len(pairs):
+            count = min(rows - fill, len(pairs) - first)
+            phi[fill:fill + count, :-1] = pairs[first:first + count]
+            pieces.append((halves, first, fill, count))
+            first, fill, left = first + count, fill + count, left - count
+            if fill < rows and left:
+                continue
+            block = h[:fill]
+            np.tanh(np.matmul(phi[:fill], w_b, out=block), out=block)
+            block_halves = block @ u_p
+            for done, start, at, size in pieces:
+                done[start:start + size] = block_halves[at:at + size]
+                if start + size == len(done):  # the document's last pair
+                    yield done
+            pieces, fill = [], 0
+
+
+def _screened_argmax(doc: Document, params: ModelParams, pair_halves: np.ndarray,
+                     gap: float) -> np.ndarray:
+    """``doc``'s 1-based predictions from its float32 pair halves: the rows
+    whose top-two gap is at most ``gap`` (``_near_tie_gap``) are re-scored
+    in float64 and decided by the row softmax."""
+    scores, h_a = _score_matrix(doc, params, pair_halves)
+    masked = np.where(doc.candidate_mask, scores, -np.inf)
+    rows = np.arange(doc.n)
+    best = masked.argmax(axis=1)
+    top = masked[rows, best]
+    masked[rows, best] = -np.inf
+    near = np.flatnonzero(top - masked.max(axis=1) <= gap).tolist()
+    mention_part = h_a @ params.u[:params.hidden_a] if near else None
+    for i in near:
+        start = i * (i - 1) // 2
+        row = scores[i].copy()
+        row[:i] = _pair_forward(doc.pair_feature_matrix[start:start + i], params, False)[0]
+        row[:i] += mention_part[i]
+        row[:i] += params.u_0
+        best[i] = np.argmax(masked_softmax(row[None], doc.candidate_mask[i][None]))
+    return best + 1
 
 
 def _softmax_backward(probs: np.ndarray, d_probs: np.ndarray) -> np.ndarray:
@@ -658,7 +716,8 @@ def _check_loss_settings(kind: str, beta: float, temperature: float, lam: float)
 def _loss_and_backward(doc: Document, params: ModelParams, kind: str,
                        costs: Optional[CostConfig], beta: float,
                        temperature: float, lam: float, keep_h_p: bool = True):
-    _check_loss_settings(kind, beta, temperature, lam)
+    """The path that every loss shares, for settings that
+    ``_check_loss_settings`` has passed."""
     costs = costs if costs is not None else CostConfig()
     scores, h_a, h_p = _forward_scores(doc, params, keep_h_p)
     with np.errstate(divide="ignore"):  # log(0) is reported just below
@@ -670,6 +729,22 @@ def _loss_and_backward(doc: Document, params: ModelParams, kind: str,
     return (h_a, h_p), loss, backward
 
 
+def _loss_and_grad(doc: Document, params: ModelParams, kind: str,
+                   costs: Optional[CostConfig], beta: float, temperature: float,
+                   lam: float) -> tuple[float, ModelParams]:
+    """``document_loss_and_grad`` for settings already checked: training
+    takes them from a TrainConfig, which checks them once when it is built."""
+    hidden, loss, backward = _loss_and_backward(doc, params, kind, costs, beta,
+                                                temperature, lam)
+    d_scores = backward()
+    if not np.isfinite(d_scores).all():
+        raise TrainingError(f"non-finite {kind} gradient on document {doc.id}")
+    grad = _score_backward(doc, params, *hidden, d_scores)
+    if lam:
+        grad._vec += lam * np.sign(params._vec)
+    return loss, grad
+
+
 def document_loss(doc: Document, params: ModelParams, kind: str, *,
                   costs: Optional[CostConfig] = None, beta: float = 1.0,
                   temperature: float = 1.0, lam: float = 0.0) -> float:
@@ -677,6 +752,7 @@ def document_loss(doc: Document, params: ModelParams, kind: str, *,
     lam * L1; forward pass only, so no n_pairs x hidden_p pair layer is
     kept (see ``_pair_forward``).  A non-finite objective raises
     TrainingError naming the document."""
+    _check_loss_settings(kind, beta, temperature, lam)
     _, loss, _ = _loss_and_backward(doc, params, kind, costs, beta, temperature, lam,
                                     keep_h_p=False)
     return loss
@@ -689,12 +765,5 @@ def document_loss_and_grad(doc: Document, params: ModelParams, kind: str, *,
     """document_loss and its gradient wrt every parameter; the L1 term
     contributes lam * sign(theta).  The TrainingError for a non-finite
     loss or score gradient comes before any parameter gradient is formed."""
-    hidden, loss, backward = _loss_and_backward(doc, params, kind, costs, beta,
-                                                temperature, lam)
-    d_scores = backward()
-    if not np.isfinite(d_scores).all():
-        raise TrainingError(f"non-finite {kind} gradient on document {doc.id}")
-    grad = _score_backward(doc, params, *hidden, d_scores)
-    if lam:
-        grad._vec += lam * np.sign(params._vec)
-    return loss, grad
+    _check_loss_settings(kind, beta, temperature, lam)
+    return _loss_and_grad(doc, params, kind, costs, beta, temperature, lam)

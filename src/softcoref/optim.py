@@ -21,7 +21,7 @@ from .analysis import MetricReport, evaluate_corpus
 from .corpus import Document
 from .errors import ConfigError, TrainingError, _check_range
 from .model import (CostConfig, ModelParams, _check_fits, _check_loss_settings,
-                    _corpus_dims, document_loss, document_loss_and_grad)
+                    _corpus_dims, _loss_and_grad, document_loss, document_loss_and_grad)
 
 ADAGRAD_EPS = 1e-8
 
@@ -132,10 +132,8 @@ def train(corpus: Sequence[Document], dev: Sequence[Document],
         losses = []
         for idx in shuffle_rng.permutation(len(corpus)):
             doc = corpus[idx]
-            loss, grad = document_loss_and_grad(
-                doc, params, config.loss, costs=config.costs, beta=config.beta,
-                temperature=config.temperature, lam=config.lam,
-            )
+            loss, grad = _loss_and_grad(doc, params, config.loss, config.costs, config.beta,
+                                        config.temperature, config.lam)
             vec, accum = adagrad_step(params._vec, grad._vec, accum, config.learning_rate)
             if not np.isfinite(vec).all():
                 raise TrainingError(f"non-finite parameters after the update on document {doc.id}")

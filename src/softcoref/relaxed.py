@@ -157,6 +157,7 @@ def lea_soft_grad(q: np.ndarray, gold_of: np.ndarray, sizes: np.ndarray,
 def _relaxed(soft_grad, memberships: MembershipMatrix, gold: Clustering,
              beta: float, temperature: float) -> RelaxedScore:
     _check_range("beta", beta)
+    _check_range("temperature", temperature)
     q = temper_array(memberships.probs, temperature)
     gold_of, sizes = gold_index_arrays(gold, memberships.n)
     precision, recall, f, _ = soft_grad(q, gold_of, sizes, beta)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import softcoref.analysis
+import softcoref.model
 from softcoref import (Clustering, ErrorBreakdown, InputError, ModelParams,
                        b_cubed, b_cubed_counts, blanc, blanc_counts, ceaf_e,
                        ceaf_e_counts, ceaf_m, ceaf_m_counts, clusters_from_entity_ids,
@@ -242,8 +243,8 @@ class TestReports:
         docs = small_corpus(3, seed=6)
         params = ModelParams.random(docs[0].d_a, docs[0].d_p, hidden_a=4, hidden_p=5, seed=6)
         calls = []
-        terms = softcoref.analysis._tie_bounds
-        monkeypatch.setattr(softcoref.analysis, "_tie_bounds",
+        terms = softcoref.model._tie_bounds
+        monkeypatch.setattr(softcoref.model, "_tie_bounds",
                             lambda p: calls.append(1) or terms(p))
         evaluate_corpus(docs, params)
         params.u *= -1.0  # as training does, in place

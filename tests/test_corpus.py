@@ -962,6 +962,16 @@ class TestConll:
                                   path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("doc_id", ["b\ud800", "\udcff", "a\udfffb"])
+    def test_id_that_utf8_cannot_encode_rejected(self, tmp_path, doc_id):
+        """A lone surrogate used to raise UnicodeEncodeError after the blocks
+        before it were written, leaving a partial file."""
+        path = tmp_path / "r.conll"
+        with pytest.raises(InputError, match="is not UTF-8 encodable"):
+            write_conll_responses([("a", Clustering([{1}])), (doc_id, Clustering([{1}]))],
+                                  path)
+        assert not path.exists()
+
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 12))
     @settings(max_examples=30, deadline=None)
     def test_random_round_trip(self, tmp_path_factory, seed, n):

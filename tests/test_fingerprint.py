@@ -28,7 +28,8 @@ def test_two_runs_in_one_process_are_identical(fingerprint):
     assert sorted(first) == sorted(
         [f"{kind}/{loss}" for kind in ("params", "history")
          for loss in ("mr-heuristic", "ec-heuristic", "b3", "lea")]
-        + ["predict/long", "predict/short", "relaxed/scores", "sweep/b3"])
+        + ["evaluate/long", "evaluate/short", "predict/long", "predict/short",
+           "relaxed/scores", "sweep/b3"])
     assert len(first["sweep/b3"]) == 2 * (1 + 3 * 6 + 1)
     assert all(fingerprint.drift(name, value, second[name]) == "identical"
                for name, value in first.items())
@@ -42,6 +43,9 @@ def test_drift_names_what_moved(fingerprint):
         "largest drift 2.500e-01 (largest |value| 2.000e+00)")
     assert fingerprint.drift("predict/long", [[1, 1, 2], [1]], [[1, 1, 1], [1]]) == (
         "1 of 4 antecedents differ")
+    assert fingerprint.drift("evaluate/short", ["0x1.8p+0", "0x1.0p-1"],
+                             ["0x1.0p+0", "0x1.0p-1"]) == (
+        "largest drift 5.000e-01 (largest |value| 1.000e+00)")
     cases = [[1, 0.5, 1.0] + [1.0] * 6, [2, 0.5, 1.0] + [0.5] * 6]
     moved = [cases[0], cases[1][:3] + [0.5] * 5 + [0.75]]
     assert fingerprint.drift("relaxed/scores", moved, cases) == (

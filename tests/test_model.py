@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from softcoref import (Clustering, ConfigError, CostConfig, Document,
                        FormatError, InputError, LOSS_KINDS, Mention,
                        ModelParams, decode_argmax, document_loss, document_loss_and_grad,
-                       grad_check, l1_norm, link_probabilities, predict_antecedents,
-                       relaxed_b3, relaxed_lea, score_pairs,
+                       evaluate_corpus, grad_check, l1_norm, link_probabilities,
+                       predict_antecedents, relaxed_b3, relaxed_lea, score_pairs,
                        validate_antecedent_vector)
 from softcoref.membership import MembershipMatrix, membership_array
 from softcoref import model
@@ -645,6 +645,27 @@ def float64_decoding(doc: Document, params: ModelParams) -> tuple[int, ...]:
     return decode_argmax(link_probabilities(score_pairs(doc, params)))
 
 
+def screened_scores(doc: Document, params: ModelParams) -> np.ndarray:
+    """The score matrix with the float32 pair layer of the prediction pass."""
+    halves = next(model._float32_pair_halves([doc], params))
+    return model._score_matrix(doc, params, halves)[0]
+
+
+def near_tie_document(n: int = 8) -> Document:
+    """Mention 3's pair features with mentions 1 and 2 are 2^-40 apart;
+    otherwise, row by row, the latest antecedent wins by ~0.1."""
+    rows, cols = np.tril_indices(n, k=-1)
+    features = (0.1 * cols + 0.01 * rows)[:, None]
+    features[1:3, 0] = 0.5, 0.5 + 2.0 ** -40  # pairs (1, 3) and (2, 3)
+    return singleton_document(n, 1, seed=0, pair_features=features)
+
+
+def near_tie_params() -> ModelParams:
+    """Pair score = pair feature; every mention links to an antecedent."""
+    return ModelParams(w_a=[[0.0] * 4], b_a=[0.0], w_p=[[1.0]], b_p=[0.0],
+                       u=[0.0, 1.0], u_0=0.0, v=[0.0], v_0=-5.0)
+
+
 class TestFloat32Screen:
     """predict_antecedents screens with a float32 pair layer and decides
     every near tie in float64."""
@@ -668,21 +689,15 @@ class TestFloat32Screen:
         np.testing.assert_array_equal(predicted[clear], expected[clear])
         gap = model._near_tie_gap(doc, params, model._tie_bounds(params))
         if gap is not None:  # the bound E holds for every pair score
-            screened = model._forward_scores(doc, params, False, np.float32)[0]
+            screened = screened_scores(doc, params)
             assert np.abs(screened - scores).max() <= (gap - 2.0 ** -44) / 2
 
     def test_near_tie_is_decided_in_float64(self):
         """Mention 3's two antecedents have pair features 2^-40 apart: equal
         in float32, so the screened scores tie and the smaller index would
         win, while float64 ranks mention 2 first."""
-        n = 8
-        rows, cols = np.tril_indices(n, k=-1)
-        features = (0.1 * cols + 0.01 * rows)[:, None]  # row by row, latest wins by ~0.1
-        features[1:3, 0] = 0.5, 0.5 + 2.0 ** -40        # pairs (1, 3) and (2, 3)
-        doc = singleton_document(n, 1, seed=0, pair_features=features)
-        params = ModelParams(w_a=[[0.0] * 4], b_a=[0.0], w_p=[[1.0]], b_p=[0.0],
-                             u=[0.0, 1.0], u_0=0.0, v=[0.0], v_0=-5.0)
-        screened = model._forward_scores(doc, params, False, np.float32)[0]
+        doc, params = near_tie_document(), near_tie_params()
+        screened = screened_scores(doc, params)
         assert screened[2, 0] == screened[2, 1]
         scores = score_pairs(doc, params)
         assert scores[2, 1] > scores[2, 0]
@@ -744,6 +759,84 @@ class TestFloat32Screen:
         tracemalloc.start()
         try:
             predict_antecedents(doc, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < pair_layer_bytes / 4, (peak, pair_layer_bytes)
+
+
+@st.composite
+def prediction_corpora(draw) -> list[Document]:
+    """0-6 documents (d_a 4, d_p 5) of n 1-60, with n 1 and 2 common, and
+    sometimes one whose pair features float32 cannot hold.  A document of
+    no mentions is an InputError when it is built, so n = 0 is the empty
+    corpus."""
+    sizes = draw(st.lists(st.one_of(st.sampled_from([1, 2]), st.integers(3, 60)),
+                          max_size=6))
+    seed = draw(st.integers(0, 2 ** 16))
+    docs = [singleton_document(n, 5, seed + k) for k, n in enumerate(sizes)]
+    if docs and draw(st.booleans()):
+        k = draw(st.integers(0, len(docs) - 1))
+        n = max(sizes[k], 2)
+        features = np.random.default_rng(seed).normal(size=(n * (n - 1) // 2, 5))
+        features[draw(st.integers(0, len(features) - 1)), 2] = -1e39
+        docs[k] = singleton_document(n, 5, seed, pair_features=features)
+    return docs
+
+
+class TestCorpusPass:
+    """model._predict_corpus, which evaluate_corpus and ``errors`` run:
+    consecutive documents share the float32 pair-layer blocks."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(docs=prediction_corpora(), hidden_a=st.integers(1, 24),
+           hidden_p=st.integers(1, 32), log_scale=st.floats(0.0, 3.0),
+           seed=st.integers(0, 2 ** 16))
+    def test_documents_straddling_blocks_decode_alone(self, docs, hidden_a, hidden_p,
+                                                      log_scale, seed):
+        """In blocks of 7 rows, most documents share a block with the one
+        before or after them and many span several; every prediction is the
+        document's own predict_antecedents, and the float64 argmax wherever
+        the top-two gap is clear."""
+        params = ModelParams.random(4, 5, hidden_a, hidden_p, scale=10.0 ** log_scale,
+                                    seed=seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model, "_PAIR_BLOCK", 7)
+            predicted = [tuple(ants.tolist()) for ants in model._predict_corpus(docs, params)]
+            alone = [predict_antecedents(doc, params) for doc in docs]
+        assert predicted == alone
+        for doc, ants in zip(docs, predicted):
+            scores = score_pairs(doc, params)
+            masked = np.where(doc.candidate_mask, scores, -np.inf)
+            top_two = -np.sort(-masked, axis=1)[:, :2]
+            clear = (top_two[:, 0] - top_two[:, 1] > float64_slack(doc, params)
+                     if doc.n > 1 else np.ones(1, bool))
+            expected = np.array(float64_decoding(doc, params))
+            np.testing.assert_array_equal(np.array(ants)[clear], expected[clear])
+
+    def test_near_ties_in_shared_blocks_are_decided_in_float64(self, monkeypatch):
+        """The near tie of mention 3 (see TestFloat32Screen), in documents
+        that start at every offset of 5-row blocks."""
+        params = near_tie_params()
+        docs = [near_tie_document(n) for n in (3, 8, 4, 8, 5, 8, 6, 8, 7, 8)]
+        monkeypatch.setattr(model, "_PAIR_BLOCK", 5)
+        for doc, ants in zip(docs, model._predict_corpus(docs, params)):
+            assert tuple(ants.tolist()) == float64_decoding(doc, params)
+            assert tuple(ants.tolist()) == (1,) + tuple(range(1, doc.n))
+
+    def test_evaluate_corpus_peak_is_below_a_pair_layer(self):
+        """Documents are finished one by one, and no corpus-sized array is
+        made: the peak over three n = 200 documents stays below a quarter
+        of one document's float64 pair layer."""
+        docs = [long_document(200, seed=seed) for seed in (9, 10, 11)]
+        params = ModelParams.random(4, 5, hidden_a=20, hidden_p=200, seed=9)
+        evaluate_corpus(docs, params)  # fill the documents' cached arrays
+        bounds = model._tie_bounds(params)
+        assert all(model._near_tie_gap(doc, params, bounds) is not None for doc in docs)
+        pair_layer_bytes = len(docs[0].pair_feature_matrix) * params.hidden_p * 8
+        tracemalloc.start()
+        try:
+            evaluate_corpus(docs, params)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -66,7 +66,7 @@ def test_evaluate_corpus_checks_beta_before_predicting(monkeypatch):
     def no_decoding(*args):
         raise AssertionError("decoded a document before checking beta")
 
-    monkeypatch.setattr(softcoref.analysis, "_antecedents", no_decoding)
+    monkeypatch.setattr(softcoref.analysis, "_predict_corpus", no_decoding)
     monkeypatch.setattr(softcoref.analysis, "_contingency", no_decoding)
     with pytest.raises(ConfigError, match="^beta must be positive, got 0$"):
         evaluate_corpus(docs, params, beta=0)

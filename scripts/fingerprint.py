@@ -14,6 +14,10 @@ Records, as SHA-1 digests and as the raw values behind them:
     ``float.hex`` of every P, R and F and the CoNLL score of
     ``evaluate_corpus`` on that corpus under that model, which decodes the
     corpus in one pass rather than one document at a time;
+  * the ``predict_antecedents`` tuples of edge cases of the float32
+    screen: documents of one and two mentions, a near tie of 2^-40, a
+    model beyond float32, and documents whose pair rows reach 2^119,
+    within a factor 2 of the screen's float32 limit;
   * the exit code (or the exception raised), stdout and stderr of
     ``softcoref score --csv`` on seeded CoNLL key/response files (nested,
     same-start and crossing spans, brackets stacked in either order, LF or
@@ -100,8 +104,47 @@ def fingerprint(short_docs=(40, 20, 600), long_docs=(4, 4, 60), epochs=3) -> dic
         report = evaluate_corpus(test_docs, params)
         artifacts[f"evaluate/{name}"] = [float(x).hex() for _, prf in report.rows()
                                          for x in prf.as_tuple()] + [report.conll.hex()]
+    artifacts["predict/edge"] = edge_predictions()
     artifacts["relaxed/scores"] = relaxed_scores()
     return artifacts
+
+
+def _singletons(n: int, pairs, d_a: int = 4, seed: int = 0):
+    """A document of n singleton mentions with N(0, 1) features and the
+    given (n(n-1)/2, d_p) pair matrix."""
+    from softcoref import Document, Mention
+    rng = np.random.default_rng(seed)
+    mentions = [Mention(i, "proper", i, rng.normal(size=d_a)) for i in range(1, n + 1)]
+    return Document(f"doc-{n}", mentions, np.asarray(pairs, dtype=float))
+
+
+def edge_predictions() -> list:
+    """``predict_antecedents`` of the float32 screen's edge cases."""
+    from softcoref import ModelParams, predict_antecedents
+    rng = np.random.default_rng(0)
+    params = ModelParams.random(4, 3, hidden_a=5, hidden_p=6, scale=1.0, seed=0)
+    cases = [(_singletons(n, rng.normal(size=(n * (n - 1) // 2, 3)), seed=n), params)
+             for n in (1, 2, 12)]
+    beyond = params.copy()
+    beyond.w_p[1, 2] = 1e39  # finite in float64, beyond float32's 3.4e38
+    cases.append((cases[-1][0], beyond))
+    # mention 3's pair features with mentions 1 and 2 are 2^-40 apart
+    rows, cols = np.tril_indices(8, k=-1)
+    features = (0.1 * cols + 0.01 * rows)[:, None]
+    features[1:3, 0] = 0.5, 0.5 + 2.0 ** -40
+    tie = ModelParams(w_a=[[0.0] * 4], b_a=[0.0], w_p=[[1.0]], b_p=[0.0], u=[0.0, 1.0],
+                      u_0=0.0, v=[0.0], v_0=-5.0)
+    cases.append((_singletons(8, features), tie))
+    # pair row 1 has ||w||_1 = 1 and b = 0, row 2 w = 0 and |b| = 2^119
+    for sign in (1.0, -1.0):
+        band = ModelParams(w_a=[[0.5] * 4], b_a=[0.0], w_p=[[1.0, 0.0], [0.0, 0.0]],
+                           b_p=[0.0, sign * 2.0 ** 119], u=[0.3, 1.0, -0.5], u_0=0.0,
+                           v=[0.2], v_0=-0.4)
+        for n in (2, 9, 30):
+            features = rng.normal(size=(n * (n - 1) // 2, 2))
+            features[::3, 0] = rng.choice([-1.0, 1.0], size=len(features[::3])) * 2.0 ** 119
+            cases.append((_singletons(n, features, seed=n), band))
+    return [list(predict_antecedents(doc, model)) for doc, model in cases]
 
 
 def relaxed_scores(seed: int = 0, count: int = 2000) -> list:

@@ -106,17 +106,21 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 def membership_array(p: np.ndarray) -> np.ndarray:
     """Membership of a raw lower-triangular link array: solves
-    ``(I - L) q = diag(p)`` with ``L`` the strict lower part of ``p``."""
+    ``(I - L) q = diag(p)`` with ``L`` the strict lower part of ``p``.
+    ``p`` must be finite: it is not scanned again here."""
     # unit_diagonal ignores the diagonal of -p, so the matrix is I - L.
-    return solve_triangular(-p, np.diag(np.diagonal(p)), lower=True, unit_diagonal=True)
+    return solve_triangular(-p, np.diag(np.diagonal(p)), lower=True, unit_diagonal=True,
+                            check_finite=False)
 
 
 def membership_backward(p: np.ndarray, q: np.ndarray, dq: np.ndarray) -> np.ndarray:
     """Gradient of a scalar wrt p given its gradient wrt q = membership(p).
 
     With ``Y = (I - L)^{-T} dq``, ``dp = diag(Y) + strict_tril(Y q^T)``.
+    ``p`` must be finite; a non-finite ``dq`` gives a non-finite result.
     """
-    y = solve_triangular(-p, dq, lower=True, trans="T", unit_diagonal=True)
+    y = solve_triangular(-p, dq, lower=True, trans="T", unit_diagonal=True,
+                         check_finite=False)
     dp = np.tril(y @ q.T, k=-1)
     dp[np.diag_indices_from(dp)] = np.diagonal(y)
     return dp

@@ -23,13 +23,14 @@ loss and a ``backward()`` that gives its gradient on the scores:
     B-cubed or LEA surrogate at a temperature.
 
 ``document_loss`` (forward only, for the gradient checker) and
-``document_loss_and_grad`` check the settings, then share one path:
-score the document, look the loss up, add lam * L1; the latter then
+``document_loss_and_grad`` check the settings and the document's fit,
+then share one path: score the document, look the loss up, add lam * L1,
+and raise TrainingError on non-finite scores or sum; the latter then
 runs ``backward()`` and the scorer's reverse pass.  Training takes that
-path without the check (``_loss_and_grad``), since its TrainConfig
-checked the settings once.  All gradients are closed-form reverse
-passes (tanh, softmax, the membership recursion, and the metric
-expressions); no autodiff.
+path without the checks (``_loss_and_grad``): its TrainConfig checked
+the settings, and ``train`` each document's fit, once.  All gradients
+are closed-form reverse passes (tanh, softmax, the membership recursion,
+and the metric expressions); no autodiff.
 
 ModelParams' fields are views into one flat vector, so the reverse pass
 writes each gradient block in place and an AdaGrad step is one vector
@@ -65,13 +66,14 @@ concatenation of a corpus, is made.  The weights are cast once per pass,
 and only once some document is screened.  Each document is finished as
 soon as its last pair is scored, and everything after the pair layer is
 per document: the mention side and the sums stay float64.  A bound E on
-the float32 error of a pair score, worked out per document from the
-weights and the largest feature, marks the rows whose top-two gap
-float32 could have decided wrongly; E holds row by row, so it holds
-whatever rows share a GEMM.  Those rows are re-scored in float64, so
-every prediction is a float64 argmax.  On the benchmark's trained models
-E is ~3e-3 (n 8-16, hidden 200/700) and ~7e-5 (n 100-200, hidden
-24/32), and about one document in 46-141 has a row to re-score.
+the float32 error of a pair score, affine in a document's largest |pair
+feature| (its form is in ``predict_antecedents``), marks the rows whose
+top-two gap float32 could have decided wrongly; E holds row by row, so
+it holds whatever rows share a GEMM.  Those rows are re-scored in
+float64, so every prediction is a float64 argmax.  On the benchmark's
+trained models E is ~3e-3 (n 8-16, hidden 200/700) and ~7e-5 (n
+100-200, hidden 24/32), and about one document in 46-141 has a row to
+re-score.
 ``score_pairs``, training and the gradient checker run in float64 only.
 """
 
@@ -81,7 +83,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -296,8 +298,8 @@ _PAIR_BLOCK = 1024
 
 def _forward_scores(doc: Document, params: ModelParams, keep_h_p: bool = True
                     ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """(scores, h_a, h_p) of the scorer; h_p is None unless ``keep_h_p``."""
-    _check_fits(doc, params)
+    """(scores, h_a, h_p) of the scorer on a document that fits ``params``;
+    h_p is None unless ``keep_h_p``."""
     pair_scores, h_p = _pair_forward(doc.pair_feature_matrix, params, keep_h_p)
     return (*_score_matrix(doc, params, pair_scores), h_p)
 
@@ -342,6 +344,7 @@ def _pair_forward(phi_p: np.ndarray, params: ModelParams,
 
 def score_pairs(doc: Document, params: ModelParams) -> np.ndarray:
     """Lower-triangular score matrix s[i - 1, j - 1] = s(a_i = j)."""
+    _check_fits(doc, params)
     return _forward_scores(doc, params, keep_h_p=False)[0]
 
 
@@ -373,47 +376,34 @@ def _gamma(m: int, unit: float) -> float:
     return m * unit / (1.0 - m * unit)
 
 
-class _TieBounds(NamedTuple):
-    """The terms of ``_near_tie_gap`` that depend on the parameters alone."""
-
-    abs_u_p: np.ndarray
-    abs_w_p: np.ndarray
-    abs_b_p: np.ndarray
-    u_p_l1: float        # ||u_p||_1
-    u_l1_and_u_0: float  # ||u||_1 + |u_0|
-
-
-def _tie_bounds(params: ModelParams) -> _TieBounds:
-    """``_near_tie_gap``'s parameter terms.  Training changes ``params`` in
-    place, so each prediction entry point computes them once per call."""
+def _near_tie_gaps(docs: Sequence[Document], params: ModelParams) -> list[Optional[float]]:
+    """Per document, the top-two score gap at or below which
+    ``predict_antecedents`` re-scores a row in float64, or None where the
+    float32 pair layer is not used (see there).  The parameters reduce to
+    scalars once per call: training changes them in place between calls."""
+    d, hidden = params.d_p, params.hidden_p
     abs_u = np.abs(params.u)
-    abs_u_p = abs_u[params.hidden_a:]
-    return _TieBounds(abs_u_p, np.abs(params.w_p), np.abs(params.b_p),
-                      float(abs_u_p.sum()), float(abs_u.sum()) + abs(params.u_0))
-
-
-def _near_tie_gap(doc: Document, params: ModelParams, bounds: _TieBounds) -> Optional[float]:
-    """The top-two score gap at or below which ``predict_antecedents``
-    re-scores a row in float64, or None when the float32 pair layer is not
-    used on ``doc``: no pairs, a value or partial sum that float32 cannot
-    hold, or a bound that is not finite.  See ``predict_antecedents``.
-    ``bounds`` are ``_tie_bounds(params)``."""
-    if doc.n < 2:
-        return None
-    phi, d, hidden = doc.pair_feature_max, params.d_p, params.hidden_p
-    # reach[k] = max(phi, 1) ||w_k||_1 + |b_k| bounds |w_k|, |b_k| and every
-    # partial sum of the GEMM that adds the bias; ||u_p||_1 bounds those of h_p u_p
-    reach = bounds.abs_w_p @ np.full(d, max(phi, 1.0))
-    reach += bounds.abs_b_p
-    u_l1 = bounds.u_p_l1
-    if not max(phi, reach.max(initial=0.0), u_l1) < _F32_LIMIT:
-        return None
-    lin = float(bounds.abs_u_p @ reach)
-    error = _F32_TINY * (lin + u_l1 * (d * (phi + 1.0) + 2.0) + 2.0 * hidden + 2.0)
-    for unit in (_F32_UNIT, _F64_UNIT):
-        error += _gamma(d + 3, unit) * lin + (_TANH_ULPS * unit + _gamma(hidden + 2, unit)) * u_l1
-    gap = 2.0 * (error + 2.0 ** -48 * bounds.u_l1_and_u_0) + 2.0 ** -44
-    return gap if math.isfinite(gap) else None
+    abs_u_p, abs_b_p = abs_u[params.hidden_a:], np.abs(params.b_p)
+    row_l1 = np.abs(params.w_p) @ np.ones(d)  # ||w_p,k||_1
+    row_max, bias_max = float(row_l1.max(initial=0.0)), float(abs_b_p.max(initial=0.0))
+    u_l1 = float(abs_u_p.sum())
+    if not max(row_max, bias_max, u_l1) < _F32_LIMIT:  # then no document fits float32
+        return [None] * len(docs)
+    slope, offset = float(abs_u_p @ row_l1), float(abs_u_p @ abs_b_p)  # A, B: < 2^240
+    lin_units = _gamma(d + 3, _F32_UNIT) + _gamma(d + 3, _F64_UNIT)
+    u_term = (_TANH_ULPS * (_F32_UNIT + _F64_UNIT) + _gamma(hidden + 2, _F32_UNIT)
+              + _gamma(hidden + 2, _F64_UNIT)) * u_l1
+    sums = 2.0 ** -48 * (float(abs_u.sum()) + abs(params.u_0))
+    gaps = []
+    for doc in docs:
+        feature = doc.pair_feature_max
+        phi = max(feature, 1.0)
+        lin = phi * slope + offset
+        tiny = _F32_TINY * (lin + u_l1 * (d * (feature + 1.0) + 2.0) + 2.0 * hidden + 2.0)
+        gap = 2.0 * (lin_units * lin + u_term + tiny + sums) + 2.0 ** -44
+        fits = max(feature, phi * row_max + bias_max) < _F32_LIMIT
+        gaps.append(gap if doc.n > 1 and fits and math.isfinite(gap) else None)
+    return gaps
 
 
 def predict_antecedents(doc: Document, params: ModelParams) -> tuple[int, ...]:
@@ -450,9 +440,14 @@ def predict_antecedents(doc: Document, params: ModelParams) -> tuple[int, ...]:
     float64 row softmax keeps that winner strictly ahead.  Every other row
     is re-scored in float64 by ``_pair_forward`` on its own contiguous
     pairs (``tril_pairs`` positions i(i-1)/2 .. i(i+1)/2 - 1 for 0-based
-    row i) and decided by the row softmax.  A document without pairs, or
-    whose features or weights do not fit float32 or give a bound that is
-    not finite, is scored wholly in float64.
+    row i) and decided by the row softmax.  A document is scored wholly in
+    float64 when it has no pairs, its bound is not finite, or a value or
+    partial sum of the float32 layer might reach 2^120: the largest |pair
+    feature|, phi max_k ||w_p,k||_1 + max_k |b_p,k| (at most twice the
+    largest row's own bound) or ||u_p||_1.  The sum over k in E is phi A +
+    B, with A = sum_k |u_p,k| ||w_p,k||_1 and B = sum_k |u_p,k| |b_p,k|, so
+    E is affine in phi, and the parameters reduce to scalars once per call
+    (``_near_tie_gaps``).
 
     On the benchmark's trained models (seeds 1-10) E is 2.6e-3 to 4.0e-3
     at n 8-16, hidden 200/700 and 2.3e-5 to 8.6e-5 at n 100-200, hidden
@@ -464,20 +459,19 @@ def predict_antecedents(doc: Document, params: ModelParams) -> tuple[int, ...]:
 
 def _predict_corpus(docs: Sequence[Document], params: ModelParams) -> list[np.ndarray]:
     """``predict_antecedents`` of every document of ``docs``, as 1-based
-    int64 arrays, in one pass: ``_tie_bounds`` is taken once, and the
-    documents that the float32 screen takes share its pair-layer blocks."""
-    bounds = _tie_bounds(params)
-    gaps = []
+    int64 arrays, in one pass: ``_near_tie_gaps`` reduces the parameters
+    once, and the documents that the float32 screen takes share its
+    pair-layer blocks."""
     for doc in docs:
         _check_fits(doc, params)
-        gaps.append(_near_tie_gap(doc, params, bounds))
+    gaps = _near_tie_gaps(docs, params)
     # a generator: nothing is cast to float32 until a screened document asks
     halves = _float32_pair_halves([doc for doc, gap in zip(docs, gaps) if gap is not None],
                                   params)
     predictions = []
     for doc, gap in zip(docs, gaps):
         if gap is None:
-            probs = masked_softmax(score_pairs(doc, params), doc.candidate_mask)
+            probs = masked_softmax(_forward_scores(doc, params, False)[0], doc.candidate_mask)
             predictions.append(np.argmax(probs, axis=1) + 1)
         else:
             predictions.append(_screened_argmax(doc, params, next(halves), gap))
@@ -524,7 +518,7 @@ def _float32_pair_halves(docs: Sequence[Document], params: ModelParams):
 def _screened_argmax(doc: Document, params: ModelParams, pair_halves: np.ndarray,
                      gap: float) -> np.ndarray:
     """``doc``'s 1-based predictions from its float32 pair halves: the rows
-    whose top-two gap is at most ``gap`` (``_near_tie_gap``) are re-scored
+    whose top-two gap is at most ``gap`` (``_near_tie_gaps``) are re-scored
     in float64 and decided by the row softmax."""
     scores, h_a = _score_matrix(doc, params, pair_halves)
     masked = np.where(doc.candidate_mask, scores, -np.inf)
@@ -716,24 +710,27 @@ def _check_loss_settings(kind: str, beta: float, temperature: float, lam: float)
 def _loss_and_backward(doc: Document, params: ModelParams, kind: str,
                        costs: Optional[CostConfig], beta: float,
                        temperature: float, lam: float, keep_h_p: bool = True):
-    """The path that every loss shares, for settings that
-    ``_check_loss_settings`` has passed."""
+    """The path that every loss shares, for checked settings and a document
+    that fits ``params``: non-finite scores, or a non-finite loss plus L1
+    term, raise TrainingError before any backward pass."""
     costs = costs if costs is not None else CostConfig()
     scores, h_a, h_p = _forward_scores(doc, params, keep_h_p)
+    if not np.isfinite(scores).all():
+        raise TrainingError(f"non-finite scores on document {doc.id}")
     with np.errstate(divide="ignore"):  # log(0) is reported just below
         loss, backward = _LOSSES[kind](doc, scores, costs, beta, temperature)
-    if not np.isfinite(loss):
-        raise TrainingError(f"non-finite {kind} loss on document {doc.id}")
     if lam:
         loss += lam * l1_norm(params)
+    if not np.isfinite(loss):
+        raise TrainingError(f"non-finite {kind} loss on document {doc.id}")
     return (h_a, h_p), loss, backward
 
 
 def _loss_and_grad(doc: Document, params: ModelParams, kind: str,
                    costs: Optional[CostConfig], beta: float, temperature: float,
                    lam: float) -> tuple[float, ModelParams]:
-    """``document_loss_and_grad`` for settings already checked: training
-    takes them from a TrainConfig, which checks them once when it is built."""
+    """``document_loss_and_grad`` for settings and a fit that ``train``
+    checked once: TrainConfig checks the settings when it is built."""
     hidden, loss, backward = _loss_and_backward(doc, params, kind, costs, beta,
                                                 temperature, lam)
     d_scores = backward()
@@ -750,9 +747,10 @@ def document_loss(doc: Document, params: ModelParams, kind: str, *,
                   temperature: float = 1.0, lam: float = 0.0) -> float:
     """Loss of one document under any of the LOSS_KINDS objectives, plus
     lam * L1; forward pass only, so no n_pairs x hidden_p pair layer is
-    kept (see ``_pair_forward``).  A non-finite objective raises
+    kept (see ``_pair_forward``).  Non-finite scores or loss raise
     TrainingError naming the document."""
     _check_loss_settings(kind, beta, temperature, lam)
+    _check_fits(doc, params)
     _, loss, _ = _loss_and_backward(doc, params, kind, costs, beta, temperature, lam,
                                     keep_h_p=False)
     return loss
@@ -764,6 +762,7 @@ def document_loss_and_grad(doc: Document, params: ModelParams, kind: str, *,
                            lam: float = 0.0) -> tuple[float, ModelParams]:
     """document_loss and its gradient wrt every parameter; the L1 term
     contributes lam * sign(theta).  The TrainingError for a non-finite
-    loss or score gradient comes before any parameter gradient is formed."""
+    score, loss or score gradient comes before any parameter gradient."""
     _check_loss_settings(kind, beta, temperature, lam)
+    _check_fits(doc, params)
     return _loss_and_grad(doc, params, kind, costs, beta, temperature, lam)

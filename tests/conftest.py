@@ -54,6 +54,17 @@ def saturated_params(d_a: int, d_p: int) -> ModelParams:
     return params
 
 
+def overflowing_params() -> ModelParams:
+    """Finite parameters whose scores overflow: every entry of u and u_0
+    is 1e308, so on synthetic documents with d_a 12 and d_p 14 a pair
+    score, u_0 plus seven such entries times a tanh, leaves float64's
+    range."""
+    params = ModelParams.random(12, 14, hidden_a=3, hidden_p=4, seed=0)
+    params.u[:] = 1e308
+    params.u_0 = 1e308
+    return params
+
+
 def nan_gradient_loss(doc, scores, costs, beta, temperature):
     """A loss-registry entry whose loss is finite and whose gradient on
     the scores is NaN."""

@@ -7,8 +7,13 @@ and is the oracle of acceptance 3; the line-by-line CoNLL reader is the
 reference that ``corpus.parse_conll_documents`` is compared against; the
 dense per-document scorers, one contingency matrix per (gold, response)
 pair summed in document order, are the reference of ``metrics``' corpus-wide
-table.  None of them is part of the method.
+table; the per-document near-tie gap, with its reach and fit test taken row
+by row, is the reference of the closed form that ``model._near_tie_gaps``
+evaluates for a whole call.  None of them is part of the method.
 """
+
+import math
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -17,6 +22,7 @@ from softcoref import (BlancCounts, Clustering, ConllDocument, CostConfig, Forma
                        InputError, LinkDistribution, MembershipMatrix, MetricCounts,
                        MetricReport, conll_average)
 from softcoref.corpus import _utf8_text
+from softcoref.model import _F32_TINY, _F32_UNIT, _F64_UNIT, _TANH_ULPS, _gamma
 
 # Softmax-margin costs that are zero in every case: the heuristic losses
 # reduce to plain log-likelihoods.
@@ -283,3 +289,26 @@ def reference_corpus_report(pairs, beta: float = 1.0) -> MetricReport:
         conll=conll_average(prfs["muc"].f, prfs["b_cubed"].f, prfs["ceaf_e"].f),
         **prfs,
     )
+
+
+def reference_near_tie_gap(doc, params) -> Optional[float]:
+    """The float32 screen's near-tie gap of one document, as
+    ``predict_antecedents`` states it, term by term: row k's reach
+    max(phi, 1) ||w_p,k||_1 + |b_p,k| from a matrix-vector product, the
+    float32 fit test on the largest row's reach, and E summed over the two
+    unit roundoffs.  None where the float32 layer is not used."""
+    if doc.n < 2:
+        return None
+    phi, d, hidden = doc.pair_feature_max, params.d_p, params.hidden_p
+    abs_u = np.abs(params.u)
+    abs_u_p = abs_u[params.hidden_a:]
+    reach = np.abs(params.w_p) @ np.full(d, max(phi, 1.0)) + np.abs(params.b_p)
+    u_l1 = float(abs_u_p.sum())
+    if not max(phi, reach.max(initial=0.0), u_l1) < 2.0 ** 120:
+        return None
+    lin = float(abs_u_p @ reach)
+    error = _F32_TINY * (lin + u_l1 * (d * (phi + 1.0) + 2.0) + 2.0 * hidden + 2.0)
+    for unit in (_F32_UNIT, _F64_UNIT):
+        error += _gamma(d + 3, unit) * lin + (_TANH_ULPS * unit + _gamma(hidden + 2, unit)) * u_l1
+    gap = 2.0 * (error + 2.0 ** -48 * (float(abs_u.sum()) + abs(params.u_0))) + 2.0 ** -44
+    return gap if math.isfinite(gap) else None

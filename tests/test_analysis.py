@@ -243,9 +243,9 @@ class TestReports:
         docs = small_corpus(3, seed=6)
         params = ModelParams.random(docs[0].d_a, docs[0].d_p, hidden_a=4, hidden_p=5, seed=6)
         calls = []
-        terms = softcoref.model._tie_bounds
-        monkeypatch.setattr(softcoref.model, "_tie_bounds",
-                            lambda p: calls.append(1) or terms(p))
+        gaps = softcoref.model._near_tie_gaps
+        monkeypatch.setattr(softcoref.model, "_near_tie_gaps",
+                            lambda d, p: calls.append(1) or gaps(d, p))
         evaluate_corpus(docs, params)
         params.u *= -1.0  # as training does, in place
         report = evaluate_corpus(docs, params)

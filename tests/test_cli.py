@@ -12,7 +12,7 @@ from softcoref import (Clustering, ModelParams, SyntheticConfig, TrainConfig,
                        score_pairs, write_conll_responses)
 from softcoref.cli import run
 
-from conftest import conll_lines, nan_gradient_loss, saturated_params
+from conftest import conll_lines, nan_gradient_loss, overflowing_params, saturated_params
 
 
 def cli(*argv) -> int:
@@ -129,6 +129,20 @@ class TestTrain:
         assert cli("train", "--corpus", corpus, "--init", hot, "--loss", loss,
                    "--epochs", 1, "--out", tmp_path / "m.json") == 2
         assert f"error: non-finite {loss} loss on document" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("l1", [["--l1", 0], []], ids=["no-l1", "default-l1"])
+    def test_overflowing_scores_exit_2(self, tmp_path, l1, capsys):
+        """Without L1 the membership solves used to raise scipy's
+        ValueError; with the default L1 weight the run exited 0 with a mean
+        loss of inf."""
+        corpus = tmp_path / "c.jsonl"
+        assert cli("generate", "--docs", 3, "--seed", 0, "--out", corpus) == 0
+        huge = tmp_path / "huge.json"
+        overflowing_params().save(huge)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli("train", "--corpus", corpus, "--init", huge, "--loss", "lea", *l1,
+                       "--epochs", 1, "--out", tmp_path / "m.json") == 2
+        assert capsys.readouterr().err.startswith("error: non-finite ")
 
     def test_non_finite_gradient_exit_2(self, tmp_path, tiny_corpus, monkeypatch, capsys):
         from softcoref import model

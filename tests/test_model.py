@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 
 from softcoref import (Clustering, ConfigError, CostConfig, Document,
                        FormatError, InputError, LOSS_KINDS, Mention,
-                       ModelParams, decode_argmax, document_loss, document_loss_and_grad,
-                       evaluate_corpus, grad_check, l1_norm, link_probabilities,
+                       ModelParams, SyntheticConfig, TrainingError, decode_argmax,
+                       document_loss, document_loss_and_grad, evaluate_corpus,
+                       generate_synthetic, grad_check, l1_norm, link_probabilities,
                        predict_antecedents, relaxed_b3, relaxed_lea, score_pairs,
                        validate_antecedent_vector)
 from softcoref.membership import MembershipMatrix, membership_array
@@ -26,8 +27,8 @@ from softcoref import model
 from softcoref.model import (_forward_scores, _score_backward, correct_set_mask,
                              delta_matrix, gamma_matrix)
 
-from conftest import correct_antecedents, make_document, nan_gradient_loss
-from oracles import ZERO_COSTS, delta_cost, gamma_cost
+from conftest import correct_antecedents, make_document, nan_gradient_loss, overflowing_params
+from oracles import ZERO_COSTS, delta_cost, gamma_cost, reference_near_tie_gap
 
 
 def tiny_params(**overrides) -> ModelParams:
@@ -666,6 +667,22 @@ def near_tie_params() -> ModelParams:
                        u=[0.0, 1.0], u_0=0.0, v=[0.0], v_0=-5.0)
 
 
+def guard_band_params() -> ModelParams:
+    """hidden_p 2: pair row 1 has ||w||_1 = 1 and b = 0, row 2 has w = 0
+    and |b| = 2^119, so at phi = 2^119 each row reaches 2^119."""
+    return ModelParams(w_a=[[0.5] * 4], b_a=[0.0], w_p=[[1.0, 0.0], [0.0, 0.0]],
+                       b_p=[0.0, -2.0 ** 119], u=[0.3, 1.0, 0.5], u_0=0.0, v=[0.2],
+                       v_0=-0.4)
+
+
+def guard_band_document(n: int = 9) -> Document:
+    """Pair features (d_p 2) up to 2^119 in magnitude, most of them small."""
+    features = np.random.default_rng(n).normal(size=(n * (n - 1) // 2, 2))
+    features[::4, 0] = 2.0 ** 119
+    features[1::4, 0] = -2.0 ** 119
+    return singleton_document(n, 2, seed=n, pair_features=features)
+
+
 class TestFloat32Screen:
     """predict_antecedents screens with a float32 pair layer and decides
     every near tie in float64."""
@@ -687,7 +704,7 @@ class TestFloat32Screen:
         clear = top_two[:, 0] - top_two[:, 1] > slack
         expected = np.array(float64_decoding(doc, params)) - 1
         np.testing.assert_array_equal(predicted[clear], expected[clear])
-        gap = model._near_tie_gap(doc, params, model._tie_bounds(params))
+        gap, = model._near_tie_gaps([doc], params)
         if gap is not None:  # the bound E holds for every pair score
             screened = screened_scores(doc, params)
             assert np.abs(screened - scores).max() <= (gap - 2.0 ** -44) / 2
@@ -725,7 +742,7 @@ class TestFloat32Screen:
         path = tmp_path / "model.json"
         params.save(path)
         params = ModelParams.load(path)
-        assert model._near_tie_gap(doc, params, model._tie_bounds(params)) is None
+        assert model._near_tie_gaps([doc], params) == [None]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert predict_antecedents(doc, params) == float64_decoding(doc, params)
@@ -740,21 +757,54 @@ class TestFloat32Screen:
         assert error.max() <= model._TANH_ULPS * model._F32_UNIT
 
     def test_shared_parameter_terms_give_the_same_gap(self):
-        """``evaluate_corpus`` takes ``_tie_bounds`` once for all its
-        documents; each gap is bit-identical to the one computed alone."""
+        """``evaluate_corpus`` takes every gap of a corpus in one call;
+        each is bit-identical to the one computed for the document alone."""
         params = ModelParams.random(4, 5, hidden_a=3, hidden_p=6, scale=3.0, seed=5)
-        bounds = model._tie_bounds(params)
-        for n in (1, 2, 9, 40):
-            doc = singleton_document(n, 5, seed=n)
-            gap = model._near_tie_gap(doc, params, bounds)
-            assert gap == model._near_tie_gap(doc, params, model._tie_bounds(params))
-            assert (gap is None) == (n < 2)
+        docs = [singleton_document(n, 5, seed=n) for n in (1, 2, 9, 40)]
+        docs.append(singleton_document(9, 5, seed=9, pair_features=np.full((36, 5), 1e39)))
+        gaps = model._near_tie_gaps(docs, params)
+        assert gaps == [model._near_tie_gaps([doc], params)[0] for doc in docs]
+        assert [gap is None for gap in gaps] == [True, False, False, False, True]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 60), d_p=st.integers(1, 20), hidden_a=st.integers(1, 64),
+           hidden_p=st.integers(1, 64), log_scale=st.floats(-3.0, 3.0),
+           log2_features=st.floats(0.0, 119.0), seed=st.integers(0, 2 ** 16))
+    def test_closed_form_gap_matches_the_row_by_row_oracle(self, n, d_p, hidden_a, hidden_p,
+                                                          log_scale, log2_features, seed):
+        """Within 16 ulps of ``reference_near_tie_gap`` (20,000 random cases
+        showed at most 7), None wherever it is None, and None besides only
+        in the guard band: where the largest row's reach fits float32 but
+        max(phi, 1) max_k ||w_p,k||_1 + max_k |b_p,k| does not."""
+        features = np.random.default_rng(seed).normal(size=(n * (n - 1) // 2, d_p))
+        doc = singleton_document(n, d_p, seed, pair_features=features * 2.0 ** log2_features)
+        params = ModelParams.random(4, d_p, hidden_a, hidden_p, scale=10.0 ** log_scale,
+                                    seed=seed)
+        gap, = model._near_tie_gaps([doc], params)
+        expected = reference_near_tie_gap(doc, params)
+        if gap is not None:
+            assert expected is not None and math.isclose(gap, expected, rel_tol=2.0 ** -48)
+        elif expected is not None:
+            reach = (max(doc.pair_feature_max, 1.0) * np.abs(params.w_p).sum(axis=1).max()
+                     + np.abs(params.b_p).max())
+            assert reach >= 2.0 ** 120
+
+    def test_guard_band_document_is_scored_in_float64(self):
+        """Each pair row reaches 2^119 alone, so the row-by-row test would
+        screen the document in float32; the shared bound reaches 2^120 and
+        sends it to float64, with the same predictions."""
+        params, doc = guard_band_params(), guard_band_document()
+        assert reference_near_tie_gap(doc, params) is not None
+        assert model._near_tie_gaps([doc], params) == [None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert predict_antecedents(doc, params) == float64_decoding(doc, params)
 
     def test_predict_peak_is_below_a_pair_layer(self):
         doc = long_document(200, seed=9)
         params = ModelParams.random(4, 5, hidden_a=20, hidden_p=200, seed=9)
         predict_antecedents(doc, params)  # fill the document's cached arrays
-        assert model._near_tie_gap(doc, params, model._tie_bounds(params)) is not None
+        assert model._near_tie_gaps([doc], params) != [None]
         pair_layer_bytes = len(doc.pair_feature_matrix) * params.hidden_p * 8
         tracemalloc.start()
         try:
@@ -831,8 +881,7 @@ class TestCorpusPass:
         docs = [long_document(200, seed=seed) for seed in (9, 10, 11)]
         params = ModelParams.random(4, 5, hidden_a=20, hidden_p=200, seed=9)
         evaluate_corpus(docs, params)  # fill the documents' cached arrays
-        bounds = model._tie_bounds(params)
-        assert all(model._near_tie_gap(doc, params, bounds) is not None for doc in docs)
+        assert None not in model._near_tie_gaps(docs, params)
         pair_layer_bytes = len(docs[0].pair_feature_matrix) * params.hidden_p * 8
         tracemalloc.start()
         try:
@@ -899,6 +948,27 @@ class TestDispatcherAndGradients:
         assert document_loss(doc, params, "b3") == 0.5
         with pytest.raises(TrainingError, match="non-finite b3 gradient on document d"):
             document_loss_and_grad(doc, params, "b3")
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_overflowing_scores_raise_training_error(self, kind):
+        """Every parameter is finite but the scores are not; the membership
+        solves used to raise scipy's ValueError on them."""
+        doc = generate_synthetic(SyntheticConfig(num_docs=3, seed=0))[0]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                TrainingError, match="^non-finite scores on document doc-0000$"):
+            document_loss_and_grad(doc, overflowing_params(), kind)
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_overflowing_l1_term_raises_training_error(self, kind):
+        """Two entries of w_a at 1e308 only saturate tanh, so the objective
+        is finite, but the L1 norm overflows."""
+        doc = make_document("d", [1, 1, 3], seed=2)
+        params = ModelParams.random(4, 5, hidden_a=2, hidden_p=3, seed=2)
+        params.w_a[:, 0] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isfinite(document_loss(doc, params, kind))
+            with pytest.raises(TrainingError, match=f"^non-finite {kind} loss on document d$"):
+                document_loss(doc, params, kind, lam=1e-6)
 
     def test_negative_l1_weight_rejected(self):
         doc = tiny_document((1, 1))

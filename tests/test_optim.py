@@ -187,6 +187,18 @@ class TestTrain:
                 TrainingError, match="non-finite parameters after the update on document"):
             train(corpus, [], config)
 
+    def test_fit_is_checked_once_per_document(self, monkeypatch):
+        """``train`` checks every document's fit before the first step, so
+        no training step checks it again."""
+        from softcoref import model
+        calls, check = [], model._check_fits
+        counting = lambda doc, params: calls.append(doc.id) or check(doc, params)  # noqa: E731
+        monkeypatch.setattr(model, "_check_fits", counting)
+        monkeypatch.setattr(optim, "_check_fits", counting)
+        corpus = small_corpus(3, seed=1)
+        train(corpus, [], _fast_config(epochs=3))
+        assert sorted(calls) == sorted(doc.id for doc in corpus)
+
     def test_history_csv_shape(self):
         corpus = small_corpus(3, seed=1)
         dev = small_corpus(2, seed=2)

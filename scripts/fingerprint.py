@@ -8,6 +8,9 @@ Records, as SHA-1 digests and as the raw values behind them:
     epoch) and the bytes of that run's ``history.to_csv()``;
   * the dev reports that ``beta_sweep`` returns for the b3 loss at two
     betas on the same corpus;
+  * the parameters of the benchmark's two-stage recipe on that corpus:
+    mr-heuristic, then b3 at T = 0.5 from its result through
+    ``init_model``;
   * the ``predict_antecedents`` tuples of a test corpus at short-document
     sizes (n 8-16, hidden 200/700) and at long-document sizes (n 100-200,
     hidden 24/32), each under a model trained at those sizes, and
@@ -80,12 +83,13 @@ def fingerprint(short_docs=(40, 20, 600), long_docs=(4, 4, 60), epochs=3) -> dic
     lists).  ``short_docs`` and ``long_docs`` are train/dev/test counts."""
     from softcoref import (LOSS_KINDS, TrainConfig, beta_sweep, evaluate_corpus,
                            predict_antecedents, train)
-    artifacts = {}
+    artifacts, trained = {}, {}
     train_docs, dev_docs, _ = _corpora(SHORT, short_docs[:2] + (0,), seed=1)
     for loss in LOSS_KINDS:
         config = TrainConfig(loss=loss, temperature=0.5, learning_rate=0.1, epochs=epochs,
                              hidden_a=24, hidden_p=32, seed=0)
         params, history = train(train_docs, dev_docs, config)
+        trained[loss] = params
         artifacts[f"params/{loss}"] = params.to_vector().tolist()
         artifacts[f"history/{loss}"] = history.to_csv()
     sweep = artifacts["sweep/b3"] = []  # per beta: beta, P, R, F of each metric, CoNLL
@@ -93,6 +97,9 @@ def fingerprint(short_docs=(40, 20, 600), long_docs=(4, 4, 60), epochs=3) -> dic
                                    betas=(math.sqrt(0.8), 2.0)):
         sweep.extend([beta, *(x for _, prf in report.rows() for x in prf.as_tuple()),
                       report.conll])
+    recipe, _ = train(train_docs, dev_docs, replace(config, loss="b3", learning_rate=0.02,
+                                                    init_model=trained["mr-heuristic"]))
+    artifacts["params/recipe"] = recipe.to_vector().tolist()
     for name, sizes, counts, hidden in (("short", SHORT, short_docs, (200, 700)),
                                         ("long", LONG, long_docs, (24, 32))):
         train_docs, dev_docs, test_docs = _corpora(sizes, counts, seed=10)

@@ -13,6 +13,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import analysis, corpus, optim
 from .corpus import SyntheticConfig
 from .errors import ConfigError, FormatError, InputError, SoftcorefError, _check_range
@@ -157,7 +159,11 @@ def _print_report(report: analysis.MetricReport, as_csv: bool) -> None:
 def _cmd_evaluate(args) -> int:
     docs = _load_nonempty(args.corpus)
     params = ModelParams.load(args.model)
-    _print_report(analysis.evaluate_corpus(docs, params, beta=args.beta), args.csv)
+    # Scores that overflow are reported as an InputError, so numpy's overflow
+    # warnings on the way there would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = analysis.evaluate_corpus(docs, params, beta=args.beta)
+    _print_report(report, args.csv)
     return 0
 
 
@@ -195,8 +201,10 @@ def _load_nonempty(path) -> list[corpus.Document]:
 def _cmd_errors(args) -> int:
     docs = _load_nonempty(args.corpus)
     params = ModelParams.load(args.model)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _cmd_evaluate
+        predictions = _predict_corpus(docs, params)
     total = sum(analysis.error_breakdown(doc, predicted)
-                for doc, predicted in zip(docs, _predict_corpus(docs, params)))
+                for doc, predicted in zip(docs, predictions))
     print(analysis.format_breakdown(total))
     return 0
 

@@ -10,8 +10,12 @@ with h_a = tanh(W_a phi_a + b_a) and h_p = tanh(W_p phi_p + b_p).  A row
 softmax over j <= i turns scores into antecedent link probabilities.
 
 The training objectives differ only in how the score matrix becomes a
-loss.  One registry maps each of LOSS_KINDS to a function returning the
-loss and a ``backward()`` that gives its gradient on the scores:
+loss.  One registry serves training and the gradient checker.  It gives
+each of LOSS_KINDS two functions: one builds the document's targets
+from its gold side and the costs (a correct-set mask and Delta, gold
+anchors and exp(Gamma), or gold cluster indices and sizes), and one
+returns the loss on the scores and a ``backward()`` that gives its
+gradient on them:
 
   * ``mr-heuristic`` (mention-ranking softmax-margin): cost-augmented
     cross entropy over the correct-antecedent set C(m_i), costs added
@@ -23,18 +27,23 @@ loss and a ``backward()`` that gives its gradient on the scores:
     B-cubed or LEA surrogate at a temperature.
 
 ``document_loss`` (forward only, for the gradient checker) and
-``document_loss_and_grad`` check the settings and the document's fit,
-then share one path: score the document, look the loss up, add lam * L1,
-and raise TrainingError on non-finite scores or sum; the latter then
-runs ``backward()`` and the scorer's reverse pass.  Training takes that
-path without the checks (``_loss_and_grad``): its TrainConfig checked
-the settings, and ``train`` each document's fit, once.  All gradients
-are closed-form reverse passes (tanh, softmax, the membership recursion,
-and the metric expressions); no autodiff.
+``document_loss_and_grad`` check the settings and the document's fit and
+build its targets, then share one path: score the document, look the
+loss up, add lam * L1, and raise TrainingError on non-finite scores or
+sum; the latter then runs ``backward()`` and the scorer's reverse pass.
+Training takes that path without the checks (``_loss_and_grad``): its
+TrainConfig checked the settings, and ``train`` checks each document's
+fit and builds its targets once per call, not once per step.  With that
+and the in-place update and reverse pass described below, a step at n
+8-16, hidden 200/700 went from 809 to 694 us (``mr-heuristic``) and
+from 1,022 to 928 us (``b3``; README, "Performance notes").  All gradients are closed-form reverse passes
+(tanh, softmax, the membership recursion, and the metric expressions);
+no autodiff.
 
 ModelParams' fields are views into one flat vector, so the reverse pass
-writes each gradient block in place and an AdaGrad step is one vector
-operation.  The pair layer's reverse pass is fused: with d_pair the
+writes each gradient block in place, the L1 term adds lam * sign(theta)
+through one temporary, and ``train`` updates the parameter vector in
+place.  The pair layer's reverse pass is fused: with d_pair the
 score gradient of each pair and u_p the pair half of u,
 
     dW_p = u_p[:, None] * ((1 - h_p^2)^T @ (d_pair[:, None] * phi_p))
@@ -46,9 +55,10 @@ The pair layer walks the (n_pairs, d_p) pair matrix in row blocks of
 _PAIR_BLOCK pairs, so that each block's working set stays in cache.  Per
 block, the forward pass computes that block's rows of h_p (GEMM, bias,
 tanh in place) and their h_p @ u_p, and the reverse pass adds the block's
-h_p^T d_pair and fused product into the gradient, through block-sized
-scratch arrays for 1 - h_p^2 and the scaled features.  Training keeps the
-whole h_p (n_pairs x hidden_p) for the reverse pass; ``score_pairs`` and
+h_p^T d_pair into the gradient, overwrites that block of h_p with
+1 - h_p^2, and adds the fused product, through one block-sized scratch
+array for the scaled features.  Training keeps the whole h_p (n_pairs x
+hidden_p) for the reverse pass, which consumes it; ``score_pairs`` and
 prediction keep no pair hidden layer: one block-sized buffer serves every
 block, so their memory does not grow with n_pairs x hidden_p.  A document
 of at most _PAIR_BLOCK pairs is one block and makes the numpy calls of an
@@ -409,8 +419,9 @@ def _near_tie_gaps(docs: Sequence[Document], params: ModelParams) -> list[Option
 def predict_antecedents(doc: Document, params: ModelParams) -> tuple[int, ...]:
     """Most probable antecedent per mention under the model, ties to the
     smallest index: ``decode_argmax(link_probabilities(score_pairs(doc,
-    params)))``, decided without its score check and checked copy, and
-    with a float32 pair layer screening the float64 scores.
+    params)))``, decided without its checked copy, and with a float32 pair
+    layer screening the float64 scores.  Scores beyond float64 raise
+    InputError naming the document.
 
     This is the corpus pass ``_predict_corpus`` on ``[doc]``; the same
     pass decodes a whole corpus for ``evaluate_corpus`` and ``softcoref
@@ -464,6 +475,11 @@ def _predict_corpus(docs: Sequence[Document], params: ModelParams) -> list[np.nd
     pair-layer blocks."""
     for doc in docs:
         _check_fits(doc, params)
+    # Finite parameters can still give scores beyond float64: the float64
+    # path checks the whole matrix, the screened one (whose bound keeps the
+    # pair side finite) its self-link scores.  numpy's overflow warnings are
+    # left to the caller, since an np.errstate here would cost more than the
+    # check (README, "Performance notes").
     gaps = _near_tie_gaps(docs, params)
     # a generator: nothing is cast to float32 until a screened document asks
     halves = _float32_pair_halves([doc for doc, gap in zip(docs, gaps) if gap is not None],
@@ -471,11 +487,19 @@ def _predict_corpus(docs: Sequence[Document], params: ModelParams) -> list[np.nd
     predictions = []
     for doc, gap in zip(docs, gaps):
         if gap is None:
-            probs = masked_softmax(_forward_scores(doc, params, False)[0], doc.candidate_mask)
+            scores = _forward_scores(doc, params, False)[0]
+            _check_finite_scores(doc, scores)
+            probs = masked_softmax(scores, doc.candidate_mask)
             predictions.append(np.argmax(probs, axis=1) + 1)
         else:
             predictions.append(_screened_argmax(doc, params, next(halves), gap))
     return predictions
+
+
+def _check_finite_scores(doc: Document, scores: np.ndarray) -> None:
+    """InputError unless every score of ``doc`` in ``scores`` is finite."""
+    if not np.isfinite(scores).all():
+        raise InputError(f"non-finite scores on document {doc.id}")
 
 
 def _float32_pair_halves(docs: Sequence[Document], params: ModelParams):
@@ -521,6 +545,7 @@ def _screened_argmax(doc: Document, params: ModelParams, pair_halves: np.ndarray
     whose top-two gap is at most ``gap`` (``_near_tie_gaps``) are re-scored
     in float64 and decided by the row softmax."""
     scores, h_a = _score_matrix(doc, params, pair_halves)
+    _check_finite_scores(doc, scores.diagonal())
     masked = np.where(doc.candidate_mask, scores, -np.inf)
     rows = np.arange(doc.n)
     best = masked.argmax(axis=1)
@@ -549,7 +574,8 @@ def _score_backward(doc: Document, params: ModelParams, h_a: np.ndarray,
     """Parameter gradient given a gradient on the score matrix of ``doc``
     and the forward pass's hidden layers, written field by field into a
     zeroed flat vector.  The pair side is fused and runs in row blocks
-    (see the module docstring)."""
+    (see the module docstring).  It consumes ``h_p``: each block of it is
+    overwritten with its 1 - h_p^2 once the u_p gradient has read it."""
     ha = params.hidden_a
     d_pair = d_scores[doc.tril_mask]
     d_self = np.diagonal(d_scores).copy()
@@ -567,26 +593,26 @@ def _score_backward(doc: Document, params: ModelParams, h_a: np.ndarray,
     grad.u_0, grad.v_0 = d_pair.sum(), d_self.sum()
 
     # The first block writes the u_p gradient and the fused product; later
-    # blocks add to them, reusing the first block's scratch arrays.
+    # blocks add to them, reusing the first block's scratch array.
     phi_p, d_p, n_pairs = doc.pair_feature_matrix, params.d_p, d_pair.size
-    rows = min(n_pairs, _PAIR_BLOCK)
-    weighted = np.empty((rows, d_p + 1))
-    sech2 = np.empty((rows, params.hidden_p))
+    weighted = np.empty((min(n_pairs, _PAIR_BLOCK), d_p + 1))
     d_u_p = grad.u[ha:]
     for start in range(0, n_pairs, _PAIR_BLOCK):
         stop = min(start + _PAIR_BLOCK, n_pairs)
         h, d = h_p[start:stop], d_pair[start:stop]
-        wt, s2 = weighted[:stop - start], sech2[:stop - start]
+        wt = weighted[:stop - start]
         np.multiply(d[:, None], phi_p[start:stop], out=wt[:, :d_p])
         wt[:, d_p] = d
-        np.multiply(h, h, out=s2)
-        np.subtract(1.0, s2, out=s2)
         if start:
             d_u_p += h.T @ d
-            fused += s2.T @ wt
         else:
             np.matmul(h.T, d, out=d_u_p)
-            fused = s2.T @ wt
+        np.multiply(h, h, out=h)  # h_p is consumed: the block becomes 1 - h_p^2
+        np.subtract(1.0, h, out=h)
+        if start:
+            fused += h.T @ wt
+        else:
+            fused = h.T @ wt
     if n_pairs:
         np.multiply(u_p[:, None], fused[:, :d_p], out=grad.w_p)
         np.multiply(u_p, fused[:, d_p], out=grad.b_p)
@@ -632,15 +658,23 @@ def gamma_matrix(doc: Document, costs: CostConfig) -> np.ndarray:
 # Loss registry shared by training and the gradient checker
 # ---------------------------------------------------------------------------
 #
-# Every entry maps (doc, scores, costs, beta, temperature) to
+# Each kind has two entries.  _TARGETS[kind] maps (doc, costs) to what the
+# objective needs of the document's gold side; it depends on neither the
+# parameters nor the scores, so ``train`` builds it once per document and
+# call.  _LOSSES[kind] maps (doc, scores, targets, beta, temperature) to
 # (loss, backward); backward() returns d loss / d scores.
 
-def _mention_ranking(doc: Document, scores: np.ndarray, costs: CostConfig,
+def _mention_ranking_targets(doc: Document, costs: CostConfig):
+    """The correct-antecedent sets C(m_i) as a mask, and the costs Delta."""
+    mask = correct_set_mask(doc.gold_entity_array)
+    return mask, _cost_matrix(mask, costs.alphas)
+
+
+def _mention_ranking(doc: Document, scores: np.ndarray, targets,
                      beta: float, temperature: float):
     """Cost-augmented negative log-likelihood of the correct-antecedent sets."""
-    mask = correct_set_mask(doc.gold_entity_array)
-    augmented = scores + _cost_matrix(mask, costs.alphas)
-    probs = masked_softmax(augmented, doc.candidate_mask)
+    mask, delta = targets
+    probs = masked_softmax(scores + delta, doc.candidate_mask)
     correct_mass = (probs * mask).sum(axis=1)
 
     def backward() -> np.ndarray:
@@ -650,15 +684,20 @@ def _mention_ranking(doc: Document, scores: np.ndarray, costs: CostConfig,
     return float(-np.log(correct_mass).sum()), backward
 
 
-def _entity_centric(doc: Document, scores: np.ndarray, costs: CostConfig,
+def _entity_centric_targets(doc: Document, costs: CostConfig):
+    """Each mention's (row, gold anchor) index, and exp(Gamma)."""
+    return (np.arange(doc.n), doc.gold_entity_array - 1), np.exp(gamma_matrix(doc, costs))
+
+
+def _entity_centric(doc: Document, scores: np.ndarray, targets,
                     beta: float, temperature: float):
     """Cost-augmented negative log-probability that each mention joins its
     gold entity, through the membership recursion."""
+    gold, exp_gamma = targets
     probs = masked_softmax(scores, doc.candidate_mask)
     q = membership_array(probs)
-    weights = q * np.exp(gamma_matrix(doc, costs))
+    weights = q * exp_gamma
     totals = weights.sum(axis=1)
-    gold = (np.arange(doc.n), doc.gold_entity_array - 1)
     loss = float(-(np.log(weights[gold]) - np.log(totals)).sum())
 
     def backward() -> np.ndarray:
@@ -671,15 +710,19 @@ def _entity_centric(doc: Document, scores: np.ndarray, costs: CostConfig,
     return loss, backward
 
 
-def _relaxed(soft_grad, doc: Document, scores: np.ndarray, costs: CostConfig,
+def _relaxed_targets(doc: Document, costs: CostConfig):
+    """Each mention's gold cluster and the cluster sizes."""
+    return gold_index_arrays(doc.gold_clusters, doc.n)
+
+
+def _relaxed(soft_grad, doc: Document, scores: np.ndarray, targets,
              beta: float, temperature: float):
     """-F_beta of a relaxed metric (soft_grad is b3_soft_grad or
     lea_soft_grad) on the tempered memberships, against gold clusters."""
     probs = masked_softmax(scores, doc.candidate_mask)
     q = membership_array(probs)
     qt = temper_array(q, temperature)
-    gold_of, sizes = gold_index_arrays(doc.gold_clusters, doc.n)
-    _, _, f, d_qt = soft_grad(qt, gold_of, sizes, beta)
+    _, _, f, d_qt = soft_grad(qt, *targets, beta)
 
     def backward() -> np.ndarray:
         d_q = temper_backward(q, qt, temperature, -d_qt)
@@ -687,6 +730,13 @@ def _relaxed(soft_grad, doc: Document, scores: np.ndarray, costs: CostConfig,
 
     return -f, backward
 
+
+_TARGETS = {
+    "mr-heuristic": _mention_ranking_targets,
+    "ec-heuristic": _entity_centric_targets,
+    "b3": _relaxed_targets,
+    "lea": _relaxed_targets,
+}
 
 _LOSSES = {
     "mr-heuristic": _mention_ranking,
@@ -707,18 +757,23 @@ def _check_loss_settings(kind: str, beta: float, temperature: float, lam: float)
     _check_range("l1 weight", lam, positive=False)
 
 
-def _loss_and_backward(doc: Document, params: ModelParams, kind: str,
-                       costs: Optional[CostConfig], beta: float,
-                       temperature: float, lam: float, keep_h_p: bool = True):
-    """The path that every loss shares, for checked settings and a document
-    that fits ``params``: non-finite scores, or a non-finite loss plus L1
-    term, raise TrainingError before any backward pass."""
-    costs = costs if costs is not None else CostConfig()
+def _loss_targets(doc: Document, kind: str, costs: Optional[CostConfig]):
+    """``_TARGETS[kind]`` of ``doc``, with the default costs for None."""
+    return _TARGETS[kind](doc, costs if costs is not None else CostConfig())
+
+
+def _loss_and_backward(doc: Document, params: ModelParams, kind: str, targets,
+                       beta: float, temperature: float, lam: float,
+                       keep_h_p: bool = True):
+    """The path that every loss shares, for checked settings, a document
+    that fits ``params`` and its ``_loss_targets``: non-finite scores, or a
+    non-finite loss plus L1 term, raise TrainingError before any backward
+    pass."""
     scores, h_a, h_p = _forward_scores(doc, params, keep_h_p)
     if not np.isfinite(scores).all():
         raise TrainingError(f"non-finite scores on document {doc.id}")
     with np.errstate(divide="ignore"):  # log(0) is reported just below
-        loss, backward = _LOSSES[kind](doc, scores, costs, beta, temperature)
+        loss, backward = _LOSSES[kind](doc, scores, targets, beta, temperature)
     if lam:
         loss += lam * l1_norm(params)
     if not np.isfinite(loss):
@@ -726,19 +781,21 @@ def _loss_and_backward(doc: Document, params: ModelParams, kind: str,
     return (h_a, h_p), loss, backward
 
 
-def _loss_and_grad(doc: Document, params: ModelParams, kind: str,
-                   costs: Optional[CostConfig], beta: float, temperature: float,
-                   lam: float) -> tuple[float, ModelParams]:
+def _loss_and_grad(doc: Document, params: ModelParams, kind: str, targets,
+                   beta: float, temperature: float, lam: float) -> tuple[float, ModelParams]:
     """``document_loss_and_grad`` for settings and a fit that ``train``
-    checked once: TrainConfig checks the settings when it is built."""
-    hidden, loss, backward = _loss_and_backward(doc, params, kind, costs, beta,
+    checked once (TrainConfig checks the settings when it is built), with
+    targets that it built once."""
+    hidden, loss, backward = _loss_and_backward(doc, params, kind, targets, beta,
                                                 temperature, lam)
     d_scores = backward()
     if not np.isfinite(d_scores).all():
         raise TrainingError(f"non-finite {kind} gradient on document {doc.id}")
     grad = _score_backward(doc, params, *hidden, d_scores)
     if lam:
-        grad._vec += lam * np.sign(params._vec)
+        l1 = np.sign(params._vec)
+        l1 *= lam
+        grad._vec += l1
     return loss, grad
 
 
@@ -751,8 +808,8 @@ def document_loss(doc: Document, params: ModelParams, kind: str, *,
     TrainingError naming the document."""
     _check_loss_settings(kind, beta, temperature, lam)
     _check_fits(doc, params)
-    _, loss, _ = _loss_and_backward(doc, params, kind, costs, beta, temperature, lam,
-                                    keep_h_p=False)
+    _, loss, _ = _loss_and_backward(doc, params, kind, _loss_targets(doc, kind, costs),
+                                    beta, temperature, lam, keep_h_p=False)
     return loss
 
 
@@ -765,4 +822,5 @@ def document_loss_and_grad(doc: Document, params: ModelParams, kind: str, *,
     score, loss or score gradient comes before any parameter gradient."""
     _check_loss_settings(kind, beta, temperature, lam)
     _check_fits(doc, params)
-    return _loss_and_grad(doc, params, kind, costs, beta, temperature, lam)
+    return _loss_and_grad(doc, params, kind, _loss_targets(doc, kind, costs), beta,
+                          temperature, lam)

@@ -21,7 +21,8 @@ from .analysis import MetricReport, evaluate_corpus
 from .corpus import Document
 from .errors import ConfigError, TrainingError, _check_range
 from .model import (CostConfig, ModelParams, _check_fits, _check_loss_settings,
-                    _corpus_dims, _loss_and_grad, document_loss, document_loss_and_grad)
+                    _corpus_dims, _loss_and_grad, _loss_targets, document_loss,
+                    document_loss_and_grad)
 
 ADAGRAD_EPS = 1e-8
 
@@ -94,15 +95,29 @@ def adagrad_step(params: np.ndarray, grads: np.ndarray, accum: np.ndarray,
     """One AdaGrad update on flat coordinate vectors.
 
     accum += g^2; theta -= eta * g / (sqrt(accum) + ADAGRAD_EPS).  Returns
-    the new (params, accum) without mutating the inputs.
+    the new (params, accum) without mutating the inputs: the update that
+    ``train`` makes in place, on copies.
     """
     if params.shape != grads.shape or params.shape != accum.shape:
         raise ConfigError("params, grads and accum must share a shape")
-    if not np.all(np.isfinite(grads)):
-        raise TrainingError("non-finite gradient in adagrad step")
-    accum = accum + grads * grads
-    params = params - eta * grads / (np.sqrt(accum) + ADAGRAD_EPS)
+    params, accum = params.astype(float), accum.astype(float)
+    _adagrad_update(params, grads.astype(float), accum, eta, np.empty_like(params))
     return params, accum
+
+
+def _adagrad_update(params: np.ndarray, grads: np.ndarray, accum: np.ndarray,
+                    eta: float, scratch: np.ndarray) -> None:
+    """``adagrad_step`` in place on float64 vectors of one shape: updates
+    ``params`` and ``accum``, and overwrites ``grads`` and ``scratch``."""
+    if not np.isfinite(grads).all():
+        raise TrainingError("non-finite gradient in adagrad step")
+    np.multiply(grads, grads, out=scratch)
+    accum += scratch
+    np.sqrt(accum, out=scratch)
+    scratch += ADAGRAD_EPS
+    grads *= eta
+    grads /= scratch
+    params -= grads
 
 
 def _initial_params(corpus: Sequence[Document], config: TrainConfig) -> ModelParams:
@@ -117,13 +132,18 @@ def train(corpus: Sequence[Document], dev: Sequence[Document],
     """Train on one-document mini-batches; return the parameters of the
     epoch ``history.best`` names.  With an empty dev set the dev columns
     of the history are NaN.
+
+    Each training document's loss targets are built once per call, and
+    every step updates one parameter vector and its AdaGrad accumulator
+    in place; ``config.init_model`` is copied first and left as it is.
     """
     if not corpus:
         raise ConfigError("training corpus is empty")
     params = _initial_params(corpus, config)
     for doc in list(corpus) + list(dev):
         _check_fits(doc, params)
-    accum = np.zeros(params.num_params)
+    targets = [_loss_targets(doc, config.loss, config.costs) for doc in corpus]
+    accum, scratch = np.zeros(params.num_params), np.empty(params.num_params)
     shuffle_rng = np.random.default_rng([config.seed, 1])
 
     history = TrainHistory()
@@ -132,12 +152,11 @@ def train(corpus: Sequence[Document], dev: Sequence[Document],
         losses = []
         for idx in shuffle_rng.permutation(len(corpus)):
             doc = corpus[idx]
-            loss, grad = _loss_and_grad(doc, params, config.loss, config.costs, config.beta,
+            loss, grad = _loss_and_grad(doc, params, config.loss, targets[idx], config.beta,
                                         config.temperature, config.lam)
-            vec, accum = adagrad_step(params._vec, grad._vec, accum, config.learning_rate)
-            if not np.isfinite(vec).all():
+            _adagrad_update(params._vec, grad._vec, accum, config.learning_rate, scratch)
+            if not np.isfinite(params._vec).all():
                 raise TrainingError(f"non-finite parameters after the update on document {doc.id}")
-            params = ModelParams._wrap(vec, params._shapes)
             losses.append(loss)
         history.records.append(EpochRecord(
             epoch=epoch, mean_loss=float(np.mean(losses)),

@@ -312,6 +312,20 @@ class TestEvaluate:
         assert cli("evaluate", "--corpus", tiny_corpus, "--model", big) == 0
         assert capsys.readouterr().out == expected
 
+    @pytest.mark.parametrize("command", ["evaluate", "errors"])
+    def test_overflowing_scores_exit_1(self, tmp_path, command, capsys):
+        """A finite model whose scores overflow used to be decoded from NaN
+        rows, with RuntimeWarnings (which fail the test), and exit 0."""
+        corpus = tmp_path / "c.jsonl"
+        assert cli("generate", "--docs", 3, "--seed", 0, "--out", corpus) == 0
+        huge = tmp_path / "huge.json"
+        overflowing_params().save(huge)
+        capsys.readouterr()
+        assert cli(command, "--corpus", corpus, "--model", huge) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: non-finite scores on document doc-0000\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("beta", ["nan", "inf", "0"])
     def test_bad_beta_exit_1(self, tiny_corpus, tiny_model, beta, capsys):
         assert cli("evaluate", "--corpus", tiny_corpus, "--model", tiny_model,

@@ -526,7 +526,7 @@ class TestScoreBackward:
         params = ModelParams.random(6, 9, hidden_a, hidden_p, seed=n)
         _, h_a, h_p = _forward_scores(doc, params)
         d_scores = np.tril(rng.normal(size=(n, n)))
-        grad = _score_backward(doc, params, h_a, h_p, d_scores)
+        grad = _score_backward(doc, params, h_a, h_p.copy(), d_scores)
         for name, expected in outer_product_backward(doc, params, h_a, h_p,
                                                      d_scores).items():
             np.testing.assert_allclose(getattr(grad, name), expected, rtol=1e-12,
@@ -568,7 +568,7 @@ class TestPairBlocks:
         np.testing.assert_allclose(h_p, whole_h_p, rtol=1e-12)
         np.testing.assert_allclose(scores, whole_scores, rtol=1e-12)
         d_scores = np.tril(np.random.default_rng(7).normal(size=(self.N, self.N)))
-        grad = _score_backward(doc, params, h_a, h_p, d_scores)
+        grad = _score_backward(doc, params, h_a, h_p.copy(), d_scores)
         for name, expected in outer_product_backward(doc, params, h_a, h_p,
                                                      d_scores).items():
             np.testing.assert_allclose(getattr(grad, name), expected, rtol=1e-12,
@@ -890,6 +890,35 @@ class TestCorpusPass:
         finally:
             tracemalloc.stop()
         assert peak < pair_layer_bytes / 4, (peak, pair_layer_bytes)
+
+
+class TestOverflowingScores:
+    """Finite parameters whose scores leave float64 are rejected by name,
+    not decoded; numpy's overflow warnings on the way are silenced here,
+    as in the training tests (``softcoref evaluate`` silences them)."""
+
+    def test_float64_path_raises_input_error(self):
+        docs = generate_synthetic(SyntheticConfig(num_docs=3, seed=0))
+        params = overflowing_params()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert model._near_tie_gaps(docs, params) == [None] * 3
+            for predict in (lambda: predict_antecedents(docs[0], params),
+                            lambda: evaluate_corpus(docs, params)):
+                with pytest.raises(InputError,
+                                   match="^non-finite scores on document doc-0000$"):
+                    predict()
+
+    def test_screened_path_checks_the_self_link_scores(self):
+        """The pair side fits the float32 screen; only v . h_a + v_0
+        overflows, with every h_a near 1."""
+        docs = generate_synthetic(SyntheticConfig(num_docs=3, seed=0))
+        params = ModelParams.random(12, 14, hidden_a=3, hidden_p=4, seed=0)
+        params.b_a[:] = 100.0
+        params.v[:] = 1e308
+        assert None not in model._near_tie_gaps(docs, params)
+        with np.errstate(over="ignore"), pytest.raises(
+                InputError, match="^non-finite scores on document doc-0001$"):
+            evaluate_corpus(docs[1:], params)
 
 
 class TestDispatcherAndGradients:

@@ -5,9 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from softcoref import (BETA_GRID, PRF, ConfigError, CostConfig, InputError,
+from softcoref import (BETA_GRID, LOSS_KINDS, PRF, ConfigError, CostConfig, InputError,
                        MetricReport, ModelParams, TrainConfig, TrainingError, adagrad_step,
-                       beta_sweep, evaluate_corpus, grad_check, optim, train)
+                       beta_sweep, document_loss_and_grad, evaluate_corpus, grad_check,
+                       model, optim, train)
 from softcoref.optim import ADAGRAD_EPS, EpochRecord, TrainHistory
 
 from conftest import make_document, saturated_params, small_corpus
@@ -49,6 +50,23 @@ class TestAdagradStep:
     def test_rejects_shape_mismatch_and_bad_eps(self):
         with pytest.raises(ConfigError):
             adagrad_step(np.zeros(2), np.zeros(3), np.zeros(2), eta=0.1)
+
+    def test_in_place_update_equals_the_copying_step(self):
+        """``train``'s in-place update gives adagrad_step's vectors, and
+        those of the out-of-place formula, bit for bit."""
+        rng = np.random.default_rng(0)
+        theta = rng.normal(size=600)
+        grads = rng.normal(size=600) * 10.0 ** rng.uniform(-8, 3, size=600)
+        accum = rng.exponential(size=600)
+        accum[::3] = 0.0
+        grads[::6] = 0.0  # zero accum and zero gradient together on every sixth
+        eta = 0.07
+        expected = adagrad_step(theta, grads, accum, eta)
+        formula_accum = accum + grads * grads
+        formula = (theta - eta * grads / (np.sqrt(formula_accum) + ADAGRAD_EPS), formula_accum)
+        optim._adagrad_update(theta, grads.copy(), accum, eta, np.empty(600))
+        for got, copying, written_out in zip((theta, accum), expected, formula):
+            assert got.tobytes() == copying.tobytes() == written_out.tobytes()
 
 
 class TestTrainConfig:
@@ -177,6 +195,47 @@ class TestTrain:
         assert not np.all(params.to_vector() == 0.0)
         for name in ("w_a", "b_a", "w_p", "b_p", "u", "v"):
             assert not np.shares_memory(getattr(params, name), getattr(init, name))
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_init_model_is_left_byte_identical(self, kind):
+        corpus = small_corpus(3, seed=1)
+        init = ModelParams.random(corpus[0].d_a, corpus[0].d_p, hidden_a=6, hidden_p=8, seed=5)
+        before = init.to_vector().tobytes()
+        train(corpus, small_corpus(2, seed=2), _fast_config(loss=kind, init_model=init))
+        assert init.to_vector().tobytes() == before
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_public_steps_reproduce_train(self, kind):
+        """document_loss_and_grad and adagrad_step over the [seed, 1]
+        shuffle give the parameters that ``train`` returns, bit for bit."""
+        corpus = small_corpus(4, seed=1)
+        config = _fast_config(loss=kind, epochs=2, temperature=0.5)
+        assert config.lam > 0.0  # the default L1 weight
+        init = ModelParams.random(corpus[0].d_a, corpus[0].d_p, config.hidden_a,
+                                  config.hidden_p, seed=9)
+        trained, _ = train(corpus, [], dataclasses.replace(config, init_model=init))
+        params, accum = init.copy(), np.zeros(init.num_params)
+        shuffle = np.random.default_rng([config.seed, 1])
+        for _ in range(config.epochs):
+            for idx in shuffle.permutation(len(corpus)):
+                _, grad = document_loss_and_grad(corpus[idx], params, kind, costs=config.costs,
+                                                 beta=config.beta,
+                                                 temperature=config.temperature,
+                                                 lam=config.lam)
+                vec, accum = adagrad_step(params.to_vector(), grad.to_vector(), accum,
+                                          config.learning_rate)
+                params = params.from_vector(vec)
+        assert params.to_vector().tobytes() == trained.to_vector().tobytes()
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_targets_are_built_once_per_document_and_call(self, kind, monkeypatch):
+        calls, build = [], model._TARGETS[kind]
+        monkeypatch.setitem(model._TARGETS, kind,
+                            lambda doc, costs: calls.append(doc.id) or build(doc, costs))
+        corpus, dev = small_corpus(3, seed=1), small_corpus(2, seed=2)
+        for runs in (1, 2):
+            train(corpus, dev, _fast_config(loss=kind, epochs=3))
+            assert sorted(calls) == sorted([doc.id for doc in corpus] * runs)
 
     def test_diverging_update_raises_training_error(self):
         """A finite learning rate so large that the update overflows is a

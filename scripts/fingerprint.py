@@ -17,6 +17,9 @@ Records, as SHA-1 digests and as the raw values behind them:
     ``float.hex`` of every P, R and F and the CoNLL score of
     ``evaluate_corpus`` on that corpus under that model, which decodes the
     corpus in one pass rather than one document at a time;
+  * the ``predict_antecedents`` tuples of the short-size model on 20
+    wider documents (n 40-80), most of whose pair rows span several
+    float32 blocks of the prediction pass;
   * the ``predict_antecedents`` tuples of edge cases of the float32
     screen: documents of one and two mentions, a near tie of 2^-40, a
     model beyond float32, and documents whose pair rows reach 2^119,
@@ -69,6 +72,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 SHORT = dict(mentions_per_doc=(8, 16), entities_per_doc=(3, 6))
 LONG = dict(mentions_per_doc=(100, 200), entities_per_doc=(8, 20))
+WIDE = dict(mentions_per_doc=(40, 80), entities_per_doc=(4, 12))
 
 
 def _corpora(sizes: dict, counts: tuple[int, int, int], seed: int) -> list:
@@ -111,6 +115,10 @@ def fingerprint(short_docs=(40, 20, 600), long_docs=(4, 4, 60), epochs=3) -> dic
         report = evaluate_corpus(test_docs, params)
         artifacts[f"evaluate/{name}"] = [float(x).hex() for _, prf in report.rows()
                                          for x in prf.as_tuple()] + [report.conll.hex()]
+        if name == "short":
+            wide_docs, = _corpora(WIDE, (20,), seed=20)
+            artifacts["predict/wide"] = [list(predict_antecedents(doc, params))
+                                         for doc in wide_docs]
     artifacts["predict/edge"] = edge_predictions()
     artifacts["relaxed/scores"] = relaxed_scores()
     return artifacts

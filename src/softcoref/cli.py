@@ -159,11 +159,7 @@ def _print_report(report: analysis.MetricReport, as_csv: bool) -> None:
 def _cmd_evaluate(args) -> int:
     docs = _load_nonempty(args.corpus)
     params = ModelParams.load(args.model)
-    # Scores that overflow are reported as an InputError, so numpy's overflow
-    # warnings on the way there would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        report = analysis.evaluate_corpus(docs, params, beta=args.beta)
-    _print_report(report, args.csv)
+    _print_report(analysis.evaluate_corpus(docs, params, beta=args.beta), args.csv)
     return 0
 
 
@@ -201,10 +197,8 @@ def _load_nonempty(path) -> list[corpus.Document]:
 def _cmd_errors(args) -> int:
     docs = _load_nonempty(args.corpus)
     params = ModelParams.load(args.model)
-    with np.errstate(over="ignore", invalid="ignore"):  # as in _cmd_evaluate
-        predictions = _predict_corpus(docs, params)
     total = sum(analysis.error_breakdown(doc, predicted)
-                for doc, predicted in zip(docs, predictions))
+                for doc, predicted in zip(docs, _predict_corpus(docs, params)))
     print(analysis.format_breakdown(total))
     return 0
 
@@ -244,9 +238,13 @@ _COMMANDS = {
 
 
 def run(argv) -> int:
+    # Scores, losses or updates that overflow end in an error that names the
+    # document, so numpy's overflow warnings on the way there would only
+    # repeat it.
     try:
         args = _PARSER.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _COMMANDS[args.command](args)
     except (ConfigError, FormatError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -33,12 +33,10 @@ loss up, add lam * L1, and raise TrainingError on non-finite scores or
 sum; the latter then runs ``backward()`` and the scorer's reverse pass.
 Training takes that path without the checks (``_loss_and_grad``): its
 TrainConfig checked the settings, and ``train`` checks each document's
-fit and builds its targets once per call, not once per step.  With that
-and the in-place update and reverse pass described below, a step at n
-8-16, hidden 200/700 went from 809 to 694 us (``mr-heuristic``) and
-from 1,022 to 928 us (``b3``; README, "Performance notes").  All gradients are closed-form reverse passes
-(tanh, softmax, the membership recursion, and the metric expressions);
-no autodiff.
+fit and builds its targets once per call, not once per step (README,
+"Performance notes", has the step's timings).  All gradients are
+closed-form reverse passes (tanh, softmax, the membership recursion, and
+the metric expressions); no autodiff.
 
 ModelParams' fields are views into one flat vector, so the reverse pass
 writes each gradient block in place, the L1 term adds lam * sign(theta)
@@ -68,22 +66,18 @@ out of its gradient, through the document's strict-lower-triangular mask.
 Prediction needs only the order of each row's scores, so it runs the
 pair layer in float32, in one pass over a corpus (``_predict_corpus``;
 ``predict_antecedents`` is that pass on one document).  The pass walks
-the pair rows of consecutive documents in shared blocks of at most
-_PAIR_BLOCK rows, a document longer than a block spanning several: each
-block is cast into one block-sized float32 buffer and takes one GEMM,
-one tanh and one @ u_p, so no float32 copy of a pair matrix, and no
-concatenation of a corpus, is made.  The weights are cast once per pass,
-and only once some document is screened.  Each document is finished as
-soon as its last pair is scored, and everything after the pair layer is
-per document: the mention side and the sums stay float64.  A bound E on
-the float32 error of a pair score, affine in a document's largest |pair
-feature| (its form is in ``predict_antecedents``), marks the rows whose
-top-two gap float32 could have decided wrongly; E holds row by row, so
-it holds whatever rows share a GEMM.  Those rows are re-scored in
-float64, so every prediction is a float64 argmax.  On the benchmark's
-trained models E is ~3e-3 (n 8-16, hidden 200/700) and ~7e-5 (n
-100-200, hidden 24/32), and about one document in 46-141 has a row to
-re-score.
+each document's pair rows in blocks of at most _PAIR_BLOCK rows: each
+block is cast into one float32 buffer, sized for the largest document's
+block, and takes one GEMM, one tanh and one @ u_p, so no float32 copy of
+a pair matrix is made.  The weights are cast once per pass, and only
+once some document is screened.  Everything after the pair layer stays
+float64: the mention side and the sums.  A bound E on the float32 error
+of a pair score, affine in a document's largest |pair feature| (its form
+is in ``predict_antecedents``), marks the rows whose top-two gap float32
+could have decided wrongly.  Those rows are re-scored in float64, so
+every prediction is a float64 argmax.  On the benchmark's trained models
+E is ~3e-3 (n 8-16, hidden 200/700) and ~7e-5 (n 100-200, hidden
+24/32), and about one document in 46-141 has a row to re-score.
 ``score_pairs``, training and the gradient checker run in float64 only.
 """
 
@@ -426,14 +420,13 @@ def predict_antecedents(doc: Document, params: ModelParams) -> tuple[int, ...]:
     This is the corpus pass ``_predict_corpus`` on ``[doc]``; the same
     pass decodes a whole corpus for ``evaluate_corpus`` and ``softcoref
     errors``.  Only the order of a row's scores decides its prediction.
-    So the pair layer runs in float32, in blocks that the pair rows of
-    consecutive documents share (``_float32_pair_halves``), and the mention
-    side, the sums and the self-link scores stay float64, per document.
-    For every pair, the float32 pair score h_p . u_p is within E of the
-    float64 one, whatever other rows share its GEMM, with gamma_m = m u /
-    (1 - m u), u = 2^-24 (float32) or 2^-53 (float64), c = 4 ulps a bound
-    on numpy's tanh error, and phi the larger of 1 and the largest |pair
-    feature| of the document:
+    So the pair layer runs in float32, in blocks of each document's own
+    pair rows (``_float32_pair_halves``), and the mention side, the sums
+    and the self-link scores stay float64.  For every pair, the float32
+    pair score h_p . u_p is within E of the float64 one, with gamma_m =
+    m u / (1 - m u), u = 2^-24 (float32) or 2^-53 (float64), c = 4 ulps a
+    bound on numpy's tanh error, and phi the larger of 1 and the largest
+    |pair feature| of the document:
 
         E = sum over u of [ gamma_{d_p+3} sum_k |u_p,k| (phi ||w_p,k||_1 + |b_p,k|)
                             + (c u + gamma_{hidden_p+2}) ||u_p||_1 ]  + subnormal terms
@@ -471,8 +464,8 @@ def predict_antecedents(doc: Document, params: ModelParams) -> tuple[int, ...]:
 def _predict_corpus(docs: Sequence[Document], params: ModelParams) -> list[np.ndarray]:
     """``predict_antecedents`` of every document of ``docs``, as 1-based
     int64 arrays, in one pass: ``_near_tie_gaps`` reduces the parameters
-    once, and the documents that the float32 screen takes share its
-    pair-layer blocks."""
+    once, and ``_float32_pair_halves`` casts the weights once for the
+    documents that the float32 screen takes."""
     for doc in docs:
         _check_fits(doc, params)
     # Finite parameters can still give scores beyond float64: the float64
@@ -504,39 +497,29 @@ def _check_finite_scores(doc: Document, scores: np.ndarray) -> None:
 
 def _float32_pair_halves(docs: Sequence[Document], params: ModelParams):
     """Yield each document's pair halves h_p @ u_p from a float32 pair
-    layer, as float64 and in order, each as soon as its last pair is scored.
+    layer, as float64 and in order.
 
-    The pair rows of consecutive documents share blocks of at most
-    _PAIR_BLOCK rows, and a document longer than a block spans several.
-    Each block is cast into one float32 buffer whose last column is ones,
-    so that one GEMM adds the bias too, and one tanh and one @ u_p finish
-    it.  ``[w_p | b_p]`` and u_p are cast once, when the first document is
+    Each document's pair rows go through blocks of at most _PAIR_BLOCK
+    rows.  A block is cast into one float32 buffer whose last column is
+    ones, so that one GEMM adds the bias too, and one tanh and one @ u_p
+    finish it; the buffers are sized for the largest document's block.
+    ``[w_p | b_p]`` and u_p are cast once, when the first document is
     asked for; the caller makes sure that every value fits float32."""
-    left = sum(len(doc.pair_feature_matrix) for doc in docs)  # pairs not yet in a block
-    rows = min(_PAIR_BLOCK, left)
+    rows = min(_PAIR_BLOCK, max(len(doc.pair_feature_matrix) for doc in docs))
     w_b = np.hstack([params.w_p, params.b_p[:, None]]).astype(np.float32).T
     u_p = params.u[params.hidden_a:].astype(np.float32)
     phi = np.ones((rows, params.d_p + 1), np.float32)
     h = np.empty((rows, params.hidden_p), np.float32)
-    pieces, fill = [], 0  # (halves of a document, its first pair here, block row, rows)
     for doc in docs:
         pairs = doc.pair_feature_matrix
-        halves, first = np.empty(len(pairs)), 0
-        while first < len(pairs):
-            count = min(rows - fill, len(pairs) - first)
-            phi[fill:fill + count, :-1] = pairs[first:first + count]
-            pieces.append((halves, first, fill, count))
-            first, fill, left = first + count, fill + count, left - count
-            if fill < rows and left:
-                continue
-            block = h[:fill]
-            np.tanh(np.matmul(phi[:fill], w_b, out=block), out=block)
-            block_halves = block @ u_p
-            for done, start, at, size in pieces:
-                done[start:start + size] = block_halves[at:at + size]
-                if start + size == len(done):  # the document's last pair
-                    yield done
-            pieces, fill = [], 0
+        halves = np.empty(len(pairs))
+        for start in range(0, len(pairs), _PAIR_BLOCK):
+            stop = min(start + _PAIR_BLOCK, len(pairs))
+            block = h[:stop - start]
+            phi[:stop - start, :-1] = pairs[start:stop]
+            np.tanh(np.matmul(phi[:stop - start], w_b, out=block), out=block)
+            halves[start:stop] = block @ u_p
+        yield halves
 
 
 def _screened_argmax(doc: Document, params: ModelParams, pair_halves: np.ndarray,

@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,16 @@ def tiny_corpus(tmp_path):
                "--mentions", 3, 7, "--entities", 2, 3,
                "--da", 6, "--dp", 7) == 0
     return path
+
+
+@pytest.fixture
+def overflowing_model(tmp_path):
+    """(corpus, model): three synthetic documents and a finite model whose
+    scores on them overflow."""
+    corpus, huge = tmp_path / "c.jsonl", tmp_path / "huge.json"
+    assert cli("generate", "--docs", 3, "--seed", 0, "--out", corpus) == 0
+    overflowing_params().save(huge)
+    return corpus, huge
 
 
 @pytest.fixture
@@ -139,10 +150,23 @@ class TestTrain:
         assert cli("generate", "--docs", 3, "--seed", 0, "--out", corpus) == 0
         huge = tmp_path / "huge.json"
         overflowing_params().save(huge)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert cli("train", "--corpus", corpus, "--init", huge, "--loss", "lea", *l1,
-                       "--epochs", 1, "--out", tmp_path / "m.json") == 2
+        assert cli("train", "--corpus", corpus, "--init", huge, "--loss", "lea", *l1,
+                   "--epochs", 1, "--out", tmp_path / "m.json") == 2
         assert capsys.readouterr().err.startswith("error: non-finite ")
+
+    def test_overflowing_scores_print_only_the_error(self, tmp_path, overflowing_model,
+                                                     capsys):
+        """numpy's overflow warning from the L1 sum used to come before
+        the error line; here any warning raises."""
+        corpus, huge = overflowing_model
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli("train", "--corpus", corpus, "--init", huge, "--loss", "lea",
+                       "--epochs", 1, "--out", tmp_path / "m.json") == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: non-finite lea loss on document doc-0002\n"
+        assert captured.out == ""
 
     def test_non_finite_gradient_exit_2(self, tmp_path, tiny_corpus, monkeypatch, capsys):
         from softcoref import model
@@ -152,9 +176,8 @@ class TestTrain:
         assert "error: non-finite b3 gradient on document" in capsys.readouterr().err
 
     def test_diverging_update_exit_2(self, tmp_path, tiny_corpus, capsys):
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert cli("train", "--corpus", tiny_corpus, "--lr", 1.7e308, "--epochs", 1,
-                       "--hidden-a", 4, "--hidden-p", 4, "--out", tmp_path / "m.json") == 2
+        assert cli("train", "--corpus", tiny_corpus, "--lr", 1.7e308, "--epochs", 1,
+                   "--hidden-a", 4, "--hidden-p", 4, "--out", tmp_path / "m.json") == 2
         assert ("error: non-finite parameters after the update on document"
                 in capsys.readouterr().err)
 
@@ -517,6 +540,18 @@ class TestGradcheck:
     def test_with_trained_model(self, tiny_corpus, tiny_model):
         assert cli("gradcheck", "--corpus", tiny_corpus,
                    "--model", tiny_model, "--loss", "ec-heuristic") == 0
+
+    def test_overflowing_scores_print_only_the_error(self, overflowing_model, capsys):
+        """numpy's overflow warning from the score sum used to come before
+        the error line; here any warning raises."""
+        corpus, huge = overflowing_model
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli("gradcheck", "--corpus", corpus, "--model", huge, "--loss", "b3") == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: non-finite scores on document doc-0000\n"
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["evaluate --corpus", "evaluate --model",

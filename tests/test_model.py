@@ -836,7 +836,8 @@ def prediction_corpora(draw) -> list[Document]:
 
 class TestCorpusPass:
     """model._predict_corpus, which evaluate_corpus and ``errors`` run:
-    consecutive documents share the float32 pair-layer blocks."""
+    each document's pair rows go through their own float32 blocks, with
+    the weights cast once per pass."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(docs=prediction_corpora(), hidden_a=st.integers(1, 24),
@@ -844,10 +845,9 @@ class TestCorpusPass:
            seed=st.integers(0, 2 ** 16))
     def test_documents_straddling_blocks_decode_alone(self, docs, hidden_a, hidden_p,
                                                       log_scale, seed):
-        """In blocks of 7 rows, most documents share a block with the one
-        before or after them and many span several; every prediction is the
-        document's own predict_antecedents, and the float64 argmax wherever
-        the top-two gap is clear."""
+        """In blocks of 7 rows many documents span several; every
+        prediction is the document's own predict_antecedents, and the
+        float64 argmax wherever the top-two gap is clear."""
         params = ModelParams.random(4, 5, hidden_a, hidden_p, scale=10.0 ** log_scale,
                                     seed=seed)
         with pytest.MonkeyPatch.context() as patch:
@@ -866,7 +866,7 @@ class TestCorpusPass:
 
     def test_near_ties_in_shared_blocks_are_decided_in_float64(self, monkeypatch):
         """The near tie of mention 3 (see TestFloat32Screen), in documents
-        that start at every offset of 5-row blocks."""
+        of 3-28 pairs, most of them split by 5-row blocks."""
         params = near_tie_params()
         docs = [near_tie_document(n) for n in (3, 8, 4, 8, 5, 8, 6, 8, 7, 8)]
         monkeypatch.setattr(model, "_PAIR_BLOCK", 5)
@@ -875,7 +875,7 @@ class TestCorpusPass:
             assert tuple(ants.tolist()) == (1,) + tuple(range(1, doc.n))
 
     def test_evaluate_corpus_peak_is_below_a_pair_layer(self):
-        """Documents are finished one by one, and no corpus-sized array is
+        """Documents are decoded one by one, and no corpus-sized array is
         made: the peak over three n = 200 documents stays below a quarter
         of one document's float64 pair layer."""
         docs = [long_document(200, seed=seed) for seed in (9, 10, 11)]
@@ -890,6 +890,24 @@ class TestCorpusPass:
         finally:
             tracemalloc.stop()
         assert peak < pair_layer_bytes / 4, (peak, pair_layer_bytes)
+
+    def test_prediction_memory_does_not_grow_with_the_corpus(self):
+        """Twenty documents of 120 pairs at hidden_p 700: the float32
+        buffers are sized for one document, so the peak stays below half
+        of one float32 block of _PAIR_BLOCK rows."""
+        docs = generate_synthetic(SyntheticConfig(num_docs=20, mentions_per_doc=(16, 16),
+                                                  entities_per_doc=(3, 6), seed=3))
+        params = ModelParams.random(12, 14, hidden_a=20, hidden_p=700, seed=3)
+        evaluate_corpus(docs, params)  # fill the documents' cached arrays
+        assert None not in model._near_tie_gaps(docs, params)
+        block_bytes = model._PAIR_BLOCK * params.hidden_p * 4
+        tracemalloc.start()
+        try:
+            evaluate_corpus(docs, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < block_bytes / 2, (peak, block_bytes)
 
 
 class TestOverflowingScores:

@@ -11,12 +11,16 @@ Records, as SHA-1 digests and as the raw values behind them:
   * the parameters of the benchmark's two-stage recipe on that corpus:
     mr-heuristic, then b3 at T = 0.5 from its result through
     ``init_model``;
-  * the ``predict_antecedents`` tuples of a test corpus at short-document
-    sizes (n 8-16, hidden 200/700) and at long-document sizes (n 100-200,
-    hidden 24/32), each under a model trained at those sizes, and
-    ``float.hex`` of every P, R and F and the CoNLL score of
-    ``evaluate_corpus`` on that corpus under that model, which decodes the
-    corpus in one pass rather than one document at a time;
+  * the parameters of an mr-heuristic model trained at short-document
+    sizes (n 8-16, hidden 200/700) and of one trained at long-document
+    sizes (n 100-200, hidden 24/32), and of the recipe's b3 stage from
+    the short-size model, so that drift in the last bits of training at
+    hidden 700 shows;
+  * the ``predict_antecedents`` tuples of a test corpus at each of those
+    sizes under that size's model, and ``float.hex`` of every P, R and F
+    and the CoNLL score of ``evaluate_corpus`` on that corpus under that
+    model, which decodes the corpus in one pass rather than one document
+    at a time;
   * the ``predict_antecedents`` tuples of the short-size model on 20
     wider documents (n 40-80), most of whose pair rows span several
     float32 blocks of the prediction pass;
@@ -110,12 +114,16 @@ def fingerprint(short_docs=(40, 20, 600), long_docs=(4, 4, 60), epochs=3) -> dic
         config = TrainConfig(loss="mr-heuristic", learning_rate=0.1, epochs=epochs,
                              hidden_a=hidden[0], hidden_p=hidden[1], seed=0)
         params, _ = train(train_docs, dev_docs, config)
+        artifacts[f"params/{name}"] = params.to_vector().tolist()
         artifacts[f"predict/{name}"] = [list(predict_antecedents(doc, params))
                                         for doc in test_docs]
         report = evaluate_corpus(test_docs, params)
         artifacts[f"evaluate/{name}"] = [float(x).hex() for _, prf in report.rows()
                                          for x in prf.as_tuple()] + [report.conll.hex()]
         if name == "short":
+            recipe, _ = train(train_docs, dev_docs, replace(
+                config, loss="b3", temperature=0.5, learning_rate=0.02, init_model=params))
+            artifacts["params/recipe-short"] = recipe.to_vector().tolist()
             wide_docs, = _corpora(WIDE, (20,), seed=20)
             artifacts["predict/wide"] = [list(predict_antecedents(doc, params))
                                          for doc in wide_docs]

@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, InputError, _check_range
+from .errors import ConfigError, FormatError, InputError, _check_integer, _check_range
 
 MENTION_TYPES = ("proper", "nominal", "pronominal")
 
@@ -386,6 +386,11 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("num_docs", "d_a", "d_p", "seed"):
+            _check_integer(name, getattr(self, name))
+        for name in ("mentions_per_doc", "entities_per_doc"):
+            for bound in getattr(self, name):
+                _check_integer(f"{name} bound", bound)
         lo, hi = self.mentions_per_doc
         elo, ehi = self.entities_per_doc
         _check_range("num_docs", self.num_docs, positive=False)

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the range rule of its
-settings."""
+"""Exception types shared across the package, and the range and integer
+rules of its settings."""
 
 import math
 from numbers import Integral
@@ -44,3 +44,11 @@ def _check_range(name: str, value, *, positive: bool = True) -> None:
         finite = "" if isinstance(value, Integral) else " and finite"
         rule = "positive" if positive else "nonnegative"
         raise ConfigError(f"{name} must be {rule}{finite}, got {value}")
+
+
+def _check_integer(name: str, value) -> None:
+    """ConfigError unless ``value`` is a Python or numpy integer, not a
+    bool.  Every integer setting is checked by this rule before its range
+    is."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ConfigError(f"{name} must be an integer, got {value}")

@@ -63,21 +63,22 @@ of at most _PAIR_BLOCK pairs is one block and makes the numpy calls of an
 unblocked layer.  Pair scores go into the score matrix, and d_pair comes
 out of its gradient, through the document's strict-lower-triangular mask.
 
-Prediction needs only the order of each row's scores, so it runs the
-pair layer in float32, in one pass over a corpus (``_predict_corpus``;
-``predict_antecedents`` is that pass on one document).  The pass walks
-each document's pair rows in blocks of at most _PAIR_BLOCK rows: each
-block is cast into one float32 buffer, sized for the largest document's
-block, and takes one GEMM, one tanh and one @ u_p, so no float32 copy of
-a pair matrix is made.  The weights are cast once per pass, and only
-once some document is screened.  Everything after the pair layer stays
-float64: the mention side and the sums.  A bound E on the float32 error
-of a pair score, affine in a document's largest |pair feature| (its form
-is in ``predict_antecedents``), marks the rows whose top-two gap float32
-could have decided wrongly.  Those rows are re-scored in float64, so
-every prediction is a float64 argmax.  On the benchmark's trained models
-E is ~3e-3 (n 8-16, hidden 200/700) and ~7e-5 (n 100-200, hidden
-24/32), and about one document in 46-141 has a row to re-score.
+Prediction needs only the order of each row's scores, so it screens
+them with a float32 pair layer, in one pass over a corpus
+(``_predict_corpus``; ``predict_antecedents`` is that pass on one
+document).  Each document's pair rows go through blocks of at most
+_PAIR_BLOCK rows, each cast into one float32 buffer sized for the
+largest screened document's block, so no float32 copy of a pair matrix
+is made; the weights are cast once per pass.  The mention side and the
+sums stay float64.  A bound E on the float32 error of a pair score,
+affine in a document's largest |pair feature| (``predict_antecedents``
+derives it), marks the near rows: those whose top-two gap float32 could
+have decided wrongly.  Every row of a document that the screen does not
+take is near.  A document's near rows are re-scored together in float64,
+through ``_pair_forward`` and ``_score_matrix`` as in ``score_pairs``,
+so every prediction is a float64 argmax.  On the benchmark's trained
+models E is ~3e-3 (n 8-16, hidden 200/700) and ~7e-5 (n 100-200, hidden
+24/32), and about one document in 46-141 has a near row.
 ``score_pairs``, training and the gradient checker run in float64 only.
 """
 
@@ -92,7 +93,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .corpus import Document, _json_numbers, _utf8_text
-from .errors import ConfigError, FormatError, InputError, TrainingError, _check_range
+from .errors import (ConfigError, FormatError, InputError, TrainingError, _check_integer,
+                     _check_range)
 from .membership import (LinkDistribution, masked_softmax, membership_array,
                          membership_backward, temper_array, temper_backward)
 from .relaxed import b3_soft_grad, gold_index_arrays, lea_soft_grad
@@ -202,6 +204,10 @@ class ModelParams:
                scale: float = 0.1, seed=0) -> "ModelParams":
         """Every parameter drawn from N(0, scale^2), in flat-vector order.
         ``seed`` is a nonnegative integer or a sequence of them."""
+        for size in (d_a, d_p, hidden_a, hidden_p):
+            _check_integer("random init size", size)
+        for entry in np.ravel(np.asarray(seed, dtype=object)):
+            _check_integer("seed", entry)
         if min(d_a, d_p, hidden_a, hidden_p) < 0:
             raise ConfigError(f"random init needs nonnegative sizes, "
                               f"got {(d_a, d_p, hidden_a, hidden_p)}")
@@ -421,7 +427,7 @@ def predict_antecedents(doc: Document, params: ModelParams) -> tuple[int, ...]:
     pass decodes a whole corpus for ``evaluate_corpus`` and ``softcoref
     errors``.  Only the order of a row's scores decides its prediction.
     So the pair layer runs in float32, in blocks of each document's own
-    pair rows (``_float32_pair_halves``), and the mention side, the sums
+    pair rows (``_float32_pair_layer``), and the mention side, the sums
     and the self-link scores stay float64.  For every pair, the float32
     pair score h_p . u_p is within E of the float64 one, with gamma_m =
     m u / (1 - m u), u = 2^-24 (float32) or 2^-53 (float64), c = 4 ulps a
@@ -442,20 +448,20 @@ def predict_antecedents(doc: Document, params: ModelParams) -> tuple[int, ...]:
     has the same strict winner in float64 (the 2^-48 term covers the
     float64 sums of the two paths), by a float64 gap above 2^-44, and the
     float64 row softmax keeps that winner strictly ahead.  Every other row
-    is re-scored in float64 by ``_pair_forward`` on its own contiguous
-    pairs (``tril_pairs`` positions i(i-1)/2 .. i(i+1)/2 - 1 for 0-based
-    row i) and decided by the row softmax.  A document is scored wholly in
-    float64 when it has no pairs, its bound is not finite, or a value or
+    is near.  The screen does not take a document, and every row of it is
+    near, when it has no pairs, its bound is not finite, or a value or
     partial sum of the float32 layer might reach 2^120: the largest |pair
     feature|, phi max_k ||w_p,k||_1 + max_k |b_p,k| (at most twice the
-    largest row's own bound) or ||u_p||_1.  The sum over k in E is phi A +
-    B, with A = sum_k |u_p,k| ||w_p,k||_1 and B = sum_k |u_p,k| |b_p,k|, so
-    E is affine in phi, and the parameters reduce to scalars once per call
-    (``_near_tie_gaps``).
+    largest row's own bound) or ||u_p||_1.  A document's near rows are
+    re-scored in float64 together, their pairs through one
+    ``_pair_forward`` call and ``_score_matrix``, and decided by the row
+    softmax.  The sum over k in E is phi A + B, with A = sum_k |u_p,k|
+    ||w_p,k||_1 and B = sum_k |u_p,k| |b_p,k|, so E is affine in phi, and
+    the parameters reduce to scalars once per call (``_near_tie_gaps``).
 
     On the benchmark's trained models (seeds 1-10) E is 2.6e-3 to 4.0e-3
     at n 8-16, hidden 200/700 and 2.3e-5 to 8.6e-5 at n 100-200, hidden
-    24/32, and one document in 46-141 has one row to re-score (README,
+    24/32, and one document in 46-141 has a near row (README,
     "Performance notes").
     """
     return tuple(_predict_corpus([doc], params)[0].tolist())
@@ -463,29 +469,45 @@ def predict_antecedents(doc: Document, params: ModelParams) -> tuple[int, ...]:
 
 def _predict_corpus(docs: Sequence[Document], params: ModelParams) -> list[np.ndarray]:
     """``predict_antecedents`` of every document of ``docs``, as 1-based
-    int64 arrays, in one pass: ``_near_tie_gaps`` reduces the parameters
-    once, and ``_float32_pair_halves`` casts the weights once for the
-    documents that the float32 screen takes."""
+    int64 arrays, in one pass.  ``_near_tie_gaps`` reduces the parameters
+    once, and ``[w_p | b_p]`` and u_p are cast to float32 once, when some
+    document is screened.  A screened document's rows are decided on its
+    float32 scores, except those whose top-two gap is at most its gap; a
+    document that is not screened has every row near.  The near rows of a
+    document are re-scored together in float64, through one
+    ``_pair_forward`` call on their pairs and ``_score_matrix``, and
+    decided by the row softmax."""
     for doc in docs:
         _check_fits(doc, params)
-    # Finite parameters can still give scores beyond float64: the float64
-    # path checks the whole matrix, the screened one (whose bound keeps the
-    # pair side finite) its self-link scores.  numpy's overflow warnings are
-    # left to the caller, since an np.errstate here would cost more than the
-    # check (README, "Performance notes").
+    # Finite parameters can still give scores beyond float64: the re-scored
+    # rows are checked, and so are the screened self-link scores (the
+    # bound keeps the float32 pair side finite).  numpy's overflow warnings
+    # are left to the caller, since an np.errstate here would cost more
+    # than the check (README, "Performance notes").
     gaps = _near_tie_gaps(docs, params)
-    # a generator: nothing is cast to float32 until a screened document asks
-    halves = _float32_pair_halves([doc for doc, gap in zip(docs, gaps) if gap is not None],
-                                  params)
+    sizes = [len(doc.pair_feature_matrix) for doc, gap in zip(docs, gaps) if gap is not None]
+    float32_halves = _float32_pair_layer(params, min(_PAIR_BLOCK, max(sizes))) if sizes else None
     predictions = []
     for doc, gap in zip(docs, gaps):
         if gap is None:
-            scores = _forward_scores(doc, params, False)[0]
-            _check_finite_scores(doc, scores)
-            probs = masked_softmax(scores, doc.candidate_mask)
-            predictions.append(np.argmax(probs, axis=1) + 1)
+            best, near = np.zeros(doc.n, np.int64), np.ones(doc.n, bool)
         else:
-            predictions.append(_screened_argmax(doc, params, next(halves), gap))
+            scores = _score_matrix(doc, params, float32_halves(doc.pair_feature_matrix))[0]
+            _check_finite_scores(doc, scores.diagonal())
+            masked = np.where(doc.candidate_mask, scores, -np.inf)
+            rows = np.arange(doc.n)
+            best = masked.argmax(axis=1)
+            top = masked[rows, best]
+            masked[rows, best] = -np.inf
+            near = top - masked.max(axis=1) <= gap
+        if near.any():
+            pairs = near[doc.tril_pairs[0]]
+            halves = np.zeros(len(pairs))
+            halves[pairs] = _pair_forward(doc.pair_feature_matrix[pairs], params, False)[0]
+            scores = _score_matrix(doc, params, halves)[0][near]
+            _check_finite_scores(doc, scores)
+            best[near] = masked_softmax(scores, doc.candidate_mask[near]).argmax(axis=1)
+        predictions.append(best + 1)
     return predictions
 
 
@@ -495,23 +517,22 @@ def _check_finite_scores(doc: Document, scores: np.ndarray) -> None:
         raise InputError(f"non-finite scores on document {doc.id}")
 
 
-def _float32_pair_halves(docs: Sequence[Document], params: ModelParams):
-    """Yield each document's pair halves h_p @ u_p from a float32 pair
-    layer, as float64 and in order.
+def _float32_pair_layer(params: ModelParams, block_rows: int):
+    """The float32 pair layer of the prediction pass: a function from a
+    pair matrix to its pair halves h_p @ u_p, as float64.
 
-    Each document's pair rows go through blocks of at most _PAIR_BLOCK
-    rows.  A block is cast into one float32 buffer whose last column is
-    ones, so that one GEMM adds the bias too, and one tanh and one @ u_p
-    finish it; the buffers are sized for the largest document's block.
-    ``[w_p | b_p]`` and u_p are cast once, when the first document is
-    asked for; the caller makes sure that every value fits float32."""
-    rows = min(_PAIR_BLOCK, max(len(doc.pair_feature_matrix) for doc in docs))
+    ``[w_p | b_p]`` and u_p are cast here, once.  A pair matrix goes
+    through blocks of at most _PAIR_BLOCK rows; each is cast into one
+    float32 buffer whose last column is ones, so that one GEMM adds the
+    bias too, and one tanh and one @ u_p finish it.  The buffers hold
+    ``block_rows`` rows, the largest block asked for; the caller makes sure
+    that every value fits float32."""
     w_b = np.hstack([params.w_p, params.b_p[:, None]]).astype(np.float32).T
     u_p = params.u[params.hidden_a:].astype(np.float32)
-    phi = np.ones((rows, params.d_p + 1), np.float32)
-    h = np.empty((rows, params.hidden_p), np.float32)
-    for doc in docs:
-        pairs = doc.pair_feature_matrix
+    phi = np.ones((block_rows, params.d_p + 1), np.float32)
+    h = np.empty((block_rows, params.hidden_p), np.float32)
+
+    def pair_halves(pairs: np.ndarray) -> np.ndarray:
         halves = np.empty(len(pairs))
         for start in range(0, len(pairs), _PAIR_BLOCK):
             stop = min(start + _PAIR_BLOCK, len(pairs))
@@ -519,31 +540,9 @@ def _float32_pair_halves(docs: Sequence[Document], params: ModelParams):
             phi[:stop - start, :-1] = pairs[start:stop]
             np.tanh(np.matmul(phi[:stop - start], w_b, out=block), out=block)
             halves[start:stop] = block @ u_p
-        yield halves
+        return halves
 
-
-def _screened_argmax(doc: Document, params: ModelParams, pair_halves: np.ndarray,
-                     gap: float) -> np.ndarray:
-    """``doc``'s 1-based predictions from its float32 pair halves: the rows
-    whose top-two gap is at most ``gap`` (``_near_tie_gaps``) are re-scored
-    in float64 and decided by the row softmax."""
-    scores, h_a = _score_matrix(doc, params, pair_halves)
-    _check_finite_scores(doc, scores.diagonal())
-    masked = np.where(doc.candidate_mask, scores, -np.inf)
-    rows = np.arange(doc.n)
-    best = masked.argmax(axis=1)
-    top = masked[rows, best]
-    masked[rows, best] = -np.inf
-    near = np.flatnonzero(top - masked.max(axis=1) <= gap).tolist()
-    mention_part = h_a @ params.u[:params.hidden_a] if near else None
-    for i in near:
-        start = i * (i - 1) // 2
-        row = scores[i].copy()
-        row[:i] = _pair_forward(doc.pair_feature_matrix[start:start + i], params, False)[0]
-        row[:i] += mention_part[i]
-        row[:i] += params.u_0
-        best[i] = np.argmax(masked_softmax(row[None], doc.candidate_mask[i][None]))
-    return best + 1
+    return pair_halves
 
 
 def _softmax_backward(probs: np.ndarray, d_probs: np.ndarray) -> np.ndarray:
@@ -575,27 +574,21 @@ def _score_backward(doc: Document, params: ModelParams, h_a: np.ndarray,
     np.matmul(h_a.T, d_self, out=grad.v)
     grad.u_0, grad.v_0 = d_pair.sum(), d_self.sum()
 
-    # The first block writes the u_p gradient and the fused product; later
-    # blocks add to them, reusing the first block's scratch array.
+    # Every block adds to the zeroed u_p gradient and fused product, through
+    # one block-sized scratch array.
     phi_p, d_p, n_pairs = doc.pair_feature_matrix, params.d_p, d_pair.size
     weighted = np.empty((min(n_pairs, _PAIR_BLOCK), d_p + 1))
-    d_u_p = grad.u[ha:]
+    d_u_p, fused = grad.u[ha:], np.zeros((params.hidden_p, d_p + 1))
     for start in range(0, n_pairs, _PAIR_BLOCK):
         stop = min(start + _PAIR_BLOCK, n_pairs)
         h, d = h_p[start:stop], d_pair[start:stop]
         wt = weighted[:stop - start]
         np.multiply(d[:, None], phi_p[start:stop], out=wt[:, :d_p])
         wt[:, d_p] = d
-        if start:
-            d_u_p += h.T @ d
-        else:
-            np.matmul(h.T, d, out=d_u_p)
+        d_u_p += h.T @ d
         np.multiply(h, h, out=h)  # h_p is consumed: the block becomes 1 - h_p^2
         np.subtract(1.0, h, out=h)
-        if start:
-            fused += h.T @ wt
-        else:
-            fused = h.T @ wt
+        fused += h.T @ wt
     if n_pairs:
         np.multiply(u_p[:, None], fused[:, :d_p], out=grad.w_p)
         np.multiply(u_p, fused[:, d_p], out=grad.b_p)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .analysis import MetricReport, evaluate_corpus
 from .corpus import Document
-from .errors import ConfigError, TrainingError, _check_range
+from .errors import ConfigError, TrainingError, _check_integer, _check_range
 from .model import (CostConfig, ModelParams, _check_fits, _check_loss_settings,
                     _corpus_dims, _loss_and_grad, _loss_targets, document_loss,
                     document_loss_and_grad)
@@ -47,6 +47,8 @@ class TrainConfig:
     costs: CostConfig = field(default_factory=CostConfig)
 
     def __post_init__(self):
+        for name in ("epochs", "seed", "hidden_a", "hidden_p"):
+            _check_integer(name, getattr(self, name))
         _check_loss_settings(self.loss, self.beta, self.temperature, self.lam)
         _check_range("learning rate", self.learning_rate)
         if self.epochs < 1:
@@ -181,6 +183,7 @@ def grad_check(doc: Document, params: ModelParams, kind: str, h: float = 1e-5,
     """
     if not (1e-6 <= h <= 1e-4):
         raise ConfigError(f"step size {h} outside the supported range [1e-6, 1e-4]")
+    _check_integer("max_coords", max_coords)
     if max_coords < 1:  # no coordinate checked would read as a pass
         raise ConfigError(f"max_coords must be at least 1, got {max_coords}")
     _check_range("seed", seed, positive=False)

@@ -65,7 +65,7 @@ def overflowing_params() -> ModelParams:
     return params
 
 
-def nan_gradient_loss(doc, scores, costs, beta, temperature):
+def nan_gradient_loss(doc, scores, targets, beta, temperature):
     """A loss-registry entry whose loss is finite and whose gradient on
     the scores is NaN."""
     return 0.5, lambda: np.full_like(scores, np.nan)

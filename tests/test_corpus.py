@@ -334,6 +334,23 @@ class TestSyntheticConfig:
         with pytest.raises(ConfigError, match="seed must be nonnegative, got -1"):
             SyntheticConfig(num_docs=1, seed=-1)
 
+    @pytest.mark.parametrize("setting,value,name", [
+        ("num_docs", 2.5, "num_docs"), ("d_a", 2.5, "d_a"), ("d_p", True, "d_p"),
+        ("seed", 1.5, "seed"), ("mentions_per_doc", (2.5, 3), "mentions_per_doc bound"),
+        ("entities_per_doc", (1, 2.0), "entities_per_doc bound")])
+    def test_rejects_non_integer_integer_settings(self, setting, value, name, tmp_path):
+        """These used to raise a bare TypeError later, or (the ranges) pass
+        silently; numpy integers pass and draw the same corpus."""
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer, got "):
+            SyntheticConfig(**{"num_docs": 1, setting: value})
+        config = SyntheticConfig(num_docs=2, mentions_per_doc=(3, 6), d_a=4, d_p=5, seed=1)
+        numpy = SyntheticConfig(num_docs=np.int64(2),
+                                mentions_per_doc=(np.int32(3), np.uint8(6)),
+                                d_a=np.int16(4), d_p=np.int64(5), seed=np.int64(1))
+        for label, synthetic in (("python", config), ("numpy", numpy)):
+            save_corpus(generate_synthetic(synthetic), tmp_path / label)
+        assert (tmp_path / "numpy").read_bytes() == (tmp_path / "python").read_bytes()
+
 
 def loop_generate_synthetic(config: SyntheticConfig) -> list[Document]:
     """Reference generator: the same draws, with one feature vector per pair."""

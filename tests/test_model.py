@@ -90,6 +90,18 @@ class TestModelParams:
         with pytest.raises(ConfigError, match="^seed must be nonnegative, got -1$"):
             ModelParams.random(3, 4, hidden_a=2, hidden_p=3, seed=seed)
 
+    @pytest.mark.parametrize("sizes,seed,what", [
+        ((12, 14, 2.5, 3), 0, "random init size"), ((3, 4.0, 2, 3), 0, "random init size"),
+        ((3, 4, 2, 3), 1.5, "seed"), ((3, 4, 2, 3), [7, 2.5], "seed"),
+        ((3, 4, 2, 3), True, "seed")])
+    def test_random_rejects_non_integer_sizes_and_seeds(self, sizes, seed, what):
+        """These used to raise a bare TypeError; numpy integers pass."""
+        with pytest.raises(ConfigError, match=f"^{what} must be an integer, got "):
+            ModelParams.random(*sizes, seed=seed)
+        numpy = ModelParams.random(np.int64(3), 4, np.int32(2), 3, seed=np.array([7, 0]))
+        python = ModelParams.random(3, 4, 2, 3, seed=[7, 0])
+        np.testing.assert_array_equal(numpy.to_vector(), python.to_vector())
+
     @pytest.mark.parametrize("sizes,scale", [((3, 4, -1, 5), 0.1), ((3, 4, 2, 3), np.nan),
                                              ((3, 4, 2, 3), np.inf)])
     def test_random_rejects_negative_sizes_and_bad_scale(self, sizes, scale):
@@ -648,7 +660,8 @@ def float64_decoding(doc: Document, params: ModelParams) -> tuple[int, ...]:
 
 def screened_scores(doc: Document, params: ModelParams) -> np.ndarray:
     """The score matrix with the float32 pair layer of the prediction pass."""
-    halves = next(model._float32_pair_halves([doc], params))
+    pairs = doc.pair_feature_matrix
+    halves = model._float32_pair_layer(params, min(model._PAIR_BLOCK, len(pairs)))(pairs)
     return model._score_matrix(doc, params, halves)[0]
 
 
@@ -665,6 +678,25 @@ def near_tie_params() -> ModelParams:
     """Pair score = pair feature; every mention links to an antecedent."""
     return ModelParams(w_a=[[0.0] * 4], b_a=[0.0], w_p=[[1.0]], b_p=[0.0],
                        u=[0.0, 1.0], u_0=0.0, v=[0.0], v_0=-5.0)
+
+
+def several_near_rows() -> tuple[Document, ModelParams]:
+    """Pair score = tanh(pair feature), and every self-link scores v_0.
+    Four rows are near ties that the float32 pair layer decides wrongly:
+    mention 2's one antecedent has feature 0.25 + 2^-30 (0.25 in float32),
+    against a v_0 halfway between its float32 and float64 pair scores;
+    mentions 4, 6 and 8 each have two antecedents of features 0.625 and
+    0.625 + 2^-40, equal in float32, so the earlier one would win.
+    Otherwise the latest antecedent wins by ~0.01."""
+    n = 8
+    features = (0.3 + 0.01 * np.tril_indices(n, k=-1)[1])[:, None]
+    features[0, 0] = 0.25 + 2.0 ** -30
+    for i, (j, k) in {3: (0, 2), 5: (1, 4), 7: (3, 6)}.items():  # 0-based rows
+        features[i * (i - 1) // 2 + np.array([j, k]), 0] = 0.625, 0.625 + 2.0 ** -40
+    doc = singleton_document(n, 1, seed=0, pair_features=features)
+    params = near_tie_params()
+    params.v_0 = (screened_scores(doc, params)[1, 0] + score_pairs(doc, params)[1, 0]) / 2
+    return doc, params
 
 
 def guard_band_params() -> ModelParams:
@@ -721,6 +753,20 @@ class TestFloat32Screen:
         predicted = predict_antecedents(doc, params)
         assert predicted[2] == 2
         assert predicted == float64_decoding(doc, params) == (1, 1, 2, 3, 4, 5, 6, 7)
+
+    @pytest.mark.parametrize("block", [None, 1, 3])
+    def test_several_near_rows_are_decided_together_in_float64(self, block, monkeypatch):
+        """Mention 2's single-pair row and three two-antecedent rows are
+        re-scored in one pass; in blocks of 1 or 3 rows too."""
+        doc, params = several_near_rows()
+        if block is not None:
+            monkeypatch.setattr(model, "_PAIR_BLOCK", block)
+        float32 = np.where(doc.candidate_mask, screened_scores(doc, params), -np.inf)
+        expected = float64_decoding(doc, params)
+        assert expected == (1, 1, 2, 3, 4, 5, 6, 7)
+        wrong = np.flatnonzero(float32.argmax(axis=1) + 1 != expected)
+        assert wrong.tolist() == [1, 3, 5, 7]
+        assert predict_antecedents(doc, params) == expected
 
     @pytest.mark.parametrize("where", ["w_p", "b_p", "u_p", "w_p and features"])
     def test_values_beyond_float32_are_scored_in_float64(self, where, tmp_path):

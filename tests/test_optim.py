@@ -105,6 +105,15 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match=word):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "3"])
+    @pytest.mark.parametrize("setting", ["epochs", "seed", "hidden_a", "hidden_p"])
+    def test_rejects_non_integer_integer_settings(self, setting, value):
+        """These used to pass and fail later with a bare TypeError; a numpy
+        integer passes."""
+        with pytest.raises(ConfigError, match=f"^{setting} must be an integer, got {value}$"):
+            TrainConfig(**{setting: value})
+        assert getattr(TrainConfig(**{setting: np.int64(2)}), setting) == 2
+
 
 def _fast_config(**overrides) -> TrainConfig:
     defaults = dict(epochs=2, hidden_a=6, hidden_p=8, learning_rate=0.1, seed=3)
@@ -319,7 +328,7 @@ class TestGradCheck:
     def test_rejects_checking_no_coordinate(self):
         doc = make_document("d", [1, 1], seed=1)
         params = ModelParams.random(4, 5, hidden_a=2, hidden_p=2, seed=1)
-        for max_coords in (0, -1):
+        for max_coords in (0, -1, 2.5):
             with pytest.raises(ConfigError, match="max_coords"):
                 grad_check(doc, params, "mr-heuristic", max_coords=max_coords)
 

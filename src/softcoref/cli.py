@@ -17,7 +17,8 @@ import numpy as np
 
 from . import analysis, corpus, optim
 from .corpus import SyntheticConfig
-from .errors import ConfigError, FormatError, InputError, SoftcorefError, _check_range
+from .errors import (ConfigError, FormatError, InputError, SoftcorefError, _check_integer,
+                     _check_range)
 from .model import LOSS_KINDS, CostConfig, ModelParams, _corpus_dims, _predict_corpus
 from .optim import TrainConfig
 
@@ -204,10 +205,9 @@ def _cmd_errors(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    if args.ndocs < 1:
-        raise ConfigError(f"--ndocs must be at least 1, got {args.ndocs}")
+    _check_integer("--ndocs", args.ndocs, 1)
     _check_range("--tol", args.tol)
-    _check_range("--seed", args.seed, positive=False)
+    _check_integer("--seed", args.seed, 0)
     docs = _load_nonempty(args.corpus)
     if args.model:
         params = ModelParams.load(args.model)

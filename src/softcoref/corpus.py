@@ -32,7 +32,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, InputError, _check_integer, _check_range
+from .errors import (ConfigError, FormatError, InputError, _check_integer, _check_length,
+                     _check_range)
 
 MENTION_TYPES = ("proper", "nominal", "pronominal")
 
@@ -197,14 +198,15 @@ class Document:
 
     ``pair_feature_matrix`` holds the features of every pair j < i as one
     float64 array of shape (n_pairs, d_p), in ``tril_pairs`` (row-major)
-    order; a document with fewer than two mentions holds a (0, 0) array.
-    The Document takes ownership of a float64 matrix (flagging it
-    read-only, with no copy) and copies any other.  Gold is stored once,
-    as the mentions' ``gold_entity`` labels.  Construction runs
-    ``validate`` and raises InputError for an invalid document, so every
-    Document is valid; it is immutable after that (its arrays are all
-    read-only), and the cached mention matrix, gold clustering and index
-    arrays make it safe and cheap to share across repeated loss evaluations.
+    order; a document with fewer than two mentions holds a (0, 0) array,
+    whatever empty array it was built with.  The Document takes ownership
+    of a float64 matrix (flagging it read-only, with no copy) and copies
+    any other.  Gold is stored once, as the mentions' ``gold_entity``
+    labels.  Construction runs ``validate`` and raises InputError for an
+    invalid document, so every Document is valid; it is immutable after
+    that (its arrays are all read-only), and the cached mention matrix,
+    gold clustering and index arrays make it safe and cheap to share
+    across repeated loss evaluations.
     """
 
     id: str
@@ -213,8 +215,10 @@ class Document:
 
     def __post_init__(self):
         object.__setattr__(self, "mentions", tuple(self.mentions))
-        pairs = _read_only(np.asarray(self.pair_feature_matrix, dtype=float))
-        object.__setattr__(self, "pair_feature_matrix", pairs)
+        pairs = np.asarray(self.pair_feature_matrix, dtype=float)
+        if pairs.ndim and not len(pairs):  # no pairs, whatever width they were given
+            pairs = np.zeros((0, 0))
+        object.__setattr__(self, "pair_feature_matrix", _read_only(pairs))
         self.validate()
 
     @classmethod
@@ -223,7 +227,7 @@ class Document:
         """Build a document from a ``{(j, i): features}`` dict.  Raises
         InputError unless the keys are exactly all pairs j < i and the
         document validates."""
-        return _document(doc_id, mentions, _pair_matrix(
+        return cls(doc_id, mentions, _pair_matrix(
             doc_id, len(mentions), list(pairs), list(pairs.values())))
 
     @property
@@ -325,11 +329,6 @@ class Document:
         )
 
 
-def _document(doc_id: str, mentions: Sequence[Mention], pairs: np.ndarray) -> Document:
-    """A document over pair features in ``tril_pairs`` order."""
-    return Document(doc_id, tuple(mentions), pairs if len(pairs) else np.zeros((0, 0)))
-
-
 def _pair_matrix(doc_id: str, n: int, keys: Sequence, features: Sequence) -> np.ndarray:
     """Pair features listed per ``(j, i)`` key, in any order, as one matrix
     in ``tril_pairs`` order.
@@ -386,22 +385,16 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("num_docs", "d_a", "d_p", "seed"):
-            _check_integer(name, getattr(self, name))
+        for name, minimum in (("num_docs", 0), ("d_a", 1), ("d_p", 1), ("seed", 0)):
+            _check_integer(name, getattr(self, name), minimum)
         for name in ("mentions_per_doc", "entities_per_doc"):
-            for bound in getattr(self, name):
-                _check_integer(f"{name} bound", bound)
-        lo, hi = self.mentions_per_doc
-        elo, ehi = self.entities_per_doc
-        _check_range("num_docs", self.num_docs, positive=False)
-        if not (1 <= lo <= hi):
-            raise ConfigError(f"empty mentions_per_doc range {self.mentions_per_doc}")
-        if not (1 <= elo <= ehi):
-            raise ConfigError(f"empty entities_per_doc range {self.entities_per_doc}")
-        if self.d_a < 1 or self.d_p < 1:
-            raise ConfigError("feature dimensions must be at least 1")
+            bounds = getattr(self, name)
+            _check_length(name, bounds, 2)
+            for bound in bounds:
+                _check_integer(f"{name} bound", bound, 1)
+            if bounds[0] > bounds[1]:
+                raise ConfigError(f"empty {name} range {bounds}")
         _check_range("noise level", self.noise, positive=False)
-        _check_range("seed", self.seed, positive=False)
 
 
 def _fit_length(vec: np.ndarray, d: int) -> np.ndarray:
@@ -465,7 +458,7 @@ def generate_synthetic(config: SyntheticConfig) -> list[Document]:
         ], axis=1)
         pairs = (_fit_length(canonical, config.d_p)
                  + rng.normal(0.0, config.noise, (len(rows_i), config.d_p)))
-        docs.append(_document(f"doc-{d:04d}", mentions, pairs))
+        docs.append(Document(f"doc-{d:04d}", mentions, pairs))
     return docs
 
 
@@ -529,7 +522,7 @@ def _doc_from_record(record: dict, path, lineno: int) -> Document:
         matrix = _pair_matrix(doc_id, len(mentions), keys, features)
         if not set(map(type, chain.from_iterable(features))) <= {int, float}:
             raise InputError(f"document {doc_id}: pair features must hold JSON numbers")
-        doc = _document(doc_id, mentions, matrix)
+        doc = Document(doc_id, mentions, matrix)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"bad document record: {exc}", path=path, line=lineno) from exc
     except InputError as exc:

@@ -94,7 +94,7 @@ import numpy as np
 
 from .corpus import Document, _json_numbers, _utf8_text
 from .errors import (ConfigError, FormatError, InputError, TrainingError, _check_integer,
-                     _check_range)
+                     _check_length, _check_range)
 from .membership import (LinkDistribution, masked_softmax, membership_array,
                          membership_backward, temper_array, temper_backward)
 from .relaxed import b3_soft_grad, gold_index_arrays, lea_soft_grad
@@ -115,8 +115,7 @@ class CostConfig:
 
     def __post_init__(self):
         for name, triple in (("alphas", self.alphas), ("gammas", self.gammas)):
-            if len(triple) != 3:
-                raise ConfigError(f"{name} must be three costs, got {triple}")
+            _check_length(name, triple, 3)
             for cost in triple:
                 _check_range(name, cost, positive=False)
 
@@ -125,7 +124,10 @@ _FIELDS = ("w_a", "b_a", "w_p", "b_p", "u", "u_0", "v", "v_0")
 
 
 def _layout(hidden_a: int, d_a: int, hidden_p: int, d_p: int) -> list[tuple[int, ...]]:
-    """Shapes of the fields of ModelParams, in flat-vector order."""
+    """Shapes of the fields of ModelParams, in flat-vector order; a size
+    that is not an integer >= 0 raises ConfigError."""
+    for name, size in zip(("hidden_a", "d_a", "hidden_p", "d_p"), (hidden_a, d_a, hidden_p, d_p)):
+        _check_integer(name, size, 0)
     return [(hidden_a, d_a), (hidden_a,), (hidden_p, d_p), (hidden_p,),
             (hidden_a + hidden_p,), (), (hidden_a,), ()]
 
@@ -203,17 +205,12 @@ class ModelParams:
     def random(cls, d_a: int, d_p: int, hidden_a: int = 200, hidden_p: int = 700,
                scale: float = 0.1, seed=0) -> "ModelParams":
         """Every parameter drawn from N(0, scale^2), in flat-vector order.
-        ``seed`` is a nonnegative integer or a sequence of them."""
-        for size in (d_a, d_p, hidden_a, hidden_p):
-            _check_integer("random init size", size)
-        for entry in np.ravel(np.asarray(seed, dtype=object)):
-            _check_integer("seed", entry)
-        if min(d_a, d_p, hidden_a, hidden_p) < 0:
-            raise ConfigError(f"random init needs nonnegative sizes, "
-                              f"got {(d_a, d_p, hidden_a, hidden_p)}")
-        _check_range("random init needs nonnegative sizes, and its scale", scale, positive=False)
-        _check_range("seed", int(np.min(seed)), positive=False)
+        ``seed`` is a nonnegative integer or a nonempty sequence of them."""
         shapes = _layout(hidden_a, d_a, hidden_p, d_p)
+        _check_range("scale", scale, positive=False)
+        seeds = np.ravel(np.asarray(seed, dtype=object))
+        for entry in seeds if seeds.size else [seed]:  # an empty sequence is no integer
+            _check_integer("seed", entry, 0)
         size = sum(math.prod(shape) for shape in shapes)
         return cls._wrap(np.random.default_rng(seed).normal(0.0, scale, size), shapes)
 
@@ -724,10 +721,13 @@ _LOSSES = {
 LOSS_KINDS = tuple(_LOSSES)
 
 
-def _check_loss_settings(kind: str, beta: float, temperature: float, lam: float) -> None:
+def _check_loss_settings(kind: str, beta: float, temperature: float, lam: float,
+                         costs: Optional[CostConfig]) -> None:
     """Reject loss settings that no objective accepts."""
-    if kind not in _LOSSES:
+    if not isinstance(kind, str) or kind not in _LOSSES:
         raise ConfigError(f"unknown loss kind {kind!r} (expected one of {LOSS_KINDS})")
+    if costs is not None and not isinstance(costs, CostConfig):
+        raise ConfigError(f"costs must be a CostConfig, got {costs!r}")
     _check_range("beta", beta)
     _check_range("temperature", temperature)
     _check_range("l1 weight", lam, positive=False)
@@ -782,7 +782,7 @@ def document_loss(doc: Document, params: ModelParams, kind: str, *,
     lam * L1; forward pass only, so no n_pairs x hidden_p pair layer is
     kept (see ``_pair_forward``).  Non-finite scores or loss raise
     TrainingError naming the document."""
-    _check_loss_settings(kind, beta, temperature, lam)
+    _check_loss_settings(kind, beta, temperature, lam, costs)
     _check_fits(doc, params)
     _, loss, _ = _loss_and_backward(doc, params, kind, _loss_targets(doc, kind, costs),
                                     beta, temperature, lam, keep_h_p=False)
@@ -796,7 +796,7 @@ def document_loss_and_grad(doc: Document, params: ModelParams, kind: str, *,
     """document_loss and its gradient wrt every parameter; the L1 term
     contributes lam * sign(theta).  The TrainingError for a non-finite
     score, loss or score gradient comes before any parameter gradient."""
-    _check_loss_settings(kind, beta, temperature, lam)
+    _check_loss_settings(kind, beta, temperature, lam, costs)
     _check_fits(doc, params)
     return _loss_and_grad(doc, params, kind, _loss_targets(doc, kind, costs), beta,
                           temperature, lam)

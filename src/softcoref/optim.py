@@ -47,16 +47,13 @@ class TrainConfig:
     costs: CostConfig = field(default_factory=CostConfig)
 
     def __post_init__(self):
-        for name in ("epochs", "seed", "hidden_a", "hidden_p"):
-            _check_integer(name, getattr(self, name))
-        _check_loss_settings(self.loss, self.beta, self.temperature, self.lam)
+        for name, minimum in (("epochs", 1), ("seed", 0), ("hidden_a", 1), ("hidden_p", 1)):
+            _check_integer(name, getattr(self, name), minimum)
+        _check_loss_settings(self.loss, self.beta, self.temperature, self.lam, self.costs)
         _check_range("learning rate", self.learning_rate)
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
-        _check_range("seed", self.seed, positive=False)
-        if self.hidden_a < 1 or self.hidden_p < 1:
-            raise ConfigError("hidden sizes must be at least 1")
         _check_range("init scale", self.init_scale, positive=False)
+        if self.init_model is not None and not isinstance(self.init_model, ModelParams):
+            raise ConfigError(f"init_model must be None or a ModelParams, got {self.init_model!r}")
 
 
 @dataclass(frozen=True)
@@ -181,12 +178,11 @@ def grad_check(doc: Document, params: ModelParams, kind: str, h: float = 1e-5,
     excluded (its subgradient is not a derivative at zeros); relative
     error is |g_a - g_fd| / max(1, |g_a|, |g_fd|).
     """
+    _check_range("step size", h)
     if not (1e-6 <= h <= 1e-4):
         raise ConfigError(f"step size {h} outside the supported range [1e-6, 1e-4]")
-    _check_integer("max_coords", max_coords)
-    if max_coords < 1:  # no coordinate checked would read as a pass
-        raise ConfigError(f"max_coords must be at least 1, got {max_coords}")
-    _check_range("seed", seed, positive=False)
+    _check_integer("max_coords", max_coords, 1)  # no coordinate checked would read as a pass
+    _check_integer("seed", seed, 0)
     _, grad = document_loss_and_grad(doc, params, kind, costs=costs, beta=beta,
                                      temperature=temperature, lam=0.0)
     gvec = grad.to_vector()

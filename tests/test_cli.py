@@ -1,8 +1,13 @@
-"""End-to-end command-line runs through ``run()`` (no subprocesses)."""
+"""End-to-end command-line runs through ``run()``, and one run of the real
+entry point, ``python -m softcoref.cli``, in a subprocess."""
 
 import filecmp
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -608,3 +613,25 @@ class TestUsage:
                     training.epochs, training.lam, training.seed, training.hidden_a,
                     training.hidden_p, training.init_scale, training.costs.alphas,
                     training.costs.gammas))
+
+
+class TestEntryPoint:
+    def test_each_exit_code_reaches_the_shell(self, tmp_path):
+        """``main`` hands ``run``'s code to ``sys.exit``: 0, 1 with one
+        error line, and 2 for a check that fails."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+        def shell(*argv):
+            return subprocess.run([sys.executable, "-m", "softcoref.cli", *map(str, argv)],
+                                  capture_output=True, text=True, env=env, timeout=120)
+
+        corpus = tmp_path / "c.jsonl"
+        done = shell("generate", "--docs", 2, "--seed", 3, "--out", corpus)
+        assert (done.returncode, done.stderr) == (0, "") and corpus.exists()
+        done = shell("generate", "--docs", -1, "--out", tmp_path / "d.jsonl")
+        assert done.returncode == 1
+        assert done.stderr == "error: num_docs must be nonnegative, got -1\n"
+        done = shell("gradcheck", "--corpus", corpus, "--tol", 1e-30)
+        assert done.returncode == 2 and "FAIL" in done.stdout and not done.stderr

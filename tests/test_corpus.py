@@ -15,7 +15,7 @@ from softcoref import (MENTION_TYPES, Clustering, ConfigError, ConllDocument,
                        TrainConfig, antecedents_to_clusters, clusters_from_entity_ids,
                        generate_synthetic, load_corpus, parse_conll_documents,
                        save_corpus, train, write_conll_responses)
-from softcoref.model import correct_set_mask
+from softcoref.model import _corpus_dims, correct_set_mask
 
 from conftest import conll_lines, correct_antecedents, make_document
 from oracles import reference_parse_conll_documents
@@ -280,6 +280,19 @@ class TestDocument:
         doc.validate()
         assert doc.pair_feature_matrix.shape == (0, 0)
         assert doc.d_p == 0
+
+    @pytest.mark.parametrize("pairs", [np.zeros((0, 5)), np.zeros(0), []])
+    def test_single_mention_round_trips_however_built(self, pairs, tmp_path):
+        """A directly built one-mention document used to keep d_p 5 from a
+        (0, 5) matrix, so its saved and loaded copies differed, and so did
+        the model dimensions of the two."""
+        doc = Document("x", [Mention(1, "proper", 1, np.ones(3))], pairs)
+        assert doc.pair_feature_matrix.shape == (0, 0) and doc.d_p == 0
+        save_corpus([doc], tmp_path / "c.jsonl")
+        assert json.loads((tmp_path / "c.jsonl").read_text())["d_p"] == 0
+        (loaded,) = load_corpus(tmp_path / "c.jsonl")
+        assert loaded == doc
+        assert _corpus_dims([loaded]) == _corpus_dims([doc]) == (3, 1)
 
     @pytest.mark.parametrize("indices, features, pairs, message", [
         ([], [], np.zeros((0, 0)), "document d: no mentions"),

@@ -91,7 +91,7 @@ class TestModelParams:
             ModelParams.random(3, 4, hidden_a=2, hidden_p=3, seed=seed)
 
     @pytest.mark.parametrize("sizes,seed,what", [
-        ((12, 14, 2.5, 3), 0, "random init size"), ((3, 4.0, 2, 3), 0, "random init size"),
+        ((12, 14, 2.5, 3), 0, "hidden_a"), ((3, 4.0, 2, 3), 0, "d_p"),
         ((3, 4, 2, 3), 1.5, "seed"), ((3, 4, 2, 3), [7, 2.5], "seed"),
         ((3, 4, 2, 3), True, "seed")])
     def test_random_rejects_non_integer_sizes_and_seeds(self, sizes, seed, what):
@@ -105,7 +105,9 @@ class TestModelParams:
     @pytest.mark.parametrize("sizes,scale", [((3, 4, -1, 5), 0.1), ((3, 4, 2, 3), np.nan),
                                              ((3, 4, 2, 3), np.inf)])
     def test_random_rejects_negative_sizes_and_bad_scale(self, sizes, scale):
-        with pytest.raises(ConfigError, match="random init needs"):
+        message = ("hidden_a must be nonnegative, got -1" if np.isfinite(scale)
+                   else f"scale must be nonnegative and finite, got {scale}")
+        with pytest.raises(ConfigError, match=f"^{message}$"):
             ModelParams.random(*sizes, scale=scale)
 
     def test_copy_is_independent(self):

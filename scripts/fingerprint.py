@@ -33,6 +33,11 @@ Records, as SHA-1 digests and as the raw values behind them:
     same-start and crossing spans, brackets stacked in either order, LF or
     CRLF lines, tab or space columns) and on a few malformed ones, and of
     ``softcoref train`` with and without ``--dev``;
+  * the exit code, stdout and stderr of ``softcoref evaluate`` on one
+    malformed corpus or model file per input rule (an id that is not a
+    string, a declared dimension, an index or a version that is not an
+    integer, a value that is not a JSON number, ...), so that a change to
+    a reader's messages shows;
   * the bytes that ``save_corpus`` and ``ModelParams.save`` write;
   * the relaxed B3 and LEA (value, P, R) on a few thousand seeded random
     membership matrices; their drift counts the cases that moved;
@@ -348,6 +353,68 @@ def train_runs(seed: int = 0) -> list:
     return runs
 
 
+def _set(record, *path_and_value):
+    """``record`` with the entry at ``path`` set to ``value``."""
+    *path, key, value = path_and_value
+    for step in path:
+        record = record[step]
+    record[key] = value
+
+
+# One malformed corpus or model file per input rule, as (name, file, mutation).
+LOAD_CASES = [
+    ("id-null", "corpus", lambda r: _set(r, "id", None)),
+    ("id-number", "corpus", lambda r: _set(r, "id", 5)),
+    ("declared-d_a-float", "corpus", lambda r: _set(r, "d_a", float(r["d_a"]))),
+    ("declared-d_p-mismatch", "corpus", lambda r: _set(r, "d_p", r["d_p"] + 1)),
+    ("mention-index-float", "corpus", lambda r: _set(r, "mentions", 1, "index", 1.5)),
+    ("gold-entity-bool", "corpus", lambda r: _set(r, "mentions", 1, "gold_entity", True)),
+    ("gold-entity-inconsistent", "corpus", lambda r: _set(r, "mentions", 0, "gold_entity", 2)),
+    ("mention-type-unknown", "corpus", lambda r: _set(r, "mentions", 1, "type", "verb")),
+    ("features-a-string", "corpus", lambda r: _set(r, "mentions", 1, "features_a", 0, "0.5")),
+    ("features-a-nan", "corpus", lambda r: _set(r, "mentions", 1, "features_a", 0, math.nan)),
+    ("pair-index-string", "corpus", lambda r: _set(r, "pairs", 0, "j", "1")),
+    ("pair-index-bool", "corpus", lambda r: _set(r, "pairs", 0, "i", True)),
+    ("pair-missing", "corpus", lambda r: r["pairs"].pop()),
+    ("pair-twice", "corpus", lambda r: r["pairs"].append(r["pairs"][0])),
+    ("pair-features-bool", "corpus", lambda r: _set(r, "pairs", 0, "features", 0, True)),
+    ("key-missing", "corpus", lambda r: r.pop("mentions")),
+    ("version-bool", "model", lambda r: _set(r, "version", True)),
+    ("version-2", "model", lambda r: _set(r, "version", 2)),
+    ("size-float", "model", lambda r: _set(r, "hidden_a", 2.5)),
+    ("size-negative", "model", lambda r: _set(r, "hidden_p", -1)),
+    ("field-string", "model", lambda r: _set(r, "u_0", "0.5")),
+    ("format-other", "model", lambda r: _set(r, "format", "other")),
+    ("field-missing", "model", lambda r: r.pop("v")),
+]
+
+
+def load_runs(seed: int = 0) -> list:
+    """[name, exit code or exception, stdout, stderr] of ``softcoref
+    evaluate`` with one malformed corpus (its second line) or model file
+    per input rule of ``LOAD_CASES``, the other file valid."""
+    from softcoref import ModelParams, SyntheticConfig, generate_synthetic, save_corpus
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"corpus": Path(tmp) / "corpus.jsonl", "model": Path(tmp) / "model.json"}
+        save_corpus(generate_synthetic(SyntheticConfig(
+            num_docs=2, mentions_per_doc=(3, 4), entities_per_doc=(1, 2), d_a=3, d_p=2,
+            seed=seed)), files["corpus"])
+        ModelParams.random(3, 2, hidden_a=2, hidden_p=2, seed=seed).save(files["model"])
+        valid = {kind: path.read_text(encoding="utf-8").splitlines()
+                 for kind, path in files.items()}
+        for name, kind, mutate in LOAD_CASES:
+            lines = list(valid[kind])
+            record = json.loads(lines[-1])
+            mutate(record)
+            lines[-1] = json.dumps(record)
+            files[kind].write_text("\n".join(lines) + "\n", encoding="utf-8")
+            runs.append([name] + _run_cli(["evaluate", "--corpus", files["corpus"],
+                                           "--model", files["model"]], tmp))
+            files[kind].write_text("\n".join(valid[kind]) + "\n", encoding="utf-8")
+    return runs
+
+
 def file_bytes(seed: int = 0) -> dict:
     """The text that ``save_corpus`` writes for a small synthetic corpus
     (single-mention documents included), and that ``ModelParams.save``
@@ -392,7 +459,7 @@ def drift(name: str, new, old) -> str:
         at = next((k for k, (a, b) in enumerate(zip(new, old)) if a != b),
                   min(len(new), len(old)))
         return f"first difference at character {at} ({len(new)} vs {len(old)} characters)"
-    if name.startswith(("score/", "train/")):
+    if name.startswith(("score/", "train/", "load/")):
         if [run[0] for run in new] != [run[0] for run in old]:
             return "different cases"
         changed = [a[0] for a, b in zip(new, old) if a != b]
@@ -447,7 +514,7 @@ def main(argv=None) -> int:
     import softcoref
     print(f"softcoref from {Path(softcoref.__file__).parent}")
     artifacts = {**fingerprint(), "score/csv": score_runs(), "train/stdout": train_runs(),
-                 **file_bytes(), "report/corpus": corpus_reports()}
+                 "load/errors": load_runs(), **file_bytes(), "report/corpus": corpus_reports()}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump({"artifacts": artifacts}, fh)

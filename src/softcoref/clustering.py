@@ -18,7 +18,7 @@ from .membership import LinkDistribution
 
 def validate_antecedent_vector(antecedents: Sequence[int]) -> None:
     """InputError unless every a_i is an integer (not a bool) in 1..i."""
-    a = _integer_array(antecedents, "antecedent vector")
+    a = _integer_array(antecedents, "antecedent")
     bad = (a < 1) | (a > np.arange(1, len(a) + 1))
     if bad.any():
         i = int(np.argmax(bad)) + 1

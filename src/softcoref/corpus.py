@@ -7,10 +7,11 @@ A corpus file holds one JSON record per line (one document per record)::
                    "features_a": [...]}, ...],
      "pairs": [{"j": 1, "i": 2, "features": [...]}, ...]}
 
-``gold_entity`` is the index of the first mention of the entity the
-mention belongs to (equal to the mention's own index when the mention
-opens a new entity; the string ``"new"`` is accepted as a synonym on
-load).  ``pairs`` must list every ordered pair ``j < i`` exactly once, in
+``id`` is a JSON string, and ``d_a``, ``d_p`` and every index JSON
+integers.  ``gold_entity`` is the index of the first mention of the
+entity the mention belongs to (equal to the mention's own index when the
+mention opens a new entity; the string ``"new"`` is accepted as a
+synonym on load).  ``pairs`` must list every ordered pair ``j < i`` exactly once, in
 any order; in memory a document holds them as one matrix (see
 ``Document``).
 
@@ -52,7 +53,9 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 def _as_int(value, what: str) -> int:
-    """``value`` as an ``int``: a Python or numpy integer, not a bool."""
+    """``value`` as an ``int``: a Python or numpy integer, not a bool.  The
+    one integer rule of input values (indices, labels, pair keys, declared
+    dimensions): InputError ``<what> <value> is not an integer``."""
     if type(value) is int:  # the common case (a bool's type is bool)
         return value
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -61,17 +64,24 @@ def _as_int(value, what: str) -> int:
 
 
 def _integer_array(values: Sequence[int], what: str) -> np.ndarray:
-    """``values`` as an array, InputError unless its dtype is an integer
-    one (not bool).  Judged by the dtype numpy gives the whole sequence, so
-    a float anywhere fails; a list or tuple is also checked for a bool
-    among integers, which numpy would read as 0 or 1.  An empty sequence
-    passes."""
-    if isinstance(values, (list, tuple)) and {bool, np.bool_} & {*map(type, values)}:
-        raise InputError(f"{what} must hold integers, not bool")
+    """``values`` as an integer array, each value judged by ``_as_int``, so
+    the error names the first one that is not an integer; integers that no
+    numpy integer dtype holds together raise InputError too.  An empty
+    sequence passes."""
+    if isinstance(values, np.ndarray) and values.dtype.kind not in "iu":
+        values = values.ravel().tolist()
+    if not isinstance(values, np.ndarray) and not {*map(type, values)} <= {int}:
+        values = [_as_int(value, what) for value in values]
     array = np.asarray(values)
-    if array.dtype.kind not in "iu" and array.size:
-        raise InputError(f"{what} must hold integers, not {array.dtype}")
+    if array.dtype.kind not in "iu" and array.size:  # integers no numpy dtype holds together
+        raise InputError(f"{what} values must fit int64")
     return array
+
+
+def _check_id(doc_id) -> None:
+    """InputError unless a document id is a ``str`` (``np.str_`` is one)."""
+    if not isinstance(doc_id, str):
+        raise InputError(f"document id {doc_id!r} is not a string")
 
 
 class Clustering:
@@ -157,7 +167,7 @@ def clusters_from_entity_ids(entity_ids: Sequence[int]) -> Clustering:
     share a label share a cluster, whatever the integer label values are."""
     first: dict[int, int] = {}
     labels = [first.setdefault(e, len(first))
-              for e in _integer_array(entity_ids, "entity ids").tolist()]
+              for e in _integer_array(entity_ids, "entity id").tolist()]
     return Clustering._wrap(np.array(labels, dtype=np.int64))
 
 
@@ -196,13 +206,13 @@ class Mention:
 class Document:
     """An ordered mention list with per-mention and per-pair features.
 
-    ``pair_feature_matrix`` holds the features of every pair j < i as one
-    float64 array of shape (n_pairs, d_p), in ``tril_pairs`` (row-major)
-    order; a document with fewer than two mentions holds a (0, 0) array,
-    whatever empty array it was built with.  The Document takes ownership
-    of a float64 matrix (flagging it read-only, with no copy) and copies
-    any other.  Gold is stored once, as the mentions' ``gold_entity``
-    labels.  Construction runs ``validate`` and raises InputError for an
+    ``id`` is a ``str``.  ``pair_feature_matrix`` holds the features of
+    every pair j < i as one float64 array of shape (n_pairs, d_p), in
+    ``tril_pairs`` (row-major) order; a document with fewer than two
+    mentions holds a (0, 0) array, whatever empty array it was built with.
+    The Document takes ownership of a float64 matrix (flagging it
+    read-only, with no copy) and copies any other.  Gold is stored once,
+    as the mentions' ``gold_entity`` labels.  Construction runs ``validate`` and raises InputError for an
     invalid document, so every Document is valid; it is immutable after
     that (its arrays are all read-only), and the cached mention matrix,
     gold clustering and index arrays make it safe and cheap to share
@@ -214,6 +224,7 @@ class Document:
     pair_feature_matrix: np.ndarray
 
     def __post_init__(self):
+        _check_id(self.id)
         object.__setattr__(self, "mentions", tuple(self.mentions))
         pairs = np.asarray(self.pair_feature_matrix, dtype=float)
         if pairs.ndim and not len(pairs):  # no pairs, whatever width they were given
@@ -225,8 +236,8 @@ class Document:
     def from_mentions(cls, doc_id: str, mentions: Sequence[Mention],
                       pairs: Mapping[tuple[int, int], np.ndarray]) -> "Document":
         """Build a document from a ``{(j, i): features}`` dict.  Raises
-        InputError unless the keys are exactly all pairs j < i and the
-        document validates."""
+        InputError unless the keys are exactly all pairs j < i, each index
+        an integer (not a bool), and the document validates."""
         return cls(doc_id, mentions, _pair_matrix(
             doc_id, len(mentions), list(pairs), list(pairs.values())))
 
@@ -333,9 +344,14 @@ def _pair_matrix(doc_id: str, n: int, keys: Sequence, features: Sequence) -> np.
     """Pair features listed per ``(j, i)`` key, in any order, as one matrix
     in ``tril_pairs`` order.
 
-    Raises InputError unless the keys are every pair j < i <= n exactly
-    once and the features are vectors of one length.
+    Raises InputError unless the keys are (j, i) pairs of integers (not
+    bool), every pair j < i <= n exactly once, and the features are
+    vectors of one length.
     """
+    if not {*map(len, keys)} <= {2}:
+        raise InputError(f"document {doc_id}: pair keys are not (j, i) pairs")
+    j, i = _integer_array(list(chain.from_iterable(keys)), f"document {doc_id}: pair index"
+                          ).astype(np.int64, copy=False).reshape(-1, 2).T
     not_vectors = f"document {doc_id}: pair features are not numeric vectors of one length"
     try:
         feats = np.asarray(features, dtype=float)
@@ -343,7 +359,6 @@ def _pair_matrix(doc_id: str, n: int, keys: Sequence, features: Sequence) -> np.
         raise InputError(not_vectors) from exc
     if len(feats) and feats.ndim != 2:
         raise InputError(not_vectors)
-    j, i = np.array(keys, dtype=np.int64).reshape(-1, 2).T
     order = np.lexsort((j, i))
     j, i = j[order], i[order]
     repeated = (np.diff(j) == 0) & (np.diff(i) == 0)
@@ -496,42 +511,40 @@ def save_corpus(docs: Iterable[Document], path) -> None:
             fh.write("\n")
 
 
-def _json_numbers(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
-    """A JSON field as a float array of ``shape``: a JSON number for a
-    scalar, a flat list of JSON numbers (not "0.5", not true) otherwise."""
-    items = value if shape else [value]
+def _json_numbers(name: str, items) -> list:
+    """``items`` as it is if it is a list of JSON numbers (not "0.5", not
+    true, not null); InputError otherwise.  The one check of the numbers
+    in a corpus or model file."""
     if type(items) is not list or not set(map(type, items)) <= {int, float}:
         raise InputError(f"{name} must hold JSON numbers")
-    return np.array(items, dtype=float).reshape(shape)
+    return items
 
 
 def _doc_from_record(record: dict, path, lineno: int) -> Document:
+    """The document of one corpus record.  Every value goes through the
+    rule that the Python constructors apply (``Mention``, ``_pair_matrix``,
+    ``Document``, ``_as_int``); its InputError becomes a FormatError with
+    the file and line."""
     try:
-        doc_id, pairs = str(record["id"]), record["pairs"]
+        doc_id, pairs = record["id"], record["pairs"]
         mentions = []
         for m in record["mentions"]:
             gold = m["index"] if m["gold_entity"] == "new" else m["gold_entity"]
             features = _json_numbers(f"document {doc_id}: mention {m['index']} features_a",
-                                     m["features_a"], (-1,))
-            mentions.append(Mention(m["index"], str(m["type"]), gold, features))
-        keys = [(p["j"], p["i"]) for p in pairs]
-        bad = [v for v in chain.from_iterable(keys) if type(v) is not int]  # 1.9, "2", true
-        if bad:
-            raise InputError(f"document {doc_id}: pair index {bad[0]!r} is not an integer")
+                                     m["features_a"])
+            mentions.append(Mention(m["index"], m["type"], gold, features))
         features = [p["features"] for p in pairs]
-        matrix = _pair_matrix(doc_id, len(mentions), keys, features)
-        if not set(map(type, chain.from_iterable(features))) <= {int, float}:
-            raise InputError(f"document {doc_id}: pair features must hold JSON numbers")
+        matrix = _pair_matrix(doc_id, len(mentions), [(p["j"], p["i"]) for p in pairs], features)
+        _json_numbers(f"document {doc_id}: pair features", list(chain.from_iterable(features)))
         doc = Document(doc_id, mentions, matrix)
+        d_a, d_p = (_as_int(record[key], f"declared {key}") for key in ("d_a", "d_p"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"bad document record: {exc}", path=path, line=lineno) from exc
     except InputError as exc:
         raise FormatError(str(exc), path=path, line=lineno) from exc
-    if doc.d_a != record.get("d_a") or (doc.n > 1 and doc.d_p != record.get("d_p")):
-        raise FormatError(
-            f"declared dimensions ({record.get('d_a')}, {record.get('d_p')}) do not match features",
-            path=path, line=lineno,
-        )
+    if doc.d_a != d_a or (doc.n > 1 and doc.d_p != d_p):
+        raise FormatError(f"declared dimensions ({d_a}, {d_p}) do not match features",
+                          path=path, line=lineno)
     return doc
 
 
@@ -834,12 +847,13 @@ def parse_conll_documents(path) -> list[ConllDocument]:
 
 def write_conll_responses(items: Iterable[tuple[str, Clustering]], path) -> None:
     """Write clusterings as one-token-per-mention CoNLL response blocks.
-    A document id must not hold ')' or a line break ('\\n' or '\\r', which
-    text-mode reading takes for one): either would end it early on
-    reading.  It must be UTF-8 encodable (no lone surrogate).  InputError
-    before the file is opened."""
+    A document id must be a ``str`` (the rule of ``Document``) and must not
+    hold ')' or a line break ('\\n' or '\\r', which text-mode reading
+    takes for one): either would end it early on reading.  It must be UTF-8
+    encodable (no lone surrogate).  InputError before the file is opened."""
     items = list(items)
     for doc_id, _ in items:
+        _check_id(doc_id)
         if any(c in doc_id for c in ")\n\r"):
             raise InputError(f"document id {doc_id!r} holds ')' or a line break")
         try:

@@ -92,7 +92,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import Document, _json_numbers, _utf8_text
+from .corpus import Document, _as_int, _json_numbers, _utf8_text
 from .errors import (ConfigError, FormatError, InputError, TrainingError, _check_integer,
                      _check_length, _check_range)
 from .membership import (LinkDistribution, masked_softmax, membership_array,
@@ -258,16 +258,14 @@ class ModelParams:
         found = record.get("format") if isinstance(record, dict) else None
         if found != MODEL_FORMAT:
             raise FormatError(f"not a model file (format={found!r})", path=path)
-        if record.get("version") != MODEL_VERSION:
-            raise FormatError(f"unsupported model version {record.get('version')!r}", path=path)
-        try:
-            dims = [record[key] for key in ("hidden_a", "d_a", "hidden_p", "d_p")]
-            if not all(type(d) is int and d >= 0 for d in dims):  # 2.9, "3", true, -1
-                raise InputError(f"dimensions {dims} are not nonnegative integers")
-            shapes = _layout(*dims)
-            return cls(*(_json_numbers(name, record[name], shape)
+        try:  # the version goes through the integer rule of input values, the sizes _layout's
+            if _as_int(record["version"], "model version") != MODEL_VERSION:
+                raise FormatError(f"unsupported model version {record['version']!r}", path=path)
+            shapes = _layout(*(record[key] for key in ("hidden_a", "d_a", "hidden_p", "d_p")))
+            return cls(*(np.array(_json_numbers(name, record[name] if shape else [record[name]]),
+                                  dtype=float).reshape(shape)
                          for name, shape in zip(_FIELDS, shapes)))
-        except (KeyError, ValueError, OverflowError, InputError) as exc:
+        except (KeyError, ValueError, OverflowError, ConfigError, InputError) as exc:
             raise FormatError(f"bad model record: {exc}", path=path) from exc
 
 

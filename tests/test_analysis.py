@@ -95,7 +95,7 @@ class TestErrorBreakdown:
 
     @pytest.mark.parametrize("predicted", [(1.0, 1.0), (1, 1.5), (True, True), (1, True)])
     def test_non_integer_antecedent_rejected(self, predicted):
-        with pytest.raises(InputError, match="must hold integers"):
+        with pytest.raises(InputError, match="is not an integer"):
             error_breakdown(make_document("d", [1, 1]), predicted)
 
     def test_unknown_kind_rejected(self):

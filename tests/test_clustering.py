@@ -41,9 +41,9 @@ class TestValidation:
     @pytest.mark.parametrize("antecedents", [[1, 1.5], [1.0, 1.0], [True], np.array([1.0]),
                                              [1, True], (1, 1, np.True_)])
     def test_non_integer_antecedent_rejected(self, antecedents):
-        with pytest.raises(InputError, match="must hold integers"):
+        with pytest.raises(InputError, match="is not an integer"):
             validate_antecedent_vector(antecedents)
-        with pytest.raises(InputError, match="must hold integers"):
+        with pytest.raises(InputError, match="is not an integer"):
             antecedents_to_clusters(antecedents)
 
 

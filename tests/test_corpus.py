@@ -81,7 +81,7 @@ class TestClustering:
     @pytest.mark.parametrize("entity_ids", [[1.2, 1.7, 2.5], [1.0, 1.0], [True, False],
                                             [True, 1, 2], (3, np.bool_(False))])
     def test_from_entity_ids_rejects_non_integer_labels(self, entity_ids):
-        with pytest.raises(InputError, match="must hold integers"):
+        with pytest.raises(InputError, match="is not an integer"):
             clusters_from_entity_ids(entity_ids)
 
     def test_iterates_and_prints_sorted_clusters(self):
@@ -998,6 +998,15 @@ class TestConll:
         before it were written, leaving a partial file."""
         path = tmp_path / "r.conll"
         with pytest.raises(InputError, match="is not UTF-8 encodable"):
+            write_conll_responses([("a", Clustering([{1}])), (doc_id, Clustering([{1}]))],
+                                  path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("doc_id", [5, None, b"a"])
+    def test_id_that_is_not_a_string_rejected(self, tmp_path, doc_id):
+        """An int id used to raise a bare TypeError; the rule is Document's."""
+        path = tmp_path / "r.conll"
+        with pytest.raises(InputError, match=f"document id {doc_id!r} is not a string"):
             write_conll_responses([("a", Clustering([{1}])), (doc_id, Clustering([{1}]))],
                                   path)
         assert not path.exists()

@@ -110,3 +110,21 @@ def test_against_reports_new_and_missing_artifacts(fingerprint):
     assert lines[-1].split() == ["bytes/model_save", "missing"]
     _, code = fingerprint.compare({**old, "params/b3": [1.0, 2.5]}, old)
     assert code == 1
+
+
+def test_load_runs_repeat_and_exit_1_naming_the_file(fingerprint):
+    runs = fingerprint.load_runs()
+    assert runs == fingerprint.load_runs()
+    kinds = {name: kind for name, kind, _ in fingerprint.LOAD_CASES}
+    assert [run[0] for run in runs] == list(kinds)
+    prefixes = {"corpus": "error: <dir>/corpus.jsonl:2: ", "model": "error: <dir>/model.json: "}
+    for name, code, out, err in runs:
+        assert (code, out) == (1, "") and err.startswith(prefixes[kinds[name]]), name
+        assert err.count("\n") == 1, name
+    outcomes = {name: err for name, _, _, err in runs}
+    assert outcomes["id-null"].endswith("document id None is not a string\n")
+    assert outcomes["version-bool"].endswith("model version True is not an integer\n")
+    moved = [list(run) for run in runs]
+    moved[2][3] += "x"
+    assert fingerprint.drift("load/errors", moved, runs) == (
+        f"1 of {len(runs)} runs differ: {runs[2][0]}")

@@ -40,7 +40,9 @@ Records, as SHA-1 digests and as the raw values behind them:
     a reader's messages shows;
   * the bytes that ``save_corpus`` and ``ModelParams.save`` write;
   * the relaxed B3 and LEA (value, P, R) on a few thousand seeded random
-    membership matrices; their drift counts the cases that moved;
+    membership matrices; their drift counts the cases that moved and
+    those that moved by more than 1e-12, and names the (n, T, beta) of
+    the case that moved most;
   * ``float.hex`` of every P, R and F of ``corpus_report`` on a thousand
     seeded random corpora, and of ``lea_counts`` with singleton
     self-links; ``score --csv`` rounds to six digits, so this is what
@@ -478,8 +480,11 @@ def drift(name: str, new, old) -> str:
         if [case[:3] for case in new] != [case[:3] for case in old]:
             return "different cases"
         gaps = [max(map(_gap, a[3:], b[3:])) for a, b in zip(new, old)]
+        worst = max(range(len(gaps)), key=gaps.__getitem__)
+        n, temperature, beta = new[worst][:3]
         return (f"{sum(g > 0 for g in gaps)} of {len(new)} cases differ, "
-                f"largest drift {max(gaps):.3e}")
+                f"{sum(g > 1e-12 for g in gaps)} by more than 1e-12, largest drift "
+                f"{gaps[worst]:.3e} at n {n}, T {temperature:.3g}, beta {beta:.3g}")
     a, b = _numbers(new), _numbers(old)
     if len(a) != len(b):
         return f"different length ({len(a)} vs {len(b)} numbers)"

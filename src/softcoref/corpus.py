@@ -348,7 +348,11 @@ def _pair_matrix(doc_id: str, n: int, keys: Sequence, features: Sequence) -> np.
     bool), every pair j < i <= n exactly once, and the features are
     vectors of one length.
     """
-    if not {*map(len, keys)} <= {2}:
+    try:
+        pairs = {*map(len, keys)} <= {2}
+    except TypeError:  # a key without a length, such as an int
+        pairs = False
+    if not pairs:
         raise InputError(f"document {doc_id}: pair keys are not (j, i) pairs")
     j, i = _integer_array(list(chain.from_iterable(keys)), f"document {doc_id}: pair index"
                           ).astype(np.int64, copy=False).reshape(-1, 2).T

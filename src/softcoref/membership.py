@@ -16,11 +16,16 @@ In matrix form the recursion is the unit-lower-triangular system
 
     (I - L) q = diag(p),   L = strict lower part of p
 
-so ``q = (I - L)^{-1} diag(p)`` is one triangular solve.  For a scalar
-with gradient ``G`` wrt ``q`` the reverse pass is another solve,
-``Y = (I - L)^{-T} G``, and then ``dp = diag(Y) + strict_tril(Y q^T)``.
-The temperature softmax is one masked log-space softmax over the whole
-matrix.
+whose inverse R = (I - L)^{-1}, the reach matrix, is again unit lower
+triangular: R[i, u] is the probability that mention i's antecedent chain
+passes through u, so every entry lies in [0, 1].  The forward pass takes
+R from one LAPACK triangular inversion and scales its columns,
+``q = R diag(p)``.  For a scalar with gradient ``G`` wrt ``q`` the
+reverse pass reuses R: two triangular BLAS products give ``Y = R^T G``
+and ``Y q^T``, and ``dp = diag(Y) + strict_tril(Y q^T)``.  The training
+losses keep R from their forward pass; the public backward rebuilds it
+from ``p``, through the same code.  The temperature softmax is one masked
+log-space softmax over the whole matrix.
 
 All public containers use 1-based mention indices; the underlying numpy
 arrays are 0-based.  Every n x n array of the chain, from the row softmax
@@ -34,7 +39,8 @@ tolerates.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrmm
+from scipy.linalg.lapack import dtrtri
 
 from .corpus import _read_only
 from .errors import InputError, _check_range
@@ -104,26 +110,50 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return weights / weights.sum(axis=1, keepdims=True)
 
 
+def _reach(p: np.ndarray) -> np.ndarray:
+    """The reach matrix ``R = (I - L)^{-1}`` of a raw lower-triangular link
+    array, C-ordered, with a unit diagonal and +0.0 above it."""
+    # LAPACK gets the F-ordered transpose, an upper triangle, so f2py copies
+    # nothing; 0.0 - p, unlike -p, leaves +0.0 where p is zero.  The
+    # unit-diagonal inverse does not touch the diagonal, which still holds -p.
+    reach_t, _ = dtrtri(np.subtract(0.0, p.T), lower=0, unitdiag=1, overwrite_c=1)
+    np.fill_diagonal(reach_t, 1.0)
+    return reach_t.T
+
+
+def _membership_and_reach(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``q = R diag(p)`` and the reach matrix ``R`` that the backward pass
+    reuses.  ``p`` must be finite: it is not scanned again here."""
+    reach = _reach(p)
+    return reach * np.diagonal(p), reach
+
+
+def _reach_backward(reach: np.ndarray, q: np.ndarray, dq: np.ndarray) -> np.ndarray:
+    """``dp = diag(Y) + strict_tril(Y q^T)`` with ``Y = R^T dq``: two
+    triangular products, each on F-ordered transposes, so that f2py copies
+    only ``dq`` into the first product's output."""
+    y_t = dtrmm(1.0, reach.T, dq.T, side=1, lower=0, trans_a=1, diag=1)
+    d_self = np.diagonal(y_t).copy()
+    dp = np.tril(dtrmm(1.0, q.T, y_t, lower=0, trans_a=1, overwrite_b=1).T, k=-1)
+    dp[np.diag_indices_from(dp)] = d_self
+    return dp
+
+
 def membership_array(p: np.ndarray) -> np.ndarray:
-    """Membership of a raw lower-triangular link array: solves
-    ``(I - L) q = diag(p)`` with ``L`` the strict lower part of ``p``.
+    """Membership of a raw lower-triangular link array: ``q = R diag(p)``
+    with ``R = (I - L)^{-1}`` and ``L`` the strict lower part of ``p``.
     ``p`` must be finite: it is not scanned again here."""
-    # unit_diagonal ignores the diagonal of -p, so the matrix is I - L.
-    return solve_triangular(-p, np.diag(np.diagonal(p)), lower=True, unit_diagonal=True,
-                            check_finite=False)
+    return _membership_and_reach(p)[0]
 
 
 def membership_backward(p: np.ndarray, q: np.ndarray, dq: np.ndarray) -> np.ndarray:
     """Gradient of a scalar wrt p given its gradient wrt q = membership(p).
 
-    With ``Y = (I - L)^{-T} dq``, ``dp = diag(Y) + strict_tril(Y q^T)``.
-    ``p`` must be finite; a non-finite ``dq`` gives a non-finite result.
+    With ``Y = R^T dq``, ``dp = diag(Y) + strict_tril(Y q^T)``; R is
+    rebuilt from ``p``.  ``p`` must be finite; a non-finite ``dq`` gives a
+    non-finite result.
     """
-    y = solve_triangular(-p, dq, lower=True, trans="T", unit_diagonal=True,
-                         check_finite=False)
-    dp = np.tril(y @ q.T, k=-1)
-    dp[np.diag_indices_from(dp)] = np.diagonal(y)
-    return dp
+    return _reach_backward(_reach(p), q, dq)
 
 
 def membership(links: LinkDistribution) -> MembershipMatrix:

@@ -95,8 +95,8 @@ import numpy as np
 from .corpus import Document, _as_int, _json_numbers, _utf8_text
 from .errors import (ConfigError, FormatError, InputError, TrainingError, _check_integer,
                      _check_length, _check_range)
-from .membership import (LinkDistribution, masked_softmax, membership_array,
-                         membership_backward, temper_array, temper_backward)
+from .membership import (LinkDistribution, _membership_and_reach, _reach_backward,
+                         masked_softmax, temper_array, temper_backward)
 from .relaxed import b3_soft_grad, gold_index_arrays, lea_soft_grad
 
 MODEL_FORMAT = "softcoref-model"
@@ -583,7 +583,7 @@ def _score_backward(doc: Document, params: ModelParams, h_a: np.ndarray,
         d_u_p += h.T @ d
         np.multiply(h, h, out=h)  # h_p is consumed: the block becomes 1 - h_p^2
         np.subtract(1.0, h, out=h)
-        fused += h.T @ wt
+        fused += (wt.T @ h).T  # h.T @ wt, but faster as the transposed GEMM
     if n_pairs:
         np.multiply(u_p[:, None], fused[:, :d_p], out=grad.w_p)
         np.multiply(u_p, fused[:, d_p], out=grad.b_p)
@@ -666,7 +666,7 @@ def _entity_centric(doc: Document, scores: np.ndarray, targets,
     gold entity, through the membership recursion."""
     gold, exp_gamma = targets
     probs = masked_softmax(scores, doc.candidate_mask)
-    q = membership_array(probs)
+    q, reach = _membership_and_reach(probs)
     weights = q * exp_gamma
     totals = weights.sum(axis=1)
     loss = float(-(np.log(weights[gold]) - np.log(totals)).sum())
@@ -676,7 +676,7 @@ def _entity_centric(doc: Document, scores: np.ndarray, targets,
         # weights/q recovers exp(Gamma) on the support without recomputing it.
         d_q = np.where(q > 0.0, weights / np.where(q > 0.0, q, 1.0), 0.0) / totals[:, None]
         d_q[gold] -= 1.0 / q[gold]
-        return _softmax_backward(probs, membership_backward(probs, q, d_q))
+        return _softmax_backward(probs, _reach_backward(reach, q, d_q))
 
     return loss, backward
 
@@ -691,13 +691,13 @@ def _relaxed(soft_grad, doc: Document, scores: np.ndarray, targets,
     """-F_beta of a relaxed metric (soft_grad is b3_soft_grad or
     lea_soft_grad) on the tempered memberships, against gold clusters."""
     probs = masked_softmax(scores, doc.candidate_mask)
-    q = membership_array(probs)
+    q, reach = _membership_and_reach(probs)
     qt = temper_array(q, temperature)
     _, _, f, d_qt = soft_grad(qt, *targets, beta)
 
     def backward() -> np.ndarray:
         d_q = temper_backward(q, qt, temperature, -d_qt)
-        return _softmax_backward(probs, membership_backward(probs, q, d_q))
+        return _softmax_backward(probs, _reach_backward(reach, q, d_q))
 
     return -f, backward
 

@@ -50,8 +50,20 @@ def test_drift_names_what_moved(fingerprint):
     cases = [[1, 0.5, 1.0] + [1.0] * 6, [2, 0.5, 1.0] + [0.5] * 6]
     moved = [cases[0], cases[1][:3] + [0.5] * 5 + [0.75]]
     assert fingerprint.drift("relaxed/scores", moved, cases) == (
-        "1 of 2 cases differ, largest drift 2.500e-01")
+        "1 of 2 cases differ, 1 by more than 1e-12, largest drift 2.500e-01 "
+        "at n 2, T 0.5, beta 1")
     assert fingerprint.drift("relaxed/scores", cases[:1], cases) == "different cases"
+
+
+def test_relaxed_drift_counts_the_large_moves_and_names_the_worst_case(fingerprint):
+    cases = [[n, 0.01 * n, 4.0 / n] + [0.5] * 6 for n in range(1, 6)]
+    moved = [list(case) for case in cases]
+    moved[0][3] += 1e-15  # below the reported threshold
+    moved[2][8] += 2e-9
+    moved[4][5] -= 3e-12
+    assert fingerprint.drift("relaxed/scores", moved, cases) == (
+        "3 of 5 cases differ, 2 by more than 1e-12, largest drift 2.000e-09 "
+        "at n 3, T 0.03, beta 1.33")
 
 
 def test_score_runs_repeat_and_drift_names_the_cases(fingerprint):

@@ -92,6 +92,12 @@ def test_a_key_the_file_reader_rejects_is_rejected_in_memory(key, bad):
         _in_memory("d", [1, 2], pairs, np.ones((2, 1)))
 
 
+@pytest.mark.parametrize("key", [1, None, 1.5, (1, 2, 3), (1,)])
+def test_a_key_that_is_not_a_pair_is_rejected_in_memory(key):
+    with pytest.raises(InputError, match=r"^document d: pair keys are not \(j, i\) pairs$"):
+        _in_memory("d", [1, 2], {key: np.ones(2)}, np.ones((2, 1)))
+
+
 @pytest.mark.parametrize("doc_id", [5, None, 1.5, True, ["d"]])
 def test_a_document_id_is_a_string(doc_id):
     with pytest.raises(InputError, match=re.escape(f"document id {doc_id!r} is not a string")):

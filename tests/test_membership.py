@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 from softcoref import (LOSS_KINDS, ConfigError, InputError, LinkDistribution,
                        MembershipMatrix, ModelParams, grad_check, membership,
                        tempered_membership)
-from softcoref.membership import (masked_softmax, membership_array, membership_backward,
-                                  temper_array, temper_backward)
+from softcoref import model
+from softcoref.membership import (_reach, masked_softmax, membership_array,
+                                  membership_backward, temper_array, temper_backward)
 from softcoref.relaxed import b3_soft_grad, gold_index_arrays, lea_soft_grad
 
 from conftest import make_document, random_clustering, random_link_distribution
@@ -39,6 +40,25 @@ def enumeration_oracle(rows: list[list[Fraction]]) -> list[list[Fraction]]:
                 root = vector[root]
             q[m][root] += weight
     return q
+
+
+def exact_membership(p: np.ndarray) -> list[list[Fraction]]:
+    """The recursion in exact rational arithmetic on the float entries of p."""
+    n = p.shape[0]
+    rows = [[Fraction(x) for x in row] for row in p.tolist()]
+    q = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        q[i][i] = rows[i][i]
+        for u in range(i):
+            q[i][u] = sum((rows[i][j] * q[j][u] for j in range(u, i)), Fraction(0))
+    return q
+
+
+def gamma_link_rows(rng: np.random.Generator, n: int, shape: float) -> np.ndarray:
+    """Dirichlet(shape) link rows from normalised gamma draws; a small shape
+    gives peaked rows whose smallest entries span hundreds of decades."""
+    weights = np.tril(rng.gamma(shape, size=(n, n)))
+    return weights / weights.sum(axis=1, keepdims=True)
 
 
 def loop_membership(p: np.ndarray) -> np.ndarray:
@@ -170,6 +190,53 @@ class TestMembership:
         diag = np.diag(q)
         for i in range(n):
             assert np.all(q[i, : i + 1] <= diag[: i + 1] + 1e-12)
+
+
+class TestReachMatrix:
+    """q = R diag(p) through the reach matrix R = (I - L)^{-1}."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_peaked_rows_keep_relative_accuracy(self, seed):
+        # Peaked rows are what low-temperature tempering sharpens further,
+        # so every entry, however small, must keep its leading digits.
+        rng = np.random.default_rng(seed)
+        p = gamma_link_rows(rng, int(rng.integers(10, 31)), shape=0.1)
+        exact, q = exact_membership(p), membership_array(p)
+        errors = [abs(Fraction(float(q[i, u])) - x) / x
+                  for i, row in enumerate(exact) for u, x in enumerate(row) if x > 1e-300]
+        assert float(max(errors)) <= 1e-14
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 40),
+           shape=st.sampled_from([0.1, 1.0, 10.0]))
+    @settings(max_examples=80, deadline=None)
+    def test_reach_is_unit_lower_triangular_within_the_unit_interval(self, seed, n, shape):
+        reach = _reach(gamma_link_rows(np.random.default_rng(seed), n, shape))
+        assert reach.flags.c_contiguous
+        np.testing.assert_array_equal(np.diagonal(reach), np.ones(n))
+        above = reach[np.triu_indices(n, k=1)]
+        assert np.all(above == 0.0) and not np.any(np.signbit(above))
+        # R[i, u] is a probability; rounding may carry a sum of n terms an
+        # ulp or so past 1.
+        assert np.all(reach >= 0.0) and np.all(reach <= 1.0 + n * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("kind", ["ec-heuristic", "b3", "lea"])
+    def test_public_backward_is_the_losses_path_bit_for_bit(self, kind, monkeypatch):
+        seen, model_backward = [], model._reach_backward
+
+        def recording(reach, q, dq):
+            seen.append((q, dq, model_backward(reach, q, dq)))
+            return seen[-1][-1]
+
+        monkeypatch.setattr(model, "_reach_backward", recording)
+        rng = np.random.default_rng(29)
+        doc = make_document("d", rng.integers(0, 6, size=30), seed=29)
+        params = ModelParams.random(4, 5, hidden_a=3, hidden_p=4, seed=29)
+        grad = model.document_loss_and_grad(doc, params, kind, temperature=0.5)[1]
+        assert np.all(np.isfinite(grad.to_vector())) and len(seen) == 1
+        q, dq, dp = seen[0]
+        probs = masked_softmax(model.score_pairs(doc, params), doc.candidate_mask)
+        np.testing.assert_array_equal(membership_array(probs), q)
+        np.testing.assert_array_equal(membership_backward(probs, q, dq), dp)
 
 
 class TestBruteForce:

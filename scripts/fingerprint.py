@@ -24,6 +24,10 @@ Records, as SHA-1 digests and as the raw values behind them:
   * the ``predict_antecedents`` tuples of the short-size model on 20
     wider documents (n 40-80), most of whose pair rows span several
     float32 blocks of the prediction pass;
+  * the ``predict_antecedents`` tuples of the short-size test corpus
+    from one copy of the short-size model, before in-place edits (u
+    negated, a row of w_p zeroed), after them and after undoing them, so
+    that predictions that outlive a change to the parameters show;
   * the ``predict_antecedents`` tuples of edge cases of the float32
     screen: documents of one and two mentions, a near tie of 2^-40, a
     model beyond float32, and documents whose pair rows reach 2^119,
@@ -134,6 +138,7 @@ def fingerprint(short_docs=(40, 20, 600), long_docs=(4, 4, 60), epochs=3) -> dic
             wide_docs, = _corpora(WIDE, (20,), seed=20)
             artifacts["predict/wide"] = [list(predict_antecedents(doc, params))
                                          for doc in wide_docs]
+            artifacts["predict/edited"] = edited_predictions(params, test_docs)
     artifacts["predict/edge"] = edge_predictions()
     artifacts["relaxed/scores"] = relaxed_scores()
     return artifacts
@@ -175,6 +180,23 @@ def edge_predictions() -> list:
             features[::3, 0] = rng.choice([-1.0, 1.0], size=len(features[::3])) * 2.0 ** 119
             cases.append((_singletons(n, features, seed=n), band))
     return [list(predict_antecedents(doc, model)) for doc, model in cases]
+
+
+def edited_predictions(params, docs) -> list:
+    """``predict_antecedents`` of ``docs`` from one copy of ``params``,
+    three times: as it is, after in-place edits (u negated, row 0 of w_p
+    zeroed) and after undoing them in place."""
+    from softcoref import predict_antecedents
+    edited = params.copy()
+    passes = [[list(predict_antecedents(doc, edited)) for doc in docs]]
+    row = edited.w_p[0].copy()
+    edited.u *= -1.0
+    edited.w_p[0] = 0.0
+    passes.append([list(predict_antecedents(doc, edited)) for doc in docs])
+    edited.u *= -1.0
+    edited.w_p[0] = row
+    passes.append([list(predict_antecedents(doc, edited)) for doc in docs])
+    return [ants for predictions in passes for ants in predictions]
 
 
 def relaxed_scores(seed: int = 0, count: int = 2000) -> list:

@@ -69,16 +69,21 @@ them with a float32 pair layer, in one pass over a corpus
 document).  Each document's pair rows go through blocks of at most
 _PAIR_BLOCK rows, each cast into one float32 buffer sized for the
 largest screened document's block, so no float32 copy of a pair matrix
-is made; the weights are cast once per pass.  The mention side and the
-sums stay float64.  A bound E on the float32 error of a pair score,
-affine in a document's largest |pair feature| (``predict_antecedents``
-derives it), marks the near rows: those whose top-two gap float32 could
-have decided wrongly.  Every row of a document that the screen does not
-take is near.  A document's near rows are re-scored together in float64,
-through ``_pair_forward`` and ``_score_matrix`` as in ``score_pairs``,
-so every prediction is a float64 argmax.  On the benchmark's trained
-models E is ~3e-3 (n 8-16, hidden 200/700) and ~7e-5 (n 100-200, hidden
-24/32), and about one document in 46-141 has a near row.
+is made.  What the screen derives from the parameters alone (the
+scalars of E below and float32 copies of the pair weights) is built once
+per parameter state: ModelParams keeps it, with a copy of the flat
+vector, and rebuilds it when a call finds the vector's bits changed,
+whether by training's update, a setter or a write through a view.  The
+mention side and the sums stay float64.  A bound E on the float32 error
+of a pair score, affine in a document's largest |pair feature|
+(``predict_antecedents`` derives it), marks the near rows: those whose
+top-two gap float32 could have decided wrongly.  Every row of a document
+that the screen does not take is near.  A document's near rows are
+re-scored together in float64, through ``_pair_forward`` and
+``_score_matrix`` as in ``score_pairs``, so every prediction is a float64
+argmax.  On the benchmark's trained models E is ~3e-3 (n 8-16, hidden
+200/700) and ~7e-5 (n 100-200, hidden 24/32), and about one document in
+46-141 has a near row.
 ``score_pairs``, training and the gradient checker run in float64 only.
 """
 
@@ -166,7 +171,7 @@ class ModelParams:
         self._bind(vec, shapes)
 
     def _bind(self, vec: np.ndarray, shapes) -> None:
-        self._vec, self._shapes = vec, shapes
+        self._vec, self._shapes, self._memo = vec, shapes, None
         self._views, start = [], 0
         for shape in shapes:
             size = math.prod(shape)
@@ -238,7 +243,23 @@ class ModelParams:
             raise InputError("model parameters contain non-finite values")
         return ModelParams._wrap(vec, self._shapes)
 
+    def _screen_memo(self) -> tuple:
+        """(bits, terms, weights): what the float32 prediction screen
+        derives from the parameters alone (``_screen_constants``), kept
+        while the flat vector holds the same bits.  Training, a field
+        setter or a write through any view changes the vector in place, so
+        each call compares it with a kept copy, through int64 so that a
+        0.0 -> -0.0 flip or a NaN counts, and rebuilds on a difference."""
+        bits = self._vec.view(np.int64)
+        if self._memo is None or not (self._memo[0] == bits).all():
+            kept = bits.copy()
+            kept.flags.writeable = False
+            self._memo = (kept, *_screen_constants(self))
+        return self._memo
+
     def save(self, path) -> None:
+        if not np.isfinite(self._vec).all():  # json would write a bare NaN token
+            raise InputError("model parameters contain non-finite values")
         record = {"format": MODEL_FORMAT, "version": MODEL_VERSION,
                   "d_a": self.d_a, "d_p": self.d_p,
                   "hidden_a": self.hidden_a, "hidden_p": self.hidden_p}
@@ -381,11 +402,14 @@ def _gamma(m: int, unit: float) -> float:
     return m * unit / (1.0 - m * unit)
 
 
-def _near_tie_gaps(docs: Sequence[Document], params: ModelParams) -> list[Optional[float]]:
-    """Per document, the top-two score gap at or below which
-    ``predict_antecedents`` re-scores a row in float64, or None where the
-    float32 pair layer is not used (see there).  The parameters reduce to
-    scalars once per call: training changes them in place between calls."""
+def _screen_constants(params: ModelParams) -> tuple:
+    """(terms, weights) of the float32 screen, from the parameters alone;
+    ``ModelParams._screen_memo`` keeps them until the parameters change.
+    terms are the scalars of ``_near_tie_gaps``: A, B, max_k ||w_p,k||_1,
+    max_k |b_p,k|, ||u_p||_1, the unit terms and the sums term.  weights
+    are read-only float32 copies of [w_p | b_p] and u_p for
+    ``_float32_pair_layer``.  Both are None when no document can fit
+    float32, and nothing is cast then."""
     d, hidden = params.d_p, params.hidden_p
     abs_u = np.abs(params.u)
     abs_u_p, abs_b_p = abs_u[params.hidden_a:], np.abs(params.b_p)
@@ -393,12 +417,31 @@ def _near_tie_gaps(docs: Sequence[Document], params: ModelParams) -> list[Option
     row_max, bias_max = float(row_l1.max(initial=0.0)), float(abs_b_p.max(initial=0.0))
     u_l1 = float(abs_u_p.sum())
     if not max(row_max, bias_max, u_l1) < _F32_LIMIT:  # then no document fits float32
-        return [None] * len(docs)
+        return None, None
     slope, offset = float(abs_u_p @ row_l1), float(abs_u_p @ abs_b_p)  # A, B: < 2^240
     lin_units = _gamma(d + 3, _F32_UNIT) + _gamma(d + 3, _F64_UNIT)
     u_term = (_TANH_ULPS * (_F32_UNIT + _F64_UNIT) + _gamma(hidden + 2, _F32_UNIT)
               + _gamma(hidden + 2, _F64_UNIT)) * u_l1
     sums = 2.0 ** -48 * (float(abs_u.sum()) + abs(params.u_0))
+    w_b = np.empty((hidden, d + 1), np.float32)  # the GEMM reads its transpose
+    w_b[:, :d], w_b[:, d] = params.w_p, params.b_p
+    u_p = params.u[params.hidden_a:].astype(np.float32)
+    for array in (w_b, u_p):
+        array.flags.writeable = False
+    return (slope, offset, row_max, bias_max, u_l1, lin_units, u_term, sums), (w_b, u_p)
+
+
+def _near_tie_gaps(docs: Sequence[Document], params: ModelParams) -> list[Optional[float]]:
+    """Per document, the top-two score gap at or below which
+    ``predict_antecedents`` re-scores a row in float64, or None where the
+    float32 pair layer is not used (see there).  The parameters' scalars
+    are built once per parameter state (``ModelParams._screen_memo``):
+    training changes the parameters in place between calls."""
+    terms = params._screen_memo()[1]
+    if terms is None:
+        return [None] * len(docs)
+    slope, offset, row_max, bias_max, u_l1, lin_units, u_term, sums = terms
+    d, hidden = params.d_p, params.hidden_p
     gaps = []
     for doc in docs:
         feature = doc.pair_feature_max
@@ -452,7 +495,9 @@ def predict_antecedents(doc: Document, params: ModelParams) -> tuple[int, ...]:
     ``_pair_forward`` call and ``_score_matrix``, and decided by the row
     softmax.  The sum over k in E is phi A + B, with A = sum_k |u_p,k|
     ||w_p,k||_1 and B = sum_k |u_p,k| |b_p,k|, so E is affine in phi, and
-    the parameters reduce to scalars once per call (``_near_tie_gaps``).
+    the parameters reduce to scalars once per parameter state
+    (``_near_tie_gaps``; ``ModelParams._screen_memo`` keeps them, and the
+    float32 weights, until a call finds the flat vector changed).
 
     On the benchmark's trained models (seeds 1-10) E is 2.6e-3 to 4.0e-3
     at n 8-16, hidden 200/700 and 2.3e-5 to 8.6e-5 at n 100-200, hidden
@@ -464,8 +509,10 @@ def predict_antecedents(doc: Document, params: ModelParams) -> tuple[int, ...]:
 
 def _predict_corpus(docs: Sequence[Document], params: ModelParams) -> list[np.ndarray]:
     """``predict_antecedents`` of every document of ``docs``, as 1-based
-    int64 arrays, in one pass.  ``_near_tie_gaps`` reduces the parameters
-    once, and ``[w_p | b_p]`` and u_p are cast to float32 once, when some
+    int64 arrays, in one pass.  The parameters' scalars
+    (``_near_tie_gaps``) and float32 ``[w_p | b_p]`` and u_p
+    (``_float32_pair_layer``) come from their memo, built once per
+    parameter state; only the buffers are made per pass, when some
     document is screened.  A screened document's rows are decided on its
     float32 scores, except those whose top-two gap is at most its gap; a
     document that is not screened has every row near.  The near rows of a
@@ -516,14 +563,14 @@ def _float32_pair_layer(params: ModelParams, block_rows: int):
     """The float32 pair layer of the prediction pass: a function from a
     pair matrix to its pair halves h_p @ u_p, as float64.
 
-    ``[w_p | b_p]`` and u_p are cast here, once.  A pair matrix goes
-    through blocks of at most _PAIR_BLOCK rows; each is cast into one
+    ``[w_p | b_p]`` and u_p in float32 come from the parameters' memo
+    (``_screen_constants``), cast once per parameter state.  A pair matrix
+    goes through blocks of at most _PAIR_BLOCK rows; each is cast into one
     float32 buffer whose last column is ones, so that one GEMM adds the
     bias too, and one tanh and one @ u_p finish it.  The buffers hold
     ``block_rows`` rows, the largest block asked for; the caller makes sure
     that every value fits float32."""
-    w_b = np.hstack([params.w_p, params.b_p[:, None]]).astype(np.float32).T
-    u_p = params.u[params.hidden_a:].astype(np.float32)
+    w_b, u_p = params._screen_memo()[2]
     phi = np.ones((block_rows, params.d_p + 1), np.float32)
     h = np.empty((block_rows, params.hidden_p), np.float32)
 
@@ -533,7 +580,7 @@ def _float32_pair_layer(params: ModelParams, block_rows: int):
             stop = min(start + _PAIR_BLOCK, len(pairs))
             block = h[:stop - start]
             phi[:stop - start, :-1] = pairs[start:stop]
-            np.tanh(np.matmul(phi[:stop - start], w_b, out=block), out=block)
+            np.tanh(np.matmul(phi[:stop - start], w_b.T, out=block), out=block)
             halves[start:stop] = block @ u_p
         return halves
 

@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 
 from softcoref import (Clustering, ConfigError, CostConfig, Document,
                        FormatError, InputError, LOSS_KINDS, Mention,
-                       ModelParams, SyntheticConfig, TrainingError, decode_argmax,
-                       document_loss, document_loss_and_grad, evaluate_corpus,
-                       generate_synthetic, grad_check, l1_norm, link_probabilities,
-                       predict_antecedents, relaxed_b3, relaxed_lea, score_pairs,
-                       validate_antecedent_vector)
+                       ModelParams, SyntheticConfig, TrainConfig, TrainingError,
+                       decode_argmax, document_loss, document_loss_and_grad,
+                       evaluate_corpus, generate_synthetic, grad_check, l1_norm,
+                       link_probabilities, predict_antecedents, relaxed_b3, relaxed_lea,
+                       score_pairs, train, validate_antecedent_vector)
 from softcoref.membership import MembershipMatrix, membership_array
 from softcoref import model
 from softcoref.model import (_forward_scores, _score_backward, correct_set_mask,
@@ -171,6 +171,17 @@ class TestModelParams:
         params.save(path)
         loaded = ModelParams.load(path)
         np.testing.assert_array_equal(loaded.to_vector(), params.to_vector())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_save_rejects_non_finite_before_opening_the_file(self, tmp_path, bad):
+        """A value made non-finite in place would be written as a bare
+        NaN or Infinity token, which is not JSON and which load rejects."""
+        params = ModelParams.random(3, 4, hidden_a=2, hidden_p=3, seed=5)
+        params.w_p[0, 0] = bad
+        path = tmp_path / "model.json"
+        with pytest.raises(InputError, match="^model parameters contain non-finite values$"):
+            params.save(path)
+        assert not path.exists()
 
     def test_load_rejects_wrong_format(self, tmp_path):
         path = tmp_path / "model.json"
@@ -956,6 +967,110 @@ class TestCorpusPass:
         finally:
             tracemalloc.stop()
         assert peak < block_bytes / 2, (peak, block_bytes)
+
+
+PARAM_EDITS = ("view", "setter", "scale", "zero sign", "nan", "restore")
+
+
+def edit_params(params: ModelParams, original: ModelParams, kind: str, k: int,
+                value: float) -> None:
+    """One in-place edit of ``params``; ``k`` picks the field and entry."""
+    fields = [params.w_a, params.b_a, params.w_p, params.b_p, params.u, params.v]
+    field = fields[k % len(fields)].reshape(-1)  # a view of the flat vector
+    entry = k // len(fields) % field.size
+    if kind == "view":
+        field[entry] = value
+    elif kind == "setter":
+        setattr(params, ("u_0", "v_0", "b_p", "w_p")[k % 4], value)
+    elif kind == "scale":
+        fields[k % len(fields)] *= value
+    elif kind == "zero sign":  # a zero becomes -0.0 and back: equal as floats
+        field[entry] = -field[entry] if field[entry] == 0.0 else 0.0
+    elif kind == "nan":
+        field[entry] = np.nan
+    else:
+        for name in ("w_a", "b_a", "w_p", "b_p", "u", "u_0", "v", "v_0"):
+            setattr(params, name, getattr(original, name))
+
+
+def prediction_or_error(doc: Document, params: ModelParams):
+    try:
+        return predict_antecedents(doc, params)
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+class TestScreenMemo:
+    """ModelParams keeps what the float32 screen derives from the
+    parameters alone, and rebuilds it once after any in-place write."""
+
+    @staticmethod
+    def count_builds(monkeypatch) -> list:
+        builds, build = [], model._screen_constants
+        monkeypatch.setattr(model, "_screen_constants",
+                            lambda params: builds.append(1) or build(params))
+        return builds
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(edits=st.lists(st.tuples(st.sampled_from(PARAM_EDITS), st.integers(0, 2 ** 16),
+                                    st.floats(-3.0, 3.0)), max_size=10),
+           seed=st.integers(0, 2 ** 16))
+    def test_in_place_edits_between_calls_match_a_fresh_copy(self, edits, seed):
+        """Every call on one ModelParams, edited in place between calls,
+        equals the same call on a fresh copy, or raises the same error."""
+        docs = [singleton_document(n, 5, seed + n) for n in (1, 2, 12)]
+        params = ModelParams.random(4, 5, hidden_a=3, hidden_p=6, scale=1.0, seed=seed)
+        original = params.copy()
+        for kind, k, value in [("view", 0, params.w_a[0, 0])] + edits:
+            edit_params(params, original, kind, k, value)
+            for doc in docs:
+                assert prediction_or_error(doc, params) == prediction_or_error(
+                    doc, params.copy()), (kind, k, value)
+
+    def test_constants_are_built_once_per_parameter_state(self, monkeypatch):
+        builds = self.count_builds(monkeypatch)
+        doc = singleton_document(12, 5, seed=1)
+        params = ModelParams.random(4, 5, hidden_a=3, hidden_p=6, seed=1)
+
+        def builds_after(calls: int) -> int:
+            for _ in range(calls):
+                predict_antecedents(doc, params)
+            return len(builds)
+
+        assert builds_after(50) == 1
+        params.b_p[0] = 0.0
+        assert builds_after(5) == 2
+        params.b_p[0], params.u_0 = 0.0, params.u_0  # the same bits: nothing to rebuild
+        assert builds_after(5) == 2
+        params.b_p[0] = -0.0  # equal to 0.0 as a float, not as bits
+        assert builds_after(5) == 3
+
+    def test_training_with_a_dev_set_builds_once_per_epoch(self, monkeypatch):
+        builds = self.count_builds(monkeypatch)
+        corpus = generate_synthetic(SyntheticConfig(num_docs=4, mentions_per_doc=(3, 6),
+                                                    entities_per_doc=(1, 3), seed=2))
+        config = TrainConfig(epochs=3, hidden_a=4, hidden_p=5, seed=0)
+        train(corpus[:3], corpus[3:], config)
+        assert len(builds) == 3
+        train(corpus[:3], [], config)
+        assert len(builds) == 3
+
+    def test_memo_arrays_are_read_only_and_replaced_after_a_write(self):
+        doc = singleton_document(12, 5, seed=1)
+        params = ModelParams.random(4, 5, hidden_a=3, hidden_p=6, seed=1)
+        predict_antecedents(doc, params)
+        bits, _, (w_b, u_p) = params._screen_memo()
+        for array in (bits, w_b, u_p):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+        assert w_b.shape == (params.hidden_p, params.d_p + 1)
+        params.w_p[0, 0] += 1.0
+        predict_antecedents(doc, params)
+        kept, _, (new_w_b, _) = params._memo
+        assert new_w_b is not w_b and not new_w_b.flags.writeable
+        assert new_w_b[0, 0] == np.float32(params.w_p[0, 0])
+        np.testing.assert_array_equal(kept, params._vec.view(np.int64))
 
 
 class TestOverflowingScores:

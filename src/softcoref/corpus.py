@@ -212,11 +212,12 @@ class Document:
     mentions holds a (0, 0) array, whatever empty array it was built with.
     The Document takes ownership of a float64 matrix (flagging it
     read-only, with no copy) and copies any other.  Gold is stored once,
-    as the mentions' ``gold_entity`` labels.  Construction runs ``validate`` and raises InputError for an
-    invalid document, so every Document is valid; it is immutable after
-    that (its arrays are all read-only), and the cached mention matrix,
-    gold clustering and index arrays make it safe and cheap to share
-    across repeated loss evaluations.
+    as the mentions' ``gold_entity`` labels.  Construction runs
+    ``validate`` and raises InputError for an invalid document, so every
+    Document is valid; it is immutable after that (its arrays are all
+    read-only), and the cached mention matrix, gold clustering and index
+    arrays make it safe and cheap to share across repeated loss
+    evaluations.
     """
 
     id: str

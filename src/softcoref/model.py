@@ -66,22 +66,25 @@ out of its gradient, through the document's strict-lower-triangular mask.
 Prediction needs only the order of each row's scores, so it screens
 them with a float32 pair layer, in one pass over a corpus
 (``_predict_corpus``; ``predict_antecedents`` is that pass on one
-document).  Each document's pair rows go through blocks of at most
-_PAIR_BLOCK rows, each cast into one float32 buffer sized for the
-largest screened document's block, so no float32 copy of a pair matrix
-is made.  What the screen derives from the parameters alone (the
-scalars of E below and float32 copies of the pair weights) is built once
-per parameter state: ModelParams keeps it, with a copy of the flat
-vector, and rebuilds it when a call finds the vector's bits changed,
-whether by training's update, a setter or a write through a view.  The
-mention side and the sums stay float64.  A bound E on the float32 error
-of a pair score, affine in a document's largest |pair feature|
-(``predict_antecedents`` derives it), marks the near rows: those whose
-top-two gap float32 could have decided wrongly.  Every row of a document
-that the screen does not take is near.  A document's near rows are
-re-scored together in float64, through ``_pair_forward`` and
-``_score_matrix`` as in ``score_pairs``, so every prediction is a float64
-argmax.  On the benchmark's trained models E is ~3e-3 (n 8-16, hidden
+document).  What the screen derives from the parameters alone (the
+scalars of E below, [w_p | b_p] transposed into a C-contiguous (d_p + 1,
+hidden_p) float32 array that the GEMM reads as it lies, and u_p) is
+built once per parameter state: ModelParams keeps it, with a copy of the
+flat vector, and rebuilds it when a read finds the vector's bits
+changed, whether by training's update, a setter or a write through a
+view.  Each pass reads it once.  Each document's pair rows go through
+blocks of at most _SCREEN_MACS / ((d_p + 1) hidden_p) rows (~95 at
+hidden_p 700, ~2,080 at 32), so that every block's GEMM stays on
+OpenBLAS's small-matrix path, each cast into one float32 buffer sized
+for the largest screened document's block, so no float32 copy of a pair
+matrix is made.  The mention side and the sums stay float64.  A bound E
+on the float32 error of a pair score, affine in a document's largest
+|pair feature| (``predict_antecedents`` derives it), marks the near
+rows: those whose top-two gap float32 could have decided wrongly.  Every
+row of a document that the screen does not take is near.  A document's
+near rows are re-scored together in float64, through ``_pair_forward``
+and ``_score_matrix`` as in ``score_pairs``, so every prediction is a
+float64 argmax.  On the benchmark's trained models E is ~3e-3 (n 8-16, hidden
 200/700) and ~7e-5 (n 100-200, hidden 24/32), and about one document in
 46-141 has a near row.
 ``score_pairs``, training and the gradient checker run in float64 only.
@@ -395,6 +398,13 @@ _F32_UNIT, _F64_UNIT = 2.0 ** -24, 2.0 ** -53
 _TANH_ULPS = 4.0
 _F32_TINY = 2.0 ** -148
 _F32_LIMIT = 2.0 ** 120
+# Multiply-adds per block of the screen's GEMM, rows x (d_p + 1) x
+# hidden_p.  OpenBLAS computes a GEMM of at most 10^6 of them on its
+# small-matrix path, which packs no operand: at d_p 14 a row cost 1.2x
+# (hidden_p 700) to 1.7x (hidden_p 32) as much just above that size as
+# just below it.  The largest block below it, ~95 rows at hidden_p 700
+# and ~2,080 at 32, measured best or tied (README, "Performance notes").
+_SCREEN_MACS = 10 ** 6
 
 
 def _gamma(m: int, unit: float) -> float:
@@ -406,10 +416,11 @@ def _screen_constants(params: ModelParams) -> tuple:
     """(terms, weights) of the float32 screen, from the parameters alone;
     ``ModelParams._screen_memo`` keeps them until the parameters change.
     terms are the scalars of ``_near_tie_gaps``: A, B, max_k ||w_p,k||_1,
-    max_k |b_p,k|, ||u_p||_1, the unit terms and the sums term.  weights
-    are read-only float32 copies of [w_p | b_p] and u_p for
-    ``_float32_pair_layer``.  Both are None when no document can fit
-    float32, and nothing is cast then."""
+    max_k |b_p,k|, ||u_p||_1, the unit terms, the sums term, d_p and
+    hidden_p.  weights are read-only float32 copies of [w_p | b_p],
+    transposed and C-contiguous, and of u_p for ``_float32_pair_layer``.
+    Both are None when no document can fit float32, and nothing is cast
+    then."""
     d, hidden = params.d_p, params.hidden_p
     abs_u = np.abs(params.u)
     abs_u_p, abs_b_p = abs_u[params.hidden_a:], np.abs(params.b_p)
@@ -423,25 +434,22 @@ def _screen_constants(params: ModelParams) -> tuple:
     u_term = (_TANH_ULPS * (_F32_UNIT + _F64_UNIT) + _gamma(hidden + 2, _F32_UNIT)
               + _gamma(hidden + 2, _F64_UNIT)) * u_l1
     sums = 2.0 ** -48 * (float(abs_u.sum()) + abs(params.u_0))
-    w_b = np.empty((hidden, d + 1), np.float32)  # the GEMM reads its transpose
-    w_b[:, :d], w_b[:, d] = params.w_p, params.b_p
+    w_b = np.empty((d + 1, hidden), np.float32)  # C-contiguous, as the GEMM reads it
+    w_b[:d], w_b[d] = params.w_p.T, params.b_p
     u_p = params.u[params.hidden_a:].astype(np.float32)
     for array in (w_b, u_p):
         array.flags.writeable = False
-    return (slope, offset, row_max, bias_max, u_l1, lin_units, u_term, sums), (w_b, u_p)
+    return (slope, offset, row_max, bias_max, u_l1, lin_units, u_term, sums, d, hidden), (w_b, u_p)
 
 
-def _near_tie_gaps(docs: Sequence[Document], params: ModelParams) -> list[Optional[float]]:
+def _near_tie_gaps(docs: Sequence[Document], terms: Optional[tuple]) -> list[Optional[float]]:
     """Per document, the top-two score gap at or below which
     ``predict_antecedents`` re-scores a row in float64, or None where the
-    float32 pair layer is not used (see there).  The parameters' scalars
-    are built once per parameter state (``ModelParams._screen_memo``):
-    training changes the parameters in place between calls."""
-    terms = params._screen_memo()[1]
+    float32 pair layer is not used (see there).  ``terms`` are the
+    parameters' scalars, as ``ModelParams._screen_memo`` keeps them."""
     if terms is None:
         return [None] * len(docs)
-    slope, offset, row_max, bias_max, u_l1, lin_units, u_term, sums = terms
-    d, hidden = params.d_p, params.hidden_p
+    slope, offset, row_max, bias_max, u_l1, lin_units, u_term, sums, d, hidden = terms
     gaps = []
     for doc in docs:
         feature = doc.pair_feature_max
@@ -511,9 +519,10 @@ def _predict_corpus(docs: Sequence[Document], params: ModelParams) -> list[np.nd
     """``predict_antecedents`` of every document of ``docs``, as 1-based
     int64 arrays, in one pass.  The parameters' scalars
     (``_near_tie_gaps``) and float32 ``[w_p | b_p]`` and u_p
-    (``_float32_pair_layer``) come from their memo, built once per
-    parameter state; only the buffers are made per pass, when some
-    document is screened.  A screened document's rows are decided on its
+    (``_float32_pair_layer``) come from one read of their memo, built
+    once per parameter state; only the buffers are made per pass, when
+    some document is screened, with blocks of at most _SCREEN_MACS
+    multiply-adds.  A screened document's rows are decided on its
     float32 scores, except those whose top-two gap is at most its gap; a
     document that is not screened has every row near.  The near rows of a
     document are re-scored together in float64, through one
@@ -526,9 +535,12 @@ def _predict_corpus(docs: Sequence[Document], params: ModelParams) -> list[np.nd
     # bound keeps the float32 pair side finite).  numpy's overflow warnings
     # are left to the caller, since an np.errstate here would cost more
     # than the check (README, "Performance notes").
-    gaps = _near_tie_gaps(docs, params)
+    _, terms, weights = params._screen_memo()
+    gaps = _near_tie_gaps(docs, terms)
     sizes = [len(doc.pair_feature_matrix) for doc, gap in zip(docs, gaps) if gap is not None]
-    float32_halves = _float32_pair_layer(params, min(_PAIR_BLOCK, max(sizes))) if sizes else None
+    # Blocks of at most _SCREEN_MACS multiply-adds, of one row at least; hidden_p may be 0.
+    block_rows = min(max(sizes), max(1, _SCREEN_MACS // max(1, weights[0].size))) if sizes else 0
+    float32_halves = _float32_pair_layer(weights, block_rows) if sizes else None
     predictions = []
     for doc, gap in zip(docs, gaps):
         if gap is None:
@@ -559,28 +571,29 @@ def _check_finite_scores(doc: Document, scores: np.ndarray) -> None:
         raise InputError(f"non-finite scores on document {doc.id}")
 
 
-def _float32_pair_layer(params: ModelParams, block_rows: int):
+def _float32_pair_layer(weights: tuple, block_rows: int):
     """The float32 pair layer of the prediction pass: a function from a
     pair matrix to its pair halves h_p @ u_p, as float64.
 
-    ``[w_p | b_p]`` and u_p in float32 come from the parameters' memo
-    (``_screen_constants``), cast once per parameter state.  A pair matrix
-    goes through blocks of at most _PAIR_BLOCK rows; each is cast into one
-    float32 buffer whose last column is ones, so that one GEMM adds the
-    bias too, and one tanh and one @ u_p finish it.  The buffers hold
-    ``block_rows`` rows, the largest block asked for; the caller makes sure
-    that every value fits float32."""
-    w_b, u_p = params._screen_memo()[2]
-    phi = np.ones((block_rows, params.d_p + 1), np.float32)
-    h = np.empty((block_rows, params.hidden_p), np.float32)
+    ``weights`` are the memo's float32 ``[w_p | b_p]`` transposed, a
+    C-contiguous (d_p + 1, hidden_p) array, and u_p
+    (``_screen_constants``).  A pair matrix goes through blocks of at most
+    ``block_rows`` rows; each is cast into one float32 buffer whose last
+    column is ones, so that one GEMM, which reads both operands as they
+    lie, adds the bias too, and one tanh and one @ u_p finish it.  The
+    caller sizes the blocks and makes sure that every value fits
+    float32."""
+    w_b, u_p = weights
+    phi = np.ones((block_rows, len(w_b)), np.float32)
+    h = np.empty((block_rows, len(u_p)), np.float32)
 
     def pair_halves(pairs: np.ndarray) -> np.ndarray:
         halves = np.empty(len(pairs))
-        for start in range(0, len(pairs), _PAIR_BLOCK):
-            stop = min(start + _PAIR_BLOCK, len(pairs))
+        for start in range(0, len(pairs), block_rows):
+            stop = min(start + block_rows, len(pairs))
             block = h[:stop - start]
             phi[:stop - start, :-1] = pairs[start:stop]
-            np.tanh(np.matmul(phi[:stop - start], w_b.T, out=block), out=block)
+            np.tanh(np.matmul(phi[:stop - start], w_b, out=block), out=block)
             halves[start:stop] = block @ u_p
         return halves
 

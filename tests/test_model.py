@@ -671,11 +671,33 @@ def float64_decoding(doc: Document, params: ModelParams) -> tuple[int, ...]:
     return decode_argmax(link_probabilities(score_pairs(doc, params)))
 
 
-def screened_scores(doc: Document, params: ModelParams) -> np.ndarray:
-    """The score matrix with the float32 pair layer of the prediction pass."""
+def near_tie_gaps(docs: list[Document], params: ModelParams) -> list:
+    """``model._near_tie_gaps`` with the terms of the parameters' memo."""
+    return model._near_tie_gaps(docs, params._screen_memo()[1])
+
+
+def screened_scores(doc: Document, params: ModelParams, block_rows=None) -> np.ndarray:
+    """The score matrix with the float32 pair layer of the prediction pass,
+    in blocks of ``block_rows`` rows (None: one block)."""
     pairs = doc.pair_feature_matrix
-    halves = model._float32_pair_layer(params, min(model._PAIR_BLOCK, len(pairs)))(pairs)
+    halves = model._float32_pair_layer(params._screen_memo()[2], block_rows or len(pairs))(pairs)
     return model._score_matrix(doc, params, halves)[0]
+
+
+def force_screen_blocks(patch, params: ModelParams, rows: int) -> list[int]:
+    """Set the screen's block rule to ``rows`` rows per block at the sizes
+    of ``params``; the list returned collects the rows per block of every
+    float32 layer that a prediction pass builds."""
+    patch.setattr(model, "_SCREEN_MACS", rows * (params.d_p + 1) * params.hidden_p)
+    blocks, layer = [], model._float32_pair_layer
+    patch.setattr(model, "_float32_pair_layer",
+                  lambda weights, block_rows: blocks.append(block_rows) or layer(weights, block_rows))
+    return blocks
+
+
+def spans_blocks(docs: list[Document], block_rows: int) -> bool:
+    """Whether some document has more pairs than one block holds."""
+    return any(len(doc.pair_feature_matrix) > block_rows for doc in docs)
 
 
 def near_tie_document(n: int = 8) -> Document:
@@ -749,7 +771,7 @@ class TestFloat32Screen:
         clear = top_two[:, 0] - top_two[:, 1] > slack
         expected = np.array(float64_decoding(doc, params)) - 1
         np.testing.assert_array_equal(predicted[clear], expected[clear])
-        gap, = model._near_tie_gaps([doc], params)
+        gap, = near_tie_gaps([doc], params)
         if gap is not None:  # the bound E holds for every pair score
             screened = screened_scores(doc, params)
             assert np.abs(screened - scores).max() <= (gap - 2.0 ** -44) / 2
@@ -772,14 +794,16 @@ class TestFloat32Screen:
         """Mention 2's single-pair row and three two-antecedent rows are
         re-scored in one pass; in blocks of 1 or 3 rows too."""
         doc, params = several_near_rows()
-        if block is not None:
-            monkeypatch.setattr(model, "_PAIR_BLOCK", block)
-        float32 = np.where(doc.candidate_mask, screened_scores(doc, params), -np.inf)
+        float32 = np.where(doc.candidate_mask, screened_scores(doc, params, block), -np.inf)
         expected = float64_decoding(doc, params)
         assert expected == (1, 1, 2, 3, 4, 5, 6, 7)
         wrong = np.flatnonzero(float32.argmax(axis=1) + 1 != expected)
         assert wrong.tolist() == [1, 3, 5, 7]
+        if block:
+            blocks = force_screen_blocks(monkeypatch, params, block)
         assert predict_antecedents(doc, params) == expected
+        if block:
+            assert blocks == [block] and spans_blocks([doc], block)
 
     @pytest.mark.parametrize("where", ["w_p", "b_p", "u_p", "w_p and features"])
     def test_values_beyond_float32_are_scored_in_float64(self, where, tmp_path):
@@ -801,7 +825,7 @@ class TestFloat32Screen:
         path = tmp_path / "model.json"
         params.save(path)
         params = ModelParams.load(path)
-        assert model._near_tie_gaps([doc], params) == [None]
+        assert near_tie_gaps([doc], params) == [None]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert predict_antecedents(doc, params) == float64_decoding(doc, params)
@@ -821,8 +845,8 @@ class TestFloat32Screen:
         params = ModelParams.random(4, 5, hidden_a=3, hidden_p=6, scale=3.0, seed=5)
         docs = [singleton_document(n, 5, seed=n) for n in (1, 2, 9, 40)]
         docs.append(singleton_document(9, 5, seed=9, pair_features=np.full((36, 5), 1e39)))
-        gaps = model._near_tie_gaps(docs, params)
-        assert gaps == [model._near_tie_gaps([doc], params)[0] for doc in docs]
+        gaps = near_tie_gaps(docs, params)
+        assert gaps == [near_tie_gaps([doc], params)[0] for doc in docs]
         assert [gap is None for gap in gaps] == [True, False, False, False, True]
 
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -839,7 +863,7 @@ class TestFloat32Screen:
         doc = singleton_document(n, d_p, seed, pair_features=features * 2.0 ** log2_features)
         params = ModelParams.random(4, d_p, hidden_a, hidden_p, scale=10.0 ** log_scale,
                                     seed=seed)
-        gap, = model._near_tie_gaps([doc], params)
+        gap, = near_tie_gaps([doc], params)
         expected = reference_near_tie_gap(doc, params)
         if gap is not None:
             assert expected is not None and math.isclose(gap, expected, rel_tol=2.0 ** -48)
@@ -854,7 +878,7 @@ class TestFloat32Screen:
         sends it to float64, with the same predictions."""
         params, doc = guard_band_params(), guard_band_document()
         assert reference_near_tie_gap(doc, params) is not None
-        assert model._near_tie_gaps([doc], params) == [None]
+        assert near_tie_gaps([doc], params) == [None]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert predict_antecedents(doc, params) == float64_decoding(doc, params)
@@ -863,7 +887,7 @@ class TestFloat32Screen:
         doc = long_document(200, seed=9)
         params = ModelParams.random(4, 5, hidden_a=20, hidden_p=200, seed=9)
         predict_antecedents(doc, params)  # fill the document's cached arrays
-        assert model._near_tie_gaps([doc], params) != [None]
+        assert near_tie_gaps([doc], params) != [None]
         pair_layer_bytes = len(doc.pair_feature_matrix) * params.hidden_p * 8
         tracemalloc.start()
         try:
@@ -896,42 +920,53 @@ def prediction_corpora(draw) -> list[Document]:
 class TestCorpusPass:
     """model._predict_corpus, which evaluate_corpus and ``errors`` run:
     each document's pair rows go through their own float32 blocks, with
-    the weights cast once per pass."""
+    the memo read once per pass."""
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(docs=prediction_corpora(), hidden_a=st.integers(1, 24),
-           hidden_p=st.integers(1, 32), log_scale=st.floats(0.0, 3.0),
-           seed=st.integers(0, 2 ** 16))
-    def test_documents_straddling_blocks_decode_alone(self, docs, hidden_a, hidden_p,
-                                                      log_scale, seed):
+    def test_documents_straddling_blocks_decode_alone(self):
         """In blocks of 7 rows many documents span several; every
         prediction is the document's own predict_antecedents, and the
         float64 argmax wherever the top-two gap is clear."""
-        params = ModelParams.random(4, 5, hidden_a, hidden_p, scale=10.0 ** log_scale,
-                                    seed=seed)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(model, "_PAIR_BLOCK", 7)
-            predicted = [tuple(ants.tolist()) for ants in model._predict_corpus(docs, params)]
-            alone = [predict_antecedents(doc, params) for doc in docs]
-        assert predicted == alone
-        for doc, ants in zip(docs, predicted):
-            scores = score_pairs(doc, params)
-            masked = np.where(doc.candidate_mask, scores, -np.inf)
-            top_two = -np.sort(-masked, axis=1)[:, :2]
-            clear = (top_two[:, 0] - top_two[:, 1] > float64_slack(doc, params)
-                     if doc.n > 1 else np.ones(1, bool))
-            expected = np.array(float64_decoding(doc, params))
-            np.testing.assert_array_equal(np.array(ants)[clear], expected[clear])
+        spanned = []
+
+        @settings(max_examples=40, deadline=None, derandomize=True)
+        @given(docs=prediction_corpora(), hidden_a=st.integers(1, 24),
+               hidden_p=st.integers(1, 32), log_scale=st.floats(0.0, 3.0),
+               seed=st.integers(0, 2 ** 16))
+        def check(docs, hidden_a, hidden_p, log_scale, seed):
+            params = ModelParams.random(4, 5, hidden_a, hidden_p, scale=10.0 ** log_scale,
+                                        seed=seed)
+            with pytest.MonkeyPatch.context() as patch:
+                blocks = force_screen_blocks(patch, params, 7)
+                predicted = [tuple(ants.tolist())
+                             for ants in model._predict_corpus(docs, params)]
+                alone = [predict_antecedents(doc, params) for doc in docs]
+            assert predicted == alone
+            if blocks:
+                screened = [doc for doc, gap in zip(docs, near_tie_gaps(docs, params))
+                            if gap is not None]
+                spanned.append(spans_blocks(screened, blocks[0]))
+            for doc, ants in zip(docs, predicted):
+                scores = score_pairs(doc, params)
+                masked = np.where(doc.candidate_mask, scores, -np.inf)
+                top_two = -np.sort(-masked, axis=1)[:, :2]
+                clear = (top_two[:, 0] - top_two[:, 1] > float64_slack(doc, params)
+                         if doc.n > 1 else np.ones(1, bool))
+                expected = np.array(float64_decoding(doc, params))
+                np.testing.assert_array_equal(np.array(ants)[clear], expected[clear])
+
+        check()
+        assert sum(spanned) >= 20, spanned
 
     def test_near_ties_in_shared_blocks_are_decided_in_float64(self, monkeypatch):
         """The near tie of mention 3 (see TestFloat32Screen), in documents
         of 3-28 pairs, most of them split by 5-row blocks."""
         params = near_tie_params()
         docs = [near_tie_document(n) for n in (3, 8, 4, 8, 5, 8, 6, 8, 7, 8)]
-        monkeypatch.setattr(model, "_PAIR_BLOCK", 5)
+        blocks = force_screen_blocks(monkeypatch, params, 5)
         for doc, ants in zip(docs, model._predict_corpus(docs, params)):
             assert tuple(ants.tolist()) == float64_decoding(doc, params)
             assert tuple(ants.tolist()) == (1,) + tuple(range(1, doc.n))
+        assert blocks == [5] and spans_blocks(docs, 5)
 
     def test_evaluate_corpus_peak_is_below_a_pair_layer(self):
         """Documents are decoded one by one, and no corpus-sized array is
@@ -940,7 +975,7 @@ class TestCorpusPass:
         docs = [long_document(200, seed=seed) for seed in (9, 10, 11)]
         params = ModelParams.random(4, 5, hidden_a=20, hidden_p=200, seed=9)
         evaluate_corpus(docs, params)  # fill the documents' cached arrays
-        assert None not in model._near_tie_gaps(docs, params)
+        assert None not in near_tie_gaps(docs, params)
         pair_layer_bytes = len(docs[0].pair_feature_matrix) * params.hidden_p * 8
         tracemalloc.start()
         try:
@@ -958,7 +993,7 @@ class TestCorpusPass:
                                                   entities_per_doc=(3, 6), seed=3))
         params = ModelParams.random(12, 14, hidden_a=20, hidden_p=700, seed=3)
         evaluate_corpus(docs, params)  # fill the documents' cached arrays
-        assert None not in model._near_tie_gaps(docs, params)
+        assert None not in near_tie_gaps(docs, params)
         block_bytes = model._PAIR_BLOCK * params.hidden_p * 4
         tracemalloc.start()
         try:
@@ -1055,6 +1090,19 @@ class TestScreenMemo:
         train(corpus[:3], [], config)
         assert len(builds) == 3
 
+    def test_a_pass_compares_the_bits_once(self, monkeypatch):
+        """_predict_corpus reads the memo once and hands its terms and
+        weights on, so each pass makes one bit compare of the flat vector."""
+        reads, read = [], ModelParams._screen_memo
+        monkeypatch.setattr(ModelParams, "_screen_memo",
+                            lambda params: reads.append(1) or read(params))
+        docs = [singleton_document(n, 5, seed=n) for n in (1, 12, 30)]
+        params = ModelParams.random(4, 5, hidden_a=3, hidden_p=6, seed=1)
+        model._predict_corpus(docs, params)
+        assert len(reads) == 1
+        evaluate_corpus(docs, params)
+        assert len(reads) == 2
+
     def test_memo_arrays_are_read_only_and_replaced_after_a_write(self):
         doc = singleton_document(12, 5, seed=1)
         params = ModelParams.random(4, 5, hidden_a=3, hidden_p=6, seed=1)
@@ -1064,7 +1112,9 @@ class TestScreenMemo:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0
-        assert w_b.shape == (params.hidden_p, params.d_p + 1)
+        assert w_b.shape == (params.d_p + 1, params.hidden_p) and w_b.flags.c_contiguous
+        np.testing.assert_array_equal(
+            w_b, np.vstack([params.w_p.T, params.b_p]).astype(np.float32))
         params.w_p[0, 0] += 1.0
         predict_antecedents(doc, params)
         kept, _, (new_w_b, _) = params._memo
@@ -1082,7 +1132,7 @@ class TestOverflowingScores:
         docs = generate_synthetic(SyntheticConfig(num_docs=3, seed=0))
         params = overflowing_params()
         with np.errstate(over="ignore", invalid="ignore"):
-            assert model._near_tie_gaps(docs, params) == [None] * 3
+            assert near_tie_gaps(docs, params) == [None] * 3
             for predict in (lambda: predict_antecedents(docs[0], params),
                             lambda: evaluate_corpus(docs, params)):
                 with pytest.raises(InputError,
@@ -1096,7 +1146,7 @@ class TestOverflowingScores:
         params = ModelParams.random(12, 14, hidden_a=3, hidden_p=4, seed=0)
         params.b_a[:] = 100.0
         params.v[:] = 1e308
-        assert None not in model._near_tie_gaps(docs, params)
+        assert None not in near_tie_gaps(docs, params)
         with np.errstate(over="ignore"), pytest.raises(
                 InputError, match="^non-finite scores on document doc-0001$"):
             evaluate_corpus(docs[1:], params)

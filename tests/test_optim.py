@@ -29,6 +29,12 @@ class TestAdagradStep:
         assert new_theta[0] == -0.1 / (1.0 + ADAGRAD_EPS)
         assert new_accum[0] == 1.0
 
+    def test_first_step_where_epsilon_matters(self):
+        """The paper's rule theta -= eta g / (sqrt(g^2) + eps) with eps 1e-8:
+        at |g| = 1e-8 the denominator is 2e-8, so the first step is eta / 2."""
+        new_theta, _ = adagrad_step(np.ones(2), np.array([1e-8, -1e-8]), np.zeros(2), eta=0.1)
+        np.testing.assert_allclose(new_theta, [0.95, 1.05], rtol=1e-12)
+
     def test_second_step_shrinks(self):
         theta, accum = np.zeros(1), np.zeros(1)
         theta, accum = adagrad_step(theta, np.ones(1), accum, eta=0.1)

@@ -75,7 +75,9 @@ def frac_memberships(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     return q
 
 
-def frac_b3(q: list[list[Fraction]], gold: Clustering):
+def frac_b3(q: list[list[Fraction]], gold: Clustering, guard: Fraction = Fraction(0)):
+    """Relaxed B3 (P, R, F_1); a soft cluster of mass at most ``guard``
+    adds nothing to the precision."""
     n = len(q)
     clusters = gold.sorted_clusters()
     z = [sum(q[i][u] for i in range(n)) for u in range(n)]
@@ -87,7 +89,7 @@ def frac_b3(q: list[list[Fraction]], gold: Clustering):
     recall /= n
     num_p = Fraction(0)
     for u in range(n):
-        if z[u] == 0:
+        if z[u] <= guard:
             continue
         s2 = sum(sum(q[i - 1][u] for i in cluster) ** 2 for cluster in clusters)
         num_p += s2 / z[u]
@@ -96,7 +98,9 @@ def frac_b3(q: list[list[Fraction]], gold: Clustering):
     return precision, recall, f
 
 
-def frac_lea(q: list[list[Fraction]], gold: Clustering):
+def frac_lea(q: list[list[Fraction]], gold: Clustering, guard: Fraction = Fraction(0)):
+    """Relaxed LEA (P, R, F_1); a soft cluster of at most ``guard`` links
+    adds nothing to the precision."""
     n = len(q)
     clusters = gold.sorted_clusters()
 
@@ -117,7 +121,7 @@ def frac_lea(q: list[list[Fraction]], gold: Clustering):
         col = [q[i][u] for i in range(n)]
         z, link_u = sum(col), links(col)
         den_p += z
-        if link_u == 0:
+        if link_u <= guard:
             continue
         inside = sum(links([q[i - 1][u] for i in cluster]) for cluster in clusters)
         num_p += z * inside / link_u
@@ -398,6 +402,28 @@ def test_gradient_zero_rows_guarded():
     for grad_fn in (b3_soft_grad, lea_soft_grad):
         *_, dq = grad_fn(q, gold_of, sizes)
         assert np.isfinite(dq).all()
+
+
+@pytest.mark.parametrize("above", [True, False], ids=["above", "below"])
+def test_guard_threshold(above):
+    """The module's rule, with its guard of 1e-12: a ratio whose denominator
+    falls below it contributes 0.  Mention 2's soft cluster has mass
+    2e-12 or 5e-13 (B3's denominator), and holds mentions 2 and 3 with
+    1.5e-12 or 5e-13 links (LEA's)."""
+    guard = Fraction(1, 10 ** 12)
+    gold = Clustering([{1, 2, 3}])
+    mass = 2e-12 if above else 5e-13
+    q_b3 = np.array([[1.0, 0.0, 0.0], [1.0 - mass, mass, 0.0], [1.0, 0.0, 0.0]])
+    t = np.sqrt(1.5e-12 if above else 5e-13)  # links of the column: t^2
+    q_lea = np.array([[1.0, 0.0, 0.0], [1.0 - t, t, 0.0], [1.0 - t, t, 0.0]])
+    for grad_fn, frac, q in ((b3_soft_grad, frac_b3, q_b3), (lea_soft_grad, frac_lea, q_lea)):
+        p, r, _, d_q = grad_fn(q, *gold_index_arrays(gold, 3))
+        rows = [[Fraction(v) for v in row] for row in q]
+        exact = frac(rows, gold, guard)
+        without = frac(rows, gold, Fraction(1))  # mention 2's cluster dropped
+        assert abs(p - exact[0]) < 1e-15 and abs(r - exact[1]) < 1e-15, grad_fn
+        assert (exact[0] != without[0]) == above, grad_fn
+        assert np.isfinite(d_q).all()
 
 
 def test_f_partials_survive_tiny_precision_and_recall():

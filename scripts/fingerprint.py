@@ -16,6 +16,10 @@ Records, as SHA-1 digests and as the raw values behind them:
     sizes (n 100-200, hidden 24/32), and of the recipe's b3 stage from
     the short-size model, so that drift in the last bits of training at
     hidden 700 shows;
+  * the parameters of the benchmark's long recipe at long-document
+    sizes: ec-heuristic, then lea at T = 0.5 from its result, so that
+    the relaxed losses' gradients over pair rows that span several
+    blocks of the pair layer show;
   * the ``predict_antecedents`` tuples of a test corpus at each of those
     sizes under that size's model, and ``float.hex`` of every P, R and F
     and the CoNLL score of ``evaluate_corpus`` on that corpus under that
@@ -139,6 +143,11 @@ def fingerprint(short_docs=(40, 20, 600), long_docs=(4, 4, 60), epochs=3) -> dic
             artifacts["predict/wide"] = [list(predict_antecedents(doc, params))
                                          for doc in wide_docs]
             artifacts["predict/edited"] = edited_predictions(params, test_docs)
+        else:  # the benchmark's long recipe, whose relaxed stage spans several blocks
+            entity, _ = train(train_docs, dev_docs, replace(config, loss="ec-heuristic"))
+            relaxed, _ = train(train_docs, dev_docs, replace(
+                config, loss="lea", temperature=0.5, learning_rate=0.02, init_model=entity))
+            artifacts["params/long-relaxed"] = relaxed.to_vector().tolist()
     artifacts["predict/edge"] = edge_predictions()
     artifacts["relaxed/scores"] = relaxed_scores()
     return artifacts

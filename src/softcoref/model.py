@@ -49,39 +49,42 @@ score gradient of each pair and u_p the pair half of u,
 
 so one GEMM against [d_pair * phi_p, d_pair] gives both.
 
-The pair layer walks the (n_pairs, d_p) pair matrix in row blocks of
-_PAIR_BLOCK pairs, so that each block's working set stays in cache.  Per
-block, the forward pass computes that block's rows of h_p (GEMM, bias,
-tanh in place) and their h_p @ u_p, and the reverse pass adds the block's
-h_p^T d_pair into the gradient, overwrites that block of h_p with
-1 - h_p^2, and adds the fused product, through one block-sized scratch
-array for the scaled features.  Training keeps the whole h_p (n_pairs x
-hidden_p) for the reverse pass, which consumes it; ``score_pairs`` and
-prediction keep no pair hidden layer: one block-sized buffer serves every
-block, so their memory does not grow with n_pairs x hidden_p.  A document
-of at most _PAIR_BLOCK pairs is one block and makes the numpy calls of an
-unblocked layer.  Pair scores go into the score matrix, and d_pair comes
-out of its gradient, through the document's strict-lower-triangular mask.
+Every pass over a document's pair rows, in either precision, walks them
+in blocks of ``_block_rows(d_p, hidden_p)`` rows: at most _BLOCK_MACS =
+10^6 multiply-adds of (d_p + 1) x hidden_p each (~95 rows at hidden_p
+700, ~2,080 at 32), so that every block's GEMM stays on OpenBLAS's
+small-matrix path and its working set in cache.  Each GEMM reads its
+weights as a C-contiguous (d_p, hidden_p) w_p^T, or (d_p + 1, hidden_p)
+[w_p | b_p]^T, as it lies.  Per block, the forward pass computes that
+block's rows of h_p (GEMM, bias, tanh in place) and their h_p @ u_p, and
+the reverse pass adds the block's h_p^T d_pair into the gradient,
+overwrites that block of h_p with 1 - h_p^2, and adds the fused product
+(d_p + 1, hidden_p), through one block-sized scratch array for the
+scaled features.  Training keeps the whole h_p (n_pairs x hidden_p) for
+the reverse pass, which consumes it; ``score_pairs`` and prediction keep
+no pair hidden layer: one block-sized buffer serves every block, so
+their memory does not grow with n_pairs x hidden_p.  Pair scores go into
+the score matrix, and d_pair comes out of its gradient, through the
+document's strict-lower-triangular mask.
 
 Prediction needs only the order of each row's scores, so it screens
 them with a float32 pair layer, in one pass over a corpus
 (``_predict_corpus``; ``predict_antecedents`` is that pass on one
 document).  What the screen derives from the parameters alone (the
 scalars of E below, [w_p | b_p] transposed into a C-contiguous (d_p + 1,
-hidden_p) float32 array that the GEMM reads as it lies, and u_p) is
-built once per parameter state: ModelParams keeps it, with a copy of the
-flat vector, and rebuilds it when a read finds the vector's bits
-changed, whether by training's update, a setter or a write through a
-view.  Each pass reads it once.  Each document's pair rows go through
-blocks of at most _SCREEN_MACS / ((d_p + 1) hidden_p) rows (~95 at
-hidden_p 700, ~2,080 at 32), so that every block's GEMM stays on
-OpenBLAS's small-matrix path, each cast into one float32 buffer sized
-for the largest screened document's block, so no float32 copy of a pair
-matrix is made.  The mention side and the sums stay float64.  A bound E
-on the float32 error of a pair score, affine in a document's largest
-|pair feature| (``predict_antecedents`` derives it), marks the near
-rows: those whose top-two gap float32 could have decided wrongly.  Every
-row of a document that the screen does not take is near.  A document's
+hidden_p) float32 array that the GEMM reads as it lies, and u_p), with
+the float64 w_p^T that re-scoring near rows reads, is built once per
+parameter state: ModelParams keeps it, with a copy of the flat vector,
+and rebuilds it when a read finds the vector's bits changed, whether by
+training's update, a setter or a write through a view.  Each pass reads
+it once.  Each block of a document's pair rows is
+cast into one float32 buffer sized for the largest screened document's
+block, so no float32 copy of a pair matrix is made.  The mention side
+and the sums stay float64.  A bound E on the float32 error of a pair
+score, affine in a document's largest |pair feature|
+(``predict_antecedents`` derives it), marks the near rows: those whose
+top-two gap float32 could have decided wrongly.  Every row of a
+document that the screen does not take is near.  A document's
 near rows are re-scored together in float64, through ``_pair_forward``
 and ``_score_matrix`` as in ``score_pairs``, so every prediction is a
 float64 argmax.  On the benchmark's trained models E is ~3e-3 (n 8-16, hidden
@@ -247,17 +250,19 @@ class ModelParams:
         return ModelParams._wrap(vec, self._shapes)
 
     def _screen_memo(self) -> tuple:
-        """(bits, terms, weights): what the float32 prediction screen
-        derives from the parameters alone (``_screen_constants``), kept
-        while the flat vector holds the same bits.  Training, a field
+        """(bits, terms, weights, w_p_t): what the float32 prediction
+        screen derives from the parameters alone (``_screen_constants``)
+        and a read-only C-contiguous float64 copy of w_p^T for the float64
+        re-scoring of near rows, kept while the flat vector holds the same
+        bits.  Training, a field
         setter or a write through any view changes the vector in place, so
         each call compares it with a kept copy, through int64 so that a
         0.0 -> -0.0 flip or a NaN counts, and rebuilds on a difference."""
         bits = self._vec.view(np.int64)
         if self._memo is None or not (self._memo[0] == bits).all():
-            kept = bits.copy()
-            kept.flags.writeable = False
-            self._memo = (kept, *_screen_constants(self))
+            kept, w_p_t = bits.copy(), np.array(self.w_p.T, order="C")
+            kept.flags.writeable = w_p_t.flags.writeable = False
+            self._memo = (kept, *_screen_constants(self), w_p_t)
         return self._memo
 
     def save(self, path) -> None:
@@ -316,13 +321,22 @@ def l1_norm(params: ModelParams) -> float:
 # Forward scoring
 # ---------------------------------------------------------------------------
 
-# Rows of the pair matrix that the pair layer handles at a time.  A
-# block's slice of h_p, 1 - h_p^2 and the scaled features stays in cache
-# between the steps of the layer, where whole-document arrays would
-# stream through memory several times.  1,024 measured best or tied among
-# 256-4,096 at n 200-300, hidden_p 32 and 700 (README, "Performance
-# notes").  Every document of up to 46 mentions (1,035 pairs) is one block.
-_PAIR_BLOCK = 1024
+# Multiply-adds per block of the pair layer's GEMM in either precision,
+# rows x (d_p + 1) x hidden_p (the float32 screen's GEMM adds the bias as
+# one more column).  OpenBLAS computes a GEMM of at most 10^6 of them on
+# its small-matrix path, which packs no operand: at d_p 14 a float32 row
+# cost 1.2x (hidden_p 700) to 1.7x (hidden_p 32) as much just above that
+# size as just below it.  The largest block below it, ~95 rows at
+# hidden_p 700 and ~2,080 at 32, measured best or tied in prediction, and
+# no other budget won a training step at both widths (README,
+# "Performance notes").
+_BLOCK_MACS = 10 ** 6
+
+
+def _block_rows(d_p: int, hidden_p: int) -> int:
+    """Rows per block of every pass over a document's pair rows: at most
+    _BLOCK_MACS multiply-adds, of one row at least; hidden_p may be 0."""
+    return max(1, _BLOCK_MACS // max(1, (d_p + 1) * hidden_p))
 
 
 def _forward_scores(doc: Document, params: ModelParams, keep_h_p: bool = True
@@ -337,7 +351,7 @@ def _score_matrix(doc: Document, params: ModelParams,
                   pair_scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(scores, h_a) given the pair halves h_p @ u_p of ``doc``'s pairs, as
     float64; the mention half and u_0 are added to ``pair_scores`` in place."""
-    h_a = _hidden(doc.mention_feature_matrix, params.w_a, params.b_a)
+    h_a = _hidden(doc.mention_feature_matrix, params.w_a.T, params.b_a)
     pair_scores += (h_a @ params.u[:params.hidden_a])[doc.tril_pairs[0]]
     pair_scores += params.u_0
     scores = np.zeros((doc.n, doc.n))
@@ -348,25 +362,29 @@ def _score_matrix(doc: Document, params: ModelParams,
 
 def _hidden(phi: np.ndarray, w: np.ndarray, b: np.ndarray,
             out: Optional[np.ndarray] = None) -> np.ndarray:
-    """tanh(phi @ w.T + b), computed in the GEMM's output buffer."""
-    h = np.matmul(phi, w.T, out=out)
+    """tanh(phi @ w + b), computed in the GEMM's output buffer."""
+    h = np.matmul(phi, w, out=out)
     h += b
     return np.tanh(h, out=h)
 
 
-def _pair_forward(phi_p: np.ndarray, params: ModelParams,
-                  keep_h_p: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
+def _pair_forward(phi_p: np.ndarray, params: ModelParams, keep_h_p: bool,
+                  w_p_t: Optional[np.ndarray] = None
+                  ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """The pair half h_p @ u_p of every pair's score, one block of rows at
     a time, and h_p itself when ``keep_h_p``; otherwise one block-sized
-    buffer serves every block and no n_pairs x hidden_p array is made."""
-    n_pairs, rows = len(phi_p), min(len(phi_p), _PAIR_BLOCK)
+    buffer serves every block and no n_pairs x hidden_p array is made.
+    Every block's GEMM reads ``w_p_t``, a C-contiguous w_p^T, as it lies;
+    one is copied here when none is given."""
+    n_pairs, block = len(phi_p), _block_rows(params.d_p, params.hidden_p)
+    w = np.ascontiguousarray(params.w_p.T) if w_p_t is None else w_p_t
     u_p = params.u[params.hidden_a:]
-    h_p = np.empty((n_pairs if keep_h_p else rows, params.hidden_p))
+    h_p = np.empty((n_pairs if keep_h_p else min(n_pairs, block), params.hidden_p))
     pair_scores = np.empty(n_pairs)
-    for start in range(0, n_pairs, _PAIR_BLOCK):
-        stop = min(start + _PAIR_BLOCK, n_pairs)
+    for start in range(0, n_pairs, block):
+        stop = min(start + block, n_pairs)
         h = h_p[start:stop] if keep_h_p else h_p[:stop - start]
-        _hidden(phi_p[start:stop], params.w_p, params.b_p, out=h)
+        _hidden(phi_p[start:stop], w, params.b_p, out=h)
         np.matmul(h, u_p, out=pair_scores[start:stop])
     return pair_scores, (h_p if keep_h_p else None)
 
@@ -398,13 +416,6 @@ _F32_UNIT, _F64_UNIT = 2.0 ** -24, 2.0 ** -53
 _TANH_ULPS = 4.0
 _F32_TINY = 2.0 ** -148
 _F32_LIMIT = 2.0 ** 120
-# Multiply-adds per block of the screen's GEMM, rows x (d_p + 1) x
-# hidden_p.  OpenBLAS computes a GEMM of at most 10^6 of them on its
-# small-matrix path, which packs no operand: at d_p 14 a row cost 1.2x
-# (hidden_p 700) to 1.7x (hidden_p 32) as much just above that size as
-# just below it.  The largest block below it, ~95 rows at hidden_p 700
-# and ~2,080 at 32, measured best or tied (README, "Performance notes").
-_SCREEN_MACS = 10 ** 6
 
 
 def _gamma(m: int, unit: float) -> float:
@@ -518,16 +529,16 @@ def predict_antecedents(doc: Document, params: ModelParams) -> tuple[int, ...]:
 def _predict_corpus(docs: Sequence[Document], params: ModelParams) -> list[np.ndarray]:
     """``predict_antecedents`` of every document of ``docs``, as 1-based
     int64 arrays, in one pass.  The parameters' scalars
-    (``_near_tie_gaps``) and float32 ``[w_p | b_p]`` and u_p
-    (``_float32_pair_layer``) come from one read of their memo, built
-    once per parameter state; only the buffers are made per pass, when
-    some document is screened, with blocks of at most _SCREEN_MACS
-    multiply-adds.  A screened document's rows are decided on its
-    float32 scores, except those whose top-two gap is at most its gap; a
-    document that is not screened has every row near.  The near rows of a
-    document are re-scored together in float64, through one
-    ``_pair_forward`` call on their pairs and ``_score_matrix``, and
-    decided by the row softmax."""
+    (``_near_tie_gaps``), float32 ``[w_p | b_p]`` and u_p
+    (``_float32_pair_layer``) and float64 w_p^T (``_pair_forward``) come
+    from one read of their memo, built once per parameter state; only the
+    buffers are made per pass, when some document is screened, with
+    blocks of ``_block_rows`` rows.  A screened document's rows are
+    decided on its float32 scores, except those whose top-two gap is at
+    most its gap; a document that is not screened has every row near.
+    The near rows of a document are re-scored together in float64,
+    through one ``_pair_forward`` call on their pairs and
+    ``_score_matrix``, and decided by the row softmax."""
     for doc in docs:
         _check_fits(doc, params)
     # Finite parameters can still give scores beyond float64: the re-scored
@@ -535,11 +546,10 @@ def _predict_corpus(docs: Sequence[Document], params: ModelParams) -> list[np.nd
     # bound keeps the float32 pair side finite).  numpy's overflow warnings
     # are left to the caller, since an np.errstate here would cost more
     # than the check (README, "Performance notes").
-    _, terms, weights = params._screen_memo()
+    _, terms, weights, w_p_t = params._screen_memo()
     gaps = _near_tie_gaps(docs, terms)
     sizes = [len(doc.pair_feature_matrix) for doc, gap in zip(docs, gaps) if gap is not None]
-    # Blocks of at most _SCREEN_MACS multiply-adds, of one row at least; hidden_p may be 0.
-    block_rows = min(max(sizes), max(1, _SCREEN_MACS // max(1, weights[0].size))) if sizes else 0
+    block_rows = min(max(sizes), _block_rows(params.d_p, params.hidden_p)) if sizes else 0
     float32_halves = _float32_pair_layer(weights, block_rows) if sizes else None
     predictions = []
     for doc, gap in zip(docs, gaps):
@@ -557,7 +567,7 @@ def _predict_corpus(docs: Sequence[Document], params: ModelParams) -> list[np.nd
         if near.any():
             pairs = near[doc.tril_pairs[0]]
             halves = np.zeros(len(pairs))
-            halves[pairs] = _pair_forward(doc.pair_feature_matrix[pairs], params, False)[0]
+            halves[pairs] = _pair_forward(doc.pair_feature_matrix[pairs], params, False, w_p_t)[0]
             scores = _score_matrix(doc, params, halves)[0][near]
             _check_finite_scores(doc, scores)
             best[near] = masked_softmax(scores, doc.candidate_mask[near]).argmax(axis=1)
@@ -629,13 +639,15 @@ def _score_backward(doc: Document, params: ModelParams, h_a: np.ndarray,
     np.matmul(h_a.T, d_self, out=grad.v)
     grad.u_0, grad.v_0 = d_pair.sum(), d_self.sum()
 
-    # Every block adds to the zeroed u_p gradient and fused product, through
-    # one block-sized scratch array.
+    # Every block adds to the zeroed u_p gradient and the fused product,
+    # (d_p + 1, hidden_p) as the GEMM returns it, through one block-sized
+    # scratch array.
     phi_p, d_p, n_pairs = doc.pair_feature_matrix, params.d_p, d_pair.size
-    weighted = np.empty((min(n_pairs, _PAIR_BLOCK), d_p + 1))
-    d_u_p, fused = grad.u[ha:], np.zeros((params.hidden_p, d_p + 1))
-    for start in range(0, n_pairs, _PAIR_BLOCK):
-        stop = min(start + _PAIR_BLOCK, n_pairs)
+    block = _block_rows(d_p, params.hidden_p)
+    weighted = np.empty((min(n_pairs, block), d_p + 1))
+    d_u_p, fused = grad.u[ha:], np.zeros((d_p + 1, params.hidden_p))
+    for start in range(0, n_pairs, block):
+        stop = min(start + block, n_pairs)
         h, d = h_p[start:stop], d_pair[start:stop]
         wt = weighted[:stop - start]
         np.multiply(d[:, None], phi_p[start:stop], out=wt[:, :d_p])
@@ -643,10 +655,10 @@ def _score_backward(doc: Document, params: ModelParams, h_a: np.ndarray,
         d_u_p += h.T @ d
         np.multiply(h, h, out=h)  # h_p is consumed: the block becomes 1 - h_p^2
         np.subtract(1.0, h, out=h)
-        fused += (wt.T @ h).T  # h.T @ wt, but faster as the transposed GEMM
+        fused += wt.T @ h
     if n_pairs:
-        np.multiply(u_p[:, None], fused[:, :d_p], out=grad.w_p)
-        np.multiply(u_p, fused[:, d_p], out=grad.b_p)
+        np.multiply(u_p[:, None], fused[:d_p].T, out=grad.w_p)
+        np.multiply(u_p, fused[d_p], out=grad.b_p)
     return grad
 
 

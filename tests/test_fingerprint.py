@@ -28,9 +28,10 @@ def test_two_runs_in_one_process_are_identical(fingerprint):
     assert sorted(first) == sorted(
         [f"{kind}/{loss}" for kind in ("params", "history")
          for loss in ("mr-heuristic", "ec-heuristic", "b3", "lea")]
-        + ["evaluate/long", "evaluate/short", "params/long", "params/recipe",
-           "params/recipe-short", "params/short", "predict/edge", "predict/edited",
-           "predict/long", "predict/short", "predict/wide", "relaxed/scores", "sweep/b3"])
+        + ["evaluate/long", "evaluate/short", "params/long", "params/long-relaxed",
+           "params/recipe", "params/recipe-short", "params/short", "predict/edge",
+           "predict/edited", "predict/long", "predict/short", "predict/wide",
+           "relaxed/scores", "sweep/b3"])
     assert len(first["sweep/b3"]) == 2 * (1 + 3 * 6 + 1)
     # the edited model's pass differs; the restored one is the first again
     passes = first["predict/edited"]

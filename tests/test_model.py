@@ -574,41 +574,104 @@ def long_document(n: int, seed: int) -> Document:
     return make_document("long", ids, seed=seed)
 
 
+class RowSlices(np.ndarray):
+    """A view that appends to its ``rows`` list the length of every row
+    slice taken of it; the views that it makes record nothing."""
+
+    def __getitem__(self, key):
+        if isinstance(key, slice) and getattr(self, "rows", None) is not None:
+            start, stop, _ = key.indices(len(self))
+            self.rows.append(stop - start)
+        return super().__getitem__(key)
+
+
+def row_slices(array: np.ndarray, rows: list) -> RowSlices:
+    view = array.view(RowSlices)
+    view.rows = rows
+    return view
+
+
+def record_pair_blocks(patch) -> dict[str, list[int]]:
+    """Wrap the passes over a document's pair rows; the dict returned
+    collects the rows of every block each takes of them: the float64
+    forward (``_pair_forward``, of the pair matrix), the reverse pass
+    (``_score_backward``, of h_p) and the float32 screen (the layer that
+    ``_float32_pair_layer`` builds, of the pair matrix)."""
+    blocks = {"forward": [], "backward": [], "screen": []}
+    forward, backward, screen = (model._pair_forward, model._score_backward,
+                                 model._float32_pair_layer)
+
+    def layer(weights, block_rows):
+        halves = screen(weights, block_rows)
+        return lambda pairs: halves(row_slices(pairs, blocks["screen"]))
+
+    patch.setattr(model, "_pair_forward", lambda phi_p, *args: forward(
+        row_slices(phi_p, blocks["forward"]), *args))
+    patch.setattr(model, "_score_backward", lambda doc, params, h_a, h_p, d_scores: backward(
+        doc, params, h_a, row_slices(h_p, blocks["backward"]), d_scores))
+    patch.setattr(model, "_float32_pair_layer", layer)
+    return blocks
+
+
+def force_pair_blocks(patch, params: ModelParams, rows=None) -> dict[str, list[int]]:
+    """``record_pair_blocks``, with the block rule set to ``rows`` rows per
+    block at the sizes of ``params`` (None: the rule as it is)."""
+    if rows is not None:
+        patch.setattr(model, "_BLOCK_MACS", rows * (params.d_p + 1) * params.hidden_p)
+    return record_pair_blocks(patch)
+
+
+def split_rows(n_pairs: int, rows: int) -> list[int]:
+    """The rows of each block of n_pairs rows walked in blocks of ``rows``."""
+    return [min(rows, n_pairs - start) for start in range(0, n_pairs, rows)]
+
+
 class TestPairBlocks:
-    """The pair layer in row blocks of model._PAIR_BLOCK pairs."""
+    """The float64 pair layer in row blocks of model._block_rows rows."""
 
-    N = 60  # 1,770 pairs: two blocks at the default size
-
-    @pytest.mark.parametrize("block", [1, 590, 1000, None],
+    # 1,770 pairs, or 5,995: two blocks at the rule's 5,208 rows (d_p 5, hidden_p 32)
+    @pytest.mark.parametrize("n, block", [(60, 1), (60, 590), (60, 1000), (110, None)],
                              ids=["one-row", "divides", "remainder", "default"])
-    def test_blocked_backward_matches_outer_product_oracle(self, block, monkeypatch):
-        doc = long_document(self.N, seed=7)
+    def test_blocked_backward_matches_outer_product_oracle(self, n, block, monkeypatch):
+        doc = long_document(n, seed=7)
         params = ModelParams.random(4, 5, hidden_a=24, hidden_p=32, seed=7)
-        block = block or model._PAIR_BLOCK
-        assert len(doc.pair_feature_matrix) > block
-        monkeypatch.setattr(model, "_PAIR_BLOCK", len(doc.pair_feature_matrix))
-        whole_scores, _, whole_h_p = _forward_scores(doc, params)  # one block
-        monkeypatch.setattr(model, "_PAIR_BLOCK", block)
+        n_pairs = len(doc.pair_feature_matrix)
+        with pytest.MonkeyPatch.context() as patch:
+            whole = force_pair_blocks(patch, params, n_pairs)
+            whole_scores, _, whole_h_p = _forward_scores(doc, params)  # one block
+        assert whole["forward"] == [n_pairs]
+        blocks = force_pair_blocks(monkeypatch, params, block)
         scores, h_a, h_p = _forward_scores(doc, params)
-        np.testing.assert_allclose(h_p, whole_h_p, rtol=1e-12)
+        if block == 1:
+            # A one-row block's GEMV sums phi @ w_p^T + b_p in another order than
+            # the GEMM, so an entry of h_p that cancels to ~1e-6 from terms of ~0.1
+            # moves by ~1e-17.  Each sum is within gamma_(d_p + 1) of
+            # |phi| @ |w_p^T| + |b_p| of the exact one, and tanh is 1-Lipschitz.
+            sums = np.abs(doc.pair_feature_matrix) @ np.abs(params.w_p.T) + np.abs(params.b_p)
+            bound = 2 * model._gamma(params.d_p + 1, model._F64_UNIT) * sums
+            assert (np.abs(h_p - whole_h_p) <= bound + 1e-12 * np.abs(whole_h_p)).all()
+        else:
+            np.testing.assert_allclose(h_p, whole_h_p, rtol=1e-12)
         np.testing.assert_allclose(scores, whole_scores, rtol=1e-12)
-        d_scores = np.tril(np.random.default_rng(7).normal(size=(self.N, self.N)))
-        grad = _score_backward(doc, params, h_a, h_p.copy(), d_scores)
+        d_scores = np.tril(np.random.default_rng(7).normal(size=(n, n)))
+        grad = model._score_backward(doc, params, h_a, h_p.copy(), d_scores)
         for name, expected in outer_product_backward(doc, params, h_a, h_p,
                                                      d_scores).items():
             np.testing.assert_allclose(getattr(grad, name), expected, rtol=1e-12,
                                        err_msg=name)
+        split = split_rows(n_pairs, block or model._block_rows(params.d_p, params.hidden_p))
+        assert blocks["forward"] == blocks["backward"] == split and len(split) > 1
 
     @pytest.mark.parametrize("block", [300, None])
     def test_score_pairs_matches_kept_pair_layer(self, block, monkeypatch):
-        if block is not None:
-            monkeypatch.setattr(model, "_PAIR_BLOCK", block)
-        doc = long_document(self.N, seed=8)
+        doc = long_document(110, seed=8)
         params = ModelParams.random(4, 5, hidden_a=24, hidden_p=32, seed=8)
-        assert len(doc.pair_feature_matrix) > model._PAIR_BLOCK
+        blocks = force_pair_blocks(monkeypatch, params, block)
         kept_scores, _, kept_h_p = _forward_scores(doc, params)
-        assert kept_h_p.shape == (1770, 32)
+        assert kept_h_p.shape == (5995, 32)
         np.testing.assert_array_equal(score_pairs(doc, params), kept_scores)
+        split = split_rows(5995, block or model._block_rows(params.d_p, params.hidden_p))
+        assert blocks["forward"] == 2 * split and len(split) > 1
 
     def test_score_pairs_peak_is_below_a_pair_layer(self):
         doc = long_document(200, seed=9)
@@ -642,11 +705,68 @@ class TestPairBlocks:
         assert peak < pair_layer_bytes / 4, (peak, pair_layer_bytes)
 
     @pytest.mark.parametrize("kind", LOSS_KINDS)
-    def test_gradients_at_200_mentions(self, kind):
+    def test_gradients_at_200_mentions(self, kind, monkeypatch):
         doc = long_document(200, seed=200)
         params = ModelParams.random(4, 5, hidden_a=24, hidden_p=32, seed=200)
-        assert len(doc.pair_feature_matrix) > 2 * model._PAIR_BLOCK
+        blocks = force_pair_blocks(monkeypatch, params)
         assert grad_check(doc, params, kind, temperature=0.5, max_coords=12) < 1e-5
+        split = split_rows(19900, model._block_rows(params.d_p, params.hidden_p))
+        assert len(split) > 2 and blocks["backward"] == split
+        assert blocks["forward"] == split * (len(blocks["forward"]) // len(split))
+
+
+class TestBlockRule:
+    """One rule, model._block_rows, sizes the blocks of every pass over a
+    document's pair rows, in float64 and in float32."""
+
+    def test_rows_at_the_benchmark_widths(self):
+        assert [model._block_rows(14, hidden) for hidden in (32, 200, 700)] == [2083, 333, 95]
+        assert model._block_rows(0, 0) == model._block_rows(14, 0) == 10 ** 6
+        assert model._block_rows(10 ** 6, 1) == 1
+
+    @pytest.mark.parametrize("n, d_p, hidden_p, n_blocks", [(1, 0, 5, 0), (30, 4, 0, 1),
+                                                            (110, 5, 32, 2), (16, 14, 700, 2)])
+    def test_every_pass_splits_a_document_at_the_same_rows(self, n, d_p, hidden_p, n_blocks,
+                                                           monkeypatch):
+        doc = singleton_document(n, d_p, seed=n)
+        params = ModelParams.random(4, d_p, hidden_a=3, hidden_p=hidden_p, seed=n)
+        blocks = record_pair_blocks(monkeypatch)
+        document_loss_and_grad(doc, params, "lea")
+        split = split_rows(len(doc.pair_feature_matrix), model._block_rows(d_p, hidden_p))
+        assert blocks == {"forward": split, "backward": split, "screen": []}
+        blocks["forward"].clear()
+        predict_antecedents(doc, params)
+        assert (near_tie_gaps([doc], params) == [None]) == (n == 1)  # a screened document
+        assert blocks["screen"] == split
+        near_pairs = sum(blocks["forward"])  # the float64 re-scoring of near rows
+        assert blocks["forward"] == split_rows(near_pairs, model._block_rows(d_p, hidden_p))
+        assert len(split) == n_blocks
+
+    def test_the_float64_pair_gemm_reads_w_p_transposed_as_it_lies(self, monkeypatch):
+        """Each block's GEMM gets one C-contiguous (d_p, hidden_p) copy of
+        w_p^T, made once per pass; the mention layer gets w_a^T.
+        Prediction's re-scoring of near rows reads the copy that the
+        parameters' memo keeps, so it makes none per call."""
+        doc = long_document(60, seed=3)
+        params = ModelParams.random(4, 5, hidden_a=3, hidden_p=6, seed=3)
+        blocks = force_pair_blocks(monkeypatch, params, 600)
+        operands, hidden = [], model._hidden
+        monkeypatch.setattr(model, "_hidden", lambda phi, w, b, out=None: (
+            operands.append(w) or hidden(phi, w, b, out)))
+        _forward_scores(doc, params)
+        assert blocks["forward"] == [600, 600, 570]
+        assert [w.shape for w in operands] == [(5, 6)] * 3 + [(4, 3)]
+        assert all(w is operands[0] for w in operands[:3]) and operands[0].flags.c_contiguous
+        np.testing.assert_array_equal(operands[0], params.w_p.T)
+        np.testing.assert_array_equal(operands[3], params.w_a.T)
+        operands.clear()
+        # Every row is near: each call re-scores the whole document in float64.
+        monkeypatch.setattr(model, "_near_tie_gaps", lambda docs, terms: [np.inf] * len(docs))
+        for _ in range(2):
+            predict_antecedents(doc, params)
+        pair_operands = [w for w in operands if w.shape == (5, 6)]
+        assert len(pair_operands) == 6 and blocks["forward"][3:] == 2 * [600, 600, 570]
+        assert all(w is params._screen_memo()[3] for w in pair_operands)
 
 
 def singleton_document(n: int, d_p: int, seed: int, pair_features=None) -> Document:
@@ -684,20 +804,14 @@ def screened_scores(doc: Document, params: ModelParams, block_rows=None) -> np.n
     return model._score_matrix(doc, params, halves)[0]
 
 
-def force_screen_blocks(patch, params: ModelParams, rows: int) -> list[int]:
-    """Set the screen's block rule to ``rows`` rows per block at the sizes
-    of ``params``; the list returned collects the rows per block of every
-    float32 layer that a prediction pass builds."""
-    patch.setattr(model, "_SCREEN_MACS", rows * (params.d_p + 1) * params.hidden_p)
-    blocks, layer = [], model._float32_pair_layer
-    patch.setattr(model, "_float32_pair_layer",
-                  lambda weights, block_rows: blocks.append(block_rows) or layer(weights, block_rows))
-    return blocks
-
-
 def spans_blocks(docs: list[Document], block_rows: int) -> bool:
     """Whether some document has more pairs than one block holds."""
     return any(len(doc.pair_feature_matrix) > block_rows for doc in docs)
+
+
+def screen_split(docs: list[Document], block_rows: int) -> list[int]:
+    """The rows of each float32 block of a pass that screens ``docs``."""
+    return [rows for doc in docs for rows in split_rows(len(doc.pair_feature_matrix), block_rows)]
 
 
 def near_tie_document(n: int = 8) -> Document:
@@ -800,10 +914,10 @@ class TestFloat32Screen:
         wrong = np.flatnonzero(float32.argmax(axis=1) + 1 != expected)
         assert wrong.tolist() == [1, 3, 5, 7]
         if block:
-            blocks = force_screen_blocks(monkeypatch, params, block)
+            blocks = force_pair_blocks(monkeypatch, params, block)
         assert predict_antecedents(doc, params) == expected
         if block:
-            assert blocks == [block] and spans_blocks([doc], block)
+            assert blocks["screen"] == screen_split([doc], block) and spans_blocks([doc], block)
 
     @pytest.mark.parametrize("where", ["w_p", "b_p", "u_p", "w_p and features"])
     def test_values_beyond_float32_are_scored_in_float64(self, where, tmp_path):
@@ -936,15 +1050,16 @@ class TestCorpusPass:
             params = ModelParams.random(4, 5, hidden_a, hidden_p, scale=10.0 ** log_scale,
                                         seed=seed)
             with pytest.MonkeyPatch.context() as patch:
-                blocks = force_screen_blocks(patch, params, 7)
+                blocks = force_pair_blocks(patch, params, 7)
                 predicted = [tuple(ants.tolist())
                              for ants in model._predict_corpus(docs, params)]
                 alone = [predict_antecedents(doc, params) for doc in docs]
             assert predicted == alone
-            if blocks:
-                screened = [doc for doc, gap in zip(docs, near_tie_gaps(docs, params))
-                            if gap is not None]
-                spanned.append(spans_blocks(screened, blocks[0]))
+            screened = [doc for doc, gap in zip(docs, near_tie_gaps(docs, params))
+                        if gap is not None]
+            assert blocks["screen"] == 2 * screen_split(screened, 7)  # the pass, then alone
+            if screened:
+                spanned.append(spans_blocks(screened, 7))
             for doc, ants in zip(docs, predicted):
                 scores = score_pairs(doc, params)
                 masked = np.where(doc.candidate_mask, scores, -np.inf)
@@ -962,11 +1077,11 @@ class TestCorpusPass:
         of 3-28 pairs, most of them split by 5-row blocks."""
         params = near_tie_params()
         docs = [near_tie_document(n) for n in (3, 8, 4, 8, 5, 8, 6, 8, 7, 8)]
-        blocks = force_screen_blocks(monkeypatch, params, 5)
+        blocks = force_pair_blocks(monkeypatch, params, 5)
         for doc, ants in zip(docs, model._predict_corpus(docs, params)):
             assert tuple(ants.tolist()) == float64_decoding(doc, params)
             assert tuple(ants.tolist()) == (1,) + tuple(range(1, doc.n))
-        assert blocks == [5] and spans_blocks(docs, 5)
+        assert blocks["screen"] == screen_split(docs, 5) and spans_blocks(docs, 5)
 
     def test_evaluate_corpus_peak_is_below_a_pair_layer(self):
         """Documents are decoded one by one, and no corpus-sized array is
@@ -987,21 +1102,27 @@ class TestCorpusPass:
 
     def test_prediction_memory_does_not_grow_with_the_corpus(self):
         """Twenty documents of 120 pairs at hidden_p 700: the float32
-        buffers are sized for one document, so the peak stays below half
-        of one float32 block of _PAIR_BLOCK rows."""
+        buffers are sized for one block of one document, 95 rows of
+        hidden_p (266,000 B).  What else the pass keeps stays below 210,000
+        B (~183,200 B measured): the float32 features, and for a document's
+        near rows their rows of h_p (18 pairs here, 100,800 B), numpy's
+        buffer for adding the bias (~63 KB) and the per-document arrays.
+        The float64 w_p^T that re-scoring reads is kept with the parameters.
+        Blocks of 120 rows, the whole document, would add ~71,500 B."""
         docs = generate_synthetic(SyntheticConfig(num_docs=20, mentions_per_doc=(16, 16),
                                                   entities_per_doc=(3, 6), seed=3))
         params = ModelParams.random(12, 14, hidden_a=20, hidden_p=700, seed=3)
         evaluate_corpus(docs, params)  # fill the documents' cached arrays
         assert None not in near_tie_gaps(docs, params)
-        block_bytes = model._PAIR_BLOCK * params.hidden_p * 4
+        block_bytes = model._block_rows(params.d_p, params.hidden_p) * params.hidden_p * 4
+        assert block_bytes == 266_000
         tracemalloc.start()
         try:
             evaluate_corpus(docs, params)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < block_bytes / 2, (peak, block_bytes)
+        assert peak < block_bytes + 210_000, (peak, block_bytes)
 
 
 PARAM_EDITS = ("view", "setter", "scale", "zero sign", "nan", "restore")
@@ -1107,8 +1228,8 @@ class TestScreenMemo:
         doc = singleton_document(12, 5, seed=1)
         params = ModelParams.random(4, 5, hidden_a=3, hidden_p=6, seed=1)
         predict_antecedents(doc, params)
-        bits, _, (w_b, u_p) = params._screen_memo()
-        for array in (bits, w_b, u_p):
+        bits, _, (w_b, u_p), w_p_t = params._screen_memo()
+        for array in (bits, w_b, u_p, w_p_t):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0
@@ -1117,8 +1238,10 @@ class TestScreenMemo:
             w_b, np.vstack([params.w_p.T, params.b_p]).astype(np.float32))
         params.w_p[0, 0] += 1.0
         predict_antecedents(doc, params)
-        kept, _, (new_w_b, _) = params._memo
+        kept, _, (new_w_b, _), new_w_p_t = params._memo
         assert new_w_b is not w_b and not new_w_b.flags.writeable
+        assert new_w_p_t is not w_p_t and not new_w_p_t.flags.writeable
+        np.testing.assert_array_equal(new_w_p_t, params.w_p.T)
         assert new_w_b[0, 0] == np.float32(params.w_p[0, 0])
         np.testing.assert_array_equal(kept, params._vec.view(np.int64))
 

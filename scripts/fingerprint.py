@@ -6,6 +6,10 @@ Records, as SHA-1 digests and as the raw values behind them:
   * for each of the four losses, the parameters that ``train`` returns on
     a small synthetic corpus (n 8-16, hidden 24/32, dev selection every
     epoch) and the bytes of that run's ``history.to_csv()``;
+  * for each of the four losses, the parameters that ``train`` returns on
+    documents of 2-3 mentions (hidden 24/32, dev selection every epoch),
+    whose one-row blocks of the pair layer run through BLAS's GEMV rather
+    than GEMM, so that a change in how GEMV groups the layer's sums shows;
   * the dev reports that ``beta_sweep`` returns for the b3 loss at two
     betas on the same corpus;
   * the parameters of the benchmark's two-stage recipe on that corpus:
@@ -92,6 +96,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SHORT = dict(mentions_per_doc=(8, 16), entities_per_doc=(3, 6))
 LONG = dict(mentions_per_doc=(100, 200), entities_per_doc=(8, 20))
 WIDE = dict(mentions_per_doc=(40, 80), entities_per_doc=(4, 12))
+ONE_PAIR = dict(mentions_per_doc=(2, 3), entities_per_doc=(1, 2))
 
 
 def _corpora(sizes: dict, counts: tuple[int, int, int], seed: int) -> list:
@@ -115,6 +120,9 @@ def fingerprint(short_docs=(40, 20, 600), long_docs=(4, 4, 60), epochs=3) -> dic
         trained[loss] = params
         artifacts[f"params/{loss}"] = params.to_vector().tolist()
         artifacts[f"history/{loss}"] = history.to_csv()
+    one_pair = _corpora(ONE_PAIR, short_docs[:2], seed=30)
+    artifacts["params/one-pair"] = [x for loss in LOSS_KINDS for x in train(
+        *one_pair, replace(config, loss=loss))[0].to_vector().tolist()]
     sweep = artifacts["sweep/b3"] = []  # per beta: beta, P, R, F of each metric, CoNLL
     for beta, report in beta_sweep(train_docs, dev_docs, replace(config, loss="b3"),
                                    betas=(math.sqrt(0.8), 2.0)):

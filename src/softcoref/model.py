@@ -49,47 +49,45 @@ score gradient of each pair and u_p the pair half of u,
 
 so one GEMM against [d_pair * phi_p, d_pair] gives both.
 
-Every pass over a document's pair rows, in either precision, walks them
+Every forward pass over a document's pair rows, in either precision, is
+one function, ``_pair_forward``.  It and the reverse pass walk the rows
 in blocks of ``_block_rows(d_p, hidden_p)`` rows: at most _BLOCK_MACS =
 10^6 multiply-adds of (d_p + 1) x hidden_p each (~95 rows at hidden_p
 700, ~2,080 at 32), so that every block's GEMM stays on OpenBLAS's
-small-matrix path and its working set in cache.  Each GEMM reads its
-weights as a C-contiguous (d_p, hidden_p) w_p^T, or (d_p + 1, hidden_p)
-[w_p | b_p]^T, as it lies.  Per block, the forward pass computes that
-block's rows of h_p (GEMM, bias, tanh in place) and their h_p @ u_p, and
-the reverse pass adds the block's h_p^T d_pair into the gradient,
-overwrites that block of h_p with 1 - h_p^2, and adds the fused product
-(d_p + 1, hidden_p), through one block-sized scratch array for the
-scaled features.  Training keeps the whole h_p (n_pairs x hidden_p) for
-the reverse pass, which consumes it; ``score_pairs`` and prediction keep
-no pair hidden layer: one block-sized buffer serves every block, so
-their memory does not grow with n_pairs x hidden_p.  Pair scores go into
-the score matrix, and d_pair comes out of its gradient, through the
-document's strict-lower-triangular mask.
+small-matrix path and its working set in cache.  Per block, the forward
+pass casts the block's pair features into one buffer whose last column
+is ones and multiplies it by w_b = [w_p | b_p]^T (``_pair_weights``, a
+C-contiguous (d_p + 1, hidden_p) array in the dtype of the pass), so
+that one GEMM, which reads both operands as they lie, adds the bias
+too; tanh in place and @ u_p finish the block's rows of h_p and their
+pair halves.  The reverse pass adds the block's h_p^T d_pair into the
+gradient, overwrites that block of h_p with 1 - h_p^2, and adds the
+fused product (d_p + 1, hidden_p), through one block-sized scratch array
+for the scaled features.  Training keeps the whole h_p (n_pairs x
+hidden_p) for the reverse pass, which consumes it; ``score_pairs`` and
+prediction keep no pair hidden layer: one block-sized buffer serves
+every block, so their memory does not grow with n_pairs x hidden_p.
+Pair scores go into the score matrix, and d_pair comes out of its
+gradient, through the document's strict-lower-triangular mask.
 
 Prediction needs only the order of each row's scores, so it screens
-them with a float32 pair layer, in one pass over a corpus
+them with ``_pair_forward`` in float32, in one pass over a corpus
 (``_predict_corpus``; ``predict_antecedents`` is that pass on one
-document).  What the screen derives from the parameters alone (the
-scalars of E below, [w_p | b_p] transposed into a C-contiguous (d_p + 1,
-hidden_p) float32 array that the GEMM reads as it lies, and u_p), with
-the float64 w_p^T that re-scoring near rows reads, is built once per
-parameter state: ModelParams keeps it, with a copy of the flat vector,
-and rebuilds it when a read finds the vector's bits changed, whether by
-training's update, a setter or a write through a view.  Each pass reads
-it once.  Each block of a document's pair rows is
-cast into one float32 buffer sized for the largest screened document's
-block, so no float32 copy of a pair matrix is made.  The mention side
-and the sums stay float64.  A bound E on the float32 error of a pair
-score, affine in a document's largest |pair feature|
-(``predict_antecedents`` derives it), marks the near rows: those whose
-top-two gap float32 could have decided wrongly.  Every row of a
-document that the screen does not take is near.  A document's
-near rows are re-scored together in float64, through ``_pair_forward``
-and ``_score_matrix`` as in ``score_pairs``, so every prediction is a
-float64 argmax.  On the benchmark's trained models E is ~3e-3 (n 8-16, hidden
-200/700) and ~7e-5 (n 100-200, hidden 24/32), and about one document in
-46-141 has a near row.
+document).  What prediction derives from the parameters alone (the
+scalars of E below, w_b in float32 and in float64, and u_p in float32)
+is built once per parameter state: ModelParams keeps it, with a copy of
+the flat vector, and rebuilds it when a read finds the vector's bits
+changed, whether by training's update, a setter or a write through a
+view.  Each pass reads it once.  The mention side and the sums stay
+float64.  A bound E on the float32 error of a pair score, affine in a
+document's largest |pair feature| (``predict_antecedents`` derives it),
+marks the near rows: those whose top-two gap float32 could have decided
+wrongly.  Every row of a document that the screen does not take is
+near.  A document's near rows are re-scored together in float64,
+through ``_pair_forward`` and ``_score_matrix`` as in ``score_pairs``,
+so every prediction is a float64 argmax.  On the benchmark's trained
+models E is ~3e-3 (n 8-16, hidden 200/700) and ~7e-5 (n 100-200, hidden
+24/32), and about one document in 46-141 has a near row.
 ``score_pairs``, training and the gradient checker run in float64 only.
 """
 
@@ -250,19 +248,19 @@ class ModelParams:
         return ModelParams._wrap(vec, self._shapes)
 
     def _screen_memo(self) -> tuple:
-        """(bits, terms, weights, w_p_t): what the float32 prediction
-        screen derives from the parameters alone (``_screen_constants``)
-        and a read-only C-contiguous float64 copy of w_p^T for the float64
-        re-scoring of near rows, kept while the flat vector holds the same
-        bits.  Training, a field
-        setter or a write through any view changes the vector in place, so
-        each call compares it with a kept copy, through int64 so that a
-        0.0 -> -0.0 flip or a NaN counts, and rebuilds on a difference."""
+        """(bits, terms, weights, w_b): what the float32 prediction screen
+        derives from the parameters alone (``_screen_constants``) and a
+        read-only float64 ``_pair_weights`` for the float64 re-scoring of
+        near rows, kept while the flat vector holds the same bits.
+        Training, a field setter or a write through any view changes the
+        vector in place, so each call compares it with a kept copy, through
+        int64 so that a 0.0 -> -0.0 flip or a NaN counts, and rebuilds on a
+        difference."""
         bits = self._vec.view(np.int64)
         if self._memo is None or not (self._memo[0] == bits).all():
-            kept, w_p_t = bits.copy(), np.array(self.w_p.T, order="C")
-            kept.flags.writeable = w_p_t.flags.writeable = False
-            self._memo = (kept, *_screen_constants(self), w_p_t)
+            kept, w_b = bits.copy(), _pair_weights(self)
+            kept.flags.writeable = w_b.flags.writeable = False
+            self._memo = (kept, *_screen_constants(self), w_b)
         return self._memo
 
     def save(self, path) -> None:
@@ -322,11 +320,11 @@ def l1_norm(params: ModelParams) -> float:
 # ---------------------------------------------------------------------------
 
 # Multiply-adds per block of the pair layer's GEMM in either precision,
-# rows x (d_p + 1) x hidden_p (the float32 screen's GEMM adds the bias as
-# one more column).  OpenBLAS computes a GEMM of at most 10^6 of them on
-# its small-matrix path, which packs no operand: at d_p 14 a float32 row
-# cost 1.2x (hidden_p 700) to 1.7x (hidden_p 32) as much just above that
-# size as just below it.  The largest block below it, ~95 rows at
+# rows x (d_p + 1) x hidden_p (the GEMM adds the bias as one more column).
+# OpenBLAS computes a GEMM of at most 10^6 of them on its small-matrix
+# path, which packs no operand: at d_p 14 a float32 row cost 1.2x
+# (hidden_p 700) to 1.7x (hidden_p 32) as much just above that size as
+# just below it.  The largest block below it, ~95 rows at
 # hidden_p 700 and ~2,080 at 32, measured best or tied in prediction, and
 # no other budget won a training step at both widths (README,
 # "Performance notes").
@@ -343,7 +341,8 @@ def _forward_scores(doc: Document, params: ModelParams, keep_h_p: bool = True
                     ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """(scores, h_a, h_p) of the scorer on a document that fits ``params``;
     h_p is None unless ``keep_h_p``."""
-    pair_scores, h_p = _pair_forward(doc.pair_feature_matrix, params, keep_h_p)
+    pair_scores, h_p = _pair_forward(doc.pair_feature_matrix, _pair_weights(params),
+                                     params.u[params.hidden_a:], keep_h_p)
     return (*_score_matrix(doc, params, pair_scores), h_p)
 
 
@@ -360,31 +359,43 @@ def _score_matrix(doc: Document, params: ModelParams,
     return scores, h_a
 
 
-def _hidden(phi: np.ndarray, w: np.ndarray, b: np.ndarray,
-            out: Optional[np.ndarray] = None) -> np.ndarray:
+def _hidden(phi: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """tanh(phi @ w + b), computed in the GEMM's output buffer."""
-    h = np.matmul(phi, w, out=out)
+    h = phi @ w
     h += b
     return np.tanh(h, out=h)
 
 
-def _pair_forward(phi_p: np.ndarray, params: ModelParams, keep_h_p: bool,
-                  w_p_t: Optional[np.ndarray] = None
+def _pair_weights(params: ModelParams, dtype=np.float64) -> np.ndarray:
+    """[w_p | b_p]^T as every pair GEMM reads it: a C-contiguous (d_p + 1,
+    hidden_p) array of ``dtype``."""
+    w_b = np.empty((params.d_p + 1, params.hidden_p), dtype)
+    w_b[:-1], w_b[-1] = params.w_p.T, params.b_p
+    return w_b
+
+
+def _pair_forward(phi_p: np.ndarray, w_b: np.ndarray, u_p: np.ndarray, keep_h_p: bool
                   ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """The pair half h_p @ u_p of every pair's score, one block of rows at
-    a time, and h_p itself when ``keep_h_p``; otherwise one block-sized
-    buffer serves every block and no n_pairs x hidden_p array is made.
-    Every block's GEMM reads ``w_p_t``, a C-contiguous w_p^T, as it lies;
-    one is copied here when none is given."""
-    n_pairs, block = len(phi_p), _block_rows(params.d_p, params.hidden_p)
-    w = np.ascontiguousarray(params.w_p.T) if w_p_t is None else w_p_t
-    u_p = params.u[params.hidden_a:]
-    h_p = np.empty((n_pairs if keep_h_p else min(n_pairs, block), params.hidden_p))
+    """The pair half tanh([phi_p | 1] @ w_b) @ u_p of every pair's score,
+    as float64, one block of rows at a time, and h_p itself when
+    ``keep_h_p``; otherwise one block-sized buffer serves every block and
+    no n_pairs x hidden_p array is made.  ``w_b`` is ``_pair_weights`` in
+    the dtype of the pass and ``u_p`` the pair half of u in that dtype.
+    Each block is cast into one buffer whose last column is ones, so that
+    one GEMM, which reads both operands as they lie, adds the bias too.
+    The caller makes sure that every value fits the dtype."""
+    n_pairs, (d, hidden_p) = len(phi_p), w_b.shape
+    block = _block_rows(d - 1, hidden_p)
+    rows = min(n_pairs, block)
+    phi = np.empty((rows, d), w_b.dtype)
+    phi[:, -1] = 1.0
+    h_p = np.empty((n_pairs if keep_h_p else rows, hidden_p), w_b.dtype)
     pair_scores = np.empty(n_pairs)
     for start in range(0, n_pairs, block):
         stop = min(start + block, n_pairs)
-        h = h_p[start:stop] if keep_h_p else h_p[:stop - start]
-        _hidden(phi_p[start:stop], w, params.b_p, out=h)
+        x, h = phi[:stop - start], (h_p[start:stop] if keep_h_p else h_p[:stop - start])
+        x[:, :-1] = phi_p[start:stop]
+        np.tanh(np.matmul(x, w_b, out=h), out=h)
         np.matmul(h, u_p, out=pair_scores[start:stop])
     return pair_scores, (h_p if keep_h_p else None)
 
@@ -428,10 +439,9 @@ def _screen_constants(params: ModelParams) -> tuple:
     ``ModelParams._screen_memo`` keeps them until the parameters change.
     terms are the scalars of ``_near_tie_gaps``: A, B, max_k ||w_p,k||_1,
     max_k |b_p,k|, ||u_p||_1, the unit terms, the sums term, d_p and
-    hidden_p.  weights are read-only float32 copies of [w_p | b_p],
-    transposed and C-contiguous, and of u_p for ``_float32_pair_layer``.
-    Both are None when no document can fit float32, and nothing is cast
-    then."""
+    hidden_p.  weights are the read-only float32 ``_pair_weights`` and u_p
+    that the screen's ``_pair_forward`` reads.  Both are None when no
+    document can fit float32, and nothing is cast then."""
     d, hidden = params.d_p, params.hidden_p
     abs_u = np.abs(params.u)
     abs_u_p, abs_b_p = abs_u[params.hidden_a:], np.abs(params.b_p)
@@ -445,9 +455,7 @@ def _screen_constants(params: ModelParams) -> tuple:
     u_term = (_TANH_ULPS * (_F32_UNIT + _F64_UNIT) + _gamma(hidden + 2, _F32_UNIT)
               + _gamma(hidden + 2, _F64_UNIT)) * u_l1
     sums = 2.0 ** -48 * (float(abs_u.sum()) + abs(params.u_0))
-    w_b = np.empty((d + 1, hidden), np.float32)  # C-contiguous, as the GEMM reads it
-    w_b[:d], w_b[d] = params.w_p.T, params.b_p
-    u_p = params.u[params.hidden_a:].astype(np.float32)
+    w_b, u_p = _pair_weights(params, np.float32), params.u[params.hidden_a:].astype(np.float32)
     for array in (w_b, u_p):
         array.flags.writeable = False
     return (slope, offset, row_max, bias_max, u_l1, lin_units, u_term, sums, d, hidden), (w_b, u_p)
@@ -483,9 +491,10 @@ def predict_antecedents(doc: Document, params: ModelParams) -> tuple[int, ...]:
     This is the corpus pass ``_predict_corpus`` on ``[doc]``; the same
     pass decodes a whole corpus for ``evaluate_corpus`` and ``softcoref
     errors``.  Only the order of a row's scores decides its prediction.
-    So the pair layer runs in float32, in blocks of each document's own
-    pair rows (``_float32_pair_layer``), and the mention side, the sums
-    and the self-link scores stay float64.  For every pair, the float32
+    So the pair layer runs in float32 (``_pair_forward`` on float32
+    weights, in blocks of each document's own pair rows, the bias folded
+    into the GEMM), and the mention side, the sums and the self-link
+    scores stay float64.  For every pair, the float32
     pair score h_p . u_p is within E of the float64 one, with gamma_m =
     m u / (1 - m u), u = 2^-24 (float32) or 2^-53 (float64), c = 4 ulps a
     bound on numpy's tanh error, and phi the larger of 1 and the largest
@@ -516,7 +525,8 @@ def predict_antecedents(doc: Document, params: ModelParams) -> tuple[int, ...]:
     ||w_p,k||_1 and B = sum_k |u_p,k| |b_p,k|, so E is affine in phi, and
     the parameters reduce to scalars once per parameter state
     (``_near_tie_gaps``; ``ModelParams._screen_memo`` keeps them, and the
-    float32 weights, until a call finds the flat vector changed).
+    float32 and float64 (d_p + 1, hidden_p) [w_p | b_p]^T, until a call
+    finds the flat vector changed).
 
     On the benchmark's trained models (seeds 1-10) E is 2.6e-3 to 4.0e-3
     at n 8-16, hidden 200/700 and 2.3e-5 to 8.6e-5 at n 100-200, hidden
@@ -529,16 +539,16 @@ def predict_antecedents(doc: Document, params: ModelParams) -> tuple[int, ...]:
 def _predict_corpus(docs: Sequence[Document], params: ModelParams) -> list[np.ndarray]:
     """``predict_antecedents`` of every document of ``docs``, as 1-based
     int64 arrays, in one pass.  The parameters' scalars
-    (``_near_tie_gaps``), float32 ``[w_p | b_p]`` and u_p
-    (``_float32_pair_layer``) and float64 w_p^T (``_pair_forward``) come
-    from one read of their memo, built once per parameter state; only the
-    buffers are made per pass, when some document is screened, with
-    blocks of ``_block_rows`` rows.  A screened document's rows are
-    decided on its float32 scores, except those whose top-two gap is at
-    most its gap; a document that is not screened has every row near.
-    The near rows of a document are re-scored together in float64,
-    through one ``_pair_forward`` call on their pairs and
-    ``_score_matrix``, and decided by the row softmax."""
+    (``_near_tie_gaps``) and their (d_p + 1, hidden_p) [w_p | b_p]^T, in
+    float32 with u_p for the screen and in float64 for the re-scoring,
+    come from one read of their memo, built once per parameter state.
+    Both precisions run through ``_pair_forward``, which makes its own
+    block-sized buffers per call.  A screened document's rows are decided
+    on its float32 scores, except those whose top-two gap is at most its
+    gap; a document that is not screened has every row near.  The near
+    rows of a document are re-scored together in float64, through one
+    ``_pair_forward`` call on their pairs and ``_score_matrix``, and
+    decided by the row softmax."""
     for doc in docs:
         _check_fits(doc, params)
     # Finite parameters can still give scores beyond float64: the re-scored
@@ -546,17 +556,15 @@ def _predict_corpus(docs: Sequence[Document], params: ModelParams) -> list[np.nd
     # bound keeps the float32 pair side finite).  numpy's overflow warnings
     # are left to the caller, since an np.errstate here would cost more
     # than the check (README, "Performance notes").
-    _, terms, weights, w_p_t = params._screen_memo()
-    gaps = _near_tie_gaps(docs, terms)
-    sizes = [len(doc.pair_feature_matrix) for doc, gap in zip(docs, gaps) if gap is not None]
-    block_rows = min(max(sizes), _block_rows(params.d_p, params.hidden_p)) if sizes else 0
-    float32_halves = _float32_pair_layer(weights, block_rows) if sizes else None
+    _, terms, weights, w_b = params._screen_memo()
+    u_p = params.u[params.hidden_a:]
     predictions = []
-    for doc, gap in zip(docs, gaps):
+    for doc, gap in zip(docs, _near_tie_gaps(docs, terms)):
         if gap is None:
             best, near = np.zeros(doc.n, np.int64), np.ones(doc.n, bool)
         else:
-            scores = _score_matrix(doc, params, float32_halves(doc.pair_feature_matrix))[0]
+            halves = _pair_forward(doc.pair_feature_matrix, *weights, False)[0]
+            scores = _score_matrix(doc, params, halves)[0]
             _check_finite_scores(doc, scores.diagonal())
             masked = np.where(doc.candidate_mask, scores, -np.inf)
             rows = np.arange(doc.n)
@@ -567,7 +575,7 @@ def _predict_corpus(docs: Sequence[Document], params: ModelParams) -> list[np.nd
         if near.any():
             pairs = near[doc.tril_pairs[0]]
             halves = np.zeros(len(pairs))
-            halves[pairs] = _pair_forward(doc.pair_feature_matrix[pairs], params, False, w_p_t)[0]
+            halves[pairs] = _pair_forward(doc.pair_feature_matrix[pairs], w_b, u_p, False)[0]
             scores = _score_matrix(doc, params, halves)[0][near]
             _check_finite_scores(doc, scores)
             best[near] = masked_softmax(scores, doc.candidate_mask[near]).argmax(axis=1)
@@ -579,35 +587,6 @@ def _check_finite_scores(doc: Document, scores: np.ndarray) -> None:
     """InputError unless every score of ``doc`` in ``scores`` is finite."""
     if not np.isfinite(scores).all():
         raise InputError(f"non-finite scores on document {doc.id}")
-
-
-def _float32_pair_layer(weights: tuple, block_rows: int):
-    """The float32 pair layer of the prediction pass: a function from a
-    pair matrix to its pair halves h_p @ u_p, as float64.
-
-    ``weights`` are the memo's float32 ``[w_p | b_p]`` transposed, a
-    C-contiguous (d_p + 1, hidden_p) array, and u_p
-    (``_screen_constants``).  A pair matrix goes through blocks of at most
-    ``block_rows`` rows; each is cast into one float32 buffer whose last
-    column is ones, so that one GEMM, which reads both operands as they
-    lie, adds the bias too, and one tanh and one @ u_p finish it.  The
-    caller sizes the blocks and makes sure that every value fits
-    float32."""
-    w_b, u_p = weights
-    phi = np.ones((block_rows, len(w_b)), np.float32)
-    h = np.empty((block_rows, len(u_p)), np.float32)
-
-    def pair_halves(pairs: np.ndarray) -> np.ndarray:
-        halves = np.empty(len(pairs))
-        for start in range(0, len(pairs), block_rows):
-            stop = min(start + block_rows, len(pairs))
-            block = h[:stop - start]
-            phi[:stop - start, :-1] = pairs[start:stop]
-            np.tanh(np.matmul(phi[:stop - start], w_b, out=block), out=block)
-            halves[start:stop] = block @ u_p
-        return halves
-
-    return pair_halves
 
 
 def _softmax_backward(probs: np.ndarray, d_probs: np.ndarray) -> np.ndarray:

@@ -594,22 +594,19 @@ def row_slices(array: np.ndarray, rows: list) -> RowSlices:
 def record_pair_blocks(patch) -> dict[str, list[int]]:
     """Wrap the passes over a document's pair rows; the dict returned
     collects the rows of every block each takes of them: the float64
-    forward (``_pair_forward``, of the pair matrix), the reverse pass
-    (``_score_backward``, of h_p) and the float32 screen (the layer that
-    ``_float32_pair_layer`` builds, of the pair matrix)."""
+    forward and the float32 screen (``_pair_forward`` of the pair matrix,
+    told apart by the dtype of its weights) and the reverse pass
+    (``_score_backward``, of h_p)."""
     blocks = {"forward": [], "backward": [], "screen": []}
-    forward, backward, screen = (model._pair_forward, model._score_backward,
-                                 model._float32_pair_layer)
+    forward, backward = model._pair_forward, model._score_backward
 
-    def layer(weights, block_rows):
-        halves = screen(weights, block_rows)
-        return lambda pairs: halves(row_slices(pairs, blocks["screen"]))
+    def pair_forward(phi_p, w_b, *args):
+        rows = blocks["screen" if w_b.dtype == np.float32 else "forward"]
+        return forward(row_slices(phi_p, rows), w_b, *args)
 
-    patch.setattr(model, "_pair_forward", lambda phi_p, *args: forward(
-        row_slices(phi_p, blocks["forward"]), *args))
+    patch.setattr(model, "_pair_forward", pair_forward)
     patch.setattr(model, "_score_backward", lambda doc, params, h_a, h_p, d_scores: backward(
         doc, params, h_a, row_slices(h_p, blocks["backward"]), d_scores))
-    patch.setattr(model, "_float32_pair_layer", layer)
     return blocks
 
 
@@ -743,29 +740,28 @@ class TestBlockRule:
         assert len(split) == n_blocks
 
     def test_the_float64_pair_gemm_reads_w_p_transposed_as_it_lies(self, monkeypatch):
-        """Each block's GEMM gets one C-contiguous (d_p, hidden_p) copy of
-        w_p^T, made once per pass; the mention layer gets w_a^T.
-        Prediction's re-scoring of near rows reads the copy that the
-        parameters' memo keeps, so it makes none per call."""
+        """Each pass's GEMMs get one C-contiguous (d_p + 1, hidden_p)
+        float64 [w_p^T; b_p], made once per pass.  Prediction's re-scoring
+        of near rows reads the one that the parameters' memo keeps, so it
+        makes none per call."""
         doc = long_document(60, seed=3)
         params = ModelParams.random(4, 5, hidden_a=3, hidden_p=6, seed=3)
         blocks = force_pair_blocks(monkeypatch, params, 600)
-        operands, hidden = [], model._hidden
-        monkeypatch.setattr(model, "_hidden", lambda phi, w, b, out=None: (
-            operands.append(w) or hidden(phi, w, b, out)))
+        operands, forward = [], model._pair_forward
+        monkeypatch.setattr(model, "_pair_forward", lambda phi_p, w_b, *args: (
+            operands.append(w_b) or forward(phi_p, w_b, *args)))
         _forward_scores(doc, params)
         assert blocks["forward"] == [600, 600, 570]
-        assert [w.shape for w in operands] == [(5, 6)] * 3 + [(4, 3)]
-        assert all(w is operands[0] for w in operands[:3]) and operands[0].flags.c_contiguous
-        np.testing.assert_array_equal(operands[0], params.w_p.T)
-        np.testing.assert_array_equal(operands[3], params.w_a.T)
+        w_b, = operands
+        assert w_b.dtype == np.float64 and w_b.flags.c_contiguous
+        np.testing.assert_array_equal(w_b, np.vstack([params.w_p.T, params.b_p]))
         operands.clear()
         # Every row is near: each call re-scores the whole document in float64.
         monkeypatch.setattr(model, "_near_tie_gaps", lambda docs, terms: [np.inf] * len(docs))
         for _ in range(2):
             predict_antecedents(doc, params)
-        pair_operands = [w for w in operands if w.shape == (5, 6)]
-        assert len(pair_operands) == 6 and blocks["forward"][3:] == 2 * [600, 600, 570]
+        pair_operands = [w for w in operands if w.dtype == np.float64]
+        assert len(pair_operands) == 2 and blocks["forward"][3:] == 2 * [600, 600, 570]
         assert all(w is params._screen_memo()[3] for w in pair_operands)
 
 
@@ -800,7 +796,10 @@ def screened_scores(doc: Document, params: ModelParams, block_rows=None) -> np.n
     """The score matrix with the float32 pair layer of the prediction pass,
     in blocks of ``block_rows`` rows (None: one block)."""
     pairs = doc.pair_feature_matrix
-    halves = model._float32_pair_layer(params._screen_memo()[2], block_rows or len(pairs))(pairs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_BLOCK_MACS",
+                      (block_rows or len(pairs)) * (params.d_p + 1) * params.hidden_p)
+        halves = model._pair_forward(pairs, *params._screen_memo()[2], False)[0]
     return model._score_matrix(doc, params, halves)[0]
 
 
@@ -918,6 +917,27 @@ class TestFloat32Screen:
         assert predict_antecedents(doc, params) == expected
         if block:
             assert blocks["screen"] == screen_split([doc], block) and spans_blocks([doc], block)
+
+    @pytest.mark.parametrize("block", [None, 1, 7], ids=["one-block", "one-row", "seven-rows"])
+    def test_screen_is_one_float32_gemm_with_the_bias_folded_in(self, block, monkeypatch):
+        """The screen's pair halves are, bit for bit, tanh([phi | 1] @ w_b)
+        @ u_p in float32 on each block, with the memo's w_b = [w_p^T; b_p]:
+        the arithmetic that the near-tie bound E assumes (casts, then one
+        sum of d_p + 1 products that adds the bias).  At d_p 4 a bias added
+        in a pass of its own changes the bits of one-row blocks."""
+        doc = singleton_document(40, 4, seed=5)
+        params = ModelParams.random(4, 4, hidden_a=3, hidden_p=6, scale=0.5, seed=5)
+        _, _, (w_b, u_p), _ = params._screen_memo()
+        pairs = doc.pair_feature_matrix
+        rows = block or len(pairs)
+        blocks = force_pair_blocks(monkeypatch, params, rows)
+        halves, h_p = model._pair_forward(pairs, w_b, u_p, False)
+        phi = np.hstack([pairs, np.ones((len(pairs), 1))]).astype(np.float32)
+        expected = np.concatenate([np.tanh(phi[start:start + rows] @ w_b) @ u_p
+                                   for start in range(0, len(pairs), rows)])
+        assert blocks["screen"] == split_rows(len(pairs), rows) and h_p is None
+        assert halves.dtype == np.float64 and expected.dtype == np.float32
+        np.testing.assert_array_equal(halves, expected)
 
     @pytest.mark.parametrize("where", ["w_p", "b_p", "u_p", "w_p and features"])
     def test_values_beyond_float32_are_scored_in_float64(self, where, tmp_path):
@@ -1101,14 +1121,14 @@ class TestCorpusPass:
         assert peak < pair_layer_bytes / 4, (peak, pair_layer_bytes)
 
     def test_prediction_memory_does_not_grow_with_the_corpus(self):
-        """Twenty documents of 120 pairs at hidden_p 700: the float32
+        """Twenty documents of 120 pairs at hidden_p 700: the screen's
         buffers are sized for one block of one document, 95 rows of
-        hidden_p (266,000 B).  What else the pass keeps stays below 210,000
-        B (~183,200 B measured): the float32 features, and for a document's
-        near rows their rows of h_p (18 pairs here, 100,800 B), numpy's
-        buffer for adding the bias (~63 KB) and the per-document arrays.
-        The float64 w_p^T that re-scoring reads is kept with the parameters.
-        Blocks of 120 rows, the whole document, would add ~71,500 B."""
+        hidden_p (266,000 B), and are dropped before the document's near
+        rows are re-scored.  What else the pass keeps stays below 60,000 B
+        (~20,000 B measured): the float32 features and the per-document
+        arrays.  The float64 [w_p^T; b_p] that re-scoring reads is kept
+        with the parameters.  Blocks of 120 rows, the whole document, would
+        add ~71,600 B."""
         docs = generate_synthetic(SyntheticConfig(num_docs=20, mentions_per_doc=(16, 16),
                                                   entities_per_doc=(3, 6), seed=3))
         params = ModelParams.random(12, 14, hidden_a=20, hidden_p=700, seed=3)
@@ -1122,7 +1142,7 @@ class TestCorpusPass:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < block_bytes + 210_000, (peak, block_bytes)
+        assert peak < block_bytes + 60_000, (peak, block_bytes)
 
 
 PARAM_EDITS = ("view", "setter", "scale", "zero sign", "nan", "restore")
@@ -1228,20 +1248,21 @@ class TestScreenMemo:
         doc = singleton_document(12, 5, seed=1)
         params = ModelParams.random(4, 5, hidden_a=3, hidden_p=6, seed=1)
         predict_antecedents(doc, params)
-        bits, _, (w_b, u_p), w_p_t = params._screen_memo()
-        for array in (bits, w_b, u_p, w_p_t):
+        bits, _, (w_b, u_p), w_b64 = params._screen_memo()
+        for array in (bits, w_b, u_p, w_b64):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0
-        assert w_b.shape == (params.d_p + 1, params.hidden_p) and w_b.flags.c_contiguous
-        np.testing.assert_array_equal(
-            w_b, np.vstack([params.w_p.T, params.b_p]).astype(np.float32))
+        for array, dtype in ((w_b, np.float32), (w_b64, np.float64)):
+            assert array.shape == (params.d_p + 1, params.hidden_p) and array.flags.c_contiguous
+            np.testing.assert_array_equal(
+                array, np.vstack([params.w_p.T, params.b_p]).astype(dtype))
         params.w_p[0, 0] += 1.0
         predict_antecedents(doc, params)
-        kept, _, (new_w_b, _), new_w_p_t = params._memo
+        kept, _, (new_w_b, _), new_w_b64 = params._memo
         assert new_w_b is not w_b and not new_w_b.flags.writeable
-        assert new_w_p_t is not w_p_t and not new_w_p_t.flags.writeable
-        np.testing.assert_array_equal(new_w_p_t, params.w_p.T)
+        assert new_w_b64 is not w_b64 and not new_w_b64.flags.writeable
+        np.testing.assert_array_equal(new_w_b64, np.vstack([params.w_p.T, params.b_p]))
         assert new_w_b[0, 0] == np.float32(params.w_p[0, 0])
         np.testing.assert_array_equal(kept, params._vec.view(np.int64))
 
